@@ -1,9 +1,10 @@
 // Policy x trace matrix on a 5000-server synthetic fleet (ROADMAP item 3):
 // all four policies over the full trace catalog with the ACPI idle ladder,
-// off one shared Fleet, parallelized over cells via util/parallel.
+// one exp::run_experiment sweep against one caller-built Fleet,
+// parallelized over cells via util/parallel.
 //
 // Gates (exit 1 on failure):
-//   - determinism: the rendered matrix (text + JSON) must be byte-identical
+//   - determinism: the rendered result document must be byte-identical
 //     between a 1-thread and an 8-thread run — the util/parallel contract.
 //   - wall clock: the parallel full-matrix run must finish inside a budget
 //     far above any observed time, so a pathological regression (e.g. a
@@ -12,12 +13,14 @@
 #include "common.h"
 
 #include <chrono>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/fleet.h"
-#include "cluster/matrix.h"
 #include "exp/gate.h"
+#include "exp/runner.h"
+#include "exp/spec.h"
 #include "metrics/curve_models.h"
 
 namespace {
@@ -62,11 +65,12 @@ int main() {
 
   const auto records = make_fleet(kFleetSize);
   const auto fleet = cluster::Fleet::from_records(records);
+  const auto spec = exp::day_matrix_spec(kFleetSize, "acpi");
 
   const auto run_with_threads = [&](int threads) {
-    cluster::MatrixOptions options;
+    exp::RunnerOptions options;
     options.threads = threads;
-    return cluster::run_policy_trace_matrix(fleet, options);
+    return exp::run_experiment(spec, std::span(&fleet, 1), options);
   };
 
   const auto start = std::chrono::steady_clock::now();
@@ -92,7 +96,13 @@ int main() {
     return 1;
   }
 
-  std::cout << cluster::render_matrix_text(parallel.value());
+  TextTable winners;
+  winners.columns({"trace", "winner", "ops/J"});
+  for (const auto& verdict : parallel.value().winners) {
+    winners.row({verdict.trace, verdict.policy,
+                 format_fixed(verdict.avg_efficiency, 1)});
+  }
+  std::cout << winners.render();
 
   TextTable timing;
   timing.columns({"matrix run", "ms"});
@@ -104,17 +114,13 @@ int main() {
   std::printf(
       "BENCH_JSON {\"servers\": %zu, \"traces\": %zu, \"policies\": %zu, "
       "\"matrix_ms_serial\": %.1f, \"matrix_ms_parallel\": %.1f}\n",
-      kFleetSize, parallel.value().traces.size(),
-      parallel.value().policies.size(), 1000.0 * serial_s,
+      kFleetSize, spec.traces.size(), spec.policies.size(), 1000.0 * serial_s,
       1000.0 * parallel_s);
 
   exp::Gate gate("bench_policy_matrix");
-  gate.bytes_equal("text matrix: 1 vs 8 threads",
-                   cluster::render_matrix_text(serial.value()),
-                   cluster::render_matrix_text(parallel.value()));
-  gate.bytes_equal("json matrix: 1 vs 8 threads",
-                   cluster::render_matrix_json(serial.value()),
-                   cluster::render_matrix_json(parallel.value()));
+  gate.bytes_equal("result json: 1 vs 8 threads",
+                   exp::render_result_json(serial.value()),
+                   exp::render_result_json(parallel.value()));
   gate.ceiling("matrix wall (s)", parallel_s, kWallBudgetSeconds);
   return gate.finish();
 }

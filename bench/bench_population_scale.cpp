@@ -19,8 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "common.h"
@@ -56,23 +54,6 @@ long peak_rss_mb() {
   return usage.ru_maxrss / 1024;  // ru_maxrss is KiB on Linux
 }
 
-Result<cluster::Fleet> streamed_fleet(const dataset::ScaledConfig& config,
-                                      std::size_t chunk_rows) {
-  cluster::Fleet::Builder builder;
-  std::optional<Error> append_error;
-  auto emitted = dataset::generate_population_chunked(
-      config, chunk_rows,
-      [&](std::span<const dataset::ServerRecord> chunk, std::uint64_t) {
-        if (append_error) return;
-        if (auto appended = builder.append(chunk); !appended.ok()) {
-          append_error = appended.error();
-        }
-      });
-  if (!emitted.ok()) return emitted.error();
-  if (append_error) return *append_error;
-  return builder.finish();
-}
-
 }  // namespace
 
 int main() {
@@ -92,7 +73,8 @@ int main() {
     return 1;
   }
   const auto monolithic = cluster::Fleet::build(reference_records.value());
-  const auto reference_streamed = streamed_fleet(reference_config, 997);
+  const auto reference_streamed =
+      cluster::Fleet::generate(reference_config, 997);
   if (!monolithic.ok() || !reference_streamed.ok()) {
     std::fprintf(stderr, "FAIL: reference fleet build\n");
     return 1;
@@ -107,7 +89,7 @@ int main() {
   dataset::ScaledConfig scale_config;
   scale_config.servers = kScaleServers;
   const auto build_start = std::chrono::steady_clock::now();
-  const auto fleet = streamed_fleet(scale_config, kChunkRows);
+  const auto fleet = cluster::Fleet::generate(scale_config, kChunkRows);
   const double build_s = seconds_since(build_start);
   if (!fleet.ok()) {
     std::fprintf(stderr, "FAIL: scale fleet build: %s\n",

@@ -21,7 +21,8 @@
 //   epserve_cli day     --list-traces       the registered trace catalog
 //   epserve_cli day     --matrix [--json]   all policies x all traces off one
 //                                           shared Fleet, ACPI idle ladder;
-//                                           winner per trace class
+//                                           winner per trace class (one
+//                                           exp::run_experiment sweep)
 //   epserve_cli day     --scale N [seed] [--chunk C]
 //                                           same study on a streamed Fleet of
 //                                           N scaled servers (Fleet::Builder;
@@ -51,10 +52,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/autoscaler.h"
 #include "cluster/day_simulation.h"
 #include "cluster/fleet.h"
-#include "cluster/matrix.h"
 #include "cluster/operating_guide.h"
 #include "cluster/trace.h"
 #include "analysis/report_json.h"
@@ -65,8 +64,11 @@
 #include "dataset/group_index.h"
 #include "dataset/io.h"
 #include "dataset/validation.h"
+#include "exp/runner.h"
+#include "exp/spec.h"
 #include "metrics/model_fit.h"
 #include "util/args.h"
+#include "util/json_writer.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/telemetry.h"
@@ -393,23 +395,93 @@ int cmd_guide(int argc, const char* const* argv) {
   return 0;
 }
 
-/// Streamed fleet assembly for day --scale: generator chunks append into a
-/// Fleet::Builder, so no full vector<ServerRecord> ever exists.
-Result<cluster::Fleet> build_scaled_fleet(const dataset::ScaledConfig& config,
-                                          std::size_t chunk) {
-  cluster::Fleet::Builder builder;
-  std::optional<Error> append_error;
-  auto emitted = dataset::generate_population_chunked(
-      config, chunk,
-      [&](std::span<const dataset::ServerRecord> rows, std::uint64_t) {
-        if (append_error) return;
-        if (auto appended = builder.append(rows); !appended.ok()) {
-          append_error = appended.error();
-        }
-      });
-  if (!emitted.ok()) return emitted.error();
-  if (append_error) return *append_error;
-  return builder.finish();
+/// Text report of a `day --matrix` run (exp::day_matrix_spec): one table
+/// per trace (kWh, served Gops, ops/J, wakes) plus a winner-per-trace
+/// summary table.
+std::string render_matrix_text(const exp::RunResult& run) {
+  const exp::Spec& spec = run.spec;
+  const std::size_t cols = spec.policies.size();
+  std::string out = std::to_string(spec.fleet_sizes.front()) + " servers, " +
+                    std::to_string(spec.traces.size()) + " traces x " +
+                    std::to_string(cols) + " policies (idle model: " +
+                    spec.idle_models.front() + ")\n";
+  for (std::size_t t = 0; t < spec.traces.size(); ++t) {
+    out += "\n== trace " + spec.traces[t] + " ==\n";
+    TextTable table;
+    table.columns({"policy", "kWh", "served Gops", "ops/J", "wakes"});
+    for (std::size_t p = 0; p < cols; ++p) {
+      const exp::CellResult& cell = run.cells[t * cols + p];
+      if (!cell.eligible) {
+        table.row({cell.cell.policy, "-", "-", "-", "ineligible"});
+        continue;
+      }
+      table.row({cell.cell.policy, format_fixed(cell.day.energy_kwh, 2),
+                 format_fixed(cell.day.served_gops, 1),
+                 format_fixed(cell.day.avg_efficiency, 1),
+                 std::to_string(cell.day.wake_count)});
+    }
+    out += table.render();
+  }
+  out += "\n== winner per trace ==\n";
+  TextTable winners;
+  winners.columns({"trace", "policy", "ops/J"});
+  for (const auto& verdict : run.winners) {
+    winners.row({verdict.trace, verdict.policy,
+                 format_fixed(verdict.avg_efficiency, 1)});
+  }
+  out += winners.render();
+  return out;
+}
+
+/// The same cells and verdicts as one JSON document.
+std::string render_matrix_json(const exp::RunResult& run) {
+  const exp::Spec& spec = run.spec;
+  JsonWriter json;
+  json.begin_object();
+  json.key("servers").value(
+      static_cast<std::size_t>(spec.fleet_sizes.front()));
+  json.key("idle_model").value(spec.idle_models.front());
+  json.key("policies").begin_array();
+  for (const auto& policy : spec.policies) json.value(policy);
+  json.end_array();
+  json.key("traces").begin_array();
+  const std::size_t cols = spec.policies.size();
+  for (std::size_t t = 0; t < spec.traces.size(); ++t) {
+    json.begin_object();
+    json.key("trace").value(spec.traces[t]);
+    json.key("cells").begin_array();
+    for (std::size_t p = 0; p < cols; ++p) {
+      const exp::CellResult& cell = run.cells[t * cols + p];
+      json.begin_object();
+      json.key("policy").value(cell.cell.policy);
+      json.key("eligible").value(cell.eligible);
+      if (cell.eligible) {
+        json.key("energy_kwh").value(cell.day.energy_kwh);
+        json.key("served_gops").value(cell.day.served_gops);
+        json.key("avg_efficiency").value(cell.day.avg_efficiency);
+        json.key("idle_energy_kwh").value(cell.day.idle_energy_kwh);
+        json.key("wake_energy_kwh").value(cell.day.wake_energy_kwh);
+        json.key("wake_lost_gops").value(cell.day.wake_lost_gops);
+        json.key("wake_count")
+            .value(static_cast<std::size_t>(cell.day.wake_count));
+      }
+      json.end_object();
+    }
+    json.end_array();
+    json.end_object();
+  }
+  json.end_array();
+  json.key("winners").begin_array();
+  for (const auto& verdict : run.winners) {
+    json.begin_object();
+    json.key("trace").value(verdict.trace);
+    json.key("policy").value(verdict.policy);
+    json.key("avg_efficiency").value(verdict.avg_efficiency);
+    json.end_object();
+  }
+  json.end_array();
+  json.end_object();
+  return json.str();
 }
 
 int cmd_day(int argc, const char* const* argv) {
@@ -512,7 +584,7 @@ int cmd_day(int argc, const char* const* argv) {
   // view-built path must keep its records alive alongside the handle.
   std::vector<dataset::ServerRecord> fleet;
   const auto handle = [&]() -> Result<cluster::Fleet> {
-    if (scale_given) return build_scaled_fleet(scaled_config, chunk);
+    if (scale_given) return cluster::Fleet::generate(scaled_config, chunk);
     auto population = dataset::generate_population(config);
     if (!population.ok()) return population.error();
     fleet = modern_fleet(population.value(), fleet_size);
@@ -523,46 +595,37 @@ int cmd_day(int argc, const char* const* argv) {
     return 1;
   }
   if (matrix) {
-    cluster::MatrixOptions options;
-    options.idle = std::move(idle).take();
-    options.idle_name = idle_given ? idle_name : "acpi";
-    auto run = cluster::run_policy_trace_matrix(handle.value(), options);
+    const auto spec = exp::day_matrix_spec(handle.value().size(),
+                                           idle_given ? idle_name : "acpi");
+    auto run = exp::run_experiment(spec, std::span(&handle.value(), 1));
     if (!run.ok()) {
       std::fprintf(stderr, "%s\n", run.error().message.c_str());
       return 1;
     }
     if (json) {
-      std::cout << cluster::render_matrix_json(run.value()) << "\n";
+      std::cout << render_matrix_json(run.value()) << "\n";
     } else {
-      std::cout << cluster::render_matrix_text(run.value());
+      std::cout << render_matrix_text(run.value());
     }
     return 0;
   }
-  auto days =
-      cluster::compare_policies_over_day(handle.value(), trace, idle.value());
-  if (!days.ok()) {
-    std::fprintf(stderr, "%s\n", days.error().message.c_str());
-    return 1;
-  }
   TextTable table;
   table.columns({"policy", "kWh/day", "served Gops", "ops/J"});
-  for (const auto& day : days.value()) {
-    table.row({day.policy, format_fixed(day.energy_kwh, 2),
-               format_fixed(day.served_gops, 1),
-               format_fixed(day.avg_efficiency, 1)});
-  }
-  if (trace.latency_critical()) {
-    // Powering servers fully off violates the trace's idle-state cap.
-    table.row({"autoscaler", "-", "-", "-"});
-  } else {
-    auto scaled = cluster::autoscale_over_day(handle.value(), trace);
-    if (!scaled.ok()) {
-      std::fprintf(stderr, "%s\n", scaled.error().message.c_str());
+  for (const auto policy : cluster::kDayPolicies) {
+    auto day = cluster::simulate_policy_day(policy, handle.value(), trace,
+                                            idle.value());
+    if (!day.ok()) {
+      std::fprintf(stderr, "%s\n", day.error().message.c_str());
       return 1;
     }
-    table.row({"autoscaler", format_fixed(scaled.value().energy_kwh, 2),
-               format_fixed(scaled.value().served_gops, 1),
-               format_fixed(scaled.value().avg_efficiency, 1)});
+    const auto& result = day.value();
+    if (!result) {
+      table.row({std::string(policy), "-", "-", "-"});
+      continue;
+    }
+    table.row({result->policy, format_fixed(result->energy_kwh, 2),
+               format_fixed(result->served_gops, 1),
+               format_fixed(result->avg_efficiency, 1)});
   }
   std::cout << handle.value().size() << " servers over "
             << trace.demand.size() << " slots\n"

@@ -1,9 +1,12 @@
 #include "cluster/day_simulation.h"
 
 #include <algorithm>
+#include <cmath>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
+#include "cluster/autoscaler.h"
 #include "util/telemetry.h"
 
 namespace epserve::cluster {
@@ -86,6 +89,34 @@ Result<DayResult> simulate_day(const PlacementPolicy& policy,
   const double joules = result.energy_kwh * 3.6e6;
   result.avg_efficiency = joules > 0.0 ? result.served_gops * 1e9 / joules : 0.0;
   return result;
+}
+
+Result<std::optional<DayResult>> simulate_policy_day(std::string_view policy,
+                                                     const Fleet& fleet,
+                                                     const DemandTrace& trace,
+                                                     const IdleModel& idle) {
+  if (policy == "autoscaler") {
+    // Powering servers fully off violates the trace's idle-state cap.
+    if (trace.latency_critical()) return std::optional<DayResult>();
+    const AutoscalerConfig config;
+    auto scaled = autoscale_over_day(fleet, trace, config);
+    if (!scaled.ok()) return scaled.error();
+    DayResult day;
+    day.policy = std::string(policy);
+    day.energy_kwh = scaled.value().energy_kwh;
+    day.served_gops = scaled.value().served_gops;
+    day.avg_efficiency = scaled.value().avg_efficiency;
+    double wakes = 0.0;
+    for (const auto& slot : scaled.value().slots) wakes += slot.wakes;
+    day.wake_count = static_cast<std::uint64_t>(std::llround(wakes));
+    day.wake_energy_kwh = wakes * config.wake_penalty_wh / 1000.0;
+    return std::optional<DayResult>(std::move(day));
+  }
+  auto placement = make_placement_policy(policy);
+  if (!placement.ok()) return placement.error();
+  auto day = simulate_day(*placement.value(), fleet, trace, idle);
+  if (!day.ok()) return day.error();
+  return std::optional<DayResult>(std::move(day).take());
 }
 
 Result<std::vector<DayResult>> compare_policies_over_day(

@@ -10,8 +10,11 @@
 // accounting bit for bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/fleet.h"
@@ -50,6 +53,24 @@ epserve::Result<DayResult> simulate_day(const PlacementPolicy& policy,
                                         const Fleet& fleet,
                                         const DemandTrace& trace,
                                         const IdleModel& idle = IdleModel::none());
+
+/// The policies a simulated day runs under, in report column order: the
+/// three placement policies, then the ensemble autoscaler
+/// (cluster/autoscaler.h), which powers servers fully off.
+inline constexpr std::array<std::string_view, 4> kDayPolicies = {
+    "pack-to-full", "balanced", "optimal-region", "autoscaler"};
+
+/// One day of the named kDayPolicies policy over the trace — the one
+/// evaluator behind `epserve_cli day`, `day --matrix` and the exp runner's
+/// cells. Empty when the combination is ineligible: the autoscaler powers
+/// servers fully off, which a latency-critical trace forbids. The
+/// autoscaler runs at its default config and ignores `idle` (its off
+/// servers draw nothing); its wake penalty, already inside energy_kwh,
+/// doubles as wake_energy_kwh. Fails with kNotFound on an unknown policy,
+/// else as simulate_day / autoscale_over_day fail.
+epserve::Result<std::optional<DayResult>> simulate_policy_day(
+    std::string_view policy, const Fleet& fleet, const DemandTrace& trace,
+    const IdleModel& idle = IdleModel::none());
 
 /// Convenience: all three built-in policies on the same fleet/trace. The
 /// Fleet is shared across the three runs (built once by the caller).

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "cluster/working_region.h"
+#include "dataset/generator.h"
 #include "metrics/efficiency.h"
 #include "metrics/load_level.h"
 #include "util/contracts.h"
@@ -104,6 +105,23 @@ epserve::Result<Fleet> Fleet::Builder::finish() {
   fleet.capacity_ops_ = capacity_ops_;
   fleet.total_idle_watts_ = total_idle_watts_;
   return fleet;
+}
+
+epserve::Result<Fleet> Fleet::generate(const dataset::ScaledConfig& config,
+                                       std::size_t chunk_rows) {
+  Builder builder;
+  std::optional<Error> append_error;
+  auto emitted = dataset::generate_population_chunked(
+      config, chunk_rows,
+      [&](std::span<const dataset::ServerRecord> chunk, std::uint64_t) {
+        if (append_error) return;
+        if (auto appended = builder.append(chunk); !appended.ok()) {
+          append_error = appended.error();
+        }
+      });
+  if (!emitted.ok()) return emitted.error();
+  if (append_error) return *append_error;
+  return builder.finish();
 }
 
 epserve::Result<Fleet> Fleet::build(

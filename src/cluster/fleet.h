@@ -34,6 +34,10 @@
 #include "util/aligned.h"
 #include "util/result.h"
 
+namespace epserve::dataset {
+struct ScaledConfig;
+}
+
 namespace epserve::cluster {
 
 class Fleet {
@@ -88,6 +92,13 @@ class Fleet {
     double capacity_ops_ = 0.0;
     double total_idle_watts_ = 0.0;
   };
+
+  /// The scaled population of `config` streamed through a Builder,
+  /// `chunk_rows` generator records at a time (a streamed fleet: bounded
+  /// memory at any size). Fails as the generator or the first bad chunk
+  /// fails.
+  static epserve::Result<Fleet> generate(const dataset::ScaledConfig& config,
+                                         std::size_t chunk_rows);
 
   [[nodiscard]] std::size_t size() const { return tables_.size(); }
   [[nodiscard]] bool empty() const { return tables_.empty(); }

@@ -2,15 +2,11 @@
 
 #include <time.h>  // clock_gettime(CLOCK_THREAD_CPUTIME_ID) — POSIX
 
-#include <cmath>
-#include <cstdio>
 #include <optional>
+#include <string>
 #include <utility>
 
-#include "cluster/autoscaler.h"
-#include "cluster/fleet.h"
 #include "cluster/idle_model.h"
-#include "cluster/placement.h"
 #include "cluster/trace.h"
 #include "dataset/generator.h"
 #include "util/json_writer.h"
@@ -21,7 +17,6 @@
 namespace epserve::exp {
 namespace {
 
-constexpr std::string_view kAutoscalerPolicy = "autoscaler";
 constexpr std::string_view kResultSchema = "epserve-exp-result-v1";
 
 std::uint64_t thread_cpu_ns() {
@@ -31,72 +26,132 @@ std::uint64_t thread_cpu_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-/// Streams the scaled population for one fleet coordinate into a fleet that
-/// owns its columns (the bench_population_scale pipeline shape).
-Result<cluster::Fleet> build_fleet(const FleetSummary& coords,
-                                   std::size_t chunk_rows) {
-  dataset::ScaledConfig config;
-  config.seed = coords.seed;
-  config.servers = coords.fleet_size;
-  config.threads = coords.gen_threads;
-  cluster::Fleet::Builder builder;
-  std::optional<Error> append_error;
-  auto emitted = dataset::generate_population_chunked(
-      config, chunk_rows,
-      [&](std::span<const dataset::ServerRecord> chunk, std::uint64_t) {
-        if (append_error) return;
-        if (auto appended = builder.append(chunk); !appended.ok()) {
-          append_error = appended.error();
-        }
-      });
-  if (!emitted.ok()) return emitted.error();
-  if (append_error) return *append_error;
-  return builder.finish();
-}
-
-/// Maps an autoscaler day onto the DayResult cell shape (the
-/// cluster/matrix.cpp rule: the wake penalty, already inside energy_kwh,
-/// doubles as the wake-energy line item).
-cluster::DayResult autoscaler_day(const cluster::AutoscaleResult& scaled,
-                                  const cluster::AutoscalerConfig& config,
-                                  const std::string& policy) {
-  cluster::DayResult day;
-  day.policy = policy;
-  day.energy_kwh = scaled.energy_kwh;
-  day.served_gops = scaled.served_gops;
-  day.avg_efficiency = scaled.avg_efficiency;
-  double wakes = 0.0;
-  for (const auto& slot : scaled.slots) wakes += slot.wakes;
-  day.wake_count = static_cast<std::uint64_t>(std::llround(wakes));
-  day.wake_energy_kwh = wakes * config.wake_penalty_wh / 1000.0;
-  return day;
+/// One entry per (fleet_size, seed, gen_threads) coordinate — the outer
+/// three expansion axes, in expansion order — with the digest unset.
+std::vector<FleetSummary> fleet_coordinates(const Spec& spec) {
+  std::vector<FleetSummary> fleets;
+  for (const auto fleet_size : spec.fleet_sizes) {
+    for (const auto seed : spec.seeds) {
+      for (const auto threads : spec.gen_threads) {
+        FleetSummary summary;
+        summary.fleet_size = fleet_size;
+        summary.seed = seed;
+        summary.gen_threads = threads;
+        fleets.push_back(summary);
+      }
+    }
+  }
+  return fleets;
 }
 
 Result<CellResult> run_cell(const Cell& cell, const cluster::Fleet& fleet,
+                            std::uint64_t fleet_digest,
                             const cluster::DemandTrace& trace,
                             const cluster::IdleModel& idle) {
+  auto day = cluster::simulate_policy_day(cell.policy, fleet, trace, idle);
+  if (!day.ok()) return day.error();
   CellResult result;
   result.cell = cell;
   result.servers = fleet.size();
-  result.fleet_digest = fleet.digest();
-  if (cell.policy == kAutoscalerPolicy) {
-    if (trace.latency_critical()) {
-      // Powering servers fully off violates the trace's idle-state cap.
-      result.eligible = false;
-      result.day.policy = cell.policy;
-      return result;
-    }
-    const cluster::AutoscalerConfig config;
-    auto scaled = cluster::autoscale_over_day(fleet, trace, config);
-    if (!scaled.ok()) return scaled.error();
-    result.day = autoscaler_day(scaled.value(), config, cell.policy);
-    return result;
+  result.fleet_digest = fleet_digest;
+  result.eligible = day.value().has_value();
+  if (result.eligible) {
+    result.day = std::move(*day.value());
+  } else {
+    result.day.policy = cell.policy;
   }
-  auto policy = cluster::make_placement_policy(cell.policy);
-  if (!policy.ok()) return policy.error();
-  auto day = cluster::simulate_day(*policy.value(), fleet, trace, idle);
-  if (!day.ok()) return day.error();
-  result.day = std::move(day).take();
+  return result;
+}
+
+/// The cell sweep over a validated spec and its fleets (one per
+/// fleet_coordinates entry), inside the caller's `exp/run` span. Cells
+/// share the immutable fleets, traces and idle models and write only their
+/// own slot, so the sweep is byte-identical at any thread count. Failures
+/// land in per-cell slots; the lowest index wins.
+Result<RunResult> sweep(const Spec& spec,
+                        std::span<const cluster::Fleet> fleets,
+                        const RunnerOptions& options) {
+  RunResult result;
+  result.spec = spec;
+  result.fleets = fleet_coordinates(spec);
+  for (std::size_t f = 0; f < fleets.size(); ++f) {
+    result.fleets[f].digest = fleets[f].digest();
+  }
+  telemetry::count("exp.fleets", fleets.size());
+
+  // The trace and idle axes materialise serially (cheap) before any cell
+  // runs.
+  std::vector<cluster::DemandTrace> traces;
+  traces.reserve(spec.traces.size());
+  for (const auto& name : spec.traces) {
+    auto trace = cluster::make_trace(name);
+    if (!trace.ok()) return trace.error();
+    traces.push_back(std::move(trace).take());
+  }
+  std::vector<cluster::IdleModel> idles;
+  idles.reserve(spec.idle_models.size());
+  for (const auto& name : spec.idle_models) {
+    auto idle = cluster::IdleModel::by_name(name);
+    if (!idle.ok()) return idle.error();
+    idles.push_back(std::move(idle).take());
+  }
+
+  const std::vector<Cell> cells = expand_cells(spec);
+  const std::size_t n = cells.size();
+  telemetry::count("exp.cells", n);
+  // Cells expand with the per-fleet block innermost: idle x trace x policy.
+  const std::size_t cells_per_fleet =
+      spec.idle_models.size() * spec.traces.size() * spec.policies.size();
+  result.cells.resize(n);
+  std::vector<std::optional<Error>> errors(n);
+  const auto pool = make_worker_pool(resolve_thread_count(options.threads));
+  parallel_for(pool.get(), n, [&](std::size_t i) {
+    const telemetry::Span cell_span("exp/cell",
+                                    telemetry::Span::Scope::kRoot);
+    const std::uint64_t cpu_start = thread_cpu_ns();
+    const std::size_t fleet_index = i / cells_per_fleet;
+    const std::size_t in_fleet = i % cells_per_fleet;
+    const std::size_t idle_index =
+        in_fleet / (spec.traces.size() * spec.policies.size());
+    const std::size_t trace_index =
+        (in_fleet / spec.policies.size()) % spec.traces.size();
+    auto computed = run_cell(cells[i], fleets[fleet_index],
+                             result.fleets[fleet_index].digest,
+                             traces[trace_index], idles[idle_index]);
+    if (computed.ok()) {
+      result.cells[i] = std::move(computed).take();
+    } else {
+      errors[i] = computed.error();
+    }
+    telemetry::timer_add("exp.cell.cpu", thread_cpu_ns() - cpu_start);
+  });
+  for (const auto& error : errors) {
+    if (error) return *error;
+  }
+
+  // Verdicts: one winner per (fleet, idle, trace) group over the policy
+  // axis — highest ops/J among eligible cells, ties toward the earlier
+  // policy.
+  const std::size_t groups = n / spec.policies.size();
+  for (std::size_t g = 0; g < groups; ++g) {
+    SweepVerdict verdict;
+    const CellResult& first = result.cells[g * spec.policies.size()];
+    verdict.fleet_size = first.cell.fleet_size;
+    verdict.seed = first.cell.seed;
+    verdict.gen_threads = first.cell.gen_threads;
+    verdict.idle = first.cell.idle;
+    verdict.trace = first.cell.trace;
+    for (std::size_t p = 0; p < spec.policies.size(); ++p) {
+      const CellResult& cell = result.cells[g * spec.policies.size() + p];
+      if (!cell.eligible) continue;
+      if (verdict.policy.empty() ||
+          cell.day.avg_efficiency > verdict.avg_efficiency) {
+        verdict.policy = cell.cell.policy;
+        verdict.avg_efficiency = cell.day.avg_efficiency;
+      }
+    }
+    result.winners.push_back(std::move(verdict));
+  }
   return result;
 }
 
@@ -133,114 +188,44 @@ Result<RunResult> run_experiment(const Spec& spec,
   if (options.chunk_rows == 0) {
     return Error::invalid_argument("chunk_rows must be positive");
   }
-
-  RunResult result;
-  result.spec = spec;
-
-  // Axis materialisation up front (serially, cheap) so unknown names fail
-  // before any cell runs — the matrix-layer discipline.
-  std::vector<cluster::DemandTrace> traces;
-  traces.reserve(spec.traces.size());
-  for (const auto& name : spec.traces) {
-    auto trace = cluster::make_trace(name);
-    if (!trace.ok()) return trace.error();
-    traces.push_back(std::move(trace).take());
-  }
-  std::vector<cluster::IdleModel> idles;
-  idles.reserve(spec.idle_models.size());
-  for (const auto& name : spec.idle_models) {
-    auto idle = cluster::IdleModel::by_name(name);
-    if (!idle.ok()) return idle.error();
-    idles.push_back(std::move(idle).take());
-  }
-
   const telemetry::Span run_span("exp/run", telemetry::Span::Scope::kRoot);
-
-  // One fleet per unique (fleet_size, seed, gen_threads) coordinate — the
-  // outer three expansion axes — built serially through the streamed
-  // pipeline and shared read-only by every cell addressing it.
-  for (const auto fleet_size : spec.fleet_sizes) {
-    for (const auto seed : spec.seeds) {
-      for (const auto threads : spec.gen_threads) {
-        FleetSummary summary;
-        summary.fleet_size = fleet_size;
-        summary.seed = seed;
-        summary.gen_threads = threads;
-        result.fleets.push_back(summary);
-      }
-    }
-  }
+  // One fleet per (fleet_size, seed, gen_threads) coordinate, built
+  // serially through the streamed pipeline and shared read-only by every
+  // cell addressing it.
   std::vector<cluster::Fleet> fleets;
-  fleets.reserve(result.fleets.size());
-  for (auto& summary : result.fleets) {
+  for (const auto& coords : fleet_coordinates(spec)) {
     const telemetry::Span fleet_span("fleet");
-    auto fleet = build_fleet(summary, options.chunk_rows);
+    dataset::ScaledConfig config;
+    config.seed = coords.seed;
+    config.servers = coords.fleet_size;
+    config.threads = coords.gen_threads;
+    auto fleet = cluster::Fleet::generate(config, options.chunk_rows);
     if (!fleet.ok()) return fleet.error();
-    summary.digest = fleet.value().digest();
     fleets.push_back(std::move(fleet).take());
   }
-  telemetry::count("exp.fleets", fleets.size());
+  return sweep(spec, fleets, options);
+}
 
-  // The cell sweep: cells share immutable fleets/traces/idles and write
-  // only their own slot, so the sweep is byte-identical at any thread
-  // count. Failures land in per-cell slots; the lowest index wins.
-  const std::vector<Cell> cells = expand_cells(spec);
-  const std::size_t n = cells.size();
-  telemetry::count("exp.cells", n);
-  // Cells expand with the per-fleet block innermost: idle x trace x policy.
-  const std::size_t cells_per_fleet =
-      spec.idle_models.size() * spec.traces.size() * spec.policies.size();
-  result.cells.resize(n);
-  std::vector<std::optional<Error>> errors(n);
-  const auto pool = make_worker_pool(resolve_thread_count(options.threads));
-  parallel_for(pool.get(), n, [&](std::size_t i) {
-    const telemetry::Span cell_span("exp/cell",
-                                    telemetry::Span::Scope::kRoot);
-    const std::uint64_t cpu_start = thread_cpu_ns();
-    const Cell& cell = cells[i];
-    const std::size_t fleet_index = i / cells_per_fleet;
-    const std::size_t in_fleet = i % cells_per_fleet;
-    const std::size_t idle_index =
-        in_fleet / (spec.traces.size() * spec.policies.size());
-    const std::size_t trace_index =
-        (in_fleet / spec.policies.size()) % spec.traces.size();
-    auto computed = run_cell(cell, fleets[fleet_index], traces[trace_index],
-                             idles[idle_index]);
-    if (computed.ok()) {
-      result.cells[i] = std::move(computed).take();
-    } else {
-      errors[i] = computed.error();
-    }
-    telemetry::timer_add("exp.cell.cpu", thread_cpu_ns() - cpu_start);
-  });
-  for (const auto& error : errors) {
-    if (error) return *error;
+Result<RunResult> run_experiment(const Spec& spec,
+                                 std::span<const cluster::Fleet> fleets,
+                                 const RunnerOptions& options) {
+  if (auto valid = validate_spec(spec); !valid.ok()) return valid.error();
+  const auto coords = fleet_coordinates(spec);
+  if (fleets.size() != coords.size()) {
+    return Error::invalid_argument(
+        "spec '" + spec.name + "' addresses " + std::to_string(coords.size()) +
+        " fleets; got " + std::to_string(fleets.size()));
   }
-
-  // Verdicts: one winner per (fleet, idle, trace) group over the policy
-  // axis — highest ops/J among eligible cells, ties toward the earlier
-  // policy.
-  const std::size_t groups = n / spec.policies.size();
-  for (std::size_t g = 0; g < groups; ++g) {
-    SweepVerdict verdict;
-    const CellResult& first = result.cells[g * spec.policies.size()];
-    verdict.fleet_size = first.cell.fleet_size;
-    verdict.seed = first.cell.seed;
-    verdict.gen_threads = first.cell.gen_threads;
-    verdict.idle = first.cell.idle;
-    verdict.trace = first.cell.trace;
-    for (std::size_t p = 0; p < spec.policies.size(); ++p) {
-      const CellResult& cell = result.cells[g * spec.policies.size() + p];
-      if (!cell.eligible) continue;
-      if (verdict.policy.empty() ||
-          cell.day.avg_efficiency > verdict.avg_efficiency) {
-        verdict.policy = cell.cell.policy;
-        verdict.avg_efficiency = cell.day.avg_efficiency;
-      }
+  for (std::size_t f = 0; f < fleets.size(); ++f) {
+    if (fleets[f].size() != coords[f].fleet_size) {
+      return Error::invalid_argument(
+          "fleet " + std::to_string(f) + " has " +
+          std::to_string(fleets[f].size()) + " servers; spec '" + spec.name +
+          "' needs " + std::to_string(coords[f].fleet_size));
     }
-    result.winners.push_back(std::move(verdict));
   }
-  return result;
+  const telemetry::Span run_span("exp/run", telemetry::Span::Scope::kRoot);
+  return sweep(spec, fleets, options);
 }
 
 std::string render_result_json(const RunResult& result) {

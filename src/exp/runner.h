@@ -2,27 +2,34 @@
 // parallel on util/thread_pool, under the repo-wide determinism contract:
 // every cell writes only its own slot, reads only the shared immutable
 // fleet, and the rendered result document is byte-identical at any worker
-// thread count (the same contract run_policy_trace_matrix honours).
+// thread count. It is the one policy x trace sweep: `epserve_exp run` and
+// `epserve_cli day --matrix` both run through it, and every cell is one
+// cluster::simulate_policy_day.
 //
-// Fleets are built once per unique (fleet_size, seed, gen_threads)
-// coordinate through the streamed Fleet::Builder path (bounded memory at
-// any size) and shared read-only across every cell that addresses them;
-// each fleet's Fleet::digest() is stamped into the result so a rendered
-// report can always be traced back to the exact population it measured.
+// Fleets come from one of two places: the runner builds one per
+// (fleet_size, seed, gen_threads) coordinate through the streamed
+// Fleet::generate path (bounded memory at any size), or the caller hands
+// over fleets it built itself. Either way each fleet is shared read-only
+// across every cell that addresses it, and its Fleet::digest() is stamped
+// into the result so a rendered report can always be traced back to the
+// exact population it measured.
 //
 // Telemetry (asserted exact by tests/exp_runner_test.cpp): one `exp/run`
-// root span per run, one `exp/cell` root span per cell, `exp.cells` /
-// `exp.fleets` counters, and `exp.cell.cpu` per-cell thread-CPU timers.
+// root span per run (with one `exp/run/fleet` child per fleet the runner
+// builds), one `exp/cell` root span per cell, `exp.cells` / `exp.fleets`
+// counters, and `exp.cell.cpu` per-cell thread-CPU timers.
 // Wall/CPU timing lives only in telemetry — the result JSON carries
 // deterministic fields exclusively, which is what makes the byte-identity
 // contract possible.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/day_simulation.h"
+#include "cluster/fleet.h"
 #include "exp/spec.h"
 #include "util/result.h"
 
@@ -39,9 +46,9 @@ struct FleetSummary {
 };
 
 /// One executed cell: its coordinates, the fleet digest it measured
-/// against, and the day-simulation accounting. `eligible` is false for
-/// combinations the cluster layer forbids (the autoscaler on a
-/// latency-critical trace); `day` is zeroed there.
+/// against, and the day-simulation accounting. `eligible` is false where
+/// cluster::simulate_policy_day finds the combination ineligible (the
+/// autoscaler on a latency-critical trace); `day` is zeroed there.
 struct CellResult {
   Cell cell;
   bool eligible = true;
@@ -52,7 +59,7 @@ struct CellResult {
 
 /// The winning policy of one (fleet, seed, gen_threads, idle, trace) group:
 /// highest ops/J among eligible cells, ties toward the earlier policy in
-/// the spec's policy axis (the matrix-layer verdict rule).
+/// the spec's policy axis; empty when no cell of the group is eligible.
 struct SweepVerdict {
   std::uint64_t fleet_size = 0;
   std::uint64_t seed = 0;
@@ -83,11 +90,20 @@ struct RunnerOptions {
   std::size_t chunk_rows = 65536;
 };
 
-/// Validates and runs the spec. Fails before any cell executes on an
-/// invalid spec or unknown trace/idle name; a failing cell surfaces the
-/// lowest failing index's error, deterministically.
+/// Validates and runs the spec, building its fleets. Fails before any cell
+/// executes on an invalid spec or unknown trace/idle name; a failing cell
+/// surfaces the lowest failing index's error, deterministically.
 epserve::Result<RunResult> run_experiment(const Spec& spec,
                                           const RunnerOptions& options = {});
+
+/// Same sweep against caller-built fleets, one per (fleet_size, seed,
+/// gen_threads) coordinate in expansion order; the seed and gen_threads
+/// axes then only label them. Fails before any cell executes when the
+/// fleet count or any fleet's size differs from its coordinate (so an
+/// empty fleet is rejected). `options.chunk_rows` is unused.
+epserve::Result<RunResult> run_experiment(
+    const Spec& spec, std::span<const cluster::Fleet> fleets,
+    const RunnerOptions& options = {});
 
 /// Renders the unified result document (schema "epserve-exp-result-v1").
 /// Byte-identical for byte-identical RunResults; exp::report parses it back

@@ -1,9 +1,10 @@
 #include "exp/spec.h"
 
+#include <algorithm>
 #include <utility>
 
+#include "cluster/day_simulation.h"
 #include "cluster/idle_model.h"
-#include "cluster/placement.h"
 #include "cluster/trace.h"
 #include "util/json_parser.h"
 #include "util/json_writer.h"
@@ -13,11 +14,10 @@ namespace epserve::exp {
 namespace {
 
 constexpr std::string_view kSpecSchema = "epserve-exp-spec-v1";
-constexpr std::string_view kAutoscalerPolicy = "autoscaler";
 
 bool known_policy(const std::string& name) {
-  if (name == kAutoscalerPolicy) return true;
-  return cluster::make_placement_policy(name).ok();
+  return std::ranges::find(cluster::kDayPolicies, name) !=
+         cluster::kDayPolicies.end();
 }
 
 bool known_trace(const std::string& name) {
@@ -232,6 +232,19 @@ Result<Spec> named_spec(std::string_view name) {
   }
   return Error::not_found("unknown spec '" + std::string(name) +
                           "' (known specs: " + known_spec_list() + ")");
+}
+
+Spec day_matrix_spec(std::uint64_t fleet_size, const std::string& idle) {
+  Spec spec;
+  spec.name = "day-matrix";
+  spec.fleet_sizes = {fleet_size};
+  spec.policies.assign(cluster::kDayPolicies.begin(),
+                       cluster::kDayPolicies.end());
+  for (const auto name : cluster::trace_names()) spec.traces.emplace_back(name);
+  spec.idle_models = {idle};
+  spec.seeds = {0};
+  spec.gen_threads = {0};
+  return spec;
 }
 
 Result<Spec> spec_from_json(std::string_view text) {

@@ -37,7 +37,7 @@ struct Spec {
   std::string name;
   std::string description;
   std::vector<std::uint64_t> fleet_sizes;
-  /// Placement policy names plus "autoscaler" (the ensemble policy).
+  /// cluster::kDayPolicies names (cluster/day_simulation.h).
   std::vector<std::string> policies;
   /// Trace registry names (cluster/trace.h).
   std::vector<std::string> traces;
@@ -86,6 +86,12 @@ std::vector<std::string_view> spec_names();
 /// Looks up a built-in spec. kNotFound lists the known names (the
 /// `epserve_exp run` exit-2 diagnostic).
 epserve::Result<Spec> named_spec(std::string_view name);
+
+/// The `epserve_cli day --matrix` spec: one fleet of `fleet_size` servers,
+/// every cluster::kDayPolicies policy over the full trace catalog under
+/// one idle model. Run it against a caller-built fleet; its seed and
+/// gen_threads axes are {0}, which only label that fleet.
+Spec day_matrix_spec(std::uint64_t fleet_size, const std::string& idle);
 
 /// Parses and validates a spec document (schema "epserve-exp-spec-v1").
 epserve::Result<Spec> spec_from_json(std::string_view text);

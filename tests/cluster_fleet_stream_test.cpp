@@ -1,21 +1,18 @@
 // Streamed Fleet contracts (docs/CLUSTER.md, docs/COLUMNAR.md "Streaming"):
-// a Fleet::Builder fed generator chunks must be indistinguishable — digest,
-// columns, aggregates, and whole-day policy results — from a monolithic
-// Fleet::build() over the same records, at every chunk size. Runs under the
-// `scale` and `cluster` ctest labels.
+// Fleet::generate — generator chunks streamed through a Fleet::Builder —
+// must be indistinguishable (digest, columns, aggregates, and whole-day
+// policy results) from a monolithic Fleet::build() over the same records,
+// at every chunk size. Runs under the `scale` and `cluster` ctest labels.
 #include "cluster/fleet.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "cluster/autoscaler.h"
 #include "cluster/day_simulation.h"
 #include "dataset/generator.h"
-#include "util/result.h"
 
 namespace epserve::cluster {
 namespace {
@@ -36,30 +33,13 @@ std::vector<ServerRecord> scaled_records(std::uint64_t servers) {
   return std::move(result).take();
 }
 
-Result<Fleet> streamed_fleet(const ScaledConfig& config,
-                             std::size_t chunk_size) {
-  Fleet::Builder builder;
-  std::optional<Error> append_error;
-  auto emitted = dataset::generate_population_chunked(
-      config, chunk_size,
-      [&](std::span<const ServerRecord> chunk, std::uint64_t) {
-        if (append_error) return;
-        if (auto appended = builder.append(chunk); !appended.ok()) {
-          append_error = appended.error();
-        }
-      });
-  if (!emitted.ok()) return emitted.error();
-  if (append_error) return *append_error;
-  return builder.finish();
-}
-
 TEST(FleetStream, DigestMatchesMonolithicAtEveryChunkSize) {
   const auto records = scaled_records(600);
   const auto monolithic = Fleet::build(records);
   ASSERT_TRUE(monolithic.ok());
   for (const std::size_t chunk_size : {std::size_t{1}, std::size_t{97},
                                        std::size_t{4096}, std::size_t{600}}) {
-    const auto streamed = streamed_fleet(small_config(600), chunk_size);
+    const auto streamed = Fleet::generate(small_config(600), chunk_size);
     ASSERT_TRUE(streamed.ok()) << "chunk=" << chunk_size;
     EXPECT_EQ(streamed.value().digest(), monolithic.value().digest())
         << "chunk=" << chunk_size;
@@ -70,7 +50,7 @@ TEST(FleetStream, ColumnsAndAggregatesMatchMonolithic) {
   const auto records = scaled_records(300);
   const auto monolithic = Fleet::build(records);
   ASSERT_TRUE(monolithic.ok());
-  const auto streamed = streamed_fleet(small_config(300), 97);
+  const auto streamed = Fleet::generate(small_config(300), 97);
   ASSERT_TRUE(streamed.ok());
   const Fleet& a = streamed.value();
   const Fleet& b = monolithic.value();
@@ -97,7 +77,7 @@ TEST(FleetStream, DayStudyMatchesMonolithic) {
   const auto records = scaled_records(200);
   const auto monolithic = Fleet::build(records);
   ASSERT_TRUE(monolithic.ok());
-  const auto streamed = streamed_fleet(small_config(200), 64);
+  const auto streamed = Fleet::generate(small_config(200), 64);
   ASSERT_TRUE(streamed.ok());
   const auto trace = DemandTrace::diurnal();
 

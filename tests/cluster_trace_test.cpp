@@ -1,15 +1,16 @@
-// Trace library + idle model + policy/trace matrix (ROADMAP item 3):
-// registry invariants, checked-vs-clamped construction, idle-state energy
-// conservation, and matrix determinism across thread counts.
+// Trace library + idle model + the one policy-day evaluator: registry
+// invariants, checked-vs-clamped construction, idle-state energy
+// conservation, and simulate_policy_day's dispatch and eligibility rule.
 #include "cluster/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <utility>
 
+#include "cluster/autoscaler.h"
 #include "cluster/day_simulation.h"
 #include "cluster/idle_model.h"
-#include "cluster/matrix.h"
 #include "metrics/curve_models.h"
 
 namespace epserve::cluster {
@@ -237,75 +238,71 @@ TEST(IdleModel, ScaleOutIdleCapCostsEnergyVersusUncappedSleep) {
   EXPECT_GE(with_cap.value().energy_kwh, without_cap.value().energy_kwh);
 }
 
-// --- Policy x trace matrix -------------------------------------------------
+// --- One policy-day evaluator ------------------------------------------------
 
-TEST(PolicyTraceMatrix, CoversEveryTracePolicyCellOffOneFleet) {
+TEST(SimulatePolicyDay, AutoscalerIsIneligibleOnScaleOutOnly) {
   const auto fleet_records = records();
   const auto fleet = Fleet::from_records(fleet_records);
-  const auto run = run_policy_trace_matrix(fleet);
-  ASSERT_TRUE(run.ok()) << run.error().message;
-  const auto& matrix = run.value();
-  EXPECT_EQ(matrix.traces.size(), trace_catalog().size());
-  EXPECT_EQ(matrix.policies.size(), 4u);
-  ASSERT_EQ(matrix.cells.size(), matrix.traces.size() * matrix.policies.size());
-  ASSERT_EQ(matrix.winners.size(), matrix.traces.size());
-  for (const auto& verdict : matrix.winners) {
-    EXPECT_FALSE(verdict.policy.empty()) << verdict.trace;
-    EXPECT_GT(verdict.avg_efficiency, 0.0) << verdict.trace;
-  }
-  // The autoscaler powers machines off, which scale_out's idle cap forbids.
-  for (const auto& cell : matrix.cells) {
-    const bool off_policy = cell.policy == "autoscaler";
-    const bool critical = cell.trace == "scale_out";
-    EXPECT_EQ(cell.eligible, !(off_policy && critical))
-        << cell.trace << "/" << cell.policy;
-    if (cell.eligible) {
-      EXPECT_GT(cell.result.energy_kwh, 0.0)
-          << cell.trace << "/" << cell.policy;
+  for (const auto& info : trace_catalog()) {
+    const auto trace = make_trace(info.name);
+    ASSERT_TRUE(trace.ok());
+    for (const auto policy : kDayPolicies) {
+      const auto day =
+          simulate_policy_day(policy, fleet, trace.value(), IdleModel::acpi());
+      ASSERT_TRUE(day.ok()) << info.name << "/" << policy;
+      // The autoscaler powers machines off, which scale_out's idle cap
+      // forbids; every other (trace, policy) cell is eligible.
+      const bool ineligible =
+          policy == "autoscaler" && info.name == "scale_out";
+      ASSERT_EQ(day.value().has_value(), !ineligible)
+          << info.name << "/" << policy;
+      if (day.value()) {
+        EXPECT_EQ(day.value()->policy, policy);
+        EXPECT_GT(day.value()->energy_kwh, 0.0) << info.name << "/" << policy;
+      }
     }
   }
 }
 
-TEST(PolicyTraceMatrix, ByteIdenticalAtOneAndEightThreads) {
+TEST(SimulatePolicyDay, MatchesTheSimulatorItDispatchesTo) {
   const auto fleet_records = records();
   const auto fleet = Fleet::from_records(fleet_records);
-  MatrixOptions serial;
-  serial.threads = 1;
-  MatrixOptions parallel;
-  parallel.threads = 8;
-  const auto a = run_policy_trace_matrix(fleet, serial);
-  const auto b = run_policy_trace_matrix(fleet, parallel);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().cells.size(), b.value().cells.size());
-  for (std::size_t i = 0; i < a.value().cells.size(); ++i) {
-    const auto& x = a.value().cells[i];
-    const auto& y = b.value().cells[i];
-    EXPECT_EQ(x.trace, y.trace);
-    EXPECT_EQ(x.policy, y.policy);
-    EXPECT_EQ(x.eligible, y.eligible);
-    EXPECT_EQ(x.result.energy_kwh, y.result.energy_kwh);
-    EXPECT_EQ(x.result.served_gops, y.result.served_gops);
-    EXPECT_EQ(x.result.avg_efficiency, y.result.avg_efficiency);
-    EXPECT_EQ(x.result.idle_energy_kwh, y.result.idle_energy_kwh);
-    EXPECT_EQ(x.result.wake_energy_kwh, y.result.wake_energy_kwh);
-    EXPECT_EQ(x.result.wake_count, y.result.wake_count);
-  }
-  // The rendered reports (text and JSON) are therefore byte-identical too.
-  EXPECT_EQ(render_matrix_text(a.value()), render_matrix_text(b.value()));
-  EXPECT_EQ(render_matrix_json(a.value()), render_matrix_json(b.value()));
+  const auto trace = make_trace("flash_crowd");
+  ASSERT_TRUE(trace.ok());
+  const auto placed = simulate_policy_day("optimal-region", fleet,
+                                          trace.value(), IdleModel::acpi());
+  const auto direct = simulate_day(OptimalRegionPolicy(), fleet, trace.value(),
+                                   IdleModel::acpi());
+  ASSERT_TRUE(placed.ok() && placed.value() && direct.ok());
+  EXPECT_EQ(placed.value()->energy_kwh, direct.value().energy_kwh);
+  EXPECT_EQ(placed.value()->wake_lost_gops, direct.value().wake_lost_gops);
+  EXPECT_EQ(placed.value()->wake_count, direct.value().wake_count);
+
+  // The autoscaler day maps onto DayResult; its wake penalty doubles as the
+  // wake-energy line item.
+  const auto scaled = simulate_policy_day("autoscaler", fleet, trace.value(),
+                                          IdleModel::acpi());
+  const auto raw = autoscale_over_day(fleet, trace.value());
+  ASSERT_TRUE(scaled.ok() && scaled.value() && raw.ok());
+  double wakes = 0.0;
+  for (const auto& slot : raw.value().slots) wakes += slot.wakes;
+  EXPECT_EQ(scaled.value()->energy_kwh, raw.value().energy_kwh);
+  EXPECT_EQ(scaled.value()->served_gops, raw.value().served_gops);
+  EXPECT_EQ(scaled.value()->avg_efficiency, raw.value().avg_efficiency);
+  EXPECT_EQ(scaled.value()->wake_count,
+            static_cast<std::uint64_t>(std::llround(wakes)));
+  EXPECT_EQ(scaled.value()->wake_energy_kwh,
+            wakes * AutoscalerConfig{}.wake_penalty_wh / 1000.0);
 }
 
-TEST(PolicyTraceMatrix, RejectsEmptyFleetAndUnknownTrace) {
-  const std::vector<dataset::ServerRecord> none;
-  EXPECT_FALSE(run_policy_trace_matrix(Fleet::from_records(none)).ok());
+TEST(SimulatePolicyDay, RejectsAnUnknownPolicy) {
   const auto fleet_records = records();
   const auto fleet = Fleet::from_records(fleet_records);
-  MatrixOptions options;
-  options.traces = {"diurnal", "nope"};
-  const auto run = run_policy_trace_matrix(fleet, options);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.error().code, Error::Code::kNotFound);
+  const auto trace = make_trace("diurnal");
+  ASSERT_TRUE(trace.ok());
+  const auto day = simulate_policy_day("nope", fleet, trace.value());
+  ASSERT_FALSE(day.ok());
+  EXPECT_EQ(day.error().code, Error::Code::kNotFound);
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 // exp::Runner: the thread-count byte-identity contract, fleet sharing and
-// digest stamping, autoscaler eligibility, the verdict rule, and the exact
-// telemetry shape of a run.
+// digest stamping, autoscaler eligibility, the verdict rule, the exact
+// telemetry shape of a run, and runs against caller-built fleets.
 #include "exp/runner.h"
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
+#include "cluster/trace.h"
+#include "dataset/generator.h"
 #include "exp/spec.h"
 #include "util/telemetry.h"
 
@@ -25,6 +30,18 @@ exp::Spec runner_spec() {
   spec.seeds = {7};
   spec.gen_threads = {1, 2};
   return spec;
+}
+
+/// A 48-server fleet for exp::day_matrix_spec(48, ...), built by the caller
+/// with seed 7.
+cluster::Fleet day_matrix_fleet() {
+  dataset::ScaledConfig config;
+  config.servers = 48;
+  config.seed = 7;
+  config.threads = 0;
+  auto fleet = cluster::Fleet::generate(config, 16);
+  EXPECT_TRUE(fleet.ok());
+  return std::move(fleet).take();
 }
 
 TEST(ExpRunner, ResultIsByteIdenticalAcrossThreadCounts) {
@@ -138,6 +155,99 @@ TEST(ExpRunner, InvalidInputFailsBeforeAnyCellRuns) {
   exp::RunnerOptions options;
   options.chunk_rows = 0;
   EXPECT_FALSE(exp::run_experiment(runner_spec(), options).ok());
+}
+
+// --- Policy x trace matrix on a caller-built fleet --------------------------
+// What `day --matrix` runs: exp::day_matrix_spec through the runner overload
+// that takes the caller's fleet.
+
+TEST(PolicyTraceMatrix, CoversEveryTracePolicyCellOffOneFleet) {
+  const auto spec = exp::day_matrix_spec(48, "acpi");
+  const auto fleet = day_matrix_fleet();
+  auto run = exp::run_experiment(spec, std::span(&fleet, 1));
+  ASSERT_TRUE(run.ok()) << run.error().message;
+  const auto& result = run.value();
+  ASSERT_EQ(result.cells.size(), cluster::trace_catalog().size() * 4);
+  ASSERT_EQ(result.winners.size(), cluster::trace_catalog().size());
+  ASSERT_EQ(result.fleets.size(), 1u);
+  EXPECT_EQ(result.fleets[0].digest, fleet.digest());
+  for (const auto& verdict : result.winners) {
+    EXPECT_FALSE(verdict.policy.empty()) << verdict.trace;
+    EXPECT_GT(verdict.avg_efficiency, 0.0) << verdict.trace;
+  }
+  // The autoscaler is ineligible on scale_out and nowhere else.
+  for (const auto& cell : result.cells) {
+    const bool ineligible =
+        cell.cell.policy == "autoscaler" && cell.cell.trace == "scale_out";
+    EXPECT_EQ(cell.eligible, !ineligible)
+        << cell.cell.trace << "/" << cell.cell.policy;
+    if (cell.eligible) EXPECT_GT(cell.day.energy_kwh, 0.0);
+  }
+}
+
+TEST(PolicyTraceMatrix, ByteIdenticalAtOneAndEightThreads) {
+  const auto spec = exp::day_matrix_spec(48, "acpi");
+  const auto fleet = day_matrix_fleet();
+  exp::RunnerOptions serial;
+  serial.threads = 1;
+  exp::RunnerOptions parallel;
+  parallel.threads = 8;
+  auto one = exp::run_experiment(spec, std::span(&fleet, 1), serial);
+  auto eight = exp::run_experiment(spec, std::span(&fleet, 1), parallel);
+  ASSERT_TRUE(one.ok()) << one.error().message;
+  ASSERT_TRUE(eight.ok()) << eight.error().message;
+  // Every cell's raw doubles, not only their %.10g renders.
+  const auto& a = one.value().cells;
+  const auto& b = eight.value().cells;
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].cell.trace, b[i].cell.trace);
+    EXPECT_EQ(a[i].cell.policy, b[i].cell.policy);
+    EXPECT_EQ(a[i].eligible, b[i].eligible);
+    EXPECT_EQ(a[i].day.energy_kwh, b[i].day.energy_kwh);
+    EXPECT_EQ(a[i].day.served_gops, b[i].day.served_gops);
+    EXPECT_EQ(a[i].day.avg_efficiency, b[i].day.avg_efficiency);
+    EXPECT_EQ(a[i].day.idle_energy_kwh, b[i].day.idle_energy_kwh);
+    EXPECT_EQ(a[i].day.wake_energy_kwh, b[i].day.wake_energy_kwh);
+    EXPECT_EQ(a[i].day.wake_count, b[i].day.wake_count);
+  }
+  // The result JSON carries every cell field the matrix renders print.
+  EXPECT_EQ(exp::render_result_json(one.value()),
+            exp::render_result_json(eight.value()));
+}
+
+TEST(PolicyTraceMatrix, RejectsEmptyFleetAndUnknownTrace) {
+  // An empty fleet, a fleet of another size, a wrong fleet count, and an
+  // unknown trace.
+  const auto spec = exp::day_matrix_spec(48, "acpi");
+  const auto fleet = day_matrix_fleet();
+  const std::vector<dataset::ServerRecord> none;
+  const auto empty = cluster::Fleet::from_records(none);
+  EXPECT_FALSE(exp::run_experiment(spec, std::span(&empty, 1)).ok());
+  auto resized = spec;
+  resized.fleet_sizes = {49};
+  EXPECT_FALSE(exp::run_experiment(resized, std::span(&fleet, 1)).ok());
+  EXPECT_FALSE(
+      exp::run_experiment(spec, std::span<const cluster::Fleet>()).ok());
+  auto unknown = spec;
+  unknown.traces = {"diurnal", "nope"};
+  const auto run = exp::run_experiment(unknown, std::span(&fleet, 1));
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.error().code, Error::Code::kInvalidArgument);
+}
+
+TEST(ExpRunner, CallerFleetMatchesTheRunnerBuiltFleet) {
+  // The runner builds the fleet the seed axis names, so it must be the seed
+  // the caller built with.
+  auto spec = exp::day_matrix_spec(48, "acpi");
+  spec.seeds = {7};
+  const auto fleet = day_matrix_fleet();
+  auto given = exp::run_experiment(spec, std::span(&fleet, 1));
+  auto built = exp::run_experiment(spec);
+  ASSERT_TRUE(given.ok()) << given.error().message;
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  EXPECT_EQ(exp::render_result_json(given.value()),
+            exp::render_result_json(built.value()));
 }
 
 TEST(ExpRunner, DigestHexIsSixteenLowercaseDigits) {
