@@ -32,9 +32,10 @@ int main() {
   std::vector<double> mean_eps, corrs, alphas, full_load_shares;
   for (auto& member : ensemble.value()) {
     const dataset::ResultRepository repo(std::move(member));
+    const analysis::AnalysisContext ctx(repo);
     const auto eps = dataset::ResultRepository::ep_values(repo.all());
     mean_eps.push_back(stats::mean(eps));
-    const auto idle = analysis::analyze_idle_power(repo);
+    const auto idle = analysis::analyze_idle_power(ctx);
     corrs.push_back(idle.ep_idle_correlation);
     alphas.push_back(idle.eq2.alpha);
     full_load_shares.push_back(

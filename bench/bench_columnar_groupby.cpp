@@ -6,9 +6,9 @@
 //   map cold       — repo.by_*() rebuilds each std::map<K, vector<const
 //                    ServerRecord*>> per iteration; ep_values/score_values
 //                    re-derive each metric through per-record indirection.
-//   map warm       — the maps come from AnalysisContext's legacy caches, but
-//                    extraction still chases pointers and re-derives per call
-//                    (the legacy engine never caches extraction).
+//   map warm       — the six maps are built once before timing (the MPC map
+//                    is still rebuilt per iteration), but extraction still
+//                    chases pointers and re-derives per call.
 //   columnar       — cached snapshot + indexes (how every pass consumes the
 //                    engine); per iteration only the contiguous gathers and
 //                    means remain.
@@ -20,23 +20,22 @@
 //
 // Group (count, mean EP, mean score) triples are digested in group order and
 // byte-compared across all four paths. A second table times the full
-// grouping-heavy pass bundle (trends, rankings, scale, MPC, re-keying) — repo
-// overloads vs context overloads — where shared per-group sorting for medians
-// dilutes the ratio. Exits 1 on any digest mismatch, or if the columnar
-// engine is below the 2x speedup target against the map path measured cold
-// or warm, or if the pass bundle is below 2x.
+// grouping-heavy pass bundle (trends, rankings, scale, MPC, re-keying) — the
+// map-based reference (tests/analysis_reference.h) vs the context analyses —
+// where shared per-group sorting for medians dilutes the ratio. Exits 1 on
+// any digest mismatch, or if the columnar engine is below the 2x speedup
+// target against the map path measured cold or warm, or if the pass bundle
+// is below 2x.
 #include "common.h"
 
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "analysis_reference.h"
 #include "analysis/context.h"
-#include "analysis/memory_analysis.h"
-#include "analysis/rekeying.h"
-#include "analysis/scale_analysis.h"
-#include "analysis/trends.h"
-#include "analysis/uarch_analysis.h"
 #include "dataset/columnar.h"
 #include "dataset/group_index.h"
 
@@ -74,31 +73,35 @@ void digest_map_groups(Digest& d, const Groups& groups) {
   }
 }
 
-Digest kernel_map_cold(const dataset::ResultRepository& repo) {
-  Digest d;
-  d.values.reserve(512);
-  digest_map_groups(d, repo.by_year(dataset::YearKey::kHardwareAvailability));
-  digest_map_groups(d, repo.by_year(dataset::YearKey::kPublished));
-  digest_map_groups(d, repo.by_family());
-  digest_map_groups(d, repo.by_codename());
-  digest_map_groups(d, repo.by_nodes());
-  digest_map_groups(d, repo.single_node_by_chips());
-  digest_map_groups(d, repo.by_memory_per_core());
-  return d;
-}
+/// Six of the seven groupings as maps; the warm path builds them once.
+struct MapGroups {
+  std::map<int, dataset::RecordView> hw_year, pub_year;
+  std::map<power::UarchFamily, dataset::RecordView> family;
+  std::map<std::string, dataset::RecordView> codename;
+  std::map<int, dataset::RecordView> nodes, chips;
 
-Digest kernel_map_warm(const analysis::AnalysisContext& ctx) {
+  static MapGroups of(const dataset::ResultRepository& repo) {
+    return {repo.by_year(dataset::YearKey::kHardwareAvailability),
+            repo.by_year(dataset::YearKey::kPublished),
+            repo.by_family(),
+            repo.by_codename(),
+            repo.by_nodes(),
+            repo.single_node_by_chips()};
+  }
+};
+
+/// Both map paths rebuild the MPC grouping on every call.
+Digest kernel_map(const MapGroups& maps,
+                  const dataset::ResultRepository& repo) {
   Digest d;
   d.values.reserve(512);
-  digest_map_groups(d, ctx.by_year(dataset::YearKey::kHardwareAvailability));
-  digest_map_groups(d, ctx.by_year(dataset::YearKey::kPublished));
-  digest_map_groups(d, ctx.by_family());
-  digest_map_groups(d, ctx.by_codename());
-  digest_map_groups(d, ctx.by_nodes());
-  digest_map_groups(d, ctx.single_node_by_chips());
-  // The legacy engine never cached an MPC grouping, so its warm path still
-  // rebuilds this one from the repository.
-  digest_map_groups(d, ctx.repo().by_memory_per_core());
+  digest_map_groups(d, maps.hw_year);
+  digest_map_groups(d, maps.pub_year);
+  digest_map_groups(d, maps.family);
+  digest_map_groups(d, maps.codename);
+  digest_map_groups(d, maps.nodes);
+  digest_map_groups(d, maps.chips);
+  digest_map_groups(d, repo.by_memory_per_core());
   return d;
 }
 
@@ -152,59 +155,62 @@ Digest kernel_columnar_warm(const analysis::AnalysisContext& ctx) {
 
 // --- full grouping-heavy pass bundle ----------------------------------------
 
+/// Unqualified calls resolve by argument type: an AnalysisContext runs the
+/// context analyses, a ResultRepository the map-based reference.
 template <typename Source>
 Digest run_grouping_passes(const Source& source) {
+  using namespace analysis;
+  using namespace analysis::reference;
   Digest d;
   d.values.reserve(2048);
-  for (const auto& row : analysis::year_trends(
-           source, dataset::YearKey::kHardwareAvailability)) {
-    d.add(row.year);
-    d.add(row.count);
-    d.add(row.ep);
-    d.add(row.score);
-    d.add(row.peak_ee);
-  }
   for (const auto& row :
-       analysis::year_trends(source, dataset::YearKey::kPublished)) {
+       year_trends(source, dataset::YearKey::kHardwareAvailability)) {
     d.add(row.year);
     d.add(row.count);
     d.add(row.ep);
     d.add(row.score);
     d.add(row.peak_ee);
   }
-  for (const auto& row : analysis::codename_ep_ranking(source)) {
+  for (const auto& row : year_trends(source, dataset::YearKey::kPublished)) {
+    d.add(row.year);
+    d.add(row.count);
+    d.add(row.ep);
+    d.add(row.score);
+    d.add(row.peak_ee);
+  }
+  for (const auto& row : codename_ep_ranking(source)) {
     d.add(row.count);
     d.add(row.mean_ep);
     d.add(row.median_ep);
   }
-  for (const auto& row : analysis::family_counts(source)) {
+  for (const auto& row : family_counts(source)) {
     d.add(static_cast<int>(row.family));
     d.add(row.count);
   }
-  for (const auto& row : analysis::ep_ee_by_nodes(source)) {
+  for (const auto& row : ep_ee_by_nodes(source)) {
     d.add(row.key);
     d.add(row.count);
     d.add(row.ep);
     d.add(row.score);
   }
-  for (const auto& row : analysis::ep_ee_by_chips(source)) {
+  for (const auto& row : ep_ee_by_chips(source)) {
     d.add(row.key);
     d.add(row.count);
     d.add(row.ep);
     d.add(row.score);
   }
-  for (const auto& row : analysis::mpc_distribution(source)) {
+  for (const auto& row : mpc_distribution(source)) {
     d.add(row.gb_per_core);
     d.add(row.count);
     d.add(row.mean_ep);
     d.add(row.mean_score);
   }
-  const auto two_chip = analysis::two_chip_vs_all(source);
+  const auto two_chip = two_chip_vs_all(source);
   d.add(two_chip.avg_ep_gain);
   d.add(two_chip.avg_ee_gain);
   d.add(two_chip.median_ep_gain);
   d.add(two_chip.median_ee_gain);
-  const auto rekeying = analysis::rekeying_analysis(source);
+  const auto rekeying = rekeying_analysis(source);
   d.add(rekeying.mismatched_results);
   d.add(rekeying.mismatched_share);
   for (const auto& row : rekeying.rows) {
@@ -239,15 +245,18 @@ int main() {
   constexpr int kKernelIters = 50;
   constexpr int kBundleIters = 20;
 
-  // Warm both cache families once so the warm loops measure steady state.
-  Digest map_warm_digest = kernel_map_warm(ctx);
+  // Build the warm maps and the context caches once so the warm loops
+  // measure steady state.
+  const MapGroups warm_maps = MapGroups::of(repo);
+  Digest map_warm_digest = kernel_map(warm_maps, repo);
   Digest columnar_warm_digest = kernel_columnar_warm(ctx);
 
   Digest map_cold_digest;
-  const double map_cold_s = time_iterations(
-      kKernelIters, [&] { map_cold_digest = kernel_map_cold(repo); });
+  const double map_cold_s = time_iterations(kKernelIters, [&] {
+    map_cold_digest = kernel_map(MapGroups::of(repo), repo);
+  });
   const double map_warm_s = time_iterations(
-      kKernelIters, [&] { map_warm_digest = kernel_map_warm(ctx); });
+      kKernelIters, [&] { map_warm_digest = kernel_map(warm_maps, repo); });
   Digest columnar_cold_digest;
   const double columnar_cold_s = time_iterations(
       kKernelIters, [&] { columnar_cold_digest = kernel_columnar_cold(repo); });
@@ -261,7 +270,7 @@ int main() {
   kernel_table.row({"map cold (rebuild + re-derive)",
                     format_fixed(1000.0 * map_cold_s / kKernelIters, 3),
                     format_fixed(cold_speedup, 2) + "x slower"});
-  kernel_table.row({"map warm (cached maps, re-derive)",
+  kernel_table.row({"map warm (prebuilt maps, re-derive)",
                     format_fixed(1000.0 * map_warm_s / kKernelIters, 3),
                     format_fixed(warm_speedup, 2) + "x slower"});
   kernel_table.row({"columnar (cached engine)",
@@ -283,10 +292,10 @@ int main() {
       kBundleIters, [&] { bundle_ctx_digest = run_grouping_passes(ctx); });
   TextTable bundle_table;
   bundle_table.columns({"full pass bundle", "ms/iteration", "speedup"});
-  bundle_table.row({"repo overloads (map-of-views)",
+  bundle_table.row({"map reference (map-of-views)",
                     format_fixed(1000.0 * bundle_map_s / kBundleIters, 3),
                     "1.00x"});
-  bundle_table.row({"context overloads (columnar)",
+  bundle_table.row({"context analyses (columnar)",
                     format_fixed(1000.0 * bundle_ctx_s / kBundleIters, 3),
                     format_fixed(bundle_map_s / bundle_ctx_s, 2) + "x"});
   std::cout << bundle_table.render();

@@ -9,7 +9,7 @@ int main() {
   bench::print_header("Fig.3 — EP statistics trend",
                       "per hardware availability year");
 
-  const auto rows = analysis::year_trends(bench::population());
+  const auto rows = analysis::year_trends(bench::context());
   TextTable table;
   table.columns({"year", "n", "max", "median", "average", "min"});
   for (const auto& row : rows) {

@@ -12,7 +12,7 @@ int main() {
   std::size_t snb_plus_ivy = 0;
   TextTable table;
   table.columns({"family", "count", "share"});
-  for (const auto& row : analysis::family_counts(bench::population())) {
+  for (const auto& row : analysis::family_counts(bench::context())) {
     table.row({std::string(power::family_name(row.family)),
                std::to_string(row.count),
                format_percent(static_cast<double>(row.count) / 477.0)});

@@ -12,7 +12,7 @@ int main() {
 
   TextTable table;
   table.columns({"chips", "n", "avg EP", "med EP", "avg EE", "med EE"});
-  for (const auto& row : analysis::ep_ee_by_chips(bench::population())) {
+  for (const auto& row : analysis::ep_ee_by_chips(bench::context())) {
     table.row({std::to_string(row.key), std::to_string(row.count),
                format_fixed(row.ep.mean, 3), format_fixed(row.ep.median, 3),
                format_fixed(row.score.mean, 0),

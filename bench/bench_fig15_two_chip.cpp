@@ -10,7 +10,7 @@ int main() {
   bench::print_header("Fig.15 — 2-chip single-node servers vs all",
                       "per-year comparison (same hardware availability year)");
 
-  const auto cmp = analysis::two_chip_vs_all(bench::population());
+  const auto cmp = analysis::two_chip_vs_all(bench::context());
   TextTable table;
   table.columns({"year", "2-chip n", "all n", "avg EP (2c/all)",
                  "avg EE (2c/all)"});

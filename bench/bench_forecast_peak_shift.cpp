@@ -42,7 +42,7 @@ int main() {
 
   std::cout << section_banner("Idle-fraction projection -> Eq.2 EP");
   const auto idle_forecast = analysis::forecast_idle_fraction(bench::population());
-  const auto eq2 = analysis::analyze_idle_power(bench::population()).eq2;
+  const auto eq2 = analysis::analyze_idle_power(bench::context()).eq2;
   TextTable idle_table;
   idle_table.columns({"year", "projected idle%", "Eq.2-implied EP"});
   for (const int year : {2018, 2020, 2022}) {

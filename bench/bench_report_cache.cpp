@@ -1,13 +1,15 @@
-// Cold vs context-backed report builds. The cold path calls the repo-based
-// analysis functions directly (every iteration re-derives the per-record
-// metrics and regroups the population); the warm path runs the pass registry
-// over one shared AnalysisContext, so all of that work happens exactly once —
-// the printed CacheStats pin the exactly-once guarantee, and the renders of
-// both paths are byte-compared (exit 1 on any mismatch).
+// Cold vs context-backed report builds. The cold path calls the map-based
+// reference analyses (tests/analysis_reference.h) directly: every iteration
+// re-derives the per-record metrics and regroups the population. The warm
+// path runs the pass registry over one shared AnalysisContext, so all of
+// that work happens exactly once. Exits 1 unless every cache a full pass run
+// uses was built exactly once (the printed CacheStats) and the renders of
+// both paths are byte-identical.
 #include "common.h"
 
 #include <chrono>
 
+#include "analysis_reference.h"
 #include "analysis/context.h"
 #include "analysis/pass.h"
 #include "analysis/peak_shift.h"
@@ -19,27 +21,28 @@ namespace {
 using namespace epserve;
 
 /// The pre-registry monolithic builder: every analysis straight off the
-/// repository, nothing shared, nothing cached.
+/// repository's maps, nothing shared, nothing cached.
 analysis::FullReport build_cold(const dataset::ResultRepository& repo) {
+  namespace reference = analysis::reference;
   analysis::FullReport report;
   report.population = repo.size();
   report.trends_by_hw_year =
-      analysis::year_trends(repo, dataset::YearKey::kHardwareAvailability);
+      reference::year_trends(repo, dataset::YearKey::kHardwareAvailability);
   report.trends_by_pub_year =
-      analysis::year_trends(repo, dataset::YearKey::kPublished);
+      reference::year_trends(repo, dataset::YearKey::kPublished);
   report.ep_jump_2008_2009 =
       analysis::ep_jump(report.trends_by_hw_year, 2008, 2009).value_or(0.0);
   report.ep_jump_2011_2012 =
       analysis::ep_jump(report.trends_by_hw_year, 2011, 2012).value_or(0.0);
-  report.codename_ranking = analysis::codename_ep_ranking(repo);
-  report.idle = analysis::analyze_idle_power(repo);
+  report.codename_ranking = reference::codename_ep_ranking(repo);
+  report.idle = reference::analyze_idle_power(repo);
   report.share_full_load_2004_2012 =
-      analysis::share_peaking_at_full_load(repo, 2004, 2012);
+      reference::share_peaking_at_full_load(repo, 2004, 2012);
   report.share_full_load_2013_2016 =
-      analysis::share_peaking_at_full_load(repo, 2013, 2016);
-  report.async = analysis::async_top_decile(repo);
-  report.two_chip = analysis::two_chip_vs_all(repo);
-  report.rekeying = analysis::rekeying_analysis(repo);
+      reference::share_peaking_at_full_load(repo, 2013, 2016);
+  report.async = reference::async_top_decile(repo);
+  report.two_chip = reference::two_chip_vs_all(repo);
+  report.rekeying = reference::rekeying_analysis(repo);
   return report;
 }
 
@@ -83,7 +86,8 @@ int main() {
   std::cout << table.render();
   std::cout << "cache stats over " << kIterations
             << " warm reports: derived=" << stats.derived_builds
-            << " groupings=" << stats.grouping_builds
+            << " columnar=" << stats.columnar_builds
+            << " group indexes=" << stats.group_index_builds
             << " deciles=" << stats.decile_builds << " (each exactly once)\n"
             << "speedup: " << format_fixed(cold_s / warm_s, 2) << "x\n";
   // Machine-readable summary, harvested by bench/run_benches.sh.
@@ -93,8 +97,17 @@ int main() {
       1000.0 * cold_s / kIterations, 1000.0 * warm_s / kIterations,
       cold_s / warm_s);
 
-  bool ok = stats.derived_builds == 1;
-  if (!ok) std::fprintf(stderr, "FAIL: derived metrics built more than once\n");
+  // A full pass run uses the derived bundle, the columnar snapshot, three
+  // group indexes (hw year, pub year, codename) and both deciles.
+  bool ok = stats.derived_builds == 1 && stats.columnar_builds == 1 &&
+            stats.group_index_builds == 3 && stats.decile_builds == 2;
+  if (!ok) {
+    std::fprintf(stderr,
+                 "FAIL: cache builds derived=%d columnar=%d group indexes=%d "
+                 "deciles=%d, expected 1/1/3/2\n",
+                 stats.derived_builds, stats.columnar_builds,
+                 stats.group_index_builds, stats.decile_builds);
+  }
   const auto& passes = analysis::all_passes();
   if (analysis::render_passes_text(cold_report, passes) !=
       analysis::render_passes_text(warm_report, passes)) {

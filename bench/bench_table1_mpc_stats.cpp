@@ -16,8 +16,7 @@ int main() {
   std::size_t covered = 0;
   TextTable table;
   table.columns({"GB/core", "count", "paper"});
-  for (const auto& row :
-       analysis::mpc_distribution(bench::population(), 11)) {
+  for (const auto& row : analysis::mpc_distribution(bench::context(), 11)) {
     const auto it = paper.find(row.gb_per_core);
     table.row({format_fixed(row.gb_per_core, 2), std::to_string(row.count),
                it != paper.end() ? std::to_string(it->second) : "-"});
@@ -30,7 +29,7 @@ int main() {
   std::cout << "\nlong tail (10 or fewer results per ratio):\n";
   TextTable tail;
   tail.columns({"GB/core", "count"});
-  for (const auto& row : analysis::mpc_distribution(bench::population(), 0)) {
+  for (const auto& row : analysis::mpc_distribution(bench::context(), 0)) {
     if (row.count <= 10) {
       tail.row({format_fixed(row.gb_per_core, 2), std::to_string(row.count)});
     }

@@ -11,7 +11,7 @@ int main() {
   bench::print_header("§I — published-year vs hardware-availability re-keying",
                       "per-year statistic deltas between the two organisations");
 
-  const auto result = analysis::rekeying_analysis(bench::population());
+  const auto result = analysis::rekeying_analysis(bench::context());
 
   TextTable table;
   table.columns({"year", "hw n", "pub n", "avg EP delta", "med EP delta",

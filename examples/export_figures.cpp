@@ -9,6 +9,7 @@
 #include <iostream>
 #include <string>
 
+#include "analysis/context.h"
 #include "analysis/envelope.h"
 #include "analysis/memory_analysis.h"
 #include "analysis/peak_shift.h"
@@ -58,6 +59,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const dataset::ResultRepository repo(std::move(population).take());
+  const analysis::AnalysisContext ctx(repo);
 
   // Fig.2/3/4: per-year EP and EE statistics.
   {
@@ -65,7 +67,7 @@ int main(int argc, char** argv) {
     doc.header = {"year",    "count",  "ep_avg", "ep_med", "ep_min",
                   "ep_max",  "ee_avg", "ee_med", "ee_min", "ee_max",
                   "peak_ee_avg"};
-    for (const auto& row : analysis::year_trends(repo)) {
+    for (const auto& row : analysis::year_trends(ctx)) {
       doc.rows.push_back({std::to_string(row.year),
                           std::to_string(row.count), num(row.ep.mean),
                           num(row.ep.median), num(row.ep.min),
@@ -112,7 +114,7 @@ int main(int argc, char** argv) {
   {
     CsvDocument doc;
     doc.header = {"codename", "count", "mean_ep", "median_ep"};
-    for (const auto& row : analysis::codename_ep_ranking(repo)) {
+    for (const auto& row : analysis::codename_ep_ranking(ctx)) {
       doc.rows.push_back({row.codename, std::to_string(row.count),
                           num(row.mean_ep), num(row.median_ep)});
     }
@@ -123,12 +125,12 @@ int main(int argc, char** argv) {
   {
     CsvDocument doc;
     doc.header = {"group", "key", "count", "ep_avg", "ep_med", "ee_avg"};
-    for (const auto& row : analysis::ep_ee_by_nodes(repo)) {
+    for (const auto& row : analysis::ep_ee_by_nodes(ctx)) {
       doc.rows.push_back({"nodes", std::to_string(row.key),
                           std::to_string(row.count), num(row.ep.mean),
                           num(row.ep.median), num(row.score.mean)});
     }
-    for (const auto& row : analysis::ep_ee_by_chips(repo)) {
+    for (const auto& row : analysis::ep_ee_by_chips(ctx)) {
       doc.rows.push_back({"chips", std::to_string(row.key),
                           std::to_string(row.count), num(row.ep.mean),
                           num(row.ep.median), num(row.score.mean)});
@@ -156,7 +158,7 @@ int main(int argc, char** argv) {
   {
     CsvDocument doc;
     doc.header = {"gb_per_core", "count", "mean_ep", "mean_ee"};
-    for (const auto& row : analysis::mpc_distribution(repo, 0)) {
+    for (const auto& row : analysis::mpc_distribution(ctx, 0)) {
       doc.rows.push_back({num(row.gb_per_core), std::to_string(row.count),
                           num(row.mean_ep), num(row.mean_score)});
     }

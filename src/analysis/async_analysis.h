@@ -5,9 +5,8 @@
 // top-EP servers are also top-EE.
 #pragma once
 
+#include <cstddef>
 #include <map>
-
-#include "dataset/repository.h"
 
 namespace epserve::analysis {
 
@@ -26,13 +25,7 @@ struct AsyncResult {
   std::size_t decile_size = 0;
 };
 
-/// AnalysisContext is the entry point: the ctx overload reuses the cached
-/// top-decile sets over memoized per-record values.
-/// `async_top_decile_uncached` re-derives EP/score per comparison (the cold
-/// path); the plain repository overload delegates to it. Byte-identical
-/// results.
+/// Reads the context's memoized top-decile sets.
 AsyncResult async_top_decile(const AnalysisContext& ctx);
-AsyncResult async_top_decile_uncached(const dataset::ResultRepository& repo);
-AsyncResult async_top_decile(const dataset::ResultRepository& repo);
 
 }  // namespace epserve::analysis

@@ -3,12 +3,15 @@
 // repository by year/family/codename/topology and re-derive the same
 // per-record metrics (EP, overall score, idle fraction, peak EE); the
 // context computes each of those intermediates lazily, exactly once, and
-// hands out const references.
+// hands out const references. Each analysis takes the context as its only
+// entry point (`f(const AnalysisContext&)`).
 //
 // Caching rules (docs/ANALYSIS_PASSES.md):
 //  * every cache entry is a pure function of the (immutable) repository, so
-//    a cached value is byte-identical to the uncached computation — the
-//    equivalence is pinned field-for-field in tests/analysis_passes_test.cpp;
+//    a cached value is byte-identical to a from-scratch computation — the
+//    equivalence against the map-based reference in
+//    tests/analysis_reference.h is pinned field-for-field by the `report`
+//    and `columnar` test labels;
 //  * initialisation is guarded by std::call_once per entry, so concurrent
 //    passes on the parallel report dispatch may race to *trigger* a build
 //    but exactly one build ever runs (TSan-checked under the `report` label);
@@ -18,17 +21,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataset/columnar.h"
 #include "dataset/group_index.h"
 #include "dataset/repository.h"
 #include "metrics/derived.h"
-#include "power/uarch.h"
 #include "util/telemetry.h"
 
 namespace epserve::analysis {
@@ -49,20 +50,16 @@ class AnalysisContext {
   [[nodiscard]] const std::vector<metrics::DerivedCurveMetrics>& derived()
       const;
 
-  /// The bundle of one record (record must belong to this repository).
-  [[nodiscard]] const metrics::DerivedCurveMetrics& derived(
-      const dataset::ServerRecord& record) const;
-
   /// Columnar (SoA) snapshot of the repository: flat index-aligned columns
   /// for the record fields and the derived metrics. The derived columns are
   /// bitwise copies of derived(), so anything computed from them matches the
   /// record-at-a-time path exactly. Built once on first use.
   [[nodiscard]] const dataset::ColumnarSnapshot& columnar() const;
 
-  /// Span-based groupings over the snapshot's key columns — the hot path the
-  /// analysis passes iterate. Groups appear in ascending key order and group
+  /// Span-based groupings over the snapshot's key columns — the path every
+  /// analysis iterates. Groups appear in ascending key order and group
   /// members in ascending record-index order, i.e. exactly the iteration
-  /// order of the legacy map groupings below (pinned by the columnar
+  /// order of the ResultRepository::by_* maps (pinned by the columnar
   /// equivalence suite). Each index is built once under std::call_once.
   [[nodiscard]] const dataset::GroupIndex& groups_by_year(
       dataset::YearKey key) const;
@@ -76,41 +73,16 @@ class AnalysisContext {
   static std::vector<double> gather(std::span<const double> column,
                                     std::span<const std::uint32_t> members);
 
-  /// Memoized groupings (same maps ResultRepository builds, built once).
-  /// These are the legacy row-oriented views; new code should prefer the
-  /// span-based groupings above.
-  [[nodiscard]] const std::map<int, dataset::RecordView>& by_year(
-      dataset::YearKey key) const;
-  [[nodiscard]] const std::map<power::UarchFamily, dataset::RecordView>&
-  by_family() const;
-  [[nodiscard]] const std::map<std::string, dataset::RecordView>& by_codename()
-      const;
-  [[nodiscard]] const std::map<int, dataset::RecordView>& by_nodes() const;
-  [[nodiscard]] const std::map<int, dataset::RecordView>& single_node_by_chips()
-      const;
-
   /// Memoized top-decile sets over the cached EP / overall-score values
   /// (identical ordering rules to ResultRepository::top_decile).
   [[nodiscard]] const dataset::RecordView& top_ep_decile() const;
   [[nodiscard]] const dataset::RecordView& top_score_decile() const;
-
-  /// Metric vectors over a view, read from the derived cache (no metric is
-  /// recomputed). The view must hold pointers into repo().records().
-  [[nodiscard]] std::vector<double> ep_values(
-      const dataset::RecordView& view) const;
-  [[nodiscard]] std::vector<double> score_values(
-      const dataset::RecordView& view) const;
-  [[nodiscard]] std::vector<double> idle_values(
-      const dataset::RecordView& view) const;
-  [[nodiscard]] std::vector<double> peak_ee_values(
-      const dataset::RecordView& view) const;
 
   /// How many times each lazy initialiser has actually run — the
   /// exactly-once guarantee bench_report_cache and the memoization tests
   /// assert on.
   struct CacheStats {
     int derived_builds = 0;     // per-record metric bundle
-    int grouping_builds = 0;    // all legacy grouping maps combined
     int decile_builds = 0;      // top-decile sets
     int columnar_builds = 0;    // the SoA snapshot
     int group_index_builds = 0; // all span-based group indexes combined
@@ -155,17 +127,10 @@ class AnalysisContext {
   mutable Lazy<dataset::GroupIndex> groups_nodes_;
   mutable Lazy<dataset::GroupIndex> groups_chips_;
   mutable Lazy<dataset::GroupIndex> groups_mpc_;
-  mutable Lazy<std::map<int, dataset::RecordView>> by_hw_year_;
-  mutable Lazy<std::map<int, dataset::RecordView>> by_pub_year_;
-  mutable Lazy<std::map<power::UarchFamily, dataset::RecordView>> by_family_;
-  mutable Lazy<std::map<std::string, dataset::RecordView>> by_codename_;
-  mutable Lazy<std::map<int, dataset::RecordView>> by_nodes_;
-  mutable Lazy<std::map<int, dataset::RecordView>> by_chips_;
   mutable Lazy<dataset::RecordView> top_ep_;
   mutable Lazy<dataset::RecordView> top_score_;
 
   mutable std::atomic<int> derived_builds_{0};
-  mutable std::atomic<int> grouping_builds_{0};
   mutable std::atomic<int> decile_builds_{0};
   mutable std::atomic<int> columnar_builds_{0};
   mutable std::atomic<int> group_index_builds_{0};

@@ -21,13 +21,7 @@ struct IdleAnalysis {
   double theoretical_max_ep = 0.0;
 };
 
-/// AnalysisContext is the entry point: the ctx overload reads the shared
-/// cache. `analyze_idle_power_uncached` derives the EP/idle/score vectors
-/// from scratch; the plain repository overload delegates to it.
-/// Byte-identical results.
 IdleAnalysis analyze_idle_power(const AnalysisContext& ctx);
-IdleAnalysis analyze_idle_power_uncached(const dataset::ResultRepository& repo);
-IdleAnalysis analyze_idle_power(const dataset::ResultRepository& repo);
 
 /// Mean idle-power percentage within a year window — backs the paper's claim
 /// that the idle fraction fell faster in 2006-2012 than in 2012-2016.

@@ -1,33 +1,10 @@
 #include "analysis/memory_analysis.h"
 
 #include "analysis/context.h"
-#include "metrics/efficiency.h"
-#include "metrics/proportionality.h"
 #include "stats/descriptive.h"
 #include "util/contracts.h"
 
 namespace epserve::analysis {
-
-std::vector<MpcRow> mpc_distribution_uncached(
-    const dataset::ResultRepository& repo, std::size_t min_count) {
-  std::vector<MpcRow> out;
-  for (const auto& [mpc_centi, view] : repo.by_memory_per_core()) {
-    if (view.size() < min_count) continue;
-    MpcRow row;
-    row.gb_per_core = static_cast<double>(mpc_centi) / 100.0;
-    row.count = view.size();
-    row.mean_ep = stats::mean(dataset::ResultRepository::ep_values(view));
-    row.mean_score =
-        stats::mean(dataset::ResultRepository::score_values(view));
-    out.push_back(row);
-  }
-  return out;
-}
-
-std::vector<MpcRow> mpc_distribution(const dataset::ResultRepository& repo,
-                                     std::size_t min_count) {
-  return mpc_distribution_uncached(repo, min_count);
-}
 
 std::vector<MpcRow> mpc_distribution(const AnalysisContext& ctx,
                                      std::size_t min_count) {
@@ -50,9 +27,9 @@ std::vector<MpcRow> mpc_distribution(const AnalysisContext& ctx,
 }
 
 namespace {
-double best_mpc(const dataset::ResultRepository& repo, std::size_t min_count,
+double best_mpc(const AnalysisContext& ctx, std::size_t min_count,
                 bool by_ep) {
-  const auto rows = mpc_distribution(repo, min_count);
+  const auto rows = mpc_distribution(ctx, min_count);
   EPSERVE_EXPECTS(!rows.empty());
   const MpcRow* best = &rows.front();
   for (const auto& row : rows) {
@@ -64,14 +41,12 @@ double best_mpc(const dataset::ResultRepository& repo, std::size_t min_count,
 }
 }  // namespace
 
-double best_mpc_for_ep(const dataset::ResultRepository& repo,
-                       std::size_t min_count) {
-  return best_mpc(repo, min_count, /*by_ep=*/true);
+double best_mpc_for_ep(const AnalysisContext& ctx, std::size_t min_count) {
+  return best_mpc(ctx, min_count, /*by_ep=*/true);
 }
 
-double best_mpc_for_ee(const dataset::ResultRepository& repo,
-                       std::size_t min_count) {
-  return best_mpc(repo, min_count, /*by_ep=*/false);
+double best_mpc_for_ee(const AnalysisContext& ctx, std::size_t min_count) {
+  return best_mpc(ctx, min_count, /*by_ep=*/false);
 }
 
 }  // namespace epserve::analysis

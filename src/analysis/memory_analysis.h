@@ -3,9 +3,8 @@
 // sweet spots (EP at 1.5 GB/core, EE at 1.78 GB/core).
 #pragma once
 
+#include <cstddef>
 #include <vector>
-
-#include "dataset/repository.h"
 
 namespace epserve::analysis {
 
@@ -19,22 +18,13 @@ struct MpcRow {
 };
 
 /// All observed ratios, ascending. `min_count` filters the long tail the way
-/// Table I keeps only ratios with more than 10 results. AnalysisContext is
-/// the entry point: the ctx overload reads the cached MPC group index.
-/// `mpc_distribution_uncached` rebuilds the grouping and re-derives every
-/// metric; the plain repository overload delegates to it. Byte-identical.
+/// Table I keeps only ratios with more than 10 results.
 std::vector<MpcRow> mpc_distribution(const AnalysisContext& ctx,
-                                     std::size_t min_count = 0);
-std::vector<MpcRow> mpc_distribution_uncached(
-    const dataset::ResultRepository& repo, std::size_t min_count = 0);
-std::vector<MpcRow> mpc_distribution(const dataset::ResultRepository& repo,
                                      std::size_t min_count = 0);
 
 /// Ratio with the highest mean EP / highest mean EE among rows with at least
 /// `min_count` servers.
-double best_mpc_for_ep(const dataset::ResultRepository& repo,
-                       std::size_t min_count = 11);
-double best_mpc_for_ee(const dataset::ResultRepository& repo,
-                       std::size_t min_count = 11);
+double best_mpc_for_ep(const AnalysisContext& ctx, std::size_t min_count = 11);
+double best_mpc_for_ee(const AnalysisContext& ctx, std::size_t min_count = 11);
 
 }  // namespace epserve::analysis

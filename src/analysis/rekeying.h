@@ -5,9 +5,8 @@
 // -6.2%..8.7% / -8.6%..13.1% and EE deltas of -2.2%..16.6% / -5.0%..20.8%.
 #pragma once
 
+#include <cstddef>
 #include <vector>
-
-#include "dataset/repository.h"
 
 namespace epserve::analysis {
 
@@ -34,13 +33,6 @@ struct RekeyingResult {
   double min_med_ee_delta = 0.0, max_med_ee_delta = 0.0;
 };
 
-/// AnalysisContext is the entry point: the ctx overload reads the shared
-/// caches. `rekeying_analysis_uncached` rebuilds both year groupings and
-/// re-derives every metric; the plain repository overload delegates to it.
-/// Byte-identical.
 RekeyingResult rekeying_analysis(const AnalysisContext& ctx);
-RekeyingResult rekeying_analysis_uncached(
-    const dataset::ResultRepository& repo);
-RekeyingResult rekeying_analysis(const dataset::ResultRepository& repo);
 
 }  // namespace epserve::analysis

@@ -1,63 +1,26 @@
 #include "analysis/trends.h"
 
 #include "analysis/context.h"
-#include "metrics/efficiency.h"
-#include "metrics/proportionality.h"
 
 namespace epserve::analysis {
 
-namespace {
-
-YearTrendRow make_row(int year, std::size_t count, std::vector<double> eps,
-                      std::vector<double> scores,
-                      std::vector<double> peak_ees) {
-  YearTrendRow row;
-  row.year = year;
-  row.count = count;
-  row.ep = stats::summarize(eps);
-  row.score = stats::summarize(scores);
-  row.peak_ee = stats::summarize(peak_ees);
-  return row;
-}
-
-}  // namespace
-
-std::vector<YearTrendRow> year_trends_uncached(
-    const dataset::ResultRepository& repo, dataset::YearKey key) {
-  std::vector<YearTrendRow> rows;
-  for (const auto& [year, view] : repo.by_year(key)) {
-    rows.push_back(make_row(
-        year, view.size(), dataset::ResultRepository::ep_values(view),
-        dataset::ResultRepository::score_values(view),
-        dataset::ResultRepository::metric(
-            view, [](const dataset::ServerRecord& r) {
-              return metrics::peak_ee(r.curve).value;
-            })));
-  }
-  return rows;
-}
-
-std::vector<YearTrendRow> year_trends(const dataset::ResultRepository& repo,
-                                      dataset::YearKey key) {
-  return year_trends_uncached(repo, key);
-}
-
 std::vector<YearTrendRow> year_trends(const AnalysisContext& ctx,
                                       dataset::YearKey key) {
-  // Hot path: contiguous group spans + column gathers. Group/member order
-  // matches the map path, so the rows are byte-identical to the overload
-  // above.
   const auto& snap = ctx.columnar();
   const auto& groups = ctx.groups_by_year(key);
   std::vector<YearTrendRow> rows;
   rows.reserve(groups.group_count());
   for (std::size_t g = 0; g < groups.group_count(); ++g) {
     const auto members = groups.members(g);
-    auto eps = AnalysisContext::gather(snap.ep(), members);
-    auto scores = AnalysisContext::gather(snap.overall_score(), members);
-    auto peak_ees = AnalysisContext::gather(snap.peak_ee_value(), members);
-    rows.push_back(make_row(groups.key(g), members.size(), std::move(eps),
-                            std::move(scores), std::move(peak_ees)));
+    YearTrendRow row;
+    row.year = groups.key(g);
+    row.count = members.size();
+    row.ep = stats::summarize(AnalysisContext::gather(snap.ep(), members));
+    row.score = stats::summarize(
+        AnalysisContext::gather(snap.overall_score(), members));
+    row.peak_ee = stats::summarize(
+        AnalysisContext::gather(snap.peak_ee_value(), members));
+    rows.push_back(row);
   }
   return rows;
 }

@@ -1,69 +1,16 @@
 #include "analysis/uarch_analysis.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "analysis/context.h"
-#include "metrics/proportionality.h"
 #include "stats/descriptive.h"
 
 namespace epserve::analysis {
 
-namespace {
-
-std::vector<CodenameEp> rank_codenames(
-    const std::map<std::string, dataset::RecordView>& by_codename,
-    const std::function<std::vector<double>(const dataset::RecordView&)>&
-        ep_of) {
-  std::vector<CodenameEp> out;
-  for (const auto& [name, view] : by_codename) {
-    CodenameEp row;
-    row.codename = name;
-    row.count = view.size();
-    const auto eps = ep_of(view);
-    row.mean_ep = stats::mean(eps);
-    row.median_ep = stats::median(eps);
-    out.push_back(std::move(row));
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.mean_ep > b.mean_ep;
-  });
-  return out;
-}
-
-}  // namespace
-
-std::vector<FamilyCount> family_counts_uncached(
-    const dataset::ResultRepository& repo) {
-  std::vector<FamilyCount> out;
-  for (const auto& [family, view] : repo.by_family()) {
-    out.push_back({family, view.size()});
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.count > b.count;
-  });
-  return out;
-}
-
-std::vector<FamilyCount> family_counts(const dataset::ResultRepository& repo) {
-  return family_counts_uncached(repo);
-}
-
-std::vector<CodenameEp> codename_ep_ranking_uncached(
-    const dataset::ResultRepository& repo) {
-  return rank_codenames(repo.by_codename(),
-                        &dataset::ResultRepository::ep_values);
-}
-
-std::vector<CodenameEp> codename_ep_ranking(
-    const dataset::ResultRepository& repo) {
-  return codename_ep_ranking_uncached(repo);
-}
-
 std::vector<CodenameEp> codename_ep_ranking(const AnalysisContext& ctx) {
-  // Hot path over codename-id group spans. Interned ids are lexicographic
-  // ranks, so the pre-sort row order — and therefore the (unstable) sort's
-  // output — matches the map path exactly.
+  // Codename-id group spans. Interned ids are lexicographic ranks, so rows
+  // enter the (unstable) sort in codename order, as a codename map would
+  // give them.
   const auto& snap = ctx.columnar();
   const auto& groups = ctx.groups_by_codename();
   std::vector<CodenameEp> out;

@@ -20,14 +20,8 @@ struct FamilyCount {
   std::size_t count = 0;
 };
 
-/// Sorted descending by count. AnalysisContext is the entry point: the ctx
-/// overload reads the cached family group index. `family_counts_uncached`
-/// rebuilds the family map from scratch; the plain repository overload
-/// delegates to it. Byte-identical.
+/// Sorted descending by count.
 std::vector<FamilyCount> family_counts(const AnalysisContext& ctx);
-std::vector<FamilyCount> family_counts_uncached(
-    const dataset::ResultRepository& repo);
-std::vector<FamilyCount> family_counts(const dataset::ResultRepository& repo);
 
 /// Fig.7 row: codename, count, and mean EP.
 struct CodenameEp {
@@ -37,15 +31,8 @@ struct CodenameEp {
   double median_ep = 0.0;
 };
 
-/// Sorted descending by mean EP. AnalysisContext is the entry point: the
-/// ctx overload reads the shared caches. `codename_ep_ranking_uncached`
-/// re-derives EP per record; the plain repository overload delegates to it.
-/// Byte-identical.
+/// Sorted descending by mean EP.
 std::vector<CodenameEp> codename_ep_ranking(const AnalysisContext& ctx);
-std::vector<CodenameEp> codename_ep_ranking_uncached(
-    const dataset::ResultRepository& repo);
-std::vector<CodenameEp> codename_ep_ranking(
-    const dataset::ResultRepository& repo);
 
 /// Fig.8: per-year codename composition for 2012-2016 (counts per codename).
 std::map<int, std::map<std::string, std::size_t>> yearly_codename_mix(

@@ -71,12 +71,12 @@ TEST(ContextConcurrency, RawCacheAccessorsRaceSafely) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&] {
       (void)ctx.derived();
-      (void)ctx.by_year(dataset::YearKey::kHardwareAvailability);
-      (void)ctx.by_year(dataset::YearKey::kPublished);
-      (void)ctx.by_family();
-      (void)ctx.by_codename();
-      (void)ctx.by_nodes();
-      (void)ctx.single_node_by_chips();
+      (void)ctx.groups_by_year(dataset::YearKey::kHardwareAvailability);
+      (void)ctx.groups_by_year(dataset::YearKey::kPublished);
+      (void)ctx.groups_by_family();
+      (void)ctx.groups_by_codename();
+      (void)ctx.groups_by_nodes();
+      (void)ctx.groups_single_node_by_chips();
       (void)ctx.top_ep_decile();
       (void)ctx.top_score_decile();
     });
@@ -85,7 +85,7 @@ TEST(ContextConcurrency, RawCacheAccessorsRaceSafely) {
 
   const auto stats = ctx.cache_stats();
   EXPECT_EQ(stats.derived_builds, 1);
-  EXPECT_EQ(stats.grouping_builds, 6);
+  EXPECT_EQ(stats.group_index_builds, 6);
   EXPECT_EQ(stats.decile_builds, 2);
 }
 

@@ -1,9 +1,10 @@
 // Pass registry + shared AnalysisContext: registry shape, selection rules,
 // field-for-field equivalence of the context-backed report against the
-// repo-based (uncached) analysis functions, subset runs/renders, and the
-// exactly-once memoization guarantee.
+// map-based reference analyses (tests/analysis_reference.h), subset
+// runs/renders, and the exactly-once memoization guarantee.
 #include <gtest/gtest.h>
 
+#include "analysis_reference.h"
 #include "analysis/context.h"
 #include "analysis/pass.h"
 #include "analysis/peak_shift.h"
@@ -93,9 +94,9 @@ TEST(PassRegistry, SelectRejectsUnknownNames) {
 
 // --- context equivalence ----------------------------------------------------
 // Every field the passes compute through the shared context must equal the
-// value the repo-based (uncached) analysis function produces — not merely
-// close: the context reads cached intermediates computed by the same pure
-// functions, so equality is exact.
+// value the map-based reference analysis produces — not merely close: the
+// context reads cached intermediates computed by the same pure functions, so
+// equality is exact.
 
 TEST(ContextEquivalence, ReportMatchesUncachedAnalysesFieldForField) {
   const auto report = build_full_report(repo());
@@ -103,15 +104,16 @@ TEST(ContextEquivalence, ReportMatchesUncachedAnalysesFieldForField) {
   EXPECT_EQ(report.population, repo().size());
   expect_trend_rows_equal(
       report.trends_by_hw_year,
-      year_trends(repo(), dataset::YearKey::kHardwareAvailability));
-  expect_trend_rows_equal(report.trends_by_pub_year,
-                          year_trends(repo(), dataset::YearKey::kPublished));
+      reference::year_trends(repo(), dataset::YearKey::kHardwareAvailability));
+  expect_trend_rows_equal(
+      report.trends_by_pub_year,
+      reference::year_trends(repo(), dataset::YearKey::kPublished));
   EXPECT_EQ(report.ep_jump_2008_2009,
             ep_jump(report.trends_by_hw_year, 2008, 2009).value());
   EXPECT_EQ(report.ep_jump_2011_2012,
             ep_jump(report.trends_by_hw_year, 2011, 2012).value());
 
-  const auto ranking = codename_ep_ranking(repo());
+  const auto ranking = reference::codename_ep_ranking(repo());
   ASSERT_EQ(report.codename_ranking.size(), ranking.size());
   for (std::size_t i = 0; i < ranking.size(); ++i) {
     EXPECT_EQ(report.codename_ranking[i].codename, ranking[i].codename);
@@ -120,7 +122,7 @@ TEST(ContextEquivalence, ReportMatchesUncachedAnalysesFieldForField) {
     EXPECT_EQ(report.codename_ranking[i].median_ep, ranking[i].median_ep);
   }
 
-  const auto idle = analyze_idle_power(repo());
+  const auto idle = reference::analyze_idle_power(repo());
   EXPECT_EQ(report.idle.ep_idle_correlation, idle.ep_idle_correlation);
   EXPECT_EQ(report.idle.ep_score_correlation, idle.ep_score_correlation);
   EXPECT_EQ(report.idle.eq2.alpha, idle.eq2.alpha);
@@ -131,18 +133,18 @@ TEST(ContextEquivalence, ReportMatchesUncachedAnalysesFieldForField) {
   EXPECT_EQ(report.idle.theoretical_max_ep, idle.theoretical_max_ep);
 
   EXPECT_EQ(report.share_full_load_2004_2012,
-            share_peaking_at_full_load(repo(), 2004, 2012));
+            reference::share_peaking_at_full_load(repo(), 2004, 2012));
   EXPECT_EQ(report.share_full_load_2013_2016,
-            share_peaking_at_full_load(repo(), 2013, 2016));
+            reference::share_peaking_at_full_load(repo(), 2013, 2016));
 
-  const auto async = async_top_decile(repo());
+  const auto async = reference::async_top_decile(repo());
   EXPECT_EQ(report.async.decile_size, async.decile_size);
   EXPECT_EQ(report.async.overlap, async.overlap);
   EXPECT_EQ(report.async.top_ep_year_shares, async.top_ep_year_shares);
   EXPECT_EQ(report.async.top_ee_year_shares, async.top_ee_year_shares);
   EXPECT_EQ(report.async.population_year_shares, async.population_year_shares);
 
-  const auto two_chip = two_chip_vs_all(repo());
+  const auto two_chip = reference::two_chip_vs_all(repo());
   EXPECT_EQ(report.two_chip.avg_ep_gain, two_chip.avg_ep_gain);
   EXPECT_EQ(report.two_chip.avg_ee_gain, two_chip.avg_ee_gain);
   EXPECT_EQ(report.two_chip.median_ep_gain, two_chip.median_ep_gain);
@@ -158,7 +160,7 @@ TEST(ContextEquivalence, ReportMatchesUncachedAnalysesFieldForField) {
     EXPECT_EQ(report.two_chip.years[i].all_avg_ee, two_chip.years[i].all_avg_ee);
   }
 
-  const auto rekeying = rekeying_analysis(repo());
+  const auto rekeying = reference::rekeying_analysis(repo());
   EXPECT_EQ(report.rekeying.mismatched_results, rekeying.mismatched_results);
   EXPECT_EQ(report.rekeying.mismatched_share, rekeying.mismatched_share);
   EXPECT_EQ(report.rekeying.min_avg_ep_delta, rekeying.min_avg_ep_delta);
@@ -229,16 +231,16 @@ TEST(Context, CachesBuildExactlyOnce) {
 
   for (int i = 0; i < 3; ++i) {
     (void)ctx.derived();
-    (void)ctx.by_year(dataset::YearKey::kHardwareAvailability);
-    (void)ctx.by_year(dataset::YearKey::kPublished);
-    (void)ctx.by_codename();
+    (void)ctx.groups_by_year(dataset::YearKey::kHardwareAvailability);
+    (void)ctx.groups_by_year(dataset::YearKey::kPublished);
+    (void)ctx.groups_by_codename();
     (void)ctx.top_ep_decile();
     (void)ctx.top_score_decile();
   }
   const auto stats = ctx.cache_stats();
   EXPECT_EQ(stats.derived_builds, 1);
-  EXPECT_EQ(stats.grouping_builds, 3);  // hw year, pub year, codename
-  EXPECT_EQ(stats.decile_builds, 2);    // top EP, top score
+  EXPECT_EQ(stats.group_index_builds, 3);  // hw year, pub year, codename
+  EXPECT_EQ(stats.decile_builds, 2);       // top EP, top score
 }
 
 TEST(Context, FullPassRunBuildsDerivedMetricsOnce) {
@@ -253,6 +255,10 @@ TEST(Context, DecileMatchesRepositoryOrdering) {
   EXPECT_EQ(ctx.top_ep_decile(),
             repo().top_decile([](const dataset::ServerRecord& r) {
               return metrics::energy_proportionality(r.curve);
+            }));
+  EXPECT_EQ(ctx.top_score_decile(),
+            repo().top_decile([](const dataset::ServerRecord& r) {
+              return metrics::overall_score(r.curve);
             }));
 }
 

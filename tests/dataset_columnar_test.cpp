@@ -1,9 +1,11 @@
 // Equivalence contract of the columnar engine (docs/COLUMNAR.md): every
 // GroupIndex built over a ColumnarSnapshot key column must expose exactly the
 // groups the legacy std::map builders produce — same keys in the same order,
-// same members in the same order — across population sizes, and the batched
-// power kernel must be bit-identical to the scalar one. Runs under the
-// `columnar` ctest label, i.e. also under -DEPSERVE_SANITIZE=thread.
+// same members in the same order — across population sizes, every context
+// analysis must equal its map-based reference (tests/analysis_reference.h)
+// field for field, and the batched power kernel must be bit-identical to the
+// scalar one. Runs under the `columnar` ctest label, i.e. also under
+// -DEPSERVE_SANITIZE=thread.
 #include "dataset/columnar.h"
 
 #include <gtest/gtest.h>
@@ -14,8 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "analysis_reference.h"
 #include "analysis/context.h"
-#include "analysis/memory_analysis.h"
+#include "analysis/peak_shift.h"
 #include "cluster/day_simulation.h"
 #include "cluster/placement.h"
 #include "dataset/generator.h"
@@ -147,6 +150,172 @@ INSTANTIATE_TEST_SUITE_P(Populations, GroupingEquivalence,
                          ::testing::Values(std::size_t{100}, std::size_t{477},
                                            std::size_t{5000}));
 
+// --- context analyses vs the map-based reference ----------------------------
+
+void expect_same(const stats::Summary& a, const stats::Summary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.median, b.median);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.stddev, b.stddev);
+}
+
+void expect_same(const std::vector<analysis::YearTrendRow>& a,
+                 const std::vector<analysis::YearTrendRow>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "trend row " << i);
+    EXPECT_EQ(a[i].year, b[i].year);
+    EXPECT_EQ(a[i].count, b[i].count);
+    expect_same(a[i].ep, b[i].ep);
+    expect_same(a[i].score, b[i].score);
+    expect_same(a[i].peak_ee, b[i].peak_ee);
+  }
+}
+
+void expect_same(const std::vector<analysis::ScaleRow>& a,
+                 const std::vector<analysis::ScaleRow>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "scale row " << i);
+    EXPECT_EQ(a[i].key, b[i].key);
+    EXPECT_EQ(a[i].count, b[i].count);
+    expect_same(a[i].ep, b[i].ep);
+    expect_same(a[i].score, b[i].score);
+  }
+}
+
+void expect_same(const std::vector<analysis::MpcRow>& a,
+                 const std::vector<analysis::MpcRow>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "mpc row " << i);
+    EXPECT_EQ(a[i].gb_per_core, b[i].gb_per_core);
+    EXPECT_EQ(a[i].count, b[i].count);
+    EXPECT_EQ(a[i].mean_ep, b[i].mean_ep);
+    EXPECT_EQ(a[i].mean_score, b[i].mean_score);
+  }
+}
+
+class ContextAnalyses : public ::testing::TestWithParam<std::size_t> {};
+
+// The 100-record prefix is left out: it holds no 2013-2016 server, so
+// share_peaking_at_full_load's non-empty-window precondition fails there.
+TEST_P(ContextAnalyses, MatchMapReferenceFieldForField) {
+  namespace reference = analysis::reference;
+  const ResultRepository repo = repo_of_size(GetParam());
+  const analysis::AnalysisContext ctx(repo);
+
+  for (const auto key : {YearKey::kHardwareAvailability, YearKey::kPublished}) {
+    expect_same(analysis::year_trends(ctx, key),
+                reference::year_trends(repo, key));
+  }
+
+  const auto families = analysis::family_counts(ctx);
+  const auto ref_families = reference::family_counts(repo);
+  ASSERT_EQ(families.size(), ref_families.size());
+  for (std::size_t i = 0; i < families.size(); ++i) {
+    EXPECT_EQ(families[i].family, ref_families[i].family);
+    EXPECT_EQ(families[i].count, ref_families[i].count);
+  }
+
+  const auto ranking = analysis::codename_ep_ranking(ctx);
+  const auto ref_ranking = reference::codename_ep_ranking(repo);
+  ASSERT_EQ(ranking.size(), ref_ranking.size());
+  for (std::size_t i = 0; i < ranking.size(); ++i) {
+    EXPECT_EQ(ranking[i].codename, ref_ranking[i].codename);
+    EXPECT_EQ(ranking[i].count, ref_ranking[i].count);
+    EXPECT_EQ(ranking[i].mean_ep, ref_ranking[i].mean_ep);
+    EXPECT_EQ(ranking[i].median_ep, ref_ranking[i].median_ep);
+  }
+
+  const auto idle = analysis::analyze_idle_power(ctx);
+  const auto ref_idle = reference::analyze_idle_power(repo);
+  EXPECT_EQ(idle.ep_idle_correlation, ref_idle.ep_idle_correlation);
+  EXPECT_EQ(idle.ep_score_correlation, ref_idle.ep_score_correlation);
+  EXPECT_EQ(idle.eq2.alpha, ref_idle.eq2.alpha);
+  EXPECT_EQ(idle.eq2.beta, ref_idle.eq2.beta);
+  EXPECT_EQ(idle.eq2.r_squared, ref_idle.eq2.r_squared);
+  EXPECT_EQ(idle.predicted_ep_at_5pct_idle,
+            ref_idle.predicted_ep_at_5pct_idle);
+  EXPECT_EQ(idle.theoretical_max_ep, ref_idle.theoretical_max_ep);
+
+  for (const std::size_t min_count : {std::size_t{0}, std::size_t{11}}) {
+    expect_same(analysis::mpc_distribution(ctx, min_count),
+                reference::mpc_distribution(repo, min_count));
+  }
+
+  for (const auto& [from, to] :
+       {std::pair{2004, 2012}, std::pair{2013, 2016}}) {
+    EXPECT_EQ(analysis::share_peaking_at_full_load(ctx, from, to),
+              reference::share_peaking_at_full_load(repo, from, to));
+  }
+
+  const auto rekeying = analysis::rekeying_analysis(ctx);
+  const auto ref_rekeying = reference::rekeying_analysis(repo);
+  EXPECT_EQ(rekeying.mismatched_results, ref_rekeying.mismatched_results);
+  EXPECT_EQ(rekeying.mismatched_share, ref_rekeying.mismatched_share);
+  EXPECT_EQ(rekeying.min_avg_ep_delta, ref_rekeying.min_avg_ep_delta);
+  EXPECT_EQ(rekeying.max_avg_ep_delta, ref_rekeying.max_avg_ep_delta);
+  EXPECT_EQ(rekeying.min_med_ep_delta, ref_rekeying.min_med_ep_delta);
+  EXPECT_EQ(rekeying.max_med_ep_delta, ref_rekeying.max_med_ep_delta);
+  EXPECT_EQ(rekeying.min_avg_ee_delta, ref_rekeying.min_avg_ee_delta);
+  EXPECT_EQ(rekeying.max_avg_ee_delta, ref_rekeying.max_avg_ee_delta);
+  EXPECT_EQ(rekeying.min_med_ee_delta, ref_rekeying.min_med_ee_delta);
+  EXPECT_EQ(rekeying.max_med_ee_delta, ref_rekeying.max_med_ee_delta);
+  ASSERT_EQ(rekeying.rows.size(), ref_rekeying.rows.size());
+  for (std::size_t i = 0; i < rekeying.rows.size(); ++i) {
+    const auto& row = rekeying.rows[i];
+    const auto& ref_row = ref_rekeying.rows[i];
+    EXPECT_EQ(row.year, ref_row.year);
+    EXPECT_EQ(row.hw_count, ref_row.hw_count);
+    EXPECT_EQ(row.pub_count, ref_row.pub_count);
+    EXPECT_EQ(row.avg_ep_delta, ref_row.avg_ep_delta);
+    EXPECT_EQ(row.med_ep_delta, ref_row.med_ep_delta);
+    EXPECT_EQ(row.avg_ee_delta, ref_row.avg_ee_delta);
+    EXPECT_EQ(row.med_ee_delta, ref_row.med_ee_delta);
+  }
+
+  expect_same(analysis::ep_ee_by_nodes(ctx), reference::ep_ee_by_nodes(repo));
+  expect_same(analysis::ep_ee_by_chips(ctx), reference::ep_ee_by_chips(repo));
+
+  const auto two_chip = analysis::two_chip_vs_all(ctx);
+  const auto ref_two_chip = reference::two_chip_vs_all(repo);
+  EXPECT_EQ(two_chip.avg_ep_gain, ref_two_chip.avg_ep_gain);
+  EXPECT_EQ(two_chip.avg_ee_gain, ref_two_chip.avg_ee_gain);
+  EXPECT_EQ(two_chip.median_ep_gain, ref_two_chip.median_ep_gain);
+  EXPECT_EQ(two_chip.median_ee_gain, ref_two_chip.median_ee_gain);
+  ASSERT_EQ(two_chip.years.size(), ref_two_chip.years.size());
+  for (std::size_t i = 0; i < two_chip.years.size(); ++i) {
+    const auto& row = two_chip.years[i];
+    const auto& ref_row = ref_two_chip.years[i];
+    EXPECT_EQ(row.year, ref_row.year);
+    EXPECT_EQ(row.two_chip_count, ref_row.two_chip_count);
+    EXPECT_EQ(row.all_count, ref_row.all_count);
+    EXPECT_EQ(row.two_chip_avg_ep, ref_row.two_chip_avg_ep);
+    EXPECT_EQ(row.all_avg_ep, ref_row.all_avg_ep);
+    EXPECT_EQ(row.two_chip_avg_ee, ref_row.two_chip_avg_ee);
+    EXPECT_EQ(row.all_avg_ee, ref_row.all_avg_ee);
+    EXPECT_EQ(row.two_chip_med_ep, ref_row.two_chip_med_ep);
+    EXPECT_EQ(row.all_med_ep, ref_row.all_med_ep);
+    EXPECT_EQ(row.two_chip_med_ee, ref_row.two_chip_med_ee);
+    EXPECT_EQ(row.all_med_ee, ref_row.all_med_ee);
+  }
+
+  const auto async = analysis::async_top_decile(ctx);
+  const auto ref_async = reference::async_top_decile(repo);
+  EXPECT_EQ(async.decile_size, ref_async.decile_size);
+  EXPECT_EQ(async.overlap, ref_async.overlap);
+  EXPECT_EQ(async.top_ep_year_shares, ref_async.top_ep_year_shares);
+  EXPECT_EQ(async.top_ee_year_shares, ref_async.top_ee_year_shares);
+  EXPECT_EQ(async.population_year_shares, ref_async.population_year_shares);
+}
+
+INSTANTIATE_TEST_SUITE_P(Populations, ContextAnalyses,
+                         ::testing::Values(std::size_t{477},
+                                           std::size_t{5000}));
+
 TEST(ColumnarSnapshot, DerivedColumnsAreBitwiseCopiesOfTheBundle) {
   const ResultRepository repo = repo_of_size(477);
   std::vector<metrics::DerivedCurveMetrics> derived;
@@ -239,15 +408,8 @@ TEST(ColumnarContext, MpcDistributionMatchesRepoOverload) {
   const ResultRepository repo = repo_of_size(477);
   const analysis::AnalysisContext ctx(repo);
   for (const std::size_t min_count : {std::size_t{0}, std::size_t{11}}) {
-    const auto from_repo = analysis::mpc_distribution(repo, min_count);
-    const auto from_ctx = analysis::mpc_distribution(ctx, min_count);
-    ASSERT_EQ(from_repo.size(), from_ctx.size());
-    for (std::size_t i = 0; i < from_repo.size(); ++i) {
-      EXPECT_EQ(from_repo[i].gb_per_core, from_ctx[i].gb_per_core);
-      EXPECT_EQ(from_repo[i].count, from_ctx[i].count);
-      EXPECT_EQ(from_repo[i].mean_ep, from_ctx[i].mean_ep);
-      EXPECT_EQ(from_repo[i].mean_score, from_ctx[i].mean_score);
-    }
+    expect_same(analysis::mpc_distribution(ctx, min_count),
+                analysis::reference::mpc_distribution(repo, min_count));
   }
 }
 
