@@ -3,6 +3,11 @@
 // one exp::run_experiment sweep against one caller-built Fleet,
 // parallelized over cells via util/parallel.
 //
+// Timing protocol: one untimed warm-up run per thread count (pool start-up,
+// first-touch allocation, the Fleet's lazily sorted server orders), then
+// kTimedReps runs alternating 1 and 8 threads so slow spells on a shared
+// machine hit both; each reported time is the median of its kTimedReps.
+//
 // Gates (exit 1 on failure):
 //   - determinism: the rendered result document must be byte-identical
 //     between a 1-thread and an 8-thread run — the util/parallel contract.
@@ -22,12 +27,14 @@
 #include "exp/runner.h"
 #include "exp/spec.h"
 #include "metrics/curve_models.h"
+#include "stats/descriptive.h"
 
 namespace {
 
 using namespace epserve;
 
 constexpr std::size_t kFleetSize = 5000;
+constexpr int kTimedReps = 5;
 constexpr double kWallBudgetSeconds = 30.0;
 
 /// Same deterministic heterogeneous synthesis as bench_fleet_day: EP derived
@@ -73,28 +80,40 @@ int main() {
     return exp::run_experiment(spec, std::span(&fleet, 1), options);
   };
 
-  const auto start = std::chrono::steady_clock::now();
+  // The warm-ups are also the runs whose documents the gate compares.
+  const auto serial = run_with_threads(1);
+  if (!serial.ok()) {
+    std::fprintf(stderr, "serial matrix run failed: %s\n",
+                 serial.error().message.c_str());
+    return 1;
+  }
   const auto parallel = run_with_threads(8);
-  const double parallel_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   if (!parallel.ok()) {
     std::fprintf(stderr, "matrix run failed: %s\n",
                  parallel.error().message.c_str());
     return 1;
   }
 
-  const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial = run_with_threads(1);
-  const double serial_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    serial_start)
-          .count();
-  if (!serial.ok()) {
-    std::fprintf(stderr, "serial matrix run failed: %s\n",
-                 serial.error().message.c_str());
-    return 1;
+  std::vector<double> serial_runs_s;
+  std::vector<double> parallel_runs_s;
+  for (int rep = 0; rep < kTimedReps; ++rep) {
+    for (const int threads : {1, 8}) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto run = run_with_threads(threads);
+      const double seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        start)
+              .count();
+      if (!run.ok()) {
+        std::fprintf(stderr, "matrix run (%d threads) failed: %s\n", threads,
+                     run.error().message.c_str());
+        return 1;
+      }
+      (threads == 1 ? serial_runs_s : parallel_runs_s).push_back(seconds);
+    }
   }
+  const double serial_s = stats::median(serial_runs_s);
+  const double parallel_s = stats::median(parallel_runs_s);
 
   TextTable winners;
   winners.columns({"trace", "winner", "ops/J"});
@@ -105,7 +124,9 @@ int main() {
   std::cout << winners.render();
 
   TextTable timing;
-  timing.columns({"matrix run", "ms"});
+  timing.columns(
+      {"matrix run (warm, median of " + std::to_string(kTimedReps) + ")",
+       "ms"});
   timing.row({"1 thread", format_fixed(1000.0 * serial_s, 1)});
   timing.row({"8 threads", format_fixed(1000.0 * parallel_s, 1)});
   std::cout << timing.render();

@@ -41,6 +41,26 @@ elseif(CHECK STREQUAL "threads_invariance")
     message(FATAL_ERROR "result documents differ between 1 and 8 threads")
   endif()
 
+elseif(CHECK STREQUAL "run_committed")
+  # The simulation itself against the committed artifact: running the default
+  # spec reproduces experiments/exp_default.json byte for byte (the other
+  # checks only re-render that file or compare two fresh runs).
+  set(ran "${WORK_DIR}/exp_default_run.json")
+  execute_process(COMMAND ${EXP_BIN} run default --out ${ran}
+                  RESULT_VARIABLE code ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "run default failed (${code}): ${err}")
+  endif()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                          ${ran} ${REPO_DIR}/experiments/exp_default.json
+                  RESULT_VARIABLE same)
+  if(NOT same EQUAL 0)
+    message(FATAL_ERROR
+            "run default differs from committed experiments/exp_default.json "
+            "(regenerate only for an intended change: build/examples/"
+            "epserve_exp run default --out experiments/exp_default.json)")
+  endif()
+
 elseif(CHECK STREQUAL "render_committed")
   # The committed sweep report regenerates byte-for-byte from the committed
   # result document (render is pure parse + format — no simulation).

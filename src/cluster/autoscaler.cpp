@@ -1,8 +1,11 @@
 #include "cluster/autoscaler.h"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <span>
+#include <utility>
 
 #include "util/telemetry.h"
 
@@ -31,14 +34,9 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
   const std::size_t n = fleet.size();
   const std::size_t num_slots = trace.demand.size();
 
-  // Order servers best-overall-EE first; the active set is always a prefix.
-  const std::span<const double> score = fleet.overall_score();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (score[a] != score[b]) return score[a] > score[b];
-    return fleet.server_id(a) < fleet.server_id(b);
-  });
+  // Servers best-overall-EE first (the Fleet's cached order); the active set
+  // is always a prefix.
+  const std::span<const std::size_t> order = fleet.order_by_overall_score();
 
   // prefix[k] = capacity of the k best servers, accumulated in prefix order —
   // the same additions (and therefore the same doubles) as growing the
@@ -61,24 +59,25 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
   int active = 0;
   for (std::size_t s = 0; s < num_slots; ++s) {
     const double demand = trace.demand[s];
-    if (demand < 0.0 || demand > 1.0) {
+    if (!(demand >= 0.0 && demand <= 1.0)) {  // NaN fails too
       return Error::invalid_argument("trace demand outside [0, 1]");
     }
     const double demand_ops = demand * fleet_capacity;
 
     // Smallest prefix whose capacity at the target utilisation covers the
-    // demand (the whole fleet at full tilt as a last resort).
-    int needed = 0;
-    while (needed < static_cast<int>(n) &&
-           prefix[static_cast<std::size_t>(needed)] *
-                   config.target_utilization <
-               demand_ops) {
-      ++needed;
-    }
-    if (prefix[static_cast<std::size_t>(needed)] * config.target_utilization <
-        demand_ops) {
-      needed = static_cast<int>(n);  // serve above target util
-    }
+    // demand, else the whole fleet (serving above target utilisation). A
+    // binary search: prefix is non-decreasing because every peak_ops is
+    // >= 0, which PowerCurve::validate guarantees (an unvalidated
+    // Fleet::from_records fleet must hold it too), so the "does not cover"
+    // test is true on a leading run of prefix and false after it.
+    const int needed = static_cast<int>(
+        std::partition_point(prefix.begin(),
+                             prefix.begin() + static_cast<std::ptrdiff_t>(n),
+                             [&](double capacity) {
+                               return capacity * config.target_utilization <
+                                      demand_ops;
+                             }) -
+        prefix.begin());
 
     // Hysteresis: grow immediately, shrink only past the band.
     int next_active = active;
@@ -105,33 +104,59 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
     slot.wakes = wakes;
   }
 
+  // A slot's power depends only on its (active prefix, utilisation) pair, and
+  // traces repeat pairs: account each distinct pair once (keyed on the
+  // utilisation's bit pattern, first-appearance order) and copy its power to
+  // its slots.
+  struct Level {
+    std::size_t active = 0;
+    double utilization = 0.0;
+    double power_watts = 0.0;
+  };
+  std::vector<Level> levels;
+  std::vector<std::size_t> level_of(num_slots);
+  std::map<std::pair<std::size_t, std::uint64_t>, std::size_t> level_index;
+  for (std::size_t s = 0; s < num_slots; ++s) {
+    const auto active_servers =
+        static_cast<std::size_t>(result.slots[s].active_servers);
+    const auto [it, added] = level_index.try_emplace(
+        {active_servers, std::bit_cast<std::uint64_t>(slot_utilization[s])},
+        levels.size());
+    if (added) levels.push_back({active_servers, slot_utilization[s], 0.0});
+    level_of[s] = it->second;
+  }
+  telemetry::count("cluster.autoscale.levels", levels.size());
+
   // Pass 2 — server-major power: for each prefix position j, one batched
-  // table evaluation covers every slot whose active set includes order[j].
-  // Scattering in ascending j adds each slot's contributions in the same
+  // table evaluation covers every level whose active set includes order[j].
+  // Scattering in ascending j adds each level's contributions in the same
   // order the scalar per-slot loop did, so slot powers match bitwise.
   const std::span<const double> peak_watts = fleet.peak_watts();
-  std::vector<std::size_t> slots_on;
+  std::vector<std::size_t> levels_on;
   std::vector<double> utils;
   std::vector<double> norm;
-  slots_on.reserve(num_slots);
-  utils.reserve(num_slots);
-  norm.reserve(num_slots);
+  levels_on.reserve(levels.size());
+  utils.reserve(levels.size());
+  norm.reserve(levels.size());
   for (std::size_t j = 0; j < n; ++j) {
-    slots_on.clear();
+    levels_on.clear();
     utils.clear();
-    for (std::size_t s = 0; s < num_slots; ++s) {
-      if (static_cast<std::size_t>(result.slots[s].active_servers) > j) {
-        slots_on.push_back(s);
-        utils.push_back(slot_utilization[s]);
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      if (levels[l].active > j) {
+        levels_on.push_back(l);
+        utils.push_back(levels[l].utilization);
       }
     }
-    if (slots_on.empty()) continue;
-    norm.resize(slots_on.size());
+    if (levels_on.empty()) break;  // active > j fails for every later j too
+    norm.resize(levels_on.size());
     fleet.normalized_power_batch(order[j], utils, norm);
     const double watts = peak_watts[order[j]];
-    for (std::size_t k = 0; k < slots_on.size(); ++k) {
-      result.slots[slots_on[k]].power_watts += norm[k] * watts;
+    for (std::size_t k = 0; k < levels_on.size(); ++k) {
+      levels[levels_on[k]].power_watts += norm[k] * watts;
     }
+  }
+  for (std::size_t s = 0; s < num_slots; ++s) {
+    result.slots[s].power_watts = levels[level_of[s]].power_watts;
   }
 
   // Pass 3 — energy/served accounting in slot order (the legacy per-slot

@@ -41,11 +41,13 @@ struct AutoscaleResult {
 };
 
 /// Runs the autoscaler over a demand trace against a prebuilt Fleet. Servers
-/// are ordered by overall EE (best first) and the active prefix serves the
-/// demand, each active machine at min(1, demand_ops / active_capacity).
-/// Power is accounted server-major through the fleet's cached interpolation
-/// tables: one batched evaluation per server covers every slot it is active
-/// in. Fails on an empty fleet or trace, or an out-of-range target.
+/// are ordered by overall EE (best first, Fleet::order_by_overall_score) and
+/// the active prefix serves the demand, each active machine at
+/// min(1, demand_ops / active_capacity). Power is accounted server-major
+/// through the fleet's cached interpolation tables, once per distinct
+/// (active prefix, utilisation) pair: one batched evaluation per server
+/// covers every pair it is active in. Fails on an empty fleet or trace, a
+/// demand outside [0, 1] (NaN included), or an out-of-range target.
 epserve::Result<AutoscaleResult> autoscale_over_day(
     const Fleet& fleet, const DemandTrace& trace,
     const AutoscalerConfig& config = {});

@@ -1,8 +1,11 @@
 #include "cluster/day_simulation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <initializer_list>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,17 +35,32 @@ Result<DayResult> simulate_day(const PlacementPolicy& policy,
                                     telemetry::Span::Scope::kRoot);
   const telemetry::Span span("simulate_day");
   telemetry::count("cluster.day.slots", trace.demand.size());
+  // Traces repeat demand levels (weekdays, flat baselines), so the day is one
+  // batched evaluation over the distinct levels, keyed on the double's bit
+  // pattern in first-appearance order; slot s reads level_of[s]. A demand's
+  // assignment does not depend on the rest of the batch (per-demand
+  // placement, element-wise kernels), and the slot-order sums below keep
+  // their order, so this is bit-identical to evaluating every slot.
+  std::vector<double> levels;
+  std::vector<std::size_t> level_of(trace.demand.size());
+  std::unordered_map<std::uint64_t, std::size_t> level_index;
+  for (std::size_t s = 0; s < trace.demand.size(); ++s) {
+    const auto [it, added] = level_index.try_emplace(
+        std::bit_cast<std::uint64_t>(trace.demand[s]), levels.size());
+    if (added) levels.push_back(trace.demand[s]);
+    level_of[s] = it->second;
+  }
+  telemetry::count("cluster.day.levels", levels.size());
   DayResult result;
   result.policy = policy.name();
-  // One batched evaluation for the whole trace: the fleet's cached
-  // interpolation tables serve every (server, slot) pair.
-  auto assignments = evaluate_batch(policy, fleet, trace.demand);
+  auto assignments = evaluate_batch(policy, fleet, levels);
   if (!assignments.ok()) return assignments.error();
-  for (const auto& assignment : assignments.value()) {
-    result.energy_kwh +=
-        assignment.total_power_watts * trace.slot_hours / 1000.0;
-    result.served_gops +=
-        assignment.total_ops * trace.slot_hours * 3600.0 / 1e9;
+  const auto& level_assignments = assignments.value();
+  for (const std::size_t level : level_of) {
+    result.energy_kwh += level_assignments[level].total_power_watts *
+                         trace.slot_hours / 1000.0;
+    result.served_gops += level_assignments[level].total_ops *
+                          trace.slot_hours * 3600.0 / 1e9;
   }
   if (idle_aware) {
     // Idle pass, server-index order per slot (deterministic): a parked
@@ -53,13 +71,14 @@ Result<DayResult> simulate_day(const PlacementPolicy& policy,
     const double slot_seconds = trace.slot_hours * 3600.0;
     const auto idle_watts = fleet.idle_watts();
     const auto peak_ops = fleet.peak_ops();
-    const auto& slots = assignments.value();
     std::vector<int> parked_state(fleet.size(), -1);  // -1 = active
-    for (std::size_t s = 0; s < slots.size(); ++s) {
+    for (std::size_t s = 0; s < level_of.size(); ++s) {
       const int cap = trace.idle_state_cap(s, idle.deepest());
       const IdleState& state = idle.states[static_cast<std::size_t>(cap)];
+      const std::vector<double>& utilization =
+          level_assignments[level_of[s]].utilization;
       for (std::size_t i = 0; i < fleet.size(); ++i) {
-        const double u = slots[s].utilization[i];
+        const double u = utilization[i];
         if (u == 0.0) {
           result.energy_kwh += idle_watts[i] * (state.power_fraction - 1.0) *
                                trace.slot_hours / 1000.0;

@@ -1,7 +1,9 @@
 #include "cluster/fleet.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "cluster/working_region.h"
@@ -217,6 +219,32 @@ std::vector<double> Fleet::optimal_region_tops(double ee_threshold) const {
     tops.push_back(region.empty() ? 1.0 : region.hi);
   }
   return tops;
+}
+
+std::span<const std::size_t> Fleet::sorted_order(
+    LazyOrder& lazy, std::span<const double> score) const {
+  std::call_once(lazy.once, [&] {
+    lazy.order.resize(size());
+    std::iota(lazy.order.begin(), lazy.order.end(), std::size_t{0});
+    std::sort(lazy.order.begin(), lazy.order.end(),
+              [&](std::size_t a, std::size_t b) {
+                if (score[a] != score[b]) return score[a] > score[b];
+                return server_id(a) < server_id(b);
+              });
+  });
+  return lazy.order;
+}
+
+std::span<const std::size_t> Fleet::order_by_ee_at_full() const {
+  return sorted_order(orders_->ee_at_full, ee_at_full());
+}
+
+std::span<const std::size_t> Fleet::order_by_peak_ee_value() const {
+  return sorted_order(orders_->peak_ee_value, peak_ee_value());
+}
+
+std::span<const std::size_t> Fleet::order_by_overall_score() const {
+  return sorted_order(orders_->overall_score, overall_score());
 }
 
 std::uint64_t Fleet::digest() const {

@@ -3,13 +3,15 @@
 //
 // The cluster layer used to re-derive the same per-server state on every
 // call: each placement evaluation rebuilt each server's power interpolation
-// table, each policy re-sorted the fleet from raw ServerRecord fields, and
-// each subsystem (placement, day simulation, autoscaler, knightshift, power
-// cap, working regions, operating guide) walked its own
-// std::vector<ServerRecord> copy record by record. A Fleet is built once —
-// columnar snapshot (dataset::ColumnarSnapshot) plus one cached
+// table, each policy batch (and the autoscaler) re-sorted the fleet by an
+// efficiency score, and each subsystem (placement, day simulation,
+// autoscaler, knightshift, power cap, working regions, operating guide)
+// walked its own std::vector<ServerRecord> copy record by record. A Fleet is
+// built once — columnar snapshot (dataset::ColumnarSnapshot) plus one cached
 // PowerCurve::InterpolationTable per server and the fleet-level aggregates —
-// and then shared, read-only, across every policy, slot, and thread.
+// and then shared, read-only, across every policy, slot, and thread. The
+// three server orders the policies fill by are sorted at most once per
+// Fleet, on first use (order_by_ee_at_full() and its siblings).
 //
 // Determinism contract (docs/CLUSTER.md): every column is a bitwise copy of
 // the corresponding per-record computation, and the table kernel is the same
@@ -22,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -165,6 +168,21 @@ class Fleet {
     return ee_at_full_;
   }
 
+  // --- Server orders --------------------------------------------------------
+  // Each is a permutation of 0..size()-1 by one score column, descending,
+  // record id breaking ties. It is sorted on the first call, exactly once
+  // under std::call_once however many threads ask, and shared by every
+  // later call on this Fleet or on the Fleet it is moved into. A build never
+  // sorts: fleets whose orders nobody asks for (serve epochs between
+  // placements, fleet-only benches) pay nothing for them.
+
+  /// By ee_at_full() — PackToFullPolicy's fill order.
+  [[nodiscard]] std::span<const std::size_t> order_by_ee_at_full() const;
+  /// By peak_ee_value() — OptimalRegionPolicy's fill order.
+  [[nodiscard]] std::span<const std::size_t> order_by_peak_ee_value() const;
+  /// By overall_score() — the autoscaler's activation order.
+  [[nodiscard]] std::span<const std::size_t> order_by_overall_score() const;
+
   // --- Batch power kernels --------------------------------------------------
   /// normalized_power of server `i`, evaluated against its cached table —
   /// bitwise identical to record(i).curve.normalized_power(u).
@@ -226,6 +244,19 @@ class Fleet {
 
   static Fleet make(std::span<const dataset::ServerRecord> servers);
 
+  /// One lazily sorted server order.
+  struct LazyOrder {
+    std::once_flag once;
+    std::vector<std::size_t> order;
+  };
+  struct LazyOrders {
+    LazyOrder ee_at_full;
+    LazyOrder peak_ee_value;
+    LazyOrder overall_score;
+  };
+  std::span<const std::size_t> sorted_order(LazyOrder& lazy,
+                                            std::span<const double> score) const;
+
   std::span<const dataset::ServerRecord> servers_;
   dataset::ColumnarSnapshot snapshot_;
   std::vector<std::int32_t> ids_;  // always populated (digest, tiebreaks)
@@ -240,6 +271,9 @@ class Fleet {
   util::AlignedVector<double> grid_inv_peak_;  // [size]
   double capacity_ops_ = 0.0;
   double total_idle_watts_ = 0.0;
+  // Behind a pointer so the Fleet stays movable (a once_flag is not) and a
+  // moved-to Fleet keeps the orders already sorted.
+  std::unique_ptr<LazyOrders> orders_ = std::make_unique<LazyOrders>();
 };
 
 /// Thread-safe lazy Fleet: many threads may request the fleet concurrently,

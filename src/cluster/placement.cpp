@@ -1,7 +1,6 @@
 #include "cluster/placement.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "metrics/simd/kernels.h"
 #include "util/contracts.h"
@@ -11,22 +10,9 @@ namespace epserve::cluster {
 
 namespace {
 
-/// Server order by a precomputed score column, descending (record id breaks
-/// ties, as the pre-Fleet comparator did).
-std::vector<std::size_t> order_by(const Fleet& fleet,
-                                  std::span<const double> score) {
-  std::vector<std::size_t> order(fleet.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (score[a] != score[b]) return score[a] > score[b];
-    return fleet.server_id(a) < fleet.server_id(b);
-  });
-  return order;
-}
-
 /// Greedy fill: walk servers in `order`, loading each up to its cap (ops),
 /// until `remaining_ops` is exhausted. Adds to existing utilisations.
-void greedy_fill(const Fleet& fleet, const std::vector<std::size_t>& order,
+void greedy_fill(const Fleet& fleet, std::span<const std::size_t> order,
                  const std::vector<double>& cap_util,
                  std::vector<double>& util, double& remaining_ops) {
   const std::span<const double> peak_ops = fleet.peak_ops();
@@ -52,7 +38,7 @@ std::vector<double> PlacementPolicy::place(const Fleet& fleet,
 
 std::vector<std::vector<double>> PackToFullPolicy::place_batch(
     const Fleet& fleet, std::span<const double> demands) const {
-  const auto order = order_by(fleet, fleet.ee_at_full());
+  const auto order = fleet.order_by_ee_at_full();
   const std::vector<double> caps(fleet.size(), 1.0);
   std::vector<std::vector<double>> out;
   out.reserve(demands.size());
@@ -77,11 +63,11 @@ std::vector<std::vector<double>> BalancedPolicy::place_batch(
 
 std::vector<std::vector<double>> OptimalRegionPolicy::place_batch(
     const Fleet& fleet, std::span<const double> demands) const {
-  // Demand-independent state, once per batch: region tops and the peak-EE
-  // order the two greedy stages share.
+  // Demand-independent state: region tops once per batch, and the peak-EE
+  // order (sorted once per Fleet) the two greedy stages share.
   const std::vector<double> region_top =
       fleet.optimal_region_tops(ee_threshold_);
-  const auto order = order_by(fleet, fleet.peak_ee_value());
+  const auto order = fleet.order_by_peak_ee_value();
   const std::vector<double> caps(fleet.size(), 1.0);
 
   std::vector<std::vector<double>> out;
@@ -107,7 +93,7 @@ std::vector<std::vector<double>> OptimalRegionPolicy::place_batch(
 Result<Assignment> evaluate(const PlacementPolicy& policy, const Fleet& fleet,
                             double demand) {
   if (fleet.empty()) return Error::invalid_argument("fleet is empty");
-  if (demand < 0.0 || demand > 1.0) {
+  if (!(demand >= 0.0 && demand <= 1.0)) {  // NaN fails too
     return Error::invalid_argument("demand must be in [0, 1]");
   }
   Assignment assignment;
@@ -139,7 +125,7 @@ Result<std::vector<Assignment>> evaluate_batch(const PlacementPolicy& policy,
   telemetry::count("cluster.evaluate_batch.calls");
   telemetry::count("cluster.evaluations", fleet.size() * demands.size());
   for (const double demand : demands) {
-    if (demand < 0.0 || demand > 1.0) {
+    if (!(demand >= 0.0 && demand <= 1.0)) {  // NaN fails too
       return Error::invalid_argument("demand must be in [0, 1]");
     }
   }

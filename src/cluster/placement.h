@@ -8,10 +8,11 @@
 // region, e.g. at 70% rather than packed full) maximises throughput per watt.
 //
 // The engine is batch-first over a cluster::Fleet: a policy's core entry
-// point is place_batch(fleet, demands), so demand-independent work (ordering
-// servers by an efficiency score, computing working-region caps) happens once
-// per batch instead of once per demand point, and all power accounting runs
-// through the fleet's cached interpolation tables. Callers holding raw
+// point is place_batch(fleet, demands), so demand-independent work happens
+// once, not once per demand point — ordering servers by an efficiency score
+// once per Fleet (its cached server orders), computing working-region caps
+// once per batch — and all power accounting runs through the fleet's cached
+// interpolation tables. Callers holding raw
 // std::vector<ServerRecord> data convert once at the call boundary via
 // Fleet::from_records (unvalidated) or Fleet::build (validated) — every
 // entry point here takes `const Fleet&` only, and the results are
@@ -50,8 +51,10 @@ class PlacementPolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Batch-first core: one utilisation vector (ops summing to
-  /// demand * capacity) per demand point. Demand-independent state (sort
-  /// orders, region caps) is computed once for the whole batch.
+  /// demand * capacity) per demand point. Demand-independent state is
+  /// computed once: sort orders once per Fleet (Fleet::order_by_*), region
+  /// caps once per batch. Each demand's vector is independent of the other
+  /// demands in the batch.
   [[nodiscard]] virtual std::vector<std::vector<double>> place_batch(
       const Fleet& fleet, std::span<const double> demands) const = 0;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "metrics/curve_models.h"
 
 namespace epserve::cluster {
@@ -121,6 +123,11 @@ TEST(Autoscaler, RejectsBadInputs) {
   DemandTrace out_of_range;
   out_of_range.demand = {1.5};
   EXPECT_FALSE(autoscale_over_day(Fleet::from_records(fleet()), out_of_range).ok());
+  DemandTrace nan_slot;
+  nan_slot.demand = {0.5, std::numeric_limits<double>::quiet_NaN()};
+  const auto nan = autoscale_over_day(Fleet::from_records(fleet()), nan_slot);
+  ASSERT_FALSE(nan.ok());
+  EXPECT_EQ(nan.error().message, "trace demand outside [0, 1]");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 
 #include "dataset/generator.h"
@@ -98,6 +99,11 @@ TEST(SimulateDay, RejectsEmptyTraceAndBadSlot) {
   bad.demand = {0.5};
   bad.slot_hours = 0.0;
   EXPECT_FALSE(simulate_day(policy, Fleet::from_records(f), bad).ok());
+  DemandTrace nan_slot;
+  nan_slot.demand = {0.5, std::numeric_limits<double>::quiet_NaN(), 0.5};
+  const auto nan_day = simulate_day(policy, Fleet::from_records(f), nan_slot);
+  ASSERT_FALSE(nan_day.ok());
+  EXPECT_EQ(nan_day.error().message, "demand must be in [0, 1]");
 }
 
 TEST(CompareOverDay, ReturnsAllThreePolicies) {

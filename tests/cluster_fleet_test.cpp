@@ -2,25 +2,35 @@
 // cache — every column equals the per-record metric function bitwise, every
 // policy/simulation result routed through the Fleet equals the pre-refactor
 // record-at-a-time arithmetic bitwise (reimplemented here as the scalar
-// reference), at fleet sizes 1/100/5000 and from 1 or 8 threads sharing one
-// LazyFleet (run under -DEPSERVE_SANITIZE=thread via `ctest -L parallel`).
+// reference, per demand point and per trace slot), at fleet sizes
+// 1/100/5000 and from 1 or 8 threads sharing one LazyFleet or one Fleet's
+// lazily sorted server orders (run under -DEPSERVE_SANITIZE=thread via
+// `ctest -L parallel`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <functional>
+#include <latch>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "cluster/autoscaler.h"
 #include "cluster/day_simulation.h"
 #include "cluster/fleet.h"
+#include "cluster/idle_model.h"
 #include "cluster/knightshift.h"
 #include "cluster/operating_guide.h"
 #include "cluster/placement.h"
 #include "cluster/power_cap.h"
+#include "cluster/trace.h"
 #include "cluster/working_region.h"
 #include "metrics/curve_models.h"
 #include "metrics/efficiency.h"
@@ -136,6 +146,131 @@ Assignment reference_evaluate(const std::vector<dataset::ServerRecord>& fleet,
   }
   return assignment;
 }
+
+/// Per-slot reference day over precomputed per-slot assignments: energy and
+/// served work summed in slot order, then a copy of simulate_day's idle pass
+/// (server-index order per slot) reading each slot's own assignment.
+DayResult reference_day(const std::vector<dataset::ServerRecord>& fleet,
+                        const std::vector<Assignment>& slots,
+                        const DemandTrace& trace, const IdleModel& idle) {
+  DayResult result;
+  for (const Assignment& slot : slots) {
+    result.energy_kwh += slot.total_power_watts * trace.slot_hours / 1000.0;
+    result.served_gops += slot.total_ops * trace.slot_hours * 3600.0 / 1e9;
+  }
+  if (!idle.trivial()) {
+    const double slot_seconds = trace.slot_hours * 3600.0;
+    std::vector<int> parked_state(fleet.size(), -1);
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      const int cap = trace.idle_state_cap(s, idle.deepest());
+      const IdleState& state = idle.states[static_cast<std::size_t>(cap)];
+      for (std::size_t i = 0; i < fleet.size(); ++i) {
+        const double u = slots[s].utilization[i];
+        const double idle_watts = fleet[i].curve.idle_watts();
+        if (u == 0.0) {
+          result.energy_kwh += idle_watts * (state.power_fraction - 1.0) *
+                               trace.slot_hours / 1000.0;
+          result.idle_energy_kwh += idle_watts * state.power_fraction *
+                                    trace.slot_hours / 1000.0;
+          parked_state[i] = cap;
+          continue;
+        }
+        if (parked_state[i] >= 0) {
+          const IdleState& from =
+              idle.states[static_cast<std::size_t>(parked_state[i])];
+          result.wake_count += 1;
+          result.wake_energy_kwh += from.wake_energy_j / 3.6e6;
+          result.energy_kwh += from.wake_energy_j / 3.6e6;
+          const double gap =
+              std::min(from.wake_latency_s, slot_seconds) / slot_seconds;
+          const double lost = u * fleet[i].curve.peak_ops() * gap *
+                              trace.slot_hours * 3600.0 / 1e9;
+          result.wake_lost_gops += lost;
+          result.served_gops -= lost;
+        }
+        parked_state[i] = -1;
+      }
+    }
+  }
+  const double joules = result.energy_kwh * 3.6e6;
+  result.avg_efficiency =
+      joules > 0.0 ? result.served_gops * 1e9 / joules : 0.0;
+  return result;
+}
+
+/// Per-slot reference autoscaler: a linear scan grows the active prefix one
+/// server at a time, and each slot's power sums its active servers in prefix
+/// order.
+AutoscaleResult reference_autoscale(
+    const std::vector<dataset::ServerRecord>& fleet, const DemandTrace& trace,
+    const AutoscalerConfig& config) {
+  const auto order = reference_order(
+      fleet, [](const auto& r) { return metrics::overall_score(r.curve); });
+  const double capacity = reference_capacity(fleet);
+  const auto prefix_capacity = [&](std::size_t count) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k < count; ++k) {
+      sum += fleet[order[k]].curve.peak_ops();
+    }
+    return sum;
+  };
+  AutoscaleResult result;
+  int active = 0;
+  for (const double demand : trace.demand) {
+    const double demand_ops = demand * capacity;
+    int needed = 0;
+    double needed_capacity = 0.0;
+    while (needed < static_cast<int>(fleet.size()) &&
+           needed_capacity * config.target_utilization < demand_ops) {
+      needed_capacity +=
+          fleet[order[static_cast<std::size_t>(needed)]].curve.peak_ops();
+      ++needed;
+    }
+    int next_active = active;
+    if (needed > active || active - needed > config.hysteresis_servers) {
+      next_active = needed;
+    }
+    ScaleSlot slot;
+    slot.demand = demand;
+    slot.wakes = std::max(0, next_active - active);
+    active = std::max(next_active, demand_ops > 0.0 ? 1 : 0);
+    slot.active_servers = active;
+    const double active_capacity =
+        prefix_capacity(static_cast<std::size_t>(active));
+    const double utilization =
+        active_capacity > 0.0 ? std::min(1.0, demand_ops / active_capacity)
+                              : 0.0;
+    for (int k = 0; k < active; ++k) {
+      const auto& curve = fleet[order[static_cast<std::size_t>(k)]].curve;
+      slot.power_watts += curve.normalized_power(utilization) *
+                          curve.peak_watts();
+    }
+    result.energy_kwh += slot.power_watts * trace.slot_hours / 1000.0 +
+                         slot.wakes * config.wake_penalty_wh / 1000.0;
+    result.served_gops +=
+        std::min(demand_ops, active_capacity) * trace.slot_hours * 3600.0 /
+        1e9;
+    result.slots.push_back(slot);
+  }
+  const double joules = result.energy_kwh * 3.6e6;
+  result.avg_efficiency =
+      joules > 0.0 ? result.served_gops * 1e9 / joules : 0.0;
+  return result;
+}
+
+/// Hand-made trace: repeated levels, +0.0 and -0.0 slots (distinct level
+/// keys), zero-demand slots after small ones (the autoscaler's hysteresis
+/// keeps servers on through them: one utilisation, two active prefixes),
+/// and a per-slot idle cap that differs between slots of one level.
+DemandTrace repeated_levels_trace() {
+  DemandTrace trace;
+  trace.demand = {0.0, 0.3, 0.0, -0.0, 0.3,  0.62, 0.0, 0.62,
+                  -0.0, 1.0, 0.3, 0.02, 0.0, 0.05, 0.05};
+  trace.slot_hours = 0.5;
+  trace.max_idle_state = {4, 4, 4, 1, 2, 4, 0, 3, 4, 4, 1, 4, 2, 4, 3};
+  return trace;
+}
+constexpr std::uint64_t kRepeatedLevelsTraceLevels = 7;
 
 const PlacementPolicy& policy_by_name(const std::string& name) {
   static const PackToFullPolicy pack;
@@ -374,6 +509,87 @@ TEST_P(FleetEquivalence, FromRecordsAdapterMatchesValidatedBuild) {
             cap_legacy.value().max_throughput);
 }
 
+TEST_P(FleetEquivalence, DayMatchesPerSlotReferenceOverTheTraceRegistry) {
+  const auto records = make_fleet(GetParam());
+  const auto built = Fleet::build(records);
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  const Fleet& fleet = built.value();
+
+  std::vector<std::pair<std::string, DemandTrace>> traces;
+  for (const std::string_view name : trace_names()) {
+    auto trace = make_trace(name);
+    ASSERT_TRUE(trace.ok()) << trace.error().message;
+    traces.emplace_back(std::string(name), std::move(trace).take());
+  }
+  traces.emplace_back("repeated-levels", repeated_levels_trace());
+
+  for (const auto& [trace_name, trace] : traces) {
+    for (const char* policy : {"pack-to-full", "balanced", "optimal-region"}) {
+      std::vector<Assignment> slots;
+      for (const double demand : trace.demand) {
+        slots.push_back(reference_evaluate(records, policy, demand));
+      }
+      for (const IdleModel& idle : {IdleModel::none(), IdleModel::acpi()}) {
+        const auto day = simulate_day(policy_by_name(policy), fleet, trace, idle);
+        ASSERT_TRUE(day.ok()) << day.error().message;
+        const DayResult ref = reference_day(records, slots, trace, idle);
+        const std::string where = trace_name + " " + policy + " idle " +
+                                  std::to_string(idle.states.size());
+        EXPECT_EQ(day.value().policy, policy) << where;
+        EXPECT_EQ(day.value().energy_kwh, ref.energy_kwh) << where;
+        EXPECT_EQ(day.value().served_gops, ref.served_gops) << where;
+        EXPECT_EQ(day.value().avg_efficiency, ref.avg_efficiency) << where;
+        EXPECT_EQ(day.value().idle_energy_kwh, ref.idle_energy_kwh) << where;
+        EXPECT_EQ(day.value().wake_energy_kwh, ref.wake_energy_kwh) << where;
+        EXPECT_EQ(day.value().wake_lost_gops, ref.wake_lost_gops) << where;
+        EXPECT_EQ(day.value().wake_count, ref.wake_count) << where;
+      }
+    }
+    for (const int hysteresis : {0, 1, 5}) {
+      AutoscalerConfig config;
+      config.hysteresis_servers = hysteresis;
+      const auto scaled = autoscale_over_day(fleet, trace, config);
+      ASSERT_TRUE(scaled.ok()) << scaled.error().message;
+      const AutoscaleResult ref = reference_autoscale(records, trace, config);
+      const std::string where =
+          trace_name + " hysteresis " + std::to_string(hysteresis);
+      EXPECT_EQ(scaled.value().energy_kwh, ref.energy_kwh) << where;
+      EXPECT_EQ(scaled.value().served_gops, ref.served_gops) << where;
+      EXPECT_EQ(scaled.value().avg_efficiency, ref.avg_efficiency) << where;
+      ASSERT_EQ(scaled.value().slots.size(), ref.slots.size()) << where;
+      for (std::size_t s = 0; s < ref.slots.size(); ++s) {
+        EXPECT_EQ(scaled.value().slots[s].demand, ref.slots[s].demand)
+            << where << " slot " << s;
+        EXPECT_EQ(scaled.value().slots[s].active_servers,
+                  ref.slots[s].active_servers)
+            << where << " slot " << s;
+        EXPECT_EQ(scaled.value().slots[s].power_watts,
+                  ref.slots[s].power_watts)
+            << where << " slot " << s;
+        EXPECT_EQ(scaled.value().slots[s].wakes, ref.slots[s].wakes)
+            << where << " slot " << s;
+      }
+    }
+  }
+
+  // Levels are keyed on bit patterns: the hand-made trace's fifteen slots
+  // are seven levels, +0.0 and -0.0 apart.
+  telemetry::reset();
+  telemetry::set_enabled(true);
+  ASSERT_TRUE(simulate_day(policy_by_name("balanced"), fleet,
+                           repeated_levels_trace())
+                  .ok());
+  const auto snap = telemetry::snapshot();
+  telemetry::set_enabled(false);
+  telemetry::reset();
+  const auto* levels = snap.find_counter("cluster.day.levels");
+  const auto* evaluations = snap.find_counter("cluster.evaluations");
+  ASSERT_NE(levels, nullptr);
+  ASSERT_NE(evaluations, nullptr);
+  EXPECT_EQ(levels->value, kRepeatedLevelsTraceLevels);
+  EXPECT_EQ(evaluations->value, kRepeatedLevelsTraceLevels * fleet.size());
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, FleetEquivalence,
                          ::testing::Values(std::size_t{1}, std::size_t{100},
                                            std::size_t{5000}));
@@ -421,6 +637,67 @@ TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
   ASSERT_NE(builds, nullptr);
   EXPECT_EQ(builds->value, 1u);
   telemetry::reset();
+}
+
+TEST(FleetConcurrency, ServerOrdersSortOnceForAllThreadsAndSurviveAMove) {
+  // Duplicate a third of the fleet under fresh ids so every score column has
+  // ties for the record-id tiebreak to settle.
+  auto records = make_fleet(300);
+  for (std::size_t i = 0; i < 100; ++i) {
+    dataset::ServerRecord copy = records[i];
+    copy.id = 1000 - static_cast<int>(i);
+    records.push_back(std::move(copy));
+  }
+  Fleet fleet = Fleet::from_records(records);
+  const auto orders_of = [](const Fleet& f) {
+    return std::array{f.order_by_ee_at_full(), f.order_by_peak_ee_value(),
+                      f.order_by_overall_score()};
+  };
+  const std::array scores{fleet.ee_at_full(), fleet.peak_ee_value(),
+                          fleet.overall_score()};
+  const std::array names{"ee_at_full", "peak_ee_value", "overall_score"};
+
+  constexpr int kThreads = 8;
+  std::vector<std::array<std::span<const std::size_t>, 3>> seen(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[static_cast<std::size_t>(t)] = orders_of(fleet);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  std::array<std::vector<std::size_t>, 3> expected;
+  for (std::size_t c = 0; c < expected.size(); ++c) {
+    const std::span<const double> score = scores[c];
+    expected[c].resize(fleet.size());
+    std::iota(expected[c].begin(), expected[c].end(), std::size_t{0});
+    std::sort(expected[c].begin(), expected[c].end(),
+              [&](std::size_t a, std::size_t b) {
+                if (score[a] != score[b]) return score[a] > score[b];
+                return records[a].id < records[b].id;
+              });
+    for (const auto& per_thread : seen) {
+      // One shared vector, not a copy per caller.
+      EXPECT_EQ(per_thread[c].data(), seen[0][c].data()) << names[c];
+      EXPECT_TRUE(std::equal(per_thread[c].begin(), per_thread[c].end(),
+                             expected[c].begin(), expected[c].end()))
+          << names[c];
+    }
+  }
+
+  // The orders move with the Fleet: no re-sort, same storage.
+  const Fleet moved = std::move(fleet);
+  const auto moved_orders = orders_of(moved);
+  for (std::size_t c = 0; c < expected.size(); ++c) {
+    EXPECT_EQ(moved_orders[c].data(), seen[0][c].data()) << names[c];
+    EXPECT_TRUE(std::equal(moved_orders[c].begin(), moved_orders[c].end(),
+                           expected[c].begin(), expected[c].end()))
+        << names[c];
+  }
 }
 
 TEST(FleetConcurrency, LazyFleetPropagatesBuildErrors) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 
 #include "cluster/placement.h"
 #include "cluster/working_region.h"
@@ -207,6 +208,19 @@ TEST(Placement, RejectsEmptyFleetAndBadDemand) {
   const auto fleet = small_fleet();
   EXPECT_FALSE(evaluate(pack, Fleet::from_records(fleet), -0.1).ok());
   EXPECT_FALSE(evaluate(pack, Fleet::from_records(fleet), 1.1).ok());
+  // NaN fails every range comparison, so each policy must see it rejected
+  // up front rather than placed (or tripping a curve contract).
+  const BalancedPolicy balanced;
+  const OptimalRegionPolicy optimal;
+  for (const PlacementPolicy* policy :
+       {static_cast<const PlacementPolicy*>(&pack),
+        static_cast<const PlacementPolicy*>(&balanced),
+        static_cast<const PlacementPolicy*>(&optimal)}) {
+    const auto nan = evaluate(*policy, Fleet::from_records(fleet),
+                              std::numeric_limits<double>::quiet_NaN());
+    ASSERT_FALSE(nan.ok()) << policy->name();
+    EXPECT_EQ(nan.error().message, "demand must be in [0, 1]");
+  }
 }
 
 // --- Cluster-wide EP ----------------------------------------------------------------------

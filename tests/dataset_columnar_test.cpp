@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <thread>
 #include <utility>
@@ -375,6 +376,11 @@ TEST(EvaluateBatch, RejectsWithTheSameErrorsAsEvaluate) {
   auto result = cluster::evaluate_batch(policy, cluster::Fleet::from_records(fleet), bad);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().message, "demand must be in [0, 1]");
+  const std::vector<double> nan{0.5, std::numeric_limits<double>::quiet_NaN()};
+  auto nan_result = cluster::evaluate_batch(
+      policy, cluster::Fleet::from_records(fleet), nan);
+  ASSERT_FALSE(nan_result.ok());
+  EXPECT_EQ(nan_result.error().message, "demand must be in [0, 1]");
   auto empty = cluster::evaluate_batch(policy, cluster::Fleet::from_records(std::vector<dataset::ServerRecord>{}), bad);
   ASSERT_FALSE(empty.ok());
   EXPECT_EQ(empty.error().message, "fleet is empty");
