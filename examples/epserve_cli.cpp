@@ -580,15 +580,12 @@ int cmd_day(int argc, const char* const* argv) {
     chunk = parsed_chunk.value();
   }
   // One Fleet shared by all four subsystems below — the placement policies
-  // and the autoscaler evaluate the same cached columns and tables. The
-  // view-built path must keep its records alive alongside the handle.
-  std::vector<dataset::ServerRecord> fleet;
+  // and the autoscaler evaluate the same cached columns and grid rows.
   const auto handle = [&]() -> Result<cluster::Fleet> {
     if (scale_given) return cluster::Fleet::generate(scaled_config, chunk);
     auto population = dataset::generate_population(config);
     if (!population.ok()) return population.error();
-    fleet = modern_fleet(population.value(), fleet_size);
-    return cluster::Fleet::build(fleet);
+    return cluster::Fleet::build(modern_fleet(population.value(), fleet_size));
   }();
   if (!handle.ok()) {
     std::fprintf(stderr, "%s\n", handle.error().message.c_str());

@@ -44,7 +44,7 @@ struct AutoscaleResult {
 /// are ordered by overall EE (best first, Fleet::order_by_overall_score) and
 /// the active prefix serves the demand, each active machine at
 /// min(1, demand_ops / active_capacity). Power is accounted server-major
-/// through the fleet's cached interpolation tables, once per distinct
+/// through the fleet's grid rows, once per distinct
 /// (active prefix, utilisation) pair: one batched evaluation per server
 /// covers every pair it is active in. Fails on an empty fleet or trace, a
 /// demand outside [0, 1] (NaN included), or an out-of-range target.

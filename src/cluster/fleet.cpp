@@ -10,6 +10,7 @@
 #include "dataset/generator.h"
 #include "metrics/efficiency.h"
 #include "metrics/load_level.h"
+#include "metrics/simd/grid_eval.h"
 #include "util/contracts.h"
 #include "util/telemetry.h"
 
@@ -20,48 +21,7 @@ namespace {
 constexpr std::size_t kRowBins =
     static_cast<std::size_t>(metrics::kernels::FleetGridView::kRowBins);
 
-/// Appends one server's native-resolution grid row: the interpolation
-/// table's own knot watts and slopes, copied bit-for-bit, so grid evaluation
-/// and the knot walk run the identical expression on identical inputs.
-void append_grid_row(util::AlignedVector<double>& w0,
-                     util::AlignedVector<double>& m,
-                     util::AlignedVector<double>& inv_peak,
-                     const metrics::PowerCurve::InterpolationTable& table) {
-  for (std::size_t seg = 0; seg < kRowBins; ++seg) {
-    w0.push_back(table.knot_watts[seg]);
-    m.push_back(table.slope[seg]);
-  }
-  inv_peak.push_back(table.inv_peak);
-}
-
 }  // namespace
-
-Fleet Fleet::make(std::span<const dataset::ServerRecord> servers) {
-  telemetry::Span span("fleet.build");
-  telemetry::count("fleet.builds");
-  telemetry::count("fleet.servers", servers.size());
-
-  Fleet fleet;
-  fleet.servers_ = servers;
-  fleet.snapshot_ = dataset::ColumnarSnapshot::build(servers);
-  fleet.ids_.reserve(servers.size());
-  fleet.tables_.reserve(servers.size());
-  fleet.ee_at_full_.reserve(servers.size());
-  fleet.grid_w0_.reserve(servers.size() * kRowBins);
-  fleet.grid_m_.reserve(servers.size() * kRowBins);
-  fleet.grid_inv_peak_.reserve(servers.size());
-  for (const auto& server : servers) {
-    fleet.ids_.push_back(server.id);
-    fleet.tables_.push_back(server.curve.interpolation_table());
-    append_grid_row(fleet.grid_w0_, fleet.grid_m_, fleet.grid_inv_peak_,
-                    fleet.tables_.back());
-    fleet.ee_at_full_.push_back(
-        metrics::ee_at_level(server.curve, metrics::kNumLoadLevels - 1));
-    fleet.capacity_ops_ += server.curve.peak_ops();
-    fleet.total_idle_watts_ += server.curve.idle_watts();
-  }
-  return fleet;
-}
 
 epserve::Result<bool> Fleet::Builder::append(
     std::span<const dataset::ServerRecord> chunk) {
@@ -71,42 +31,56 @@ epserve::Result<bool> Fleet::Builder::append(
                                            ": " + valid.error().message};
     }
   }
+  return append_rows(chunk);
+}
+
+epserve::Result<bool> Fleet::Builder::append_rows(
+    std::span<const dataset::ServerRecord> chunk) {
   if (auto appended = snapshot_builder_.append(chunk); !appended.ok()) {
     return appended.error();
   }
+  Fleet& f = fleet_;
+  if (f.empty()) {
+    f.ids_.reserve(chunk.size());
+    f.curves_.reserve(chunk.size());
+    f.ee_at_full_.reserve(chunk.size());
+    f.grid_w0_.reserve(chunk.size() * kRowBins);
+    f.grid_m_.reserve(chunk.size() * kRowBins);
+    f.grid_inv_peak_.reserve(chunk.size());
+  }
   for (const auto& server : chunk) {
-    ids_.push_back(server.id);
-    curves_.push_back(server.curve);
-    tables_.push_back(server.curve.interpolation_table());
-    append_grid_row(grid_w0_, grid_m_, grid_inv_peak_, tables_.back());
-    ee_at_full_.push_back(
+    f.ids_.push_back(server.id);
+    f.curves_.push_back(server.curve);
+    // The grid row is the interpolation table's own knot watts and slopes,
+    // copied bit for bit, so grid evaluation and the knot walk run the
+    // identical expression on identical inputs.
+    const auto table = server.curve.interpolation_table();
+    for (std::size_t seg = 0; seg < kRowBins; ++seg) {
+      f.grid_w0_.push_back(table.knot_watts[seg]);
+      f.grid_m_.push_back(table.slope[seg]);
+    }
+    f.grid_inv_peak_.push_back(table.inv_peak);
+    f.ee_at_full_.push_back(
         metrics::ee_at_level(server.curve, metrics::kNumLoadLevels - 1));
-    capacity_ops_ += server.curve.peak_ops();
-    total_idle_watts_ += server.curve.idle_watts();
+    f.capacity_ops_ += server.curve.peak_ops();
+    f.total_idle_watts_ += server.curve.idle_watts();
   }
   return true;
 }
 
+Fleet Fleet::Builder::take() {
+  telemetry::count("fleet.builds");
+  telemetry::count("fleet.servers", fleet_.size());
+  fleet_.snapshot_ = snapshot_builder_.finish();
+  return std::move(fleet_);
+}
+
 epserve::Result<Fleet> Fleet::Builder::finish() {
-  if (ids_.empty()) {
+  if (fleet_.empty()) {
     return Error::invalid_argument("fleet is empty");
   }
   telemetry::Span span("fleet.build");
-  telemetry::count("fleet.builds");
-  telemetry::count("fleet.servers", ids_.size());
-
-  Fleet fleet;
-  fleet.snapshot_ = snapshot_builder_.finish();
-  fleet.ids_ = std::move(ids_);
-  fleet.curves_ = std::move(curves_);
-  fleet.tables_ = std::move(tables_);
-  fleet.ee_at_full_ = std::move(ee_at_full_);
-  fleet.grid_w0_ = std::move(grid_w0_);
-  fleet.grid_m_ = std::move(grid_m_);
-  fleet.grid_inv_peak_ = std::move(grid_inv_peak_);
-  fleet.capacity_ops_ = capacity_ops_;
-  fleet.total_idle_watts_ = total_idle_watts_;
-  return fleet;
+  return take();
 }
 
 epserve::Result<Fleet> Fleet::generate(const dataset::ScaledConfig& config,
@@ -131,17 +105,22 @@ epserve::Result<Fleet> Fleet::build(
   if (servers.empty()) {
     return Error::invalid_argument("fleet is empty");
   }
-  for (const auto& server : servers) {
-    if (auto valid = server.curve.validate(); !valid.ok()) {
-      return Error{valid.error().code, "server " + std::to_string(server.id) +
-                                           ": " + valid.error().message};
-    }
+  telemetry::Span span("fleet.build");
+  Builder builder;
+  if (auto appended = builder.append(servers); !appended.ok()) {
+    return appended.error();
   }
-  return make(servers);
+  return builder.take();
 }
 
 Fleet Fleet::from_records(std::span<const dataset::ServerRecord> servers) {
-  return make(servers);
+  telemetry::Span span("fleet.build");
+  Builder builder;
+  // A span never exceeds the snapshot's uint32 row ceiling in one chunk on
+  // supported fleets; the contract check keeps the adapter infallible.
+  const auto appended = builder.append_rows(servers);
+  EPSERVE_EXPECTS(appended.ok());
+  return builder.take();
 }
 
 metrics::kernels::FleetGridView Fleet::grid_view() const {
@@ -153,27 +132,16 @@ metrics::kernels::FleetGridView Fleet::grid_view() const {
   return view;
 }
 
-metrics::kernels::GridView Fleet::grid_row(std::size_t i) const {
-  metrics::kernels::GridView view;
-  view.u0 = metrics::kernels::kRowU0;
-  view.w0 = grid_w0_.data() + i * kRowBins;
-  view.m = grid_m_.data() + i * kRowBins;
-  view.inv_peak = grid_inv_peak_[i];
-  view.scale = 10.0;
-  view.last_bin = static_cast<std::int32_t>(kRowBins) - 1;
-  return view;
+double Fleet::normalized_power(std::size_t i, double utilization) const {
+  return metrics::kernels::detail::fleet_eval_checked(grid_view(), i,
+                                                      utilization);
 }
 
 void Fleet::normalized_power_batch(std::size_t i, std::span<const double> utils,
                                    std::span<double> out) const {
   EPSERVE_EXPECTS(utils.size() == out.size());
-  const metrics::kernels::Kernels& kernel = metrics::kernels::active();
-  if (kernel.variant == metrics::kernels::Variant::kScalarReference) {
-    metrics::PowerCurve::normalized_power_batch_from_table(tables_[i], utils,
-                                                           out);
-    return;
-  }
-  kernel.row_batch(grid_view(), i, utils.data(), out.data(), utils.size());
+  metrics::kernels::active().row_batch(grid_view(), i, utils.data(),
+                                       out.data(), utils.size());
   telemetry::count("kernel.batch_points", utils.size());
 }
 
@@ -183,31 +151,15 @@ void Fleet::normalized_power_matrix(std::size_t i0, std::size_t count,
                                     std::size_t slots) const {
   EPSERVE_EXPECTS(i0 + count <= size());
   EPSERVE_EXPECTS(utils.size() == count * slots && out.size() == utils.size());
-  const metrics::kernels::Kernels& kernel = metrics::kernels::active();
-  if (kernel.variant == metrics::kernels::Variant::kScalarReference) {
-    for (std::size_t r = 0; r < count; ++r) {
-      metrics::PowerCurve::normalized_power_batch_from_table(
-          tables_[i0 + r], utils.subspan(r * slots, slots),
-          out.subspan(r * slots, slots));
-    }
-    return;
-  }
-  kernel.row_matrix(grid_view(), i0, count, utils.data(), out.data(), slots);
+  metrics::kernels::active().row_matrix(grid_view(), i0, count, utils.data(),
+                                        out.data(), slots);
   telemetry::count("kernel.batch_points", utils.size());
 }
 
 void Fleet::normalized_power_per_server(std::span<const double> utils,
                                         std::span<double> out) const {
   EPSERVE_EXPECTS(utils.size() == size() && out.size() == size());
-  const metrics::kernels::Kernels& kernel = metrics::kernels::active();
-  if (kernel.variant == metrics::kernels::Variant::kScalarReference) {
-    for (std::size_t i = 0; i < size(); ++i) {
-      out[i] = metrics::PowerCurve::normalized_power_from_table(tables_[i],
-                                                                utils[i]);
-    }
-    return;
-  }
-  kernel.fleet_batch(grid_view(), utils.data(), out.data());
+  metrics::kernels::active().fleet_batch(grid_view(), utils.data(), out.data());
   telemetry::count("kernel.batch_points", utils.size());
 }
 

@@ -7,20 +7,23 @@
 // efficiency score, and each subsystem (placement, day simulation,
 // autoscaler, knightshift, power cap, working regions, operating guide)
 // walked its own std::vector<ServerRecord> copy record by record. A Fleet is
-// built once — columnar snapshot (dataset::ColumnarSnapshot) plus one cached
-// PowerCurve::InterpolationTable per server and the fleet-level aggregates —
+// built once — ids and curves, a columnar snapshot (dataset::ColumnarSnapshot),
+// one native-resolution grid row per server and the fleet-level aggregates —
 // and then shared, read-only, across every policy, slot, and thread. The
 // three server orders the policies fill by are sorted at most once per
 // Fleet, on first use (order_by_ee_at_full() and its siblings).
 //
-// Determinism contract (docs/CLUSTER.md): every column is a bitwise copy of
-// the corresponding per-record computation, and the table kernel is the same
-// one PowerCurve::normalized_power runs, so anything evaluated through a
-// Fleet is byte-identical to the legacy record-at-a-time path (pinned by
-// tests/cluster_fleet_test.cpp at fleet sizes 1/100/5000, 1 and 8 threads).
+// Every Fleet owns its columns, whichever factory built it: build(),
+// from_records() and generate() all append rows through Fleet::Builder, so
+// a Fleet may outlive the records it was built from.
 //
-// Lifetime: a Fleet *views* the caller's records (like AnalysisContext views
-// its repository) — it must not outlive the vector it was built from.
+// Determinism contract (docs/CLUSTER.md): every column is a bitwise copy of
+// the corresponding per-record computation, and a grid row holds the
+// server's knot watts and slopes, so every power lookup runs the knot-walk
+// expression of PowerCurve::normalized_power on the same doubles. Anything
+// evaluated through a Fleet is byte-identical to the legacy
+// record-at-a-time path (pinned by tests/cluster_fleet_test.cpp at fleet
+// sizes 1/100/5000, 1 and 8 threads).
 #pragma once
 
 #include <cstdint>
@@ -52,83 +55,39 @@ class Fleet {
   static epserve::Result<Fleet> build(
       std::span<const dataset::ServerRecord> servers);
 
-  /// Unvalidated adapter at the record/Fleet call boundary: wraps a record
-  /// vector without curve validation, preserving the error surfaces of the
+  /// Unvalidated adapter at the record/Fleet call boundary: copies a record
+  /// span without curve validation, preserving the error surfaces of the
   /// pre-Fleet scalar paths (which never validated curves — evaluation
-  /// still fails on an empty fleet or bad demand exactly as before).
-  /// Every cluster entry point takes `const Fleet&` only; callers holding
-  /// records convert once here. Prefer build() for untrusted input.
+  /// still fails on an empty fleet or bad demand exactly as before). Accepts
+  /// an empty span. Every cluster entry point takes `const Fleet&` only;
+  /// callers holding records convert once here. Prefer build() for
+  /// untrusted input.
   static Fleet from_records(std::span<const dataset::ServerRecord> servers);
 
-  /// Streaming fleet assembly for chunk-emitting generators
-  /// (dataset::generate_population_chunked): append record chunks, then
-  /// finish() into a fleet that OWNS its id and curve columns instead of
-  /// viewing caller records. A streamed fleet never materializes a full
-  /// vector<ServerRecord>; records() is empty on it, so consumers use
-  /// server_id()/curve() (every placement/day-sim path does). digest() is
-  /// byte-identical to a monolithic build() of the same records at any
-  /// chunk size (pinned by tests/cluster_fleet_stream_test.cpp).
-  class Builder {
-   public:
-    Builder() = default;
-
-    /// Validates and appends one chunk; fails on the first bad curve with
-    /// the same "server N: ..." error build() produces (nothing from the
-    /// failing chunk is appended).
-    epserve::Result<bool> append(std::span<const dataset::ServerRecord> chunk);
-
-    [[nodiscard]] std::uint64_t rows() const { return ids_.size(); }
-
-    /// Finishes the fleet ("fleet is empty" when nothing was appended).
-    /// The builder must not be reused afterwards.
-    epserve::Result<Fleet> finish();
-
-   private:
-    dataset::ColumnarSnapshot::Builder snapshot_builder_;
-    std::vector<std::int32_t> ids_;
-    std::vector<metrics::PowerCurve> curves_;
-    std::vector<metrics::PowerCurve::InterpolationTable> tables_;
-    std::vector<double> ee_at_full_;
-    util::AlignedVector<double> grid_w0_;
-    util::AlignedVector<double> grid_m_;
-    util::AlignedVector<double> grid_inv_peak_;
-    double capacity_ops_ = 0.0;
-    double total_idle_watts_ = 0.0;
-  };
+  /// Chunked fleet assembly, for chunk-emitting generators
+  /// (dataset::generate_population_chunked) that never materialize a full
+  /// vector<ServerRecord>: append record chunks, then finish(). The one row
+  /// routine behind every factory, so digest() is byte-identical to a
+  /// one-chunk build() of the same records at any chunk size (pinned by
+  /// tests/cluster_fleet_stream_test.cpp).
+  class Builder;
 
   /// The scaled population of `config` streamed through a Builder,
-  /// `chunk_rows` generator records at a time (a streamed fleet: bounded
-  /// memory at any size). Fails as the generator or the first bad chunk
-  /// fails.
+  /// `chunk_rows` generator records at a time (bounded memory at any size).
+  /// Fails as the generator or the first bad chunk fails.
   static epserve::Result<Fleet> generate(const dataset::ScaledConfig& config,
                                          std::size_t chunk_rows);
 
-  [[nodiscard]] std::size_t size() const { return tables_.size(); }
-  [[nodiscard]] bool empty() const { return tables_.empty(); }
-
-  /// The viewed records (index-aligned with every column below). Empty on a
-  /// streamed fleet — record-dependent consumers (logical clusters, the
-  /// operating guide) require a view-built fleet; columnar consumers use
-  /// server_id()/curve() and run on both.
-  [[nodiscard]] std::span<const dataset::ServerRecord> records() const {
-    return servers_;
-  }
-  [[nodiscard]] const dataset::ServerRecord& record(std::size_t i) const {
-    return servers_[i];
-  }
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
+  [[nodiscard]] bool empty() const { return ids_.empty(); }
 
   /// Record id of server i (the placement/autoscaler ordering tiebreak).
-  /// Valid on view-built and streamed fleets alike.
   [[nodiscard]] std::int32_t server_id(std::size_t i) const { return ids_[i]; }
 
-  /// Measurement sheet of server i — the viewed record's curve, or the
-  /// owned curve column on a streamed fleet.
+  /// Measurement sheet of server i.
   [[nodiscard]] const metrics::PowerCurve& curve(std::size_t i) const {
-    return curves_.empty() ? servers_[i].curve : curves_[i];
+    return curves_[i];
   }
-
-  /// True when built by Fleet::Builder (owns its columns; records() empty).
-  [[nodiscard]] bool streamed() const { return !curves_.empty(); }
 
   /// The columnar snapshot backing the record/derived columns.
   [[nodiscard]] const dataset::ColumnarSnapshot& snapshot() const {
@@ -184,46 +143,38 @@ class Fleet {
   [[nodiscard]] std::span<const std::size_t> order_by_overall_score() const;
 
   // --- Batch power kernels --------------------------------------------------
-  /// normalized_power of server `i`, evaluated against its cached table —
-  /// bitwise identical to record(i).curve.normalized_power(u).
-  [[nodiscard]] double normalized_power(std::size_t i, double utilization) const {
-    return metrics::PowerCurve::normalized_power_from_table(tables_[i],
-                                                            utilization);
-  }
-  /// Batched variant: out[k] = normalized_power(i, utils[k]). Dispatches
-  /// through metrics::kernels::active(): the server's native-resolution grid
-  /// row under the grid/SIMD variants (bitwise identical to the knot walk —
-  /// docs/KERNELS.md), the pinned PowerCurve table path under
-  /// kScalarReference (EPSERVE_FORCE_SCALAR=1).
+  // Every lookup reads server i's grid row, the fleet's one power table, and
+  // is bitwise identical to curve(i).normalized_power(u) (docs/KERNELS.md).
+  // Every utilisation must be in [0, 1]; violations raise ContractViolation.
+
+  /// normalized_power of server `i` at one utilisation.
+  [[nodiscard]] double normalized_power(std::size_t i, double utilization) const;
+
+  /// Batched variant: out[k] = normalized_power(i, utils[k]), through the
+  /// kernel set metrics::kernels::active() selects.
   void normalized_power_batch(std::size_t i, std::span<const double> utils,
                               std::span<double> out) const;
 
   /// One point per server: out[i] = normalized_power(i, utils[i]) across the
-  /// whole fleet — the day-sim/placement inner product, served by the
-  /// fleet_batch kernel over the SoA grid columns. Both spans must have
-  /// size() entries.
+  /// whole fleet, served by the fleet_batch kernel over the SoA grid
+  /// columns. Both spans must have size() entries.
   void normalized_power_per_server(std::span<const double> utils,
                                    std::span<double> out) const;
 
   /// Blocked matrix form of normalized_power_batch — the placement batch
   /// evaluator's inner loop: for servers i0..i0+count-1,
   /// out[r * slots + d] = normalized_power(i0 + r, utils[r * slots + d]).
-  /// One kernel call per block amortises dispatch across every row; same
-  /// bitwise/routing contract as normalized_power_batch. Both spans must
-  /// have count * slots entries.
+  /// One kernel call per block amortises dispatch across every row. Both
+  /// spans must have count * slots entries.
   void normalized_power_matrix(std::size_t i0, std::size_t count,
                                std::span<const double> utils,
                                std::span<double> out,
                                std::size_t slots) const;
 
   /// The fleet's grid columns at native knot resolution (ten bins per
-  /// server, 32-byte aligned, row i at i * kRowBins), built once at
-  /// construction for the SIMD kernels.
+  /// server, 32-byte aligned, row i at i * kRowBins): each row is the
+  /// server's InterpolationTable knot watts and slopes, copied bit for bit.
   [[nodiscard]] metrics::kernels::FleetGridView grid_view() const;
-
-  /// Server i's grid row as a single-curve kernel view (scale 10, the
-  /// shared kRowU0 knot column).
-  [[nodiscard]] metrics::kernels::GridView grid_row(std::size_t i) const;
 
   /// Top of each server's optimal working region at `ee_threshold` (1.0 for
   /// servers whose region is empty) — OptimalRegionPolicy's per-batch cap
@@ -239,10 +190,8 @@ class Fleet {
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
-  // Only the named factories construct fleets.
+  // Only the named factories and the Builder construct fleets.
   Fleet() = default;
-
-  static Fleet make(std::span<const dataset::ServerRecord> servers);
 
   /// One lazily sorted server order.
   struct LazyOrder {
@@ -257,15 +206,11 @@ class Fleet {
   std::span<const std::size_t> sorted_order(LazyOrder& lazy,
                                             std::span<const double> score) const;
 
-  std::span<const dataset::ServerRecord> servers_;
   dataset::ColumnarSnapshot snapshot_;
-  std::vector<std::int32_t> ids_;  // always populated (digest, tiebreaks)
-  std::vector<metrics::PowerCurve> curves_;  // streamed fleets only
-  std::vector<metrics::PowerCurve::InterpolationTable> tables_;
+  std::vector<std::int32_t> ids_;
+  std::vector<metrics::PowerCurve> curves_;
   std::vector<double> ee_at_full_;
-  // SoA grid columns for the SIMD kernels (native knot resolution; see
-  // grid_view()). Kept alongside tables_, which stays the kScalarReference
-  // evaluation path and the pinned byte-identity reference.
+  // SoA grid columns (native knot resolution; see grid_view()).
   util::AlignedVector<double> grid_w0_;        // [size * kRowBins]
   util::AlignedVector<double> grid_m_;         // [size * kRowBins]
   util::AlignedVector<double> grid_inv_peak_;  // [size]
@@ -276,10 +221,41 @@ class Fleet {
   std::unique_ptr<LazyOrders> orders_ = std::make_unique<LazyOrders>();
 };
 
+class Fleet::Builder {
+ public:
+  Builder() = default;
+
+  /// Validates and appends one chunk; fails on the first bad curve with
+  /// the same "server N: ..." error build() produces (nothing from the
+  /// failing chunk is appended).
+  epserve::Result<bool> append(std::span<const dataset::ServerRecord> chunk);
+
+  [[nodiscard]] std::uint64_t rows() const { return fleet_.size(); }
+
+  /// Finishes the fleet ("fleet is empty" when nothing was appended),
+  /// under one `fleet.build` span. The builder must not be reused
+  /// afterwards.
+  epserve::Result<Fleet> finish();
+
+ private:
+  friend class Fleet;
+
+  /// The one row routine: appends `chunk` unvalidated. The first chunk
+  /// reserves its own size, so a one-chunk build allocates each column once.
+  epserve::Result<bool> append_rows(
+      std::span<const dataset::ServerRecord> chunk);
+  /// Moves the finished fleet out and counts it; no checks, no span.
+  Fleet take();
+
+  dataset::ColumnarSnapshot::Builder snapshot_builder_;
+  Fleet fleet_;
+};
+
 /// Thread-safe lazy Fleet: many threads may request the fleet concurrently,
 /// the build runs exactly once under std::call_once (the same discipline as
 /// AnalysisContext's memoized members; TSan-checked under `ctest -L
-/// parallel`). Views the records like Fleet does.
+/// parallel`). Views the records until the build runs; the built Fleet owns
+/// its columns.
 class LazyFleet {
  public:
   explicit LazyFleet(std::span<const dataset::ServerRecord> servers)

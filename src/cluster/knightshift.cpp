@@ -49,7 +49,7 @@ Result<metrics::PowerCurve> knightshift_curve(const Fleet& fleet,
 
   // Evaluation points: the eleven levels, then active idle (u = 0). Split
   // them by regime up front so every shared-regime primary lookup runs as
-  // one batch against the primary's cached table.
+  // one batch against the primary's grid row.
   constexpr std::size_t kNumPoints = metrics::kNumLoadLevels + 1;
   std::array<double, kNumPoints> point_watts{};
   std::vector<std::size_t> shared_points;

@@ -11,8 +11,8 @@
 // point is place_batch(fleet, demands), so demand-independent work happens
 // once, not once per demand point — ordering servers by an efficiency score
 // once per Fleet (its cached server orders), computing working-region caps
-// once per batch — and all power accounting runs through the fleet's cached
-// interpolation tables. Callers holding raw
+// once per batch — and all power accounting runs through the fleet's grid
+// rows. Callers holding raw
 // std::vector<ServerRecord> data convert once at the call boundary via
 // Fleet::from_records (unvalidated) or Fleet::build (validated) — every
 // entry point here takes `const Fleet&` only, and the results are
@@ -103,8 +103,7 @@ epserve::Result<Assignment> evaluate(const PlacementPolicy& policy,
 
 /// Evaluates a policy at many demand points in one call: one place_batch for
 /// the placement, then server-major power accounting through the fleet's
-/// cached interpolation tables (one table lookup pass per server for the
-/// whole sweep). Per-slot results are bit-identical to calling evaluate()
+/// grid rows (one lookup pass per server for the whole sweep). Per-slot results are bit-identical to calling evaluate()
 /// per demand.
 epserve::Result<std::vector<Assignment>> evaluate_batch(
     const PlacementPolicy& policy, const Fleet& fleet,

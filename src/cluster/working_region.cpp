@@ -64,7 +64,6 @@ std::vector<LogicalCluster> build_logical_clusters(const Fleet& fleet,
   const std::span<const double> ep_col = fleet.ep();
   std::map<int, LogicalCluster> buckets;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
-    const dataset::ServerRecord& server = fleet.record(i);
     const double ep = ep_col[i];
     const int key = static_cast<int>(std::floor(ep / bucket_width));
     auto [it, inserted] = buckets.try_emplace(key);
@@ -73,9 +72,9 @@ std::vector<LogicalCluster> build_logical_clusters(const Fleet& fleet,
       cluster.ep_bucket_lo = key * bucket_width;
       cluster.shared_region = Region{0.0, 1.0};
     }
-    cluster.members.push_back(&server);
+    cluster.members.push_back(i);
     cluster.shared_region = intersect(
-        cluster.shared_region, optimal_region(server.curve, ee_threshold));
+        cluster.shared_region, optimal_region(fleet.curve(i), ee_threshold));
   }
   std::vector<LogicalCluster> out;
   out.reserve(buckets.size());

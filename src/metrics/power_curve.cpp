@@ -79,16 +79,6 @@ double PowerCurve::normalized_power_from_table(const InterpolationTable& table,
   return eval_table(table, utilization);
 }
 
-void PowerCurve::normalized_power_batch_from_table(
-    const InterpolationTable& table, std::span<const double> utils,
-    std::span<double> out) {
-  EPSERVE_EXPECTS(utils.size() == out.size());
-  for (std::size_t i = 0; i < utils.size(); ++i) {
-    EPSERVE_EXPECTS(utils[i] >= 0.0 && utils[i] <= 1.0);
-    out[i] = eval_table(table, utils[i]);
-  }
-}
-
 Result<bool> PowerCurve::validate() const {
   const auto fail = [](const std::string& why) -> Result<bool> {
     return Error::failed_precondition("invalid PowerCurve: " + why);

@@ -7,11 +7,11 @@
 // (metrics/uniform_grid.h), with explicit AVX2 (x86-64) and NEON (arm64)
 // implementations selected once per process by kernels::active():
 //
-//   kScalarReference  the pre-SIMD knot-walk path, forcible with
-//                     EPSERVE_FORCE_SCALAR=1 — cluster::Fleet routes it
-//                     through PowerCurve::normalized_power_batch_from_table,
-//                     so forced-scalar output is byte-identical to the
-//                     pre-kernel-layer code;
+//   kScalarReference  forcible with EPSERVE_FORCE_SCALAR=1: the same plain
+//                     scalar loops as kGridScalar, so a forced-scalar run
+//                     uses no vector ISA and prints the same bytes (at the
+//                     fleet's native resolution the grid expression is the
+//                     knot walk of PowerCurve::normalized_power);
 //   kGridScalar       the grid expression as a plain scalar loop — the
 //                     portable fallback and the bitwise reference the vector
 //                     variants are tested against;
@@ -48,9 +48,9 @@ enum class Variant : std::uint8_t {
   kGridAvx512 = 4,
 };
 
-/// Raw-column view of one curve's uniform grid (a UniformGridTable, or one
-/// row of cluster::Fleet's grid columns). All arrays have last_bin + 1
-/// entries; bin idx covers utilisation [idx/scale, (idx+1)/scale).
+/// Raw-column view of one curve's uniform grid (a UniformGridTable; the
+/// fleet's rows use FleetGridView). All arrays have last_bin + 1 entries;
+/// bin idx covers utilisation [idx/scale, (idx+1)/scale).
 struct GridView {
   const double* u0 = nullptr;  // left-knot utilisation of the bin's segment
   const double* w0 = nullptr;  // watts at that knot
@@ -83,9 +83,9 @@ struct Kernels {
   const char* name = "";  // wire/CLI name, e.g. "grid-avx2"
 
   /// out[k] = normalized power of `grid` at utils[k]. Precondition (same as
-  /// PowerCurve::normalized_power_batch_from_table): every utilisation in
-  /// [0, 1]; violations raise ContractViolation. Checked per vector, not per
-  /// point, in the SIMD variants.
+  /// PowerCurve::normalized_power_batch): every utilisation in [0, 1];
+  /// violations raise ContractViolation. Checked per vector, not per point,
+  /// in the SIMD variants.
   void (*grid_batch)(const GridView& grid, const double* utils, double* out,
                      std::size_t n) = nullptr;
 

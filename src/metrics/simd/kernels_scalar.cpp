@@ -1,7 +1,8 @@
-// Scalar kernel variants: the grid expression as a plain loop (kGridScalar,
-// the portable fallback and the bitwise reference for the vector TUs) and
-// the pre-SIMD knot-walk semantics (kScalarReference). Compiled with the
-// project's baseline ISA flags — nothing here requires AVX2/NEON.
+// Scalar kernel variants: the grid expression as a plain loop, shared by
+// kGridScalar (the portable fallback and the bitwise reference for the
+// vector TUs) and kScalarReference (the EPSERVE_FORCE_SCALAR=1 set).
+// Compiled with the project's baseline ISA flags — nothing here requires
+// AVX2/NEON.
 #include <algorithm>
 
 #include "metrics/simd/grid_eval.h"
@@ -74,11 +75,10 @@ void axpy_scalar(double* acc, const double* x, double s, std::size_t n) {
 
 }  // namespace
 
-// kScalarReference shares these loops: the scalar grid expression IS the
-// knot-walk expression at the fleet's native resolution, and consumers that
-// must reproduce the pre-SIMD byte stream exactly (cluster::Fleet) bypass
-// the grid entirely for this variant and call the pinned
-// PowerCurve::normalized_power_batch_from_table path instead.
+// kScalarReference runs these same loops: the scalar grid expression IS the
+// knot-walk expression at the fleet's native resolution, so forcing it
+// (EPSERVE_FORCE_SCALAR=1) selects a path with no vector ISA whose bytes
+// equal every other variant's. Only its variant and name differ.
 extern const Kernels kScalarReferenceKernels;
 const Kernels kScalarReferenceKernels = {
     Variant::kScalarReference, "scalar-reference", grid_batch_scalar,

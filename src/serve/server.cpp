@@ -12,12 +12,10 @@ namespace epserve::serve {
 
 Result<std::unique_ptr<const FleetState>> FleetState::create(
     std::vector<dataset::ServerRecord> records) {
-  // The Fleet views the record vector, so the vector must reach its final
-  // address before the build: move it into the heap-allocated state first.
+  auto fleet = cluster::Fleet::build(records);
+  if (!fleet.ok()) return fleet.error();
   std::unique_ptr<FleetState> state(new FleetState());
   state->records_ = std::move(records);
-  auto fleet = cluster::Fleet::build(state->records_);
-  if (!fleet.ok()) return fleet.error();
   state->fleet_.emplace(std::move(fleet).take());
   state->digest_ = state->fleet_->digest();
   return std::unique_ptr<const FleetState>(std::move(state));

@@ -45,9 +45,9 @@
 namespace epserve::serve {
 
 /// One immutable fleet snapshot: the records plus the validated Fleet built
-/// over them. The Fleet *views* the record vector (cluster/fleet.h), so
-/// both live and die together; instances are created only by
-/// FleetState::create and never mutated afterwards.
+/// from them. The records stay because admin add/retire rebuilds the next
+/// snapshot from them; instances are created only by FleetState::create and
+/// never mutated afterwards.
 class FleetState {
  public:
   /// Builds a validated snapshot; fails exactly like cluster::Fleet::build

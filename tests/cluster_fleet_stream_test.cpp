@@ -1,8 +1,9 @@
 // Streamed Fleet contracts (docs/CLUSTER.md, docs/COLUMNAR.md "Streaming"):
 // Fleet::generate — generator chunks streamed through a Fleet::Builder —
-// must be indistinguishable (digest, columns, aggregates, and whole-day
-// policy results) from a monolithic Fleet::build() over the same records,
-// at every chunk size. Runs under the `scale` and `cluster` ctest labels.
+// must be indistinguishable (digest, columns, aggregates, whole-day policy
+// results, logical clusters and the operating guide) from a monolithic
+// Fleet::build() over the same records, at every chunk size. Runs under the
+// `scale` and `cluster` ctest labels.
 #include "cluster/fleet.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,10 @@
 
 #include "cluster/autoscaler.h"
 #include "cluster/day_simulation.h"
+#include "cluster/operating_guide.h"
+#include "cluster/working_region.h"
 #include "dataset/generator.h"
+#include "metrics/load_level.h"
 
 namespace epserve::cluster {
 namespace {
@@ -55,9 +59,6 @@ TEST(FleetStream, ColumnsAndAggregatesMatchMonolithic) {
   const Fleet& a = streamed.value();
   const Fleet& b = monolithic.value();
   ASSERT_EQ(a.size(), b.size());
-  EXPECT_TRUE(a.streamed());
-  EXPECT_FALSE(b.streamed());
-  EXPECT_TRUE(a.records().empty());  // streamed fleets own columns instead
   EXPECT_EQ(a.capacity_ops(), b.capacity_ops());
   EXPECT_EQ(a.total_idle_watts(), b.total_idle_watts());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -68,7 +69,12 @@ TEST(FleetStream, ColumnsAndAggregatesMatchMonolithic) {
     EXPECT_EQ(a.ep()[i], b.ep()[i]);
     EXPECT_EQ(a.ee_at_full()[i], b.ee_at_full()[i]);
     EXPECT_EQ(a.curve(i).idle_watts(), b.curve(i).idle_watts());
-    // The batched power kernel must read the same cached tables.
+    for (std::size_t level = 0; level < metrics::kNumLoadLevels; ++level) {
+      EXPECT_EQ(a.curve(i).watts_at_level(level),
+                b.curve(i).watts_at_level(level));
+      EXPECT_EQ(a.curve(i).ops_at_level(level), b.curve(i).ops_at_level(level));
+    }
+    // The power kernel must read the same grid rows.
     EXPECT_EQ(a.normalized_power(i, 0.37), b.normalized_power(i, 0.37));
   }
 }
@@ -105,6 +111,45 @@ TEST(FleetStream, DayStudyMatchesMonolithic) {
             scaled_monolithic.value().served_gops);
   EXPECT_EQ(scaled_streamed.value().avg_efficiency,
             scaled_monolithic.value().avg_efficiency);
+}
+
+TEST(FleetStream, OperatingGuideMatchesMonolithic) {
+  const auto records = scaled_records(300);
+  const auto monolithic = Fleet::build(records);
+  ASSERT_TRUE(monolithic.ok());
+  const auto guide_monolithic = build_operating_guide(monolithic.value());
+  ASSERT_TRUE(guide_monolithic.ok());
+  const auto clusters_monolithic = build_logical_clusters(monolithic.value());
+  for (const std::size_t chunk_size :
+       {std::size_t{1}, std::size_t{97}, std::size_t{300}}) {
+    const auto streamed = Fleet::generate(small_config(300), chunk_size);
+    ASSERT_TRUE(streamed.ok()) << "chunk=" << chunk_size;
+    ASSERT_EQ(streamed.value().digest(), monolithic.value().digest());
+
+    const auto guide = build_operating_guide(streamed.value());
+    ASSERT_TRUE(guide.ok()) << "chunk=" << chunk_size;
+    const auto& s = guide.value();
+    const auto& m = guide_monolithic.value();
+    EXPECT_EQ(s.efficient_capacity_fraction, m.efficient_capacity_fraction);
+    ASSERT_EQ(s.entries.size(), m.entries.size()) << "chunk=" << chunk_size;
+    for (std::size_t e = 0; e < s.entries.size(); ++e) {
+      EXPECT_EQ(s.entries[e].ep_bucket_lo, m.entries[e].ep_bucket_lo);
+      EXPECT_EQ(s.entries[e].servers, m.entries[e].servers);
+      EXPECT_EQ(s.entries[e].shared_region.lo, m.entries[e].shared_region.lo);
+      EXPECT_EQ(s.entries[e].shared_region.hi, m.entries[e].shared_region.hi);
+      EXPECT_EQ(s.entries[e].target_utilization,
+                m.entries[e].target_utilization);
+      EXPECT_EQ(s.entries[e].efficiency_at_target,
+                m.entries[e].efficiency_at_target);
+    }
+
+    const auto clusters = build_logical_clusters(streamed.value());
+    ASSERT_EQ(clusters.size(), clusters_monolithic.size());
+    for (std::size_t c = 0; c < clusters.size(); ++c) {
+      EXPECT_EQ(clusters[c].members, clusters_monolithic[c].members)
+          << "chunk=" << chunk_size << " cluster " << c;
+    }
+  }
 }
 
 TEST(FleetStream, EmptyBuilderFailsLikeEmptyBuild) {

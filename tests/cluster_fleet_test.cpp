@@ -35,6 +35,7 @@
 #include "metrics/curve_models.h"
 #include "metrics/efficiency.h"
 #include "metrics/proportionality.h"
+#include "util/contracts.h"
 #include "util/telemetry.h"
 
 namespace epserve::cluster {
@@ -315,10 +316,32 @@ TEST(FleetBuild, ColumnsAreBitwiseCopiesOfPerRecordMetrics) {
 TEST(FleetBuild, NormalizedPowerMatchesCurveBitwise) {
   const auto records = make_fleet(20);
   const Fleet fleet = Fleet::from_records(records);
+  // Utilisations 4 ULP either side of every knot, where segment selection
+  // is most fragile, plus a few interior points.
+  std::vector<double> utils = {0.03, 0.37, 0.71, 0.99};
+  for (std::size_t k = 0; k <= metrics::kNumLoadLevels; ++k) {
+    const double knot = k == 0 ? 0.0 : metrics::kLoadLevels[k - 1];
+    utils.push_back(knot);
+    double lo = knot;
+    double hi = knot;
+    for (int step = 0; step < 4; ++step) {
+      lo = std::nextafter(lo, 0.0);
+      hi = std::nextafter(hi, 1.0);
+      utils.push_back(lo);
+      utils.push_back(hi);
+    }
+  }
   for (std::size_t i = 0; i < records.size(); ++i) {
-    for (const double u : {0.0, 0.03, 0.1, 0.37, 0.5, 0.71, 0.99, 1.0}) {
+    for (const double u : utils) {
       EXPECT_EQ(fleet.normalized_power(i, u),
-                records[i].curve.normalized_power(u));
+                records[i].curve.normalized_power(u))
+          << "server " << i << " u = " << u;
+    }
+    for (const double u :
+         {-0.001, 1.001, std::numeric_limits<double>::quiet_NaN()}) {
+      EXPECT_THROW(static_cast<void>(fleet.normalized_power(i, u)),
+                   ContractViolation)
+          << "u = " << u;
     }
   }
 }

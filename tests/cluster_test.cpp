@@ -109,8 +109,8 @@ TEST(LogicalClusters, BucketsAscendAndGroupSimilarEp) {
     EXPECT_GT(clusters[i].ep_bucket_lo, clusters[i - 1].ep_bucket_lo);
   }
   for (const auto& c : clusters) {
-    for (const auto* member : c.members) {
-      const double ep = metrics::energy_proportionality(member->curve);
+    for (const std::size_t member : c.members) {
+      const double ep = metrics::energy_proportionality(fleet[member].curve);
       EXPECT_GE(ep, c.ep_bucket_lo - 1e-9);
       EXPECT_LT(ep, c.ep_bucket_lo + 0.1 + 1e-9);
     }
@@ -121,8 +121,8 @@ TEST(LogicalClusters, SharedRegionInsideEveryMemberRegion) {
   const auto fleet = small_fleet();
   for (const auto& c : build_logical_clusters(Fleet::from_records(fleet), 0.2)) {
     if (c.shared_region.empty()) continue;
-    for (const auto* member : c.members) {
-      const Region own = optimal_region(member->curve, 0.95);
+    for (const std::size_t member : c.members) {
+      const Region own = optimal_region(fleet[member].curve, 0.95);
       EXPECT_GE(c.shared_region.lo, own.lo - 1e-9);
       EXPECT_LE(c.shared_region.hi, own.hi + 1e-9);
     }

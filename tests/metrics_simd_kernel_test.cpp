@@ -9,8 +9,8 @@
 //    the scalar grid loop on all four kernels, including unaligned sizes
 //    that exercise the scalar tails;
 //  * dispatch honours EPSERVE_FORCE_SCALAR and the set_active_for_testing
-//    seam, and Fleet routes kScalarReference through the pinned PowerCurve
-//    path;
+//    seam, and every variant, kScalarReference included, evaluates a
+//    Fleet's grid rows bitwise equal to the knot walk, on the knot band too;
 //  * the whole stack is data-race-free when many threads share one Fleet
 //    (run under -DEPSERVE_SANITIZE=thread via `ctest -L parallel`; the simd
 //    label also re-runs this binary with EPSERVE_FORCE_SCALAR=1).
@@ -101,6 +101,26 @@ std::vector<double> random_utils(std::size_t n, std::uint32_t seed) {
     utils[k] = static_cast<double>(k) / 10.0;
   }
   return utils;
+}
+
+/// Every knot 0.0, 0.1, ..., 1.0 and the 4 doubles either side of it (the
+/// steps clamp at 0 and 1): the band where segment selection is most
+/// fragile.
+std::vector<double> knot_band() {
+  std::vector<double> band;
+  for (std::size_t k = 0; k <= kNumLoadLevels; ++k) {
+    const double knot = k == 0 ? 0.0 : kLoadLevels[k - 1];
+    band.push_back(knot);
+    double lo = knot;
+    double hi = knot;
+    for (int step = 0; step < 4; ++step) {
+      lo = std::nextafter(lo, 0.0);
+      hi = std::nextafter(hi, 1.0);
+      band.push_back(lo);
+      band.push_back(hi);
+    }
+  }
+  return band;
 }
 
 // --- UniformGridTable vs the knot-walk reference ---------------------------
@@ -441,6 +461,46 @@ TEST(FleetKernels, EveryVariantMatchesPowerCurveReference) {
     for (std::size_t k = 0; k < point_utils.size(); ++k) {
       ASSERT_EQ(batch[k], records[5].curve.normalized_power(point_utils[k]))
           << kernels::variant_name(variant) << " k=" << k;
+    }
+    // The knot band through all three APIs, for every server: each call
+    // must equal the curve's own knot walk bit for bit.
+    const auto band = knot_band();
+    std::vector<double> band_out(band.size());
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      fleet.normalized_power_batch(i, band, band_out);
+      for (std::size_t k = 0; k < band.size(); ++k) {
+        ASSERT_EQ(band_out[k], records[i].curve.normalized_power(band[k]))
+            << kernels::variant_name(variant) << " batch server " << i
+            << " u = " << band[k];
+      }
+    }
+    std::vector<double> band_matrix_utils;
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      band_matrix_utils.insert(band_matrix_utils.end(), band.begin(),
+                               band.end());
+    }
+    std::vector<double> band_matrix(band_matrix_utils.size());
+    fleet.normalized_power_matrix(0, fleet.size(), band_matrix_utils,
+                                  band_matrix, band.size());
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      for (std::size_t k = 0; k < band.size(); ++k) {
+        ASSERT_EQ(band_matrix[i * band.size() + k],
+                  records[i].curve.normalized_power(band[k]))
+            << kernels::variant_name(variant) << " matrix server " << i
+            << " u = " << band[k];
+      }
+    }
+    std::vector<double> rotated(fleet.size());
+    for (std::size_t shift = 0; shift < band.size(); ++shift) {
+      for (std::size_t i = 0; i < fleet.size(); ++i) {
+        rotated[i] = band[(i + shift) % band.size()];
+      }
+      fleet.normalized_power_per_server(rotated, out);
+      for (std::size_t i = 0; i < fleet.size(); ++i) {
+        ASSERT_EQ(out[i], records[i].curve.normalized_power(rotated[i]))
+            << kernels::variant_name(variant) << " per-server server " << i
+            << " u = " << rotated[i];
+      }
     }
     // Blocked matrix API: every (server, slot) cell equals the per-server
     // batch result, including a block that does not start at server 0.
