@@ -1,4 +1,4 @@
-// Shared plumbing for the figure/table reproduction harnesses.
+// Shared plumbing for the extension, ablation and perf-gating benches.
 #pragma once
 
 #include <cstdio>
@@ -44,33 +44,6 @@ inline void print_header(const std::string& figure, const std::string& what) {
 inline std::string vs_paper(const std::string& measured,
                             const std::string& paper) {
   return measured + " (paper: " + paper + ")";
-}
-
-/// EE grid of a testbed sweep: one row per governor, one column per MPC.
-inline void print_sweep_grid(const testbed::SweepResult& result,
-                             const std::vector<double>& mpcs) {
-  TextTable grid;
-  std::vector<std::string> header = {"governor"};
-  for (const double mpc : mpcs) {
-    header.push_back(format_fixed(mpc, 2) + " GB/core");
-  }
-  grid.columns(std::move(header));
-  std::vector<std::string> governors;
-  for (const auto& cell : result.cells) {
-    if (std::find(governors.begin(), governors.end(), cell.governor) ==
-        governors.end()) {
-      governors.push_back(cell.governor);
-    }
-  }
-  for (const auto& governor : governors) {
-    std::vector<std::string> row = {governor};
-    for (const double mpc : mpcs) {
-      const auto* cell = result.find(mpc, governor);
-      row.push_back(cell != nullptr ? format_fixed(cell->overall_ee, 1) : "-");
-    }
-    grid.row(std::move(row));
-  }
-  std::cout << grid.render();
 }
 
 }  // namespace epserve::bench

@@ -10,6 +10,9 @@
 //   epserve_exp gate [--build-dir D]        run the perf-gating bench suite,
 //               [--out BENCH_baseline.json] write baseline + dated snapshot
 //                                           (bench/run_benches.sh wraps this)
+//   epserve_exp claims                      check the paper's claims on the
+//               [--out EXPERIMENTS_CLAIMS.md]  default seed; exit 1 when one
+//                                           falls outside its accepted outcome
 //
 // Conventions shared with epserve_cli: strict util/args.h parsing (unknown
 // flags and malformed numbers exit 2; an unknown spec name exits 2 listing
@@ -22,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/claims.h"
 #include "exp/gate.h"
 #include "exp/report.h"
 #include "exp/runner.h"
@@ -37,7 +41,7 @@ using namespace epserve;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: epserve_exp <list|run|render|gate> [args] "
+               "usage: epserve_exp <list|run|render|gate|claims> [args] "
                "[--trace[=json]]\n"
                "  see the header comment of examples/epserve_exp.cpp\n");
   return 2;
@@ -225,6 +229,41 @@ int cmd_gate(int argc, const char* const* argv) {
   return status.value();
 }
 
+int cmd_claims(int argc, const char* const* argv) {
+  std::string out_path;
+  bool out_given = false;
+  ArgParser parser("claims");
+  parser.value_flag("--out", &out_path, &out_given,
+                    "markdown destination (default: stdout)");
+  if (auto parsed = parser.parse(argc, argv); !parsed.ok()) {
+    return parse_failure(parser, parsed.error());
+  }
+  auto inputs = exp::build_claim_inputs();
+  if (!inputs.ok()) {
+    std::fprintf(stderr, "%s\n", inputs.error().message.c_str());
+    return 1;
+  }
+  const auto report =
+      exp::evaluate_claims(exp::paper_claims(), *inputs.value());
+  for (const auto& result : report.results) {
+    if (result.holds) continue;
+    std::fprintf(stderr, "claim %s fails: measured '%s', accepted %s\n",
+                 result.claim->id.c_str(), result.measured.text.c_str(),
+                 exp::render_outcome(result.claim->accepted).c_str());
+  }
+  const std::string table = exp::render_claims_markdown(report);
+  if (!out_given) {
+    std::cout << table;
+  } else if (auto wrote = write_file(out_path, table); !wrote.ok()) {
+    std::fprintf(stderr, "%s\n", wrote.error().message.c_str());
+    return 1;
+  } else {
+    std::cout << "wrote " << out_path << " (" << report.results.size()
+              << " claims)\n";
+  }
+  return report.all_hold() ? 0 : 1;
+}
+
 /// Same global flag contract as epserve_cli: a bare `--trace` or
 /// `--trace=json` anywhere in argv enables telemetry; other --trace=
 /// values stay with the subcommand parser (none defines one here).
@@ -267,6 +306,8 @@ int main(int argc, char** argv) {
     exit_code = cmd_render(sub_argc, sub_argv);
   } else if (command == "gate") {
     exit_code = cmd_gate(sub_argc, sub_argv);
+  } else if (command == "claims") {
+    exit_code = cmd_claims(sub_argc, sub_argv);
   } else {
     return usage();
   }

@@ -82,6 +82,29 @@ elseif(CHECK STREQUAL "render_committed")
             "experiments/exp_default.json --out EXPERIMENTS_SWEEPS.md)")
   endif()
 
+elseif(CHECK STREQUAL "claims_committed")
+  # The paper-claims table regenerates byte for byte, with every claim inside
+  # its accepted outcome, at 1 and at 8 worker threads.
+  foreach(threads 1 8)
+    set(out "${WORK_DIR}/EXPERIMENTS_CLAIMS.t${threads}.md")
+    execute_process(COMMAND ${CMAKE_COMMAND} -E env EPSERVE_THREADS=${threads}
+                            ${EXP_BIN} claims --out ${out}
+                    RESULT_VARIABLE code ERROR_VARIABLE err)
+    if(NOT code EQUAL 0)
+      message(FATAL_ERROR
+              "claims at EPSERVE_THREADS=${threads} failed (${code}): ${err}")
+    endif()
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                            ${out} ${REPO_DIR}/EXPERIMENTS_CLAIMS.md
+                    RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+      message(FATAL_ERROR
+              "claims at EPSERVE_THREADS=${threads} differ from committed "
+              "EXPERIMENTS_CLAIMS.md (regenerate only for an intended change: "
+              "build/examples/epserve_exp claims --out EXPERIMENTS_CLAIMS.md)")
+    endif()
+  endforeach()
+
 else()
   message(FATAL_ERROR "unknown CHECK '${CHECK}'")
 endif()

@@ -1,10 +1,9 @@
 // Figure-data exporter: writes every population figure's data series to CSV
 // files for external plotting (gnuplot / matplotlib / spreadsheets). One file
-// per figure under the output directory.
+// per figure under the output directory. A malformed seed exits 2.
 //
 //   ./build/examples/export_figures [out_dir] [seed]
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -17,6 +16,7 @@
 #include "analysis/trends.h"
 #include "analysis/uarch_analysis.h"
 #include "core/epserve.h"
+#include "util/args.h"
 #include "util/csv.h"
 #include "util/strings.h"
 
@@ -42,9 +42,18 @@ std::string num(double v) { return format_fixed(v, 6); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::filesystem::path dir = argc > 1 ? argv[1] : "figures";
+  std::string out_dir = "figures";
   dataset::GeneratorConfig config;
-  if (argc > 2) config.seed = std::strtoull(argv[2], nullptr, 10);
+  ArgParser parser("export_figures");
+  // The directory is optional too, so it is declared only when given.
+  if (argc > 1) parser.positional("out_dir", &out_dir, "output directory");
+  parser.optional_u64("seed", &config.seed, "population seed");
+  if (auto parsed = parser.parse(argc - 1, argv + 1); !parsed.ok()) {
+    std::fprintf(stderr, "%s\n%s", parsed.error().message.c_str(),
+                 parser.usage().c_str());
+    return 2;
+  }
+  const std::filesystem::path dir = out_dir;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -78,17 +87,27 @@ int main(int argc, char** argv) {
     if (!write(dir, "fig02_04_trends.csv", doc)) return 1;
   }
 
-  // Fig.5: EP values (one per server) for CDF plotting.
+  // Fig.5: one row per server, with its codename and family (Figs.6, 8) and
+  // normalised power curve (Figs.1, 10, 12; normalised EE is u / power).
   {
     CsvDocument doc;
     doc.header = {"server_id", "hw_year", "ep", "idle_fraction",
-                  "overall_ee"};
+                  "overall_ee", "codename", "family", "power_idle"};
+    for (const double u : metrics::kLoadLevels) {
+      doc.header.push_back("power_" + format_fixed(u * 100.0, 0));
+    }
     for (const auto& r : repo.records()) {
+      const auto* uarch = power::find_uarch(r.cpu_codename);
       doc.rows.push_back(
           {std::to_string(r.id), std::to_string(r.hw_year),
            num(metrics::energy_proportionality(r.curve)),
            num(r.curve.idle_fraction()),
-           num(metrics::overall_score(r.curve))});
+           num(metrics::overall_score(r.curve)), r.cpu_codename,
+           uarch != nullptr ? std::string(power::family_name(uarch->family))
+                            : ""});
+      for (const double p : analysis::normalized_power_points(r)) {
+        doc.rows.back().push_back(num(p));
+      }
     }
     if (!write(dir, "fig05_ep_points.csv", doc)) return 1;
   }
@@ -119,6 +138,18 @@ int main(int argc, char** argv) {
                           num(row.mean_ep), num(row.median_ep)});
     }
     if (!write(dir, "fig07_codename_ep.csv", doc)) return 1;
+  }
+
+  // Fig.8: the 2012-2016 mix decomposition (§III.B).
+  {
+    CsvDocument doc;
+    doc.header = {"year", "actual_mean_ep", "mix_predicted_ep"};
+    for (const auto& row :
+         analysis::composition_decomposition(repo, 2012, 2016)) {
+      doc.rows.push_back({std::to_string(row.year), num(row.actual_mean_ep),
+                          num(row.composition_predicted_ep)});
+    }
+    if (!write(dir, "fig08_composition.csv", doc)) return 1;
   }
 
   // Fig.13/14: scale analyses.

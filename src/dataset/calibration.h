@@ -1,11 +1,12 @@
 // Calibration plan for the synthetic 477-server population.
 //
 // Every number here is a target lifted from the paper (ICDCS'17, Figs.2-17,
-// Tables I, §I/§III/§IV prose). The generator consumes this plan; the
-// analysis benches then re-measure the generated population and report
-// paper-vs-measured in EXPERIMENTS.md. Where the paper gives only a chart
-// (no table), targets are read off the figure and marked as approximate in
-// the comments.
+// Tables I, §I/§III/§IV prose). The generator consumes this plan; the claims
+// registry (src/exp/claims.cpp) then re-measures the generated population
+// and checks it against the paper, reading the paper values this plan holds
+// from it (EXPERIMENTS_CLAIMS.md). Where the paper gives only a chart (no
+// table), targets are read off the figure and marked as approximate in the
+// comments.
 #pragma once
 
 #include <span>
