@@ -23,6 +23,17 @@ Result<DayResult> simulate_day(const PlacementPolicy& policy,
   if (!(trace.slot_hours > 0.0)) {
     return Error::invalid_argument("slot length must be positive");
   }
+  if (!trace.max_idle_state.empty()) {
+    if (trace.max_idle_state.size() != trace.demand.size()) {
+      return Error::invalid_argument(
+          "trace needs one idle-state cap per slot");
+    }
+    for (const int cap : trace.max_idle_state) {
+      if (cap < 0) {
+        return Error::invalid_argument("idle-state caps must be >= 0");
+      }
+    }
+  }
   // The trivial model (IdleModel::none()) skips the idle pass entirely, so
   // that path stays bit-identical to the pre-idle-model accounting.
   const bool idle_aware = !idle.trivial();
@@ -36,11 +47,11 @@ Result<DayResult> simulate_day(const PlacementPolicy& policy,
   const telemetry::Span span("simulate_day");
   telemetry::count("cluster.day.slots", trace.demand.size());
   // Traces repeat demand levels (weekdays, flat baselines), so the day is one
-  // batched evaluation over the distinct levels, keyed on the double's bit
+  // batch accounting over the distinct levels, keyed on the double's bit
   // pattern in first-appearance order; slot s reads level_of[s]. A demand's
-  // assignment does not depend on the rest of the batch (per-demand
-  // placement, element-wise kernels), and the slot-order sums below keep
-  // their order, so this is bit-identical to evaluating every slot.
+  // plan does not depend on the rest of the batch (per-demand fill walk,
+  // element-wise kernels), and the slot-order sums below keep their order,
+  // so this is bit-identical to evaluating every slot.
   std::vector<double> levels;
   std::vector<std::size_t> level_of(trace.demand.size());
   std::unordered_map<std::uint64_t, std::size_t> level_index;
@@ -53,41 +64,63 @@ Result<DayResult> simulate_day(const PlacementPolicy& policy,
   telemetry::count("cluster.day.levels", levels.size());
   DayResult result;
   result.policy = policy.name();
-  auto assignments = evaluate_batch(policy, fleet, levels);
-  if (!assignments.ok()) return assignments.error();
-  const auto& level_assignments = assignments.value();
+  auto account = account_batch(policy, fleet, levels);
+  if (!account.ok()) return account.error();
+  const FillPlans& plans = account.value().plans;
+  const std::vector<Assignment>& totals = account.value().totals;
   for (const std::size_t level : level_of) {
-    result.energy_kwh += level_assignments[level].total_power_watts *
-                         trace.slot_hours / 1000.0;
-    result.served_gops += level_assignments[level].total_ops *
-                          trace.slot_hours * 3600.0 / 1e9;
+    result.energy_kwh +=
+        totals[level].total_power_watts * trace.slot_hours / 1000.0;
+    result.served_gops +=
+        totals[level].total_ops * trace.slot_hours * 3600.0 / 1e9;
   }
   if (idle_aware) {
-    // Idle pass, server-index order per slot (deterministic): a parked
-    // server (exact utilisation 0.0 — the evaluators charge it active idle
-    // power) drops to the deepest state the trace's cap allows; the
-    // parked->active transition charges the state's wake energy and
-    // forfeits the wake_latency_s head of the slot's served work.
+    // Idle pass, server-index order per slot (deterministic), read straight
+    // off each level's plan: whether a server is parked from its one-word
+    // key, its utilisation only when it wakes. A parked server (exact
+    // utilisation 0.0 — the evaluators charge it active idle power) drops
+    // to the deepest state the trace's cap allows; the parked->active
+    // transition charges the state's wake energy and forfeits the
+    // wake_latency_s head of the slot's served work, at its place in the
+    // chain of sums.
     const double slot_seconds = trace.slot_hours * 3600.0;
     const auto idle_watts = fleet.idle_watts();
     const auto peak_ops = fleet.peak_ops();
+    // Per-cap residency columns, built on a cap's first slot: what a
+    // parked server adds to energy_kwh (its state's draw less the active
+    // idle power its level's total already charged) and to idle_energy_kwh.
+    std::vector<std::vector<double>> parked_kwh(idle.states.size());
+    std::vector<std::vector<double>> residency_kwh(idle.states.size());
     std::vector<int> parked_state(fleet.size(), -1);  // -1 = active
     for (std::size_t s = 0; s < level_of.size(); ++s) {
       const int cap = trace.idle_state_cap(s, idle.deepest());
-      const IdleState& state = idle.states[static_cast<std::size_t>(cap)];
-      const std::vector<double>& utilization =
-          level_assignments[level_of[s]].utilization;
+      const auto state_index = static_cast<std::size_t>(cap);
+      if (parked_kwh[state_index].empty()) {
+        const IdleState& state = idle.states[state_index];
+        parked_kwh[state_index].resize(fleet.size());
+        residency_kwh[state_index].resize(fleet.size());
+        for (std::size_t i = 0; i < fleet.size(); ++i) {
+          parked_kwh[state_index][i] = idle_watts[i] *
+                                       (state.power_fraction - 1.0) *
+                                       trace.slot_hours / 1000.0;
+          residency_kwh[state_index][i] = idle_watts[i] *
+                                          state.power_fraction *
+                                          trace.slot_hours / 1000.0;
+        }
+      }
+      const std::vector<double>& parked = parked_kwh[state_index];
+      const std::vector<double>& residency = residency_kwh[state_index];
+      const FillPlans::LevelView utilization =
+          plans.view(plans.levels[level_of[s]]);
       for (std::size_t i = 0; i < fleet.size(); ++i) {
-        const double u = utilization[i];
-        if (u == 0.0) {
-          result.energy_kwh += idle_watts[i] * (state.power_fraction - 1.0) *
-                               trace.slot_hours / 1000.0;
-          result.idle_energy_kwh += idle_watts[i] * state.power_fraction *
-                                    trace.slot_hours / 1000.0;
+        if (utilization.zero(i)) {
+          result.energy_kwh += parked[i];
+          result.idle_energy_kwh += residency[i];
           parked_state[i] = cap;
           continue;
         }
         if (parked_state[i] >= 0) {
+          const double u = utilization[i];
           const IdleState& from =
               idle.states[static_cast<std::size_t>(parked_state[i])];
           result.wake_count += 1;

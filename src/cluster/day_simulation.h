@@ -40,10 +40,13 @@ struct DayResult {
 };
 
 /// Runs the trace under a policy against a prebuilt Fleet — the whole day is
-/// one evaluate_batch over the trace's distinct demand levels (bit-identical
+/// one account_batch over the trace's distinct demand levels (bit-identical
 /// to evaluating every slot), recorded under the `cluster/policy/<name>` root
-/// telemetry span. Fails on empty fleet/trace or demand outside [0, 1]
-/// (NaN included).
+/// telemetry span. The day never expands a level into a utilisation vector:
+/// the slot sums read each level's totals, and the idle pass reads each
+/// server's utilisation off its level's FillPlan. Fails on empty
+/// fleet/trace, demand outside [0, 1] (NaN included), or idle-state caps
+/// that are negative or do not number one per slot.
 ///
 /// With a non-trivial IdleModel, a parked server (exact utilisation 0.0)
 /// occupies the deepest state allowed by trace.idle_state_cap(slot): its

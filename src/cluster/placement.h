@@ -7,19 +7,27 @@
 // racks, EP-aware placement (keep machines inside their optimal working
 // region, e.g. at 70% rather than packed full) maximises throughput per watt.
 //
-// The engine is batch-first over a cluster::Fleet: a policy's core entry
-// point is place_batch(fleet, demands), so demand-independent work happens
-// once, not once per demand point — ordering servers by an efficiency score
-// once per Fleet (its cached server orders), computing working-region caps
-// once per batch — and all power accounting runs through the fleet's grid
-// rows. Callers holding raw
-// std::vector<ServerRecord> data convert once at the call boundary via
-// Fleet::from_records (unvalidated) or Fleet::build (validated) — every
-// entry point here takes `const Fleet&` only, and the results are
-// byte-identical to the pre-Fleet record-at-a-time implementations
-// (pinned by tests/cluster_fleet_test.cpp).
+// The engine is batch-first over a cluster::Fleet, and a placement is a
+// plan, not a vector: a policy's core entry point is plan_batch(fleet,
+// demands), one fill walk that leaves each demand level as a FillPlan — a
+// fill point in one server order over demand-independent per-server
+// columns (FillPlans). Demand-independent work happens once per batch:
+// ordering servers by an efficiency score once per Fleet (its cached
+// server orders), working-region caps and the stage columns once per
+// batch. account_batch sums every plan's power and ops straight from the
+// plans through the fleet's grid rows, so no levels x servers matrix
+// exists on the batch path; place_batch and evaluate_batch expand the
+// plans into utilisation vectors only for callers that want them.
+// Callers holding raw std::vector<ServerRecord> data convert once at the
+// call boundary via Fleet::from_records (unvalidated) or Fleet::build
+// (validated) — every entry point here takes `const Fleet&` only, and the
+// results are byte-identical to the pre-Fleet record-at-a-time
+// implementations (pinned by tests/cluster_fleet_test.cpp) and to the
+// dense greedy fill (tests/placement_property_test.cpp).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -43,6 +51,93 @@ struct Assignment {
   }
 };
 
+/// One demand level's placement as the fill walk leaves it, without a
+/// per-server vector: which stage the walk ended in, how far it got, and
+/// the one server it left part-filled (see FillPlans).
+struct FillPlan {
+  /// The walk's last stage for this level (index into FillPlans::full).
+  std::size_t stage = 0;
+  /// Servers at fill-order positions [0, filled) sit at their full value.
+  std::size_t filled = 0;
+  /// The server at position `filled` holds `utilization`: the walk leaves
+  /// at most one partial server per level, and it is the last one visited.
+  bool partial = false;
+  /// The partial server's utilisation; in a uniform batch, every server's.
+  double utilization = 0.0;
+};
+
+/// A policy's placement of a batch of demand levels in the compact form a
+/// fill walk produces. The walk visits servers in one fill order, stage by
+/// stage; stage k raises each server it reaches from its stage k-1 value
+/// (0.0 before the first stage) to full[k][i]. Under a level's plan the
+/// first `filled` servers of the order sit at full[stage], the partial
+/// server (if any) at the plan's utilisation, and every other server at
+/// its stage-(stage-1) value. With no stages the batch is uniform: every
+/// server of a level sits at its plan's utilisation. The columns do not
+/// depend on demand, so a batch costs O(stages x servers) memory however
+/// many levels it holds.
+struct FillPlans {
+  /// keys[k][i]: server i's fill-order position shifted left by two, with
+  /// bit 1 set when full[k][i] is 0.0 and bit 0 when server i starts stage
+  /// k at 0.0 — so one word tells whether a server sits at 0.0.
+  std::vector<std::vector<std::uint64_t>> keys;
+  /// full[k][i]: server i's utilisation once stage k has filled it.
+  std::vector<std::vector<double>> full;
+  /// One plan per demand, in demand order.
+  std::vector<FillPlan> levels;
+
+  /// One level's per-server utilisations with the plan's columns resolved
+  /// once — the form hot loops read. view[i] is bitwise the value the dense
+  /// greedy fill left in server i's slot of its utilisation vector.
+  class LevelView {
+   public:
+    [[nodiscard]] double operator[](std::size_t i) const {
+      if (key_ == nullptr) return utilization_;
+      const std::uint64_t pos = key_[i] >> 2;
+      if (pos == partial_pos_) return utilization_;
+      // A pointer select, not a branch: fill order is unrelated to index
+      // order, so `pos < filled_` is a coin flip in server order.
+      return *(pos < filled_ ? full_ + i : base_ + (i & base_mask_));
+    }
+
+    /// view[i] == 0.0, read off server i's key alone: the idle pass's
+    /// parked test, one load instead of the two view[i] depends on.
+    [[nodiscard]] bool zero(std::size_t i) const {
+      if (key_ == nullptr) return utilization_ == 0.0;
+      const std::uint64_t key = key_[i];
+      const std::uint64_t pos = key >> 2;
+      if (pos == partial_pos_) return utilization_ == 0.0;
+      return ((pos < filled_ ? key >> 1 : key) & 1) != 0;
+    }
+
+   private:
+    friend struct FillPlans;
+    const std::uint64_t* key_ = nullptr;  // null: uniform
+    const double* full_ = nullptr;
+    const double* base_ = nullptr;        // the first stage: one shared 0.0
+    std::size_t base_mask_ = 0;           // 0 for that shared 0.0, else ~0
+    std::uint64_t filled_ = 0;
+    std::uint64_t partial_pos_ = 0;       // filled when partial, else ~0
+    double utilization_ = 0.0;
+  };
+
+  /// The view of one of this batch's plans. It points into these columns,
+  /// so it is valid only while this FillPlans lives unchanged.
+  [[nodiscard]] LevelView view(const FillPlan& plan) const {
+    static constexpr double kZero = 0.0;
+    LevelView view;
+    view.utilization_ = plan.utilization;
+    if (full.empty()) return view;
+    view.key_ = keys[plan.stage].data();
+    view.full_ = full[plan.stage].data();
+    view.base_ = plan.stage == 0 ? &kZero : full[plan.stage - 1].data();
+    view.base_mask_ = plan.stage == 0 ? 0 : ~std::size_t{0};
+    view.filled_ = plan.filled;
+    view.partial_pos_ = plan.partial ? plan.filled : ~std::uint64_t{0};
+    return view;
+  }
+};
+
 /// Placement policy interface. Each demand is the requested fraction of the
 /// fleet's aggregate peak throughput, in [0, 1].
 class PlacementPolicy {
@@ -50,13 +145,17 @@ class PlacementPolicy {
   virtual ~PlacementPolicy() = default;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Batch-first core: one utilisation vector (ops summing to
-  /// demand * capacity) per demand point. Demand-independent state is
-  /// computed once: sort orders once per Fleet (Fleet::order_by_*), region
-  /// caps once per batch. Each demand's vector is independent of the other
+  /// Batch-first core: one FillPlan per demand point, placing ops summing
+  /// to demand * capacity. Demand-independent state is computed once: sort
+  /// orders once per Fleet (Fleet::order_by_*), caps and stage columns
+  /// once per batch. Each demand's plan is independent of the other
   /// demands in the batch.
-  [[nodiscard]] virtual std::vector<std::vector<double>> place_batch(
+  [[nodiscard]] virtual FillPlans plan_batch(
       const Fleet& fleet, std::span<const double> demands) const = 0;
+
+  /// The plans expanded: one utilisation vector per demand point.
+  [[nodiscard]] std::vector<std::vector<double>> place_batch(
+      const Fleet& fleet, std::span<const double> demands) const;
 
   /// Single-demand convenience over place_batch.
   [[nodiscard]] std::vector<double> place(const Fleet& fleet,
@@ -67,7 +166,7 @@ class PlacementPolicy {
 class PackToFullPolicy final : public PlacementPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "pack-to-full"; }
-  [[nodiscard]] std::vector<std::vector<double>> place_batch(
+  [[nodiscard]] FillPlans plan_batch(
       const Fleet& fleet, std::span<const double> demands) const override;
 };
 
@@ -75,7 +174,7 @@ class PackToFullPolicy final : public PlacementPolicy {
 class BalancedPolicy final : public PlacementPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "balanced"; }
-  [[nodiscard]] std::vector<std::vector<double>> place_batch(
+  [[nodiscard]] FillPlans plan_batch(
       const Fleet& fleet, std::span<const double> demands) const override;
 };
 
@@ -87,7 +186,7 @@ class OptimalRegionPolicy final : public PlacementPolicy {
   explicit OptimalRegionPolicy(double ee_threshold = 0.95)
       : ee_threshold_(ee_threshold) {}
   [[nodiscard]] std::string name() const override { return "optimal-region"; }
-  [[nodiscard]] std::vector<std::vector<double>> place_batch(
+  [[nodiscard]] FillPlans plan_batch(
       const Fleet& fleet, std::span<const double> demands) const override;
 
  private:
@@ -101,10 +200,27 @@ class OptimalRegionPolicy final : public PlacementPolicy {
 epserve::Result<Assignment> evaluate(const PlacementPolicy& policy,
                                      const Fleet& fleet, double demand);
 
-/// Evaluates a policy at many demand points in one call: one place_batch for
-/// the placement, then server-major power accounting through the fleet's
-/// grid rows (one lookup pass per server for the whole sweep). Per-slot results are bit-identical to calling evaluate()
-/// per demand.
+/// A batch's plans and each plan's fleet totals; the Assignments carry
+/// total_power_watts and total_ops with empty utilisation vectors.
+struct BatchAccount {
+  FillPlans plans;
+  std::vector<Assignment> totals;
+};
+
+/// The one batch accounting routine, behind evaluate_batch and
+/// simulate_day: one plan_batch for the placement, then server-major power
+/// accounting straight from the plans through the fleet's grid rows (one
+/// lookup pass per server for the whole batch). Each total is the server
+/// index order sum of the per-server terms evaluate() adds, so per-demand
+/// totals are bit-identical to calling evaluate() per demand. Fails as
+/// evaluate_batch does.
+epserve::Result<BatchAccount> account_batch(const PlacementPolicy& policy,
+                                            const Fleet& fleet,
+                                            std::span<const double> demands);
+
+/// Evaluates a policy at many demand points in one call: account_batch's
+/// totals, with each plan expanded into its utilisation vector. Per-slot
+/// results are bit-identical to calling evaluate() per demand.
 epserve::Result<std::vector<Assignment>> evaluate_batch(
     const PlacementPolicy& policy, const Fleet& fleet,
     std::span<const double> demands);

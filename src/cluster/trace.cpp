@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/contracts.h"
 #include "util/strings.h"
 #include "util/telemetry.h"
 
@@ -123,6 +124,7 @@ DemandTrace DemandTrace::diurnal(double base, double amplitude) {
 
 int DemandTrace::idle_state_cap(std::size_t slot, int deepest) const {
   if (max_idle_state.empty()) return deepest;
+  EPSERVE_EXPECTS(slot < max_idle_state.size());
   return std::min(deepest, max_idle_state[slot]);
 }
 

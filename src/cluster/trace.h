@@ -60,7 +60,9 @@ struct DemandTrace {
 
   /// The deepest idle state allowed for a parked server in `slot`, given a
   /// model whose deepest state index is `deepest`. Unconstrained slots
-  /// return `deepest`.
+  /// return `deepest`. A capped trace must hold one cap per slot (a slot
+  /// past the end raises ContractViolation); simulate_day rejects a trace
+  /// whose caps miscount its slots or go negative.
   [[nodiscard]] int idle_state_cap(std::size_t slot, int deepest) const;
 };
 

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "dataset/generator.h"
 #include "metrics/curve_models.h"
+#include "placement_reference.h"
+#include "util/contracts.h"
 
 namespace epserve::cluster {
 namespace {
@@ -104,6 +110,91 @@ TEST(SimulateDay, RejectsEmptyTraceAndBadSlot) {
   const auto nan_day = simulate_day(policy, Fleet::from_records(f), nan_slot);
   ASSERT_FALSE(nan_day.ok());
   EXPECT_EQ(nan_day.error().message, "demand must be in [0, 1]");
+}
+
+TEST(SimulateDay, RejectsMalformedIdleStateCaps) {
+  const Fleet f = Fleet::from_records(fleet());
+  DemandTrace short_caps;
+  short_caps.demand = {0.0, 0.5, 0.0, 0.5};
+  short_caps.max_idle_state = {1};
+  DemandTrace negative_cap;
+  negative_cap.demand = {0.0, 0.5, 0.0, 0.5};
+  negative_cap.max_idle_state = {4, -1, 2, 3};
+  const PackToFullPolicy pack;
+  const BalancedPolicy balanced;
+  const OptimalRegionPolicy optimal;
+  for (const PlacementPolicy* policy :
+       std::initializer_list<const PlacementPolicy*>{&pack, &balanced,
+                                                     &optimal}) {
+    for (const IdleModel& idle : {IdleModel::none(), IdleModel::acpi()}) {
+      const auto short_day = simulate_day(*policy, f, short_caps, idle);
+      ASSERT_FALSE(short_day.ok()) << policy->name();
+      EXPECT_EQ(short_day.error().code, Error::Code::kInvalidArgument);
+      EXPECT_EQ(short_day.error().message,
+                "trace needs one idle-state cap per slot");
+      const auto negative_day = simulate_day(*policy, f, negative_cap, idle);
+      ASSERT_FALSE(negative_day.ok()) << policy->name();
+      EXPECT_EQ(negative_day.error().code, Error::Code::kInvalidArgument);
+      EXPECT_EQ(negative_day.error().message, "idle-state caps must be >= 0");
+    }
+  }
+  EXPECT_THROW(static_cast<void>(short_caps.idle_state_cap(3, 4)),
+               ContractViolation);
+}
+
+TEST(SimulateDay, WakeHeavyDayMatchesDenseReferenceBitwise) {
+  // Idle, full and a part-filled level in turn, so every server parks and
+  // wakes over and over; the cap changes every slot, so a parked server
+  // wakes from whichever state its last parked slot allowed. The slot
+  // length is not a power of two, so the slot-length products round.
+  DemandTrace trace;
+  trace.slot_hours = 0.7;
+  const std::vector<double> partials = {0.37, 0.05, 0.81, 0.5, 0.93, 0.2};
+  const std::vector<int> caps = {4, 1, 3, 0, 2};
+  for (const double partial : partials) {
+    for (const double demand : {0.0, 1.0, partial}) {
+      trace.max_idle_state.push_back(caps[trace.demand.size() % caps.size()]);
+      trace.demand.push_back(demand);
+    }
+  }
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  // One server, whose terms are as large as the sums they join, and a
+  // fleet, whose sums interleave parked, waking and busy servers.
+  for (const std::size_t size : {std::size_t{1}, std::size_t{64}}) {
+    const auto built = Fleet::build(reference::mixed_fleet(size));
+    ASSERT_TRUE(built.ok()) << built.error().message;
+    for (const char* name : {"pack-to-full", "balanced", "optimal-region"}) {
+      const auto policy = make_placement_policy(name);
+      ASSERT_TRUE(policy.ok());
+      for (const IdleModel& idle : {IdleModel::none(), IdleModel::acpi()}) {
+        const auto day =
+            simulate_day(*policy.value(), built.value(), trace, idle);
+        ASSERT_TRUE(day.ok()) << day.error().message;
+        const DayResult ref = reference::day(built.value(), name, trace, idle);
+        const std::string where = std::to_string(size) + " servers " + name +
+                                  " idle states " +
+                                  std::to_string(idle.states.size());
+        if (!idle.trivial()) EXPECT_GT(ref.wake_count, 0u) << where;
+        EXPECT_EQ(day.value().policy, ref.policy) << where;
+        EXPECT_EQ(bits(day.value().energy_kwh), bits(ref.energy_kwh)) << where;
+        EXPECT_EQ(bits(day.value().served_gops), bits(ref.served_gops))
+            << where;
+        EXPECT_EQ(bits(day.value().avg_efficiency), bits(ref.avg_efficiency))
+            << where;
+        EXPECT_EQ(bits(day.value().idle_energy_kwh),
+                  bits(ref.idle_energy_kwh))
+            << where;
+        EXPECT_EQ(bits(day.value().wake_energy_kwh),
+                  bits(ref.wake_energy_kwh))
+            << where;
+        EXPECT_EQ(bits(day.value().wake_lost_gops), bits(ref.wake_lost_gops))
+            << where;
+        EXPECT_EQ(day.value().wake_count, ref.wake_count) << where;
+      }
+    }
+  }
 }
 
 TEST(CompareOverDay, ReturnsAllThreePolicies) {

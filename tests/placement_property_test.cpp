@@ -1,13 +1,21 @@
 // Property sweep over placement policies: conservation and bounds must hold
 // for every (fleet slice, policy, demand) combination drawn from the
-// generated population.
+// generated population; and every plan must expand to the dense greedy
+// fill's utilisations and totals bit for bit (tests/placement_reference.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "cluster/placement.h"
 #include "dataset/generator.h"
 #include "metrics/proportionality.h"
+#include "placement_reference.h"
 
 namespace epserve::cluster {
 namespace {
@@ -124,6 +132,89 @@ TEST(PlacementAggregates, BalancedClusterEpMatchesMeanServerBehaviour) {
   EXPECT_GE(cluster_ep, lo - 0.02);
   EXPECT_LE(cluster_ep, hi + 0.02);
 }
+
+// --- Plans expand to the dense greedy fill, bit for bit ----------------------
+
+class PlanEquivalence : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PlanEquivalence, PlaceBatchAndTotalsMatchDenseGreedyFillBitwise) {
+  const auto records = reference::mixed_fleet(GetParam());
+  const auto built = Fleet::build(records);
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  const Fleet& fleet = built.value();
+
+  // Demand at which optimal-region's stage 1 (every server at its region
+  // top) runs out: anything above it spills into stage 2.
+  const std::vector<double> tops = fleet.optimal_region_tops(0.95);
+  double region_ops = 0.0;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    region_ops += tops[i] * fleet.peak_ops()[i];
+  }
+  const double spill = region_ops / fleet.capacity_ops();
+  ASSERT_LT(spill, 1.0);
+  const std::vector<double> demands = {
+      0.0,
+      -0.0,
+      1.0,
+      std::numeric_limits<double>::denorm_min(),
+      0.05,
+      0.3,
+      0.5,
+      0.7,
+      0.97,
+      spill,
+      std::nextafter(spill, 1.0),
+      (spill + 1.0) / 2.0,
+      std::nextafter(1.0, 0.0)};
+
+  for (const char* name : {"pack-to-full", "balanced", "optimal-region"}) {
+    const auto policy = make_placement_policy(name);
+    ASSERT_TRUE(policy.ok());
+    const auto reference = reference::place_batch(fleet, name, demands);
+    const auto placed = policy.value()->place_batch(fleet, demands);
+    const auto evaluated = evaluate_batch(*policy.value(), fleet, demands);
+    ASSERT_TRUE(evaluated.ok()) << evaluated.error().message;
+    ASSERT_EQ(placed.size(), demands.size());
+    ASSERT_EQ(evaluated.value().size(), demands.size());
+    for (std::size_t d = 0; d < demands.size(); ++d) {
+      const std::string where =
+          std::string(name) + " demand " + std::to_string(demands[d]) +
+          " (#" + std::to_string(d) + ")";
+      ASSERT_EQ(placed[d].size(), fleet.size()) << where;
+      for (std::size_t i = 0; i < fleet.size(); ++i) {
+        // Bit patterns, so the sign of a zero counts.
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(placed[d][i]),
+                  std::bit_cast<std::uint64_t>(reference[d][i]))
+            << where << " server " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                      evaluated.value()[d].utilization[i]),
+                  std::bit_cast<std::uint64_t>(reference[d][i]))
+            << where << " server " << i;
+      }
+      const Assignment dense = reference::account(fleet, reference[d]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    evaluated.value()[d].total_power_watts),
+                std::bit_cast<std::uint64_t>(dense.total_power_watts))
+          << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(evaluated.value()[d].total_ops),
+                std::bit_cast<std::uint64_t>(dense.total_ops))
+          << where;
+    }
+  }
+
+  // The grid does reach optimal-region's spill stage, and pack-to-full
+  // leaves a partial server somewhere on it.
+  const auto optimal = OptimalRegionPolicy().plan_batch(fleet, demands);
+  EXPECT_TRUE(std::any_of(optimal.levels.begin(), optimal.levels.end(),
+                          [](const FillPlan& plan) { return plan.stage == 1; }));
+  const auto pack = PackToFullPolicy().plan_batch(fleet, demands);
+  EXPECT_TRUE(std::any_of(pack.levels.begin(), pack.levels.end(),
+                          [](const FillPlan& plan) { return plan.partial; }));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, PlanEquivalence,
+                         ::testing::Values(std::size_t{1}, std::size_t{100},
+                                           std::size_t{5000}));
 
 }  // namespace
 }  // namespace epserve::cluster
