@@ -1,9 +1,11 @@
 #include "cluster/fleet.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
 
 #include "cluster/working_region.h"
@@ -12,7 +14,9 @@
 #include "metrics/load_level.h"
 #include "metrics/simd/grid_eval.h"
 #include "util/contracts.h"
+#include "util/parallel.h"
 #include "util/telemetry.h"
+#include "util/thread_pool.h"
 
 namespace epserve::cluster {
 
@@ -20,48 +24,100 @@ namespace {
 
 constexpr std::size_t kRowBins =
     static_cast<std::size_t>(metrics::kernels::FleetGridView::kRowBins);
+static_assert(kRowBins == metrics::kNumLoadLevels,
+              "a grid row holds one knot per load level below 100%, plus idle");
+
+/// Rows per fill block: the unit of work one lane takes at a time.
+constexpr std::size_t kBlockRows = 2048;
 
 }  // namespace
 
 epserve::Result<bool> Fleet::Builder::append(
     std::span<const dataset::ServerRecord> chunk) {
-  for (const auto& server : chunk) {
-    if (auto valid = server.curve.validate(); !valid.ok()) {
-      return Error{valid.error().code, "server " + std::to_string(server.id) +
-                                           ": " + valid.error().message};
-    }
-  }
-  return append_rows(chunk);
+  return append_rows(chunk, /*validate=*/true);
+}
+
+void Fleet::Builder::reserve(std::uint64_t rows) {
+  const auto n = static_cast<std::size_t>(rows);
+  snapshot_builder_.reserve(rows);
+  fleet_.ids_.reserve(n);
+  fleet_.ops_.reserve(n * metrics::kNumLoadLevels);
+  fleet_.ee_at_full_.reserve(n);
+  fleet_.grid_w0_.reserve(n * kRowBins);
+  fleet_.grid_m_.reserve(n * kRowBins);
+  fleet_.grid_inv_peak_.reserve(n);
 }
 
 epserve::Result<bool> Fleet::Builder::append_rows(
-    std::span<const dataset::ServerRecord> chunk) {
-  if (auto appended = snapshot_builder_.append(chunk); !appended.ok()) {
+    std::span<const dataset::ServerRecord> chunk, bool validate) {
+  // The lanes live for this chunk only. Joined before the append returns,
+  // they never run beside the next stage's own threads (the generator's,
+  // the exp runner's); a pool kept for the whole build did, and the extra
+  // per-thread malloc arenas in rotation raised a 250k sweep's peak RSS
+  // above a serial build's.
+  const auto lanes = chunk.size() >= kParallelRows
+                         ? make_worker_pool(resolve_thread_count(0))
+                         : nullptr;
+  ThreadPool* const pool = lanes.get();
+
+  if (validate) {
+    // Each block stops at its own first bad curve; the lowest block with
+    // one names the lowest bad server, whichever lane found it first.
+    std::vector<std::optional<Error>> errors(
+        block_count(chunk.size(), kBlockRows));
+    parallel_for_blocks(pool, chunk.size(), kBlockRows,
+                        [&](std::size_t b, std::size_t lo, std::size_t hi) {
+      for (std::size_t k = lo; k < hi; ++k) {
+        if (auto valid = chunk[k].curve.validate(); !valid.ok()) {
+          errors[b] = Error{valid.error().code,
+                            "server " + std::to_string(chunk[k].id) + ": " +
+                                valid.error().message};
+          return;
+        }
+      }
+    });
+    for (auto& error : errors) {
+      if (error) return *std::move(error);
+    }
+  }
+  if (auto appended = snapshot_builder_.append_rows(chunk, {}, pool);
+      !appended.ok()) {
     return appended.error();
   }
+
   Fleet& f = fleet_;
-  if (f.empty()) {
-    f.ids_.reserve(chunk.size());
-    f.curves_.reserve(chunk.size());
-    f.ee_at_full_.reserve(chunk.size());
-    f.grid_w0_.reserve(chunk.size() * kRowBins);
-    f.grid_m_.reserve(chunk.size() * kRowBins);
-    f.grid_inv_peak_.reserve(chunk.size());
-  }
-  for (const auto& server : chunk) {
-    f.ids_.push_back(server.id);
-    f.curves_.push_back(server.curve);
-    // The grid row is the interpolation table's own knot watts and slopes,
-    // copied bit for bit, so grid evaluation and the knot walk run the
-    // identical expression on identical inputs.
-    const auto table = server.curve.interpolation_table();
-    for (std::size_t seg = 0; seg < kRowBins; ++seg) {
-      f.grid_w0_.push_back(table.knot_watts[seg]);
-      f.grid_m_.push_back(table.slope[seg]);
+  const std::size_t first = f.ids_.size();
+  const std::size_t rows = first + chunk.size();
+  f.ids_.resize(rows);
+  f.ops_.resize(rows * metrics::kNumLoadLevels);
+  f.ee_at_full_.resize(rows);
+  f.grid_w0_.resize(rows * kRowBins);
+  f.grid_m_.resize(rows * kRowBins);
+  f.grid_inv_peak_.resize(rows);
+  parallel_for_blocks(pool, chunk.size(), kBlockRows,
+                      [&](std::size_t, std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      const metrics::PowerCurve& curve = chunk[k].curve;
+      const std::size_t i = first + k;
+      f.ids_[i] = chunk[k].id;
+      // The grid row is the interpolation table's own knot watts and
+      // slopes, copied bit for bit, so grid evaluation and the knot walk
+      // run the identical expression on identical inputs.
+      const auto table = curve.interpolation_table();
+      for (std::size_t seg = 0; seg < kRowBins; ++seg) {
+        f.grid_w0_[i * kRowBins + seg] = table.knot_watts[seg];
+        f.grid_m_[i * kRowBins + seg] = table.slope[seg];
+      }
+      f.grid_inv_peak_[i] = table.inv_peak;
+      for (std::size_t level = 0; level < metrics::kNumLoadLevels; ++level) {
+        f.ops_[i * metrics::kNumLoadLevels + level] = curve.ops_at_level(level);
+      }
+      f.ee_at_full_[i] =
+          metrics::ee_at_level(curve, metrics::kNumLoadLevels - 1);
     }
-    f.grid_inv_peak_.push_back(table.inv_peak);
-    f.ee_at_full_.push_back(
-        metrics::ee_at_level(server.curve, metrics::kNumLoadLevels - 1));
+  });
+  // Summed in index order, as the legacy per-call loops did.
+  for (const auto& server : chunk) {
     f.capacity_ops_ += server.curve.peak_ops();
     f.total_idle_watts_ += server.curve.idle_watts();
   }
@@ -89,7 +145,10 @@ epserve::Result<Fleet> Fleet::generate(const dataset::ScaledConfig& config,
   std::optional<Error> append_error;
   auto emitted = dataset::generate_population_chunked(
       config, chunk_rows,
-      [&](std::span<const dataset::ServerRecord> chunk, std::uint64_t) {
+      [&](std::span<const dataset::ServerRecord> chunk,
+          std::uint64_t first_index) {
+        // The generator has accepted config.servers by its first chunk.
+        if (first_index == 0) builder.reserve(config.servers);
         if (append_error) return;
         if (auto appended = builder.append(chunk); !appended.ok()) {
           append_error = appended.error();
@@ -118,9 +177,22 @@ Fleet Fleet::from_records(std::span<const dataset::ServerRecord> servers) {
   Builder builder;
   // A span never exceeds the snapshot's uint32 row ceiling in one chunk on
   // supported fleets; the contract check keeps the adapter infallible.
-  const auto appended = builder.append_rows(servers);
+  const auto appended = builder.append_rows(servers, /*validate=*/false);
   EPSERVE_EXPECTS(appended.ok());
   return builder.take();
+}
+
+metrics::PowerCurve Fleet::curve(std::size_t i) const {
+  // Knot k of a grid row is the curve's idle watts (k = 0) or its watts at
+  // load level k - 1, so the row holds every level but 100%.
+  std::array<double, metrics::kNumLoadLevels> watts{};
+  std::array<double, metrics::kNumLoadLevels> ops{};
+  const double* knots = grid_w0_.data() + i * kRowBins;
+  std::copy(knots + 1, knots + kRowBins, watts.begin());
+  watts.back() = peak_watts()[i];
+  std::copy_n(ops_.data() + i * metrics::kNumLoadLevels,
+              metrics::kNumLoadLevels, ops.begin());
+  return metrics::PowerCurve(watts, ops, knots[0]);
 }
 
 metrics::kernels::FleetGridView Fleet::grid_view() const {

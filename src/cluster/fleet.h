@@ -7,7 +7,7 @@
 // efficiency score, and each subsystem (placement, day simulation,
 // autoscaler, knightshift, power cap, working regions, operating guide)
 // walked its own std::vector<ServerRecord> copy record by record. A Fleet is
-// built once — ids and curves, a columnar snapshot (dataset::ColumnarSnapshot),
+// built once — ids and ops rows, a columnar snapshot (dataset::ColumnarSnapshot),
 // one native-resolution grid row per server and the fleet-level aggregates —
 // and then shared, read-only, across every policy, slot, and thread. The
 // three server orders the policies fill by are sorted at most once per
@@ -15,7 +15,12 @@
 //
 // Every Fleet owns its columns, whichever factory built it: build(),
 // from_records() and generate() all append rows through Fleet::Builder, so
-// a Fleet may outlive the records it was built from.
+// a Fleet may outlive the records it was built from. A chunk of at least
+// Builder::kParallelRows rows is filled in index blocks on a pool of
+// resolve_thread_count(0) lanes; every row is written once, by one lane,
+// so the columns do not depend on the thread count. Each power sheet is
+// stored once: curve(i) is rebuilt from the grid row, the peak-watts
+// column and a per-server ops row.
 //
 // Determinism contract (docs/CLUSTER.md): every column is a bitwise copy of
 // the corresponding per-record computation, and a grid row holds the
@@ -84,10 +89,10 @@ class Fleet {
   /// Record id of server i (the placement/autoscaler ordering tiebreak).
   [[nodiscard]] std::int32_t server_id(std::size_t i) const { return ids_[i]; }
 
-  /// Measurement sheet of server i.
-  [[nodiscard]] const metrics::PowerCurve& curve(std::size_t i) const {
-    return curves_[i];
-  }
+  /// Measurement sheet of server i, rebuilt by value bit for bit: idle and
+  /// 10-90% watts from its grid row, 100% watts from peak_watts(), ops from
+  /// its ops row.
+  [[nodiscard]] metrics::PowerCurve curve(std::size_t i) const;
 
   /// The columnar snapshot backing the record/derived columns.
   [[nodiscard]] const dataset::ColumnarSnapshot& snapshot() const {
@@ -187,6 +192,8 @@ class Fleet {
   /// iff they evaluate identically, so the serve layer stamps it on every
   /// response: a response mixing state from two epochs would carry a digest
   /// matching neither (docs/SERVING.md, tests/serve_swap_stress_test.cpp).
+  /// Not cached: each call rehashes every column, so callers that stamp it
+  /// repeatedly keep the value (serve::FleetState, the exp runner).
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
@@ -207,9 +214,10 @@ class Fleet {
                                             std::span<const double> score) const;
 
   dataset::ColumnarSnapshot snapshot_;
-  std::vector<std::int32_t> ids_;
-  std::vector<metrics::PowerCurve> curves_;
-  std::vector<double> ee_at_full_;
+  // Sized once per chunk, each row written by the lane that fills it.
+  util::AlignedVector<std::int32_t> ids_;
+  util::AlignedVector<double> ops_;  // [size * kNumLoadLevels]
+  util::AlignedVector<double> ee_at_full_;
   // SoA grid columns (native knot resolution; see grid_view()).
   util::AlignedVector<double> grid_w0_;        // [size * kRowBins]
   util::AlignedVector<double> grid_m_;         // [size * kRowBins]
@@ -225,8 +233,8 @@ class Fleet::Builder {
  public:
   Builder() = default;
 
-  /// Validates and appends one chunk; fails on the first bad curve with
-  /// the same "server N: ..." error build() produces (nothing from the
+  /// Validates and appends one chunk; fails on the lowest-indexed bad curve
+  /// with the same "server N: ..." error build() produces (nothing from the
   /// failing chunk is appended).
   epserve::Result<bool> append(std::span<const dataset::ServerRecord> chunk);
 
@@ -240,10 +248,21 @@ class Fleet::Builder {
  private:
   friend class Fleet;
 
-  /// The one row routine: appends `chunk` unvalidated. The first chunk
-  /// reserves its own size, so a one-chunk build allocates each column once.
+  /// Smallest chunk filled on resolve_thread_count(0) lanes, started for
+  /// that chunk. Smaller chunks (a serve epoch's 2000 rows, the 477-row
+  /// report population, small generator chunks) stay on the calling
+  /// thread, where starting lanes would cost more than they save.
+  static constexpr std::size_t kParallelRows = 8192;
+
+  /// Capacity for `rows` rows in total (generate() knows its fleet size),
+  /// so no later chunk reallocates and copies the rows before it.
+  void reserve(std::uint64_t rows);
+  /// The one row routine: validates `chunk` when asked (the lowest bad
+  /// index wins, nothing is appended), then sizes every column once and
+  /// fills the chunk in index blocks, on lanes when it is large enough.
+  /// The aggregates are one index-order pass after the fill.
   epserve::Result<bool> append_rows(
-      std::span<const dataset::ServerRecord> chunk);
+      std::span<const dataset::ServerRecord> chunk, bool validate);
   /// Moves the finished fleet out and counts it; no checks, no span.
   Fleet take();
 

@@ -6,11 +6,15 @@
 
 #include "power/uarch.h"
 #include "util/contracts.h"
+#include "util/parallel.h"
 #include "util/telemetry.h"
 
 namespace epserve::dataset {
 
 namespace {
+
+/// Rows per fill block: the unit of work one lane takes at a time.
+constexpr std::size_t kBlockRows = 2048;
 
 /// Largest row count any builder has reached since process start — the
 /// `columnar.peak_rows` gauge. A plain atomic max: the gauge answers "how
@@ -36,8 +40,25 @@ ColumnarSnapshot::Builder::Builder(std::uint64_t max_rows)
 epserve::Result<bool> ColumnarSnapshot::Builder::append(
     std::span<const ServerRecord> records,
     std::span<const metrics::DerivedCurveMetrics> derived) {
-  EPSERVE_EXPECTS(!finished_);
   EPSERVE_EXPECTS(derived.size() == records.size());
+  return append_rows(records, derived, nullptr);
+}
+
+epserve::Result<bool> ColumnarSnapshot::Builder::append(
+    std::span<const ServerRecord> records) {
+  return append_rows(records, {}, nullptr);
+}
+
+void ColumnarSnapshot::Builder::reserve(std::uint64_t rows) {
+  snap_.for_each_row_column(
+      [&](auto& column) { column.reserve(static_cast<std::size_t>(rows)); });
+}
+
+epserve::Result<bool> ColumnarSnapshot::Builder::append_rows(
+    std::span<const ServerRecord> records,
+    std::span<const metrics::DerivedCurveMetrics> derived, ThreadPool* pool) {
+  EPSERVE_EXPECTS(!finished_);
+  EPSERVE_EXPECTS(derived.empty() || derived.size() == records.size());
   if (records.size() > max_rows_ - rows_) {
     return Error::out_of_range(
         "columnar snapshot rows would exceed the uint32 index ceiling: " +
@@ -47,49 +68,82 @@ epserve::Result<bool> ColumnarSnapshot::Builder::append(
   telemetry::count("columnar.chunk_builds");
   telemetry::count("columnar.rows", records.size());
 
+  const auto first = static_cast<std::size_t>(rows_);
   const std::size_t n = records.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const ServerRecord& r = records[i];
-    snap_.hw_year_.push_back(r.hw_year);
-    snap_.pub_year_.push_back(r.pub_year);
-    snap_.nodes_.push_back(r.nodes);
-    snap_.chips_.push_back(r.chips);
-    snap_.total_cores_.push_back(r.total_cores());
-    // Provisional first-seen intern id; finish() remaps onto the sorted id
-    // space so the result matches the one-shot sorted-unique interning.
-    const auto [it, inserted] = provisional_ids_.try_emplace(
-        r.cpu_codename, static_cast<std::int32_t>(snap_.codenames_.size()));
-    if (inserted) snap_.codenames_.push_back(r.cpu_codename);
-    snap_.codename_id_.push_back(it->second);
-    const auto* info = power::find_uarch(r.cpu_codename);
-    // Generated/imported populations always resolve; ad-hoc cluster fleets
-    // (synthetic test servers, external records) may not — mark as unknown.
-    snap_.family_id_.push_back(
-        info != nullptr ? static_cast<std::int32_t>(info->family) : -1);
-    snap_.mpc_centi_.push_back(ResultRepository::mpc_centi_key(r));
-    snap_.memory_per_core_.push_back(r.memory_per_core());
-    snap_.idle_watts_.push_back(r.curve.idle_watts());
-    snap_.peak_watts_.push_back(r.curve.peak_watts());
-    snap_.peak_ops_.push_back(r.curve.peak_ops());
-    snap_.ep_.push_back(derived[i].ep);
-    snap_.overall_score_.push_back(derived[i].overall_score);
-    snap_.idle_fraction_.push_back(derived[i].idle_fraction);
-    snap_.peak_ee_value_.push_back(derived[i].peak_ee.value);
-    snap_.peak_ee_utilization_.push_back(derived[i].peak_ee_utilization);
+  const std::size_t rows = first + n;
+  snap_.for_each_row_column([rows](auto& column) { column.resize(rows); });
+
+  // Each block's distinct codenames in first-seen order; its rows hold
+  // block-local ids until the merge below.
+  std::vector<std::vector<std::string_view>> block_names(
+      block_count(n, kBlockRows));
+  parallel_for_blocks(pool, n, kBlockRows, [&](std::size_t b, std::size_t lo,
+                                               std::size_t hi) {
+    std::unordered_map<std::string_view, std::int32_t> local_ids;
+    std::vector<std::string_view>& names = block_names[b];
+    for (std::size_t k = lo; k < hi; ++k) {
+      const ServerRecord& r = records[k];
+      const std::size_t i = first + k;
+      snap_.hw_year_[i] = r.hw_year;
+      snap_.pub_year_[i] = r.pub_year;
+      snap_.nodes_[i] = r.nodes;
+      snap_.chips_[i] = r.chips;
+      snap_.total_cores_[i] = r.total_cores();
+      const auto [it, inserted] = local_ids.try_emplace(
+          r.cpu_codename, static_cast<std::int32_t>(names.size()));
+      if (inserted) names.push_back(r.cpu_codename);
+      snap_.codename_id_[i] = it->second;
+      snap_.mpc_centi_[i] = ResultRepository::mpc_centi_key(r);
+      snap_.memory_per_core_[i] = r.memory_per_core();
+      snap_.idle_watts_[i] = r.curve.idle_watts();
+      snap_.peak_watts_[i] = r.curve.peak_watts();
+      snap_.peak_ops_[i] = r.curve.peak_ops();
+      metrics::DerivedCurveMetrics derived_here;
+      const metrics::DerivedCurveMetrics& bundle =
+          derived.empty()
+              ? (derived_here = metrics::derive_curve_metrics(r.curve))
+              : derived[k];
+      snap_.ep_[i] = bundle.ep;
+      snap_.overall_score_[i] = bundle.overall_score;
+      snap_.idle_fraction_[i] = bundle.idle_fraction;
+      snap_.peak_ee_value_[i] = bundle.peak_ee.value;
+      snap_.peak_ee_utilization_[i] = bundle.peak_ee_utilization;
+    }
+  });
+
+  // Merge in block order: a codename's provisional id is its first-seen
+  // position in the whole stream, as a serial scan assigns it. finish()
+  // remaps provisional ids onto the sorted id space.
+  std::vector<std::vector<std::int32_t>> to_provisional(block_names.size());
+  for (std::size_t b = 0; b < block_names.size(); ++b) {
+    for (const std::string_view name : block_names[b]) {
+      const auto [it, inserted] = provisional_ids_.try_emplace(
+          std::string(name),
+          static_cast<std::int32_t>(snap_.codenames_.size()));
+      if (inserted) {
+        snap_.codenames_.emplace_back(name);
+        // Generated/imported populations always resolve; ad-hoc cluster
+        // fleets (synthetic test servers, external records) may not —
+        // mark as unknown.
+        const auto* info = power::find_uarch(name);
+        provisional_families_.push_back(
+            info != nullptr ? static_cast<std::int32_t>(info->family) : -1);
+      }
+      to_provisional[b].push_back(it->second);
+    }
   }
+  parallel_for_blocks(pool, n, kBlockRows, [&](std::size_t b, std::size_t lo,
+                                               std::size_t hi) {
+    for (std::size_t i = first + lo; i < first + hi; ++i) {
+      const std::int32_t id =
+          to_provisional[b][static_cast<std::size_t>(snap_.codename_id_[i])];
+      snap_.codename_id_[i] = id;
+      snap_.family_id_[i] = provisional_families_[static_cast<std::size_t>(id)];
+    }
+  });
   rows_ += n;
   note_rows(rows_);
   return true;
-}
-
-epserve::Result<bool> ColumnarSnapshot::Builder::append(
-    std::span<const ServerRecord> records) {
-  std::vector<metrics::DerivedCurveMetrics> derived;
-  derived.reserve(records.size());
-  for (const auto& r : records) {
-    derived.push_back(metrics::derive_curve_metrics(r.curve));
-  }
-  return append(records, derived);
 }
 
 ColumnarSnapshot ColumnarSnapshot::Builder::finish() {
@@ -114,6 +168,7 @@ ColumnarSnapshot ColumnarSnapshot::Builder::finish() {
   snap_.codenames_ = std::move(sorted);
   snap_.codenames_.shrink_to_fit();
   provisional_ids_.clear();
+  provisional_families_.clear();
   return std::move(snap_);
 }
 
@@ -130,12 +185,10 @@ ColumnarSnapshot ColumnarSnapshot::build(
 }
 
 ColumnarSnapshot ColumnarSnapshot::build(std::span<const ServerRecord> records) {
-  std::vector<metrics::DerivedCurveMetrics> derived;
-  derived.reserve(records.size());
-  for (const auto& r : records) {
-    derived.push_back(metrics::derive_curve_metrics(r.curve));
-  }
-  return build(records, derived);
+  Builder builder;
+  const auto appended = builder.append(records);
+  EPSERVE_EXPECTS(appended.ok());
+  return builder.finish();
 }
 
 ColumnarSnapshot ColumnarSnapshot::build(

@@ -23,12 +23,21 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "dataset/repository.h"
 #include "metrics/derived.h"
+#include "util/aligned.h"
 #include "util/result.h"
+
+namespace epserve {
+class ThreadPool;
+}
+namespace epserve::cluster {
+class Fleet;
+}
 
 namespace epserve::dataset {
 
@@ -138,23 +147,36 @@ class ColumnarSnapshot {
   }
 
  private:
-  std::vector<std::int32_t> hw_year_;
-  std::vector<std::int32_t> pub_year_;
-  std::vector<std::int32_t> nodes_;
-  std::vector<std::int32_t> chips_;
-  std::vector<std::int32_t> total_cores_;
-  std::vector<std::int32_t> codename_id_;
-  std::vector<std::int32_t> family_id_;
-  std::vector<std::int32_t> mpc_centi_;
-  std::vector<double> memory_per_core_;
-  std::vector<double> idle_watts_;
-  std::vector<double> peak_watts_;
-  std::vector<double> peak_ops_;
-  std::vector<double> ep_;
-  std::vector<double> overall_score_;
-  std::vector<double> idle_fraction_;
-  std::vector<double> peak_ee_value_;
-  std::vector<double> peak_ee_utilization_;
+  /// fn(column) for every row column (codenames_ is not one).
+  template <typename Fn>
+  void for_each_row_column(Fn&& fn) {
+    std::apply([&fn](auto&... column) { (fn(column), ...); },
+               std::tie(hw_year_, pub_year_, nodes_, chips_, total_cores_,
+                        codename_id_, family_id_, mpc_centi_, memory_per_core_,
+                        idle_watts_, peak_watts_, peak_ops_, ep_,
+                        overall_score_, idle_fraction_, peak_ee_value_,
+                        peak_ee_utilization_));
+  }
+
+  // Sized once per chunk and written row by row (util/aligned.h: resize()
+  // leaves the rows unwritten until the fill reaches them).
+  util::AlignedVector<std::int32_t> hw_year_;
+  util::AlignedVector<std::int32_t> pub_year_;
+  util::AlignedVector<std::int32_t> nodes_;
+  util::AlignedVector<std::int32_t> chips_;
+  util::AlignedVector<std::int32_t> total_cores_;
+  util::AlignedVector<std::int32_t> codename_id_;
+  util::AlignedVector<std::int32_t> family_id_;
+  util::AlignedVector<std::int32_t> mpc_centi_;
+  util::AlignedVector<double> memory_per_core_;
+  util::AlignedVector<double> idle_watts_;
+  util::AlignedVector<double> peak_watts_;
+  util::AlignedVector<double> peak_ops_;
+  util::AlignedVector<double> ep_;
+  util::AlignedVector<double> overall_score_;
+  util::AlignedVector<double> idle_fraction_;
+  util::AlignedVector<double> peak_ee_value_;
+  util::AlignedVector<double> peak_ee_utilization_;
   std::vector<std::string> codenames_;
 };
 
@@ -180,8 +202,28 @@ class ColumnarSnapshot::Builder {
   [[nodiscard]] ColumnarSnapshot finish();
 
  private:
+  // cluster::Fleet::Builder sizes a streamed fleet's columns once and fills
+  // its large chunks on a pool.
+  friend class cluster::Fleet;
+
+  /// Capacity for `rows` rows in total, so later appends never reallocate.
+  void reserve(std::uint64_t rows);
+
+  /// The one row routine behind both append overloads. Sizes every column
+  /// for the chunk once, then fills it in index blocks on `pool` (null: the
+  /// calling thread alone); each row is written once, by one lane. An empty
+  /// `derived` means each row's bundle is derived in place. Codenames
+  /// intern per block and merge in block order, which is the first-seen
+  /// order of a serial scan, so the columns do not depend on the pool.
+  epserve::Result<bool> append_rows(
+      std::span<const ServerRecord> records,
+      std::span<const metrics::DerivedCurveMetrics> derived, ThreadPool* pool);
+
   ColumnarSnapshot snap_;
   std::unordered_map<std::string, std::int32_t> provisional_ids_;
+  /// family_id per provisional codename id: power::find_uarch() runs once
+  /// per distinct codename.
+  std::vector<std::int32_t> provisional_families_;
   std::uint64_t rows_ = 0;
   std::uint64_t max_rows_ = kMaxRows;
   bool finished_ = false;

@@ -1,5 +1,6 @@
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -16,6 +17,15 @@ std::size_t resolve_thread_count(int requested) {
 std::unique_ptr<ThreadPool> make_worker_pool(std::size_t threads) {
   if (threads <= 1) return nullptr;
   return std::make_unique<ThreadPool>(threads - 1);
+}
+
+void parallel_for_blocks(
+    ThreadPool* pool, std::size_t n, std::size_t block,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+  parallel_for(pool, block_count(n, block), [&](std::size_t b) {
+    const std::size_t lo = b * block;
+    body(b, lo, std::min(n, lo + block));
+  });
 }
 
 void parallel_for(ThreadPool* pool, std::size_t n,

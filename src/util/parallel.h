@@ -42,6 +42,19 @@ std::unique_ptr<ThreadPool> make_worker_pool(std::size_t threads);
 void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
+/// Number of `block`-index ranges covering [0, n); the last one is short
+/// (ragged) when `block` does not divide n.
+constexpr std::size_t block_count(std::size_t n, std::size_t block) {
+  return (n + block - 1) / block;
+}
+
+/// parallel_for over consecutive index ranges: body(b, lo, hi) runs block b,
+/// indices [lo, hi) with lo = b * block. Block b is task b, so scheduling
+/// and the exception contract are parallel_for's.
+void parallel_for_blocks(
+    ThreadPool* pool, std::size_t n, std::size_t block,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+
 /// parallel_for that materialises fn(i) into slot i of the result vector.
 /// The mapped type must be default-constructible and movable.
 template <typename Fn>

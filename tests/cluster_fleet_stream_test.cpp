@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cluster/autoscaler.h"
@@ -160,20 +161,39 @@ TEST(FleetStream, EmptyBuilderFailsLikeEmptyBuild) {
 }
 
 TEST(FleetStream, BadCurveChunkIsRejectedAtomically) {
-  const auto good = scaled_records(10);
-  std::vector<ServerRecord> chunk = good;
-  chunk[7].curve = metrics::PowerCurve();  // fails validate()
-  Fleet::Builder builder;
-  auto appended = builder.append(chunk);
-  ASSERT_FALSE(appended.ok());
-  // Same per-server error surface as Fleet::build, nothing half-appended.
-  EXPECT_NE(appended.error().message.find("server 8"), std::string::npos);
-  EXPECT_EQ(builder.rows(), 0u);
-  // The builder stays usable: the good chunk still streams in.
-  ASSERT_TRUE(builder.append(good).ok());
-  auto finished = builder.finish();
-  ASSERT_TRUE(finished.ok());
-  EXPECT_EQ(finished.value().size(), 10u);
+  // 10 rows validate on the calling thread; 10007 rows are above the
+  // Builder's 8192-row parallel threshold, so their 2048-row blocks validate
+  // on the pool, with bad curves in blocks 1 and 4.
+  struct Case {
+    std::uint64_t servers;
+    std::vector<std::size_t> bad;
+    std::string named;
+  };
+  for (const Case& c : {Case{10, {7}, "server 8:"},
+                        Case{10'007, {9000, 3000}, "server 3001:"}}) {
+    SCOPED_TRACE(::testing::Message() << "servers=" << c.servers);
+    const auto good = scaled_records(c.servers);
+    std::vector<ServerRecord> chunk = good;
+    for (const std::size_t i : c.bad) {
+      chunk[i].curve = metrics::PowerCurve();  // fails validate()
+    }
+    Fleet::Builder builder;
+    auto appended = builder.append(chunk);
+    ASSERT_FALSE(appended.ok());
+    // Same per-server error surface as Fleet::build, naming the lowest bad
+    // server whichever lane found its block first; nothing half-appended.
+    EXPECT_EQ(appended.error().message.rfind(c.named, 0), 0u)
+        << appended.error().message;
+    EXPECT_EQ(builder.rows(), 0u);
+    // The builder stays usable: the good chunk still streams in.
+    ASSERT_TRUE(builder.append(good).ok());
+    auto finished = builder.finish();
+    ASSERT_TRUE(finished.ok());
+    EXPECT_EQ(finished.value().size(), c.servers);
+    const auto reference = Fleet::build(good);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(finished.value().digest(), reference.value().digest());
+  }
 }
 
 }  // namespace

@@ -1,21 +1,30 @@
 // The headline guarantee of the parallel runtime (docs/PARALLELISM.md):
-// generation and analysis produce BYTE-IDENTICAL output at every thread
-// count. Each test generates at 1, 2, 4, and 8 threads and compares every
-// field — all 477 records with their full 11-point measurement sheets, and
-// every FullReport headline number — against the serial baseline with exact
-// (not approximate) equality. Substream draws depend only on (seed, server
-// index), never on scheduling, so oversubscription on few cores is as valid
-// a stress as real parallel hardware.
+// generation, analysis and the Fleet build produce BYTE-IDENTICAL output at
+// every thread count. Each test runs at 1, 2, 4, and 8 threads and compares
+// every field — all 477 records with their full 11-point measurement
+// sheets, every FullReport headline number, every column of a scaled Fleet
+// — against the serial baseline with exact (not approximate) equality.
+// Substream draws depend only on (seed, server index) and each Fleet row is
+// written by exactly one lane, never on scheduling, so oversubscription on
+// few cores is as valid a stress as real parallel hardware.
 #include "analysis/report.h"
+#include "cluster/fleet.h"
 #include "dataset/generator.h"
 #include "dataset/repository.h"
 #include "metrics/load_level.h"
+#include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace epserve {
@@ -144,6 +153,213 @@ TEST(ParallelDeterminism, EnsembleMembersMatchStandaloneRuns) {
     // Pooled == serial ensemble == standalone single-population call.
     expect_identical_records(serial.value()[m], pooled.value()[m], 4);
     expect_identical_records(generate_at(1, seeds[m]), pooled.value()[m], 4);
+  }
+}
+
+// --- Fleet build ------------------------------------------------------------
+
+/// Above Fleet::Builder's 8192-row parallel threshold, and not a multiple of
+/// its 2048-row fill block, so the last block is short.
+constexpr std::uint64_t kFleetServers = 10'007;
+
+/// Sets EPSERVE_THREADS for the scope (the Builder resolves it for each
+/// large chunk) and restores the caller's value afterwards.
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(int threads) {
+    if (const char* prior = std::getenv("EPSERVE_THREADS")) saved_ = prior;
+    ::setenv("EPSERVE_THREADS", std::to_string(threads).c_str(), 1);
+  }
+  ~ScopedThreadsEnv() {
+    if (saved_) {
+      ::setenv("EPSERVE_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("EPSERVE_THREADS");
+    }
+  }
+  ScopedThreadsEnv(const ScopedThreadsEnv&) = delete;
+  ScopedThreadsEnv& operator=(const ScopedThreadsEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+/// Everything a built Fleet holds, as bit patterns, plus its build counters.
+struct FleetImage {
+  std::map<std::string, std::vector<std::uint64_t>> columns;
+  std::vector<std::string> codenames;
+  std::uint64_t digest = 0;
+  std::map<std::string, std::uint64_t> counters;
+  std::uint64_t pool_tasks = 0;
+};
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+std::uint64_t bits(std::int32_t value) {
+  return static_cast<std::uint32_t>(value);
+}
+
+template <typename T>
+void add_column(FleetImage& image, const std::string& name,
+                std::span<const T> column) {
+  auto& out = image.columns[name];
+  for (const T value : column) out.push_back(bits(value));
+}
+
+/// Builds a fleet with telemetry on and records its image.
+FleetImage image_of(const std::function<cluster::Fleet()>& build) {
+  telemetry::reset();
+  telemetry::set_enabled(true);
+  const cluster::Fleet fleet = build();
+  const telemetry::Snapshot snap = telemetry::snapshot();
+  telemetry::set_enabled(false);
+  telemetry::reset();
+
+  FleetImage image;
+  const dataset::ColumnarSnapshot& s = fleet.snapshot();
+  add_column(image, "hw_year", s.hw_year());
+  add_column(image, "pub_year", s.pub_year());
+  add_column(image, "nodes", s.nodes());
+  add_column(image, "chips", s.chips());
+  add_column(image, "total_cores", s.total_cores());
+  add_column(image, "codename_id", s.codename_id());
+  add_column(image, "family_id", s.family_id());
+  add_column(image, "mpc_centi", s.mpc_centi());
+  add_column(image, "memory_per_core", s.memory_per_core());
+  add_column(image, "idle_watts", s.idle_watts());
+  add_column(image, "peak_watts", s.peak_watts());
+  add_column(image, "peak_ops", s.peak_ops());
+  add_column(image, "ep", s.ep());
+  add_column(image, "overall_score", s.overall_score());
+  add_column(image, "idle_fraction", s.idle_fraction());
+  add_column(image, "peak_ee_value", s.peak_ee_value());
+  add_column(image, "peak_ee_utilization", s.peak_ee_utilization());
+  add_column(image, "ee_at_full", fleet.ee_at_full());
+  const auto grid = fleet.grid_view();
+  const std::size_t bins =
+      grid.servers *
+      static_cast<std::size_t>(metrics::kernels::FleetGridView::kRowBins);
+  add_column(image, "grid_w0", std::span<const double>(grid.w0, bins));
+  add_column(image, "grid_m", std::span<const double>(grid.m, bins));
+  add_column(image, "grid_inv_peak",
+             std::span<const double>(grid.inv_peak, grid.servers));
+  auto& ids = image.columns["server_id"];
+  auto& sheets = image.columns["curve"];
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    ids.push_back(bits(fleet.server_id(i)));
+    const metrics::PowerCurve curve = fleet.curve(i);
+    sheets.push_back(bits(curve.idle_watts()));
+    for (std::size_t level = 0; level < metrics::kNumLoadLevels; ++level) {
+      sheets.push_back(bits(curve.watts_at_level(level)));
+      sheets.push_back(bits(curve.ops_at_level(level)));
+    }
+  }
+  image.columns["capacity_ops"] = {bits(fleet.capacity_ops())};
+  image.columns["total_idle_watts"] = {bits(fleet.total_idle_watts())};
+  image.codenames = s.codenames();
+  image.digest = fleet.digest();
+  for (const char* name : {"fleet.builds", "fleet.servers",
+                           "columnar.chunk_builds", "columnar.rows"}) {
+    const auto* counter = snap.find_counter(name);
+    image.counters[name] = counter == nullptr ? 0 : counter->value;
+  }
+  const auto* tasks = snap.find_counter("pool.tasks");
+  image.pool_tasks = tasks == nullptr ? 0 : tasks->value;
+  return image;
+}
+
+void expect_same_fleet(const FleetImage& expected, const FleetImage& actual) {
+  ASSERT_EQ(expected.columns.size(), actual.columns.size());
+  for (const auto& [name, column] : expected.columns) {
+    const auto& other = actual.columns.at(name);
+    ASSERT_EQ(column.size(), other.size()) << name;
+    for (std::size_t i = 0; i < column.size(); ++i) {
+      // Stop at the first difference: a shifted row would flood the log.
+      ASSERT_EQ(column[i], other[i]) << name << "[" << i << "]";
+    }
+  }
+  EXPECT_EQ(expected.codenames, actual.codenames);
+  EXPECT_EQ(expected.digest, actual.digest);
+}
+
+cluster::Fleet ok_fleet(Result<cluster::Fleet> built) {
+  EXPECT_TRUE(built.ok());
+  return std::move(built).take();
+}
+
+/// One way of building the fleet; `pooled` when some appended chunk
+/// reaches the parallel threshold.
+struct FleetRoute {
+  std::string name;
+  std::function<cluster::Fleet()> build;
+  bool pooled;
+};
+
+TEST(ParallelDeterminism, FleetBuildIsIdenticalAcrossThreadCounts) {
+  dataset::ScaledConfig config;
+  config.servers = kFleetServers;
+  config.threads = 1;  // generation stays serial; only the build's lanes vary
+  auto generated = dataset::generate_scaled_population(config);
+  ASSERT_TRUE(generated.ok());
+  const std::vector<ServerRecord> records = std::move(generated).take();
+  const auto generate = [&config](std::size_t chunk) {
+    return [&config, chunk] {
+      return ok_fleet(cluster::Fleet::generate(config, chunk));
+    };
+  };
+  const std::vector<FleetRoute> routes = {
+      {"build", [&] { return ok_fleet(cluster::Fleet::build(records)); }, true},
+      {"from_records", [&] { return cluster::Fleet::from_records(records); },
+       true},
+      {"generate/97", generate(97), false},
+      {"generate/65536", generate(65536), true},
+      {"generate/one-chunk", generate(kFleetServers), true},
+      // A large chunk after a small one fills from a nonzero row offset.
+      {"builder/1000+rest",
+       [&] {
+         cluster::Fleet::Builder builder;
+         const std::span<const ServerRecord> all(records);
+         EXPECT_TRUE(builder.append(all.first(1000)).ok());
+         EXPECT_TRUE(builder.append(all.subspan(1000)).ok());
+         return ok_fleet(builder.finish());
+       },
+       true},
+  };
+
+  std::map<std::string, FleetImage> serial;
+  {
+    const ScopedThreadsEnv env(1);
+    for (const FleetRoute& route : routes) {
+      serial.emplace(route.name, image_of(route.build));
+    }
+  }
+  // The serial build holds the records' own values, row for row, and every
+  // route and chunking reproduces it.
+  const FleetImage& reference = serial.at("build");
+  const auto& ids = reference.columns.at("server_id");
+  const auto& peak_ops = reference.columns.at("peak_ops");
+  ASSERT_EQ(ids.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(ids[i], bits(static_cast<std::int32_t>(records[i].id))) << i;
+    ASSERT_EQ(peak_ops[i], bits(records[i].curve.peak_ops())) << i;
+  }
+  for (const FleetRoute& route : routes) {
+    SCOPED_TRACE(::testing::Message() << "threads=1 route=" << route.name);
+    expect_same_fleet(reference, serial.at(route.name));
+    EXPECT_EQ(serial.at(route.name).pool_tasks, 0u);
+  }
+
+  for (const int threads : {2, 4, 8}) {
+    const ScopedThreadsEnv env(threads);
+    for (const FleetRoute& route : routes) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " route=" << route.name);
+      const FleetImage image = image_of(route.build);
+      const FleetImage& expected = serial.at(route.name);
+      expect_same_fleet(expected, image);
+      EXPECT_EQ(image.counters, expected.counters);
+      // The lanes really ran: every large chunk went through the pool.
+      EXPECT_EQ(image.pool_tasks > 0, route.pooled);
+    }
   }
 }
 
