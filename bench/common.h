@@ -1,11 +1,10 @@
-// Shared plumbing for the extension, ablation and perf-gating benches.
+// Shared plumbing for the perf-gating benches.
 #pragma once
 
 #include <cstdio>
 #include <iostream>
 #include <string>
 
-#include "analysis/context.h"
 #include "core/epserve.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -26,24 +25,11 @@ inline const dataset::ResultRepository& population() {
   return repo;
 }
 
-/// One memoized AnalysisContext over population(), the entry point of every
-/// §III/§IV analysis.
-inline const analysis::AnalysisContext& context() {
-  static const analysis::AnalysisContext ctx(population());
-  return ctx;
-}
-
 /// Standard harness header: what is being reproduced and from where.
 inline void print_header(const std::string& figure, const std::string& what) {
   std::cout << "epserve reproduction — " << figure << "\n"
             << what << "\n"
             << std::string(72, '=') << "\n";
-}
-
-/// "measured (paper: reference)" cell.
-inline std::string vs_paper(const std::string& measured,
-                            const std::string& paper) {
-  return measured + " (paper: " + paper + ")";
 }
 
 }  // namespace epserve::bench

@@ -84,22 +84,26 @@ elseif(CHECK STREQUAL "render_committed")
 
 elseif(CHECK STREQUAL "claims_committed")
   # The paper-claims table regenerates byte for byte, with every claim inside
-  # its accepted outcome, at 1 and at 8 worker threads.
-  foreach(threads 1 8)
-    set(out "${WORK_DIR}/EXPERIMENTS_CLAIMS.t${threads}.md")
-    execute_process(COMMAND ${CMAKE_COMMAND} -E env EPSERVE_THREADS=${threads}
+  # its accepted outcome, at 1 and at 8 worker threads, and at 8 with the
+  # power kernels forced to their scalar variant (the placement, day,
+  # ensemble and KnightShift claims run through the kernel layer).
+  foreach(run "EPSERVE_THREADS=1" "EPSERVE_THREADS=8"
+              "EPSERVE_THREADS=8;EPSERVE_FORCE_SCALAR=1")
+    string(REPLACE ";" " " label "${run}")
+    string(MAKE_C_IDENTIFIER "${run}" tag)
+    set(out "${WORK_DIR}/EXPERIMENTS_CLAIMS.${tag}.md")
+    execute_process(COMMAND ${CMAKE_COMMAND} -E env ${run}
                             ${EXP_BIN} claims --out ${out}
                     RESULT_VARIABLE code ERROR_VARIABLE err)
     if(NOT code EQUAL 0)
-      message(FATAL_ERROR
-              "claims at EPSERVE_THREADS=${threads} failed (${code}): ${err}")
+      message(FATAL_ERROR "claims at ${label} failed (${code}): ${err}")
     endif()
     execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
                             ${out} ${REPO_DIR}/EXPERIMENTS_CLAIMS.md
                     RESULT_VARIABLE same)
     if(NOT same EQUAL 0)
       message(FATAL_ERROR
-              "claims at EPSERVE_THREADS=${threads} differ from committed "
+              "claims at ${label} differ from committed "
               "EXPERIMENTS_CLAIMS.md (regenerate only for an intended change: "
               "build/examples/epserve_exp claims --out EXPERIMENTS_CLAIMS.md)")
     endif()

@@ -1,9 +1,10 @@
 // The paper's claims as checked data (docs/EXPERIMENTS_HARNESS.md, "Claims"):
-// each number and shape of the paper this repository reproduces, with the
-// paper's value, a measure over one shared input set and the outcome it
-// accepts. `epserve_exp claims` renders them as EXPERIMENTS_CLAIMS.md, which
-// ctest byte-compares, so a drifted number fails a test instead of going
-// stale.
+// each number and shape of the paper this repository reproduces, then what
+// the paper cites or proposes and the ablations of this repository's design
+// choices, each with the paper's value (or the expectation it tests), a
+// measure and the outcome it accepts. `epserve_exp claims` renders them as
+// EXPERIMENTS_CLAIMS.md, which ctest byte-compares, so a drifted number
+// fails a test instead of going stale.
 #pragma once
 
 #include <functional>
@@ -64,16 +65,21 @@ struct Outcome {
 
 struct Claim {
   std::string id;
-  std::string experiment;  // "Fig.3", "Table I", "§V.C", ...
+  std::string experiment;  // "Fig.3", "Table I", "§V.C", ..., "Ablation"
   std::string quantity;
-  std::string paper;  // the paper's value, as the paper states it
+  // The paper's value, as the paper states it; where the paper prints none,
+  // the cited work's or this repository's expectation.
+  std::string paper;
   std::function<Measured(const ClaimInputs&)> measure;
   Outcome accepted;
-  std::string note;  // why the accepted outcome is not the paper's value
+  // Why the accepted outcome is not the paper's value, or whose expectation
+  // `paper` is.
+  std::string note;
 };
 
 /// The registry in paper order: the population analyses (Figs.1-17, Table
-/// I, Eq.2, §I, §IV.B), then the testbed (Table II, Figs.18-21, §V, §V.C).
+/// I, Eq.2, §I, §IV.B), then the testbed (Table II, Figs.18-21, §V, §V.C);
+/// then the extensions by section (§I to §VII) and the ablations.
 const std::vector<Claim>& paper_claims();
 
 struct ClaimResult {

@@ -118,6 +118,9 @@ TEST_F(ExpClaims, OutcomesJudgeThePrintedNumbers) {
   EXPECT_TRUE(
       holds("1 / 3 / 2", "rises", {.kind = K::kRising, .holds = false}));
   EXPECT_TRUE(holds("3 / 2", "falls", {.kind = K::kFalling}));
+  // One number has no shape, so it passes neither a shape nor its "not".
+  EXPECT_FALSE(holds("5", "rises", {.kind = K::kRising, .holds = false}));
+  EXPECT_FALSE(holds("5", "falls", {.kind = K::kFalling, .holds = false}));
   // An empty or non-numeric measurement never passes a numeric outcome.
   EXPECT_FALSE(holds("", "0.5", {.kind = K::kBand, .lo = 0, .hi = 1}));
 }
