@@ -22,7 +22,10 @@
 //
 // Every per-policy energy/served/efficiency number is digested and
 // byte-compared between the two paths — the speedup only counts if the
-// outputs are bit-identical. The day simulation is additionally re-run with
+// outputs are bit-identical. The scalar side takes every total as the exact
+// sum of its terms (tests/fsum_reference.h), the library's contract, and
+// checks that the sequential sums it once took lie within the standard
+// error bound of them. The day simulation is additionally re-run with
 // the kernel dispatch pinned to kScalarReference (what EPSERVE_FORCE_SCALAR=1
 // selects) and must reproduce the same digest. Exits 1 on any digest
 // mismatch, if the fleet path is below the 3x end-to-end target, or if a
@@ -46,6 +49,7 @@
 #include "metrics/curve_models.h"
 #include "metrics/efficiency.h"
 #include "metrics/simd/kernels.h"
+#include "../tests/fsum_reference.h"
 
 namespace {
 
@@ -81,8 +85,18 @@ std::vector<dataset::ServerRecord> make_fleet(std::size_t size) {
 
 struct Digest {
   std::vector<double> values;
+  /// Whether every sequential sum lay within its bound of the exact one.
+  bool sequential_within_bound = true;
   void add(double v) { values.push_back(v); }
-  bool operator==(const Digest& other) const = default;
+  /// The exact sum of `terms`, checking the sequential sum's bound.
+  double total(const std::vector<double>& terms) {
+    const double exact = fsum_reference::fsum(terms);
+    sequential_within_bound =
+        sequential_within_bound &&
+        fsum_reference::within_sequential_bound(
+            terms, fsum_reference::sequential_sum(terms), exact);
+    return exact;
+  }
 };
 
 // --- scalar side: the cluster layer before the Fleet refactor ---------------
@@ -117,15 +131,15 @@ void scalar_greedy_fill(const std::vector<dataset::ServerRecord>& fleet,
 }
 
 std::vector<double> scalar_place(
-    const std::vector<dataset::ServerRecord>& fleet, const std::string& policy,
-    double demand) {
+    Digest& digest, const std::vector<dataset::ServerRecord>& fleet,
+    const std::string& policy, double demand) {
   std::vector<double> util(fleet.size(), 0.0);
   if (policy == "balanced") {
     return std::vector<double>(fleet.size(), demand);
   }
-  double capacity = 0.0;
-  for (const auto& s : fleet) capacity += s.curve.peak_ops();
-  double remaining = demand * capacity;
+  std::vector<double> peak_ops;
+  for (const auto& s : fleet) peak_ops.push_back(s.curve.peak_ops());
+  double remaining = demand * digest.total(peak_ops);
   if (policy == "pack-to-full") {
     const auto order = scalar_order_by(fleet, [](const auto& r) {
       return metrics::ee_at_level(r.curve, metrics::kNumLoadLevels - 1);
@@ -154,21 +168,24 @@ Digest scalar_day(const std::vector<dataset::ServerRecord>& fleet,
                   const cluster::DemandTrace& trace) {
   Digest d;
   for (const char* policy : {"pack-to-full", "balanced", "optimal-region"}) {
-    double energy_kwh = 0.0;
-    double served_gops = 0.0;
+    std::vector<double> energy_terms;
+    std::vector<double> served_terms;
     for (const double demand : trace.demand) {
-      const auto util = scalar_place(fleet, policy, demand);
-      double total_power_watts = 0.0;
-      double total_ops = 0.0;
+      const auto util = scalar_place(d, fleet, policy, demand);
+      std::vector<double> power_terms;
+      std::vector<double> ops_terms;
       for (std::size_t i = 0; i < fleet.size(); ++i) {
         const double clamped = std::clamp(util[i], 0.0, 1.0);
-        total_power_watts += fleet[i].curve.normalized_power(clamped) *
-                             fleet[i].curve.peak_watts();
-        total_ops += clamped * fleet[i].curve.peak_ops();
+        power_terms.push_back(fleet[i].curve.normalized_power(clamped) *
+                              fleet[i].curve.peak_watts());
+        ops_terms.push_back(clamped * fleet[i].curve.peak_ops());
       }
-      energy_kwh += total_power_watts * trace.slot_hours / 1000.0;
-      served_gops += total_ops * trace.slot_hours * 3600.0 / 1e9;
+      energy_terms.push_back(d.total(power_terms) * trace.slot_hours / 1000.0);
+      served_terms.push_back(d.total(ops_terms) * trace.slot_hours * 3600.0 /
+                             1e9);
     }
+    const double energy_kwh = d.total(energy_terms);
+    const double served_gops = d.total(served_terms);
     const double joules = energy_kwh * 3.6e6;
     d.add(energy_kwh);
     d.add(served_gops);
@@ -335,6 +352,8 @@ int main() {
       kernels::variant_name(dispatched));
 
   exp::Gate gate("bench_fleet_day");
+  gate.require("scalar sequential sums within their error bound",
+               scalar_digest.sequential_within_bound);
   gate.bytes_equal("day digest: fleet vs scalar",
                    std::span<const double>(fleet_digest.values),
                    std::span<const double>(scalar_digest.values));

@@ -41,7 +41,8 @@ std::vector<EpTierPeakRow> peak_location_by_ep_tier(
     const dataset::ResultRepository& repo);
 
 /// Share of all servers peaking at ~60% utilisation (Wong [41] says this is
-/// typical for highly proportional machines; the paper measures 1.88-2.10%).
+/// typical for highly proportional machines; the paper measures 1.88%
+/// (Fig.16), and this population's share is 2.10%).
 double share_peaking_at_60(const dataset::ResultRepository& repo);
 
 }  // namespace epserve::analysis

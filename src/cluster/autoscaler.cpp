@@ -4,9 +4,11 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <span>
 #include <utility>
 
+#include "metrics/simd/kernels.h"
 #include "util/telemetry.h"
 
 namespace epserve::cluster {
@@ -129,31 +131,36 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
 
   // Pass 2 — server-major power: for each prefix position j, one batched
   // table evaluation covers every level whose active set includes order[j].
-  // Scattering in ascending j adds each level's contributions in the same
-  // order the scalar per-slot loop did, so slot powers match bitwise.
+  // With the levels sorted by active prefix, longest first, those levels
+  // are a leading run that only shortens as j grows, so each position is
+  // one batch and one element-wise axpy over that run. Each level still
+  // adds its servers in ascending j, the order the scalar per-slot loop
+  // did, so slot powers match bitwise.
   const std::span<const double> peak_watts = fleet.peak_watts();
-  std::vector<std::size_t> levels_on;
-  std::vector<double> utils;
-  std::vector<double> norm;
-  levels_on.reserve(levels.size());
-  utils.reserve(levels.size());
-  norm.reserve(levels.size());
+  std::vector<std::size_t> by_active(levels.size());
+  std::iota(by_active.begin(), by_active.end(), std::size_t{0});
+  std::stable_sort(by_active.begin(), by_active.end(),
+                   [&levels](std::size_t a, std::size_t b) {
+                     return levels[a].active > levels[b].active;
+                   });
+  std::vector<double> utils(levels.size());
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    utils[k] = levels[by_active[k]].utilization;
+  }
+  std::vector<double> norm(levels.size());
+  std::vector<double> power(levels.size(), 0.0);
+  const metrics::kernels::Kernels& kernel = metrics::kernels::active();
+  std::size_t run = levels.size();
   for (std::size_t j = 0; j < n; ++j) {
-    levels_on.clear();
-    utils.clear();
-    for (std::size_t l = 0; l < levels.size(); ++l) {
-      if (levels[l].active > j) {
-        levels_on.push_back(l);
-        utils.push_back(levels[l].utilization);
-      }
-    }
-    if (levels_on.empty()) break;  // active > j fails for every later j too
-    norm.resize(levels_on.size());
-    fleet.normalized_power_batch(order[j], utils, norm);
-    const double watts = peak_watts[order[j]];
-    for (std::size_t k = 0; k < levels_on.size(); ++k) {
-      levels[levels_on[k]].power_watts += norm[k] * watts;
-    }
+    while (run > 0 && levels[by_active[run - 1]].active <= j) --run;
+    if (run == 0) break;  // active > j fails for every later j too
+    const std::span<const double> run_utils(utils.data(), run);
+    fleet.normalized_power_batch(order[j], run_utils,
+                                 std::span<double>(norm.data(), run));
+    kernel.axpy(power.data(), norm.data(), peak_watts[order[j]], run);
+  }
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    levels[by_active[k]].power_watts = power[k];
   }
   for (std::size_t s = 0; s < num_slots; ++s) {
     result.slots[s].power_watts = levels[level_of[s]].power_watts;

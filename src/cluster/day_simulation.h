@@ -6,8 +6,8 @@
 // Traces come from the registry in cluster/trace.h (diurnal, flash_crowd,
 // weekly, scale_out); the optional IdleModel (cluster/idle_model.h) lets
 // parked servers sleep below active idle and charges the wake cost when a
-// burst recalls them. IdleModel::none() reproduces the pre-idle-model
-// accounting bit for bit.
+// burst recalls them. IdleModel::none() reproduces the accounting without
+// the model bit for bit.
 #pragma once
 
 #include <array>
@@ -43,10 +43,13 @@ struct DayResult {
 /// one account_batch over the trace's distinct demand levels (bit-identical
 /// to evaluating every slot), recorded under the `cluster/policy/<name>` root
 /// telemetry span. The day never expands a level into a utilisation vector:
-/// the slot sums read each level's totals, and the idle pass reads each
-/// server's utilisation off its level's FillPlan. Fails on empty
-/// fleet/trace, demand outside [0, 1] (NaN included), or idle-state caps
-/// that are negative or do not number one per slot.
+/// the slot sums read each level's totals, and the idle accounting takes
+/// each slot's parked, residency and wake charges from range sums over the
+/// plans' fill order. Each of the five sums is the correctly rounded exact
+/// sum of the per-slot and per-server terms a slot x server pass would add
+/// (docs/CLUSTER.md). Fails on empty fleet/trace, demand outside [0, 1]
+/// (NaN included), or idle-state caps that are negative or do not number
+/// one per slot.
 ///
 /// With a non-trivial IdleModel, a parked server (exact utilisation 0.0)
 /// occupies the deepest state allowed by trace.idle_state_cap(slot): its

@@ -50,6 +50,7 @@ void Fleet::Builder::reserve(std::uint64_t rows) {
 
 epserve::Result<bool> Fleet::Builder::append_rows(
     std::span<const dataset::ServerRecord> chunk, bool validate) {
+  const telemetry::Span span("fleet.append");
   // The lanes live for this chunk only. Joined before the append returns,
   // they never run beside the next stage's own threads (the generator's,
   // the exp runner's); a pool kept for the whole build did, and the extra
@@ -116,10 +117,9 @@ epserve::Result<bool> Fleet::Builder::append_rows(
           metrics::ee_at_level(curve, metrics::kNumLoadLevels - 1);
     }
   });
-  // Summed in index order, as the legacy per-call loops did.
   for (const auto& server : chunk) {
-    f.capacity_ops_ += server.curve.peak_ops();
-    f.total_idle_watts_ += server.curve.idle_watts();
+    capacity_ops_.add(server.curve.peak_ops());
+    idle_watts_.add(server.curve.idle_watts());
   }
   return true;
 }
@@ -128,6 +128,8 @@ Fleet Fleet::Builder::take() {
   telemetry::count("fleet.builds");
   telemetry::count("fleet.servers", fleet_.size());
   fleet_.snapshot_ = snapshot_builder_.finish();
+  fleet_.capacity_ops_ = capacity_ops_.value();
+  fleet_.total_idle_watts_ = idle_watts_.value();
   return std::move(fleet_);
 }
 
@@ -243,6 +245,13 @@ std::vector<double> Fleet::optimal_region_tops(double ee_threshold) const {
     tops.push_back(region.empty() ? 1.0 : region.hi);
   }
   return tops;
+}
+
+std::span<const double> Fleet::default_optimal_region_tops() const {
+  std::call_once(orders_->default_tops_once, [this] {
+    orders_->default_tops = optimal_region_tops(kDefaultEeThreshold);
+  });
+  return orders_->default_tops;
 }
 
 std::span<const std::size_t> Fleet::sorted_order(

@@ -25,10 +25,11 @@
 // Determinism contract (docs/CLUSTER.md): every column is a bitwise copy of
 // the corresponding per-record computation, and a grid row holds the
 // server's knot watts and slopes, so every power lookup runs the knot-walk
-// expression of PowerCurve::normalized_power on the same doubles. Anything
-// evaluated through a Fleet is byte-identical to the legacy
-// record-at-a-time path (pinned by tests/cluster_fleet_test.cpp at fleet
-// sizes 1/100/5000, 1 and 8 threads).
+// expression of PowerCurve::normalized_power on the same doubles. Every
+// fleet-wide total is the correctly rounded exact sum of the legacy
+// per-server terms (util::ExactSum), so no total depends on the order its
+// terms are visited in (pinned by tests/cluster_fleet_test.cpp against a
+// test-local exact sum at fleet sizes 1/100/5000, 1 and 8 threads).
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,7 @@
 #include "metrics/power_curve.h"
 #include "metrics/simd/kernels.h"
 #include "util/aligned.h"
+#include "util/exact_sum.h"
 #include "util/result.h"
 
 namespace epserve::dataset {
@@ -99,8 +101,9 @@ class Fleet {
     return snapshot_;
   }
 
-  // --- Fleet aggregates (summed in ascending server order, exactly as the
-  // --- legacy per-call loops did) ------------------------------------------
+  // --- Fleet aggregates (the correctly rounded exact sums of the per-server
+  // --- peak ops and idle watts, util::ExactSum: independent of row order and
+  // --- chunking) ------------------------------------------------------------
   [[nodiscard]] double capacity_ops() const { return capacity_ops_; }
   [[nodiscard]] double total_idle_watts() const { return total_idle_watts_; }
 
@@ -187,6 +190,12 @@ class Fleet {
   [[nodiscard]] std::vector<double> optimal_region_tops(
       double ee_threshold) const;
 
+  /// optimal_region_tops(kDefaultEeThreshold), the only threshold the serve
+  /// daemon and the built-in policies use: computed on the first call,
+  /// exactly once under std::call_once, and kept like the server orders
+  /// (shared by every later call, moved with the Fleet).
+  [[nodiscard]] std::span<const double> default_optimal_region_tops() const;
+
   /// Deterministic FNV-1a digest of the fleet's composition (server ids and
   /// the bit patterns of the peak/idle/EP columns). Two fleets digest equal
   /// iff they evaluate identically, so the serve layer stamps it on every
@@ -209,6 +218,8 @@ class Fleet {
     LazyOrder ee_at_full;
     LazyOrder peak_ee_value;
     LazyOrder overall_score;
+    std::once_flag default_tops_once;
+    std::vector<double> default_tops;
   };
   std::span<const std::size_t> sorted_order(LazyOrder& lazy,
                                             std::span<const double> score) const;
@@ -225,7 +236,7 @@ class Fleet {
   double capacity_ops_ = 0.0;
   double total_idle_watts_ = 0.0;
   // Behind a pointer so the Fleet stays movable (a once_flag is not) and a
-  // moved-to Fleet keeps the orders already sorted.
+  // moved-to Fleet keeps the orders already sorted and the tops computed.
   std::unique_ptr<LazyOrders> orders_ = std::make_unique<LazyOrders>();
 };
 
@@ -257,10 +268,10 @@ class Fleet::Builder {
   /// Capacity for `rows` rows in total (generate() knows its fleet size),
   /// so no later chunk reallocates and copies the rows before it.
   void reserve(std::uint64_t rows);
-  /// The one row routine: validates `chunk` when asked (the lowest bad
-  /// index wins, nothing is appended), then sizes every column once and
-  /// fills the chunk in index blocks, on lanes when it is large enough.
-  /// The aggregates are one index-order pass after the fill.
+  /// The one row routine, under one `fleet.append` span: validates `chunk`
+  /// when asked (the lowest bad index wins, nothing is appended), then
+  /// sizes every column once and fills the chunk in index blocks, on lanes
+  /// when it is large enough. The chunk's terms join the exact aggregates.
   epserve::Result<bool> append_rows(
       std::span<const dataset::ServerRecord> chunk, bool validate);
   /// Moves the finished fleet out and counts it; no checks, no span.
@@ -268,6 +279,8 @@ class Fleet::Builder {
 
   dataset::ColumnarSnapshot::Builder snapshot_builder_;
   Fleet fleet_;
+  util::ExactSum capacity_ops_;
+  util::ExactSum idle_watts_;
 };
 
 /// Thread-safe lazy Fleet: many threads may request the fleet concurrently,

@@ -11,7 +11,7 @@
 // idle watts, and pays wake_energy_j + a wake_latency_s serving gap on the
 // transition back to active. IdleModel::none() is the single-state model
 // that reproduces the legacy accounting bit for bit — simulate_day skips
-// the idle pass entirely when the model is trivial().
+// the idle accounting entirely when the model is trivial().
 #pragma once
 
 #include <string>

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
-#include "metrics/simd/kernels.h"
+#include "cluster/fill_ranges.h"
+#include "cluster/working_region.h"
 #include "util/contracts.h"
+#include "util/exact_sum.h"
 #include "util/telemetry.h"
 
 namespace epserve::cluster {
@@ -22,7 +25,7 @@ namespace {
 /// value and partial utilisation is `base + take / peak_ops` with the
 /// greedy fill's operands, so the plans expand to its vectors bit for bit.
 FillPlans fill_walk(const Fleet& fleet, std::span<const std::size_t> order,
-                    std::span<const std::vector<double>> caps,
+                    std::span<const std::span<const double>> caps,
                     std::span<const double> demands) {
   const std::span<const double> peak_ops = fleet.peak_ops();
   const std::size_t servers = fleet.size();
@@ -100,6 +103,29 @@ bool aligned(const FillPlans& plans, std::size_t servers,
       });
 }
 
+/// The fill order a staged batch's keys encode: order[pos] is the server
+/// at fill position pos. Empty when the positions are not one permutation
+/// of the servers shared by every stage, which a range sum needs.
+std::vector<std::uint32_t> fill_order(const FillPlans& plans) {
+  const std::vector<std::uint64_t>& first = plans.keys.front();
+  const std::size_t servers = first.size();
+  constexpr auto kUnset = ~std::uint32_t{0};
+  std::vector<std::uint32_t> order(servers, kUnset);
+  for (std::size_t i = 0; i < servers; ++i) {
+    const std::uint64_t pos = first[i] >> 2;
+    if (pos >= servers || order[pos] != kUnset) return {};
+    order[pos] = static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t stage = 1; stage < plans.keys.size(); ++stage) {
+    for (std::size_t i = 0; i < servers; ++i) {
+      if (plans.keys[stage][i] >> 2 != first[i] >> 2) return {};
+    }
+  }
+  return order;
+}
+
+bool out_of_range(double u) { return u < -1e-9 || u > 1.0 + 1e-9; }
+
 std::vector<double> expand(const FillPlans& plans, const FillPlan& plan,
                            std::size_t servers) {
   if (plans.full.empty()) return std::vector<double>(servers, plan.utilization);
@@ -107,6 +133,159 @@ std::vector<double> expand(const FillPlans& plans, const FillPlan& plan,
   std::vector<double> util(servers);
   for (std::size_t i = 0; i < servers; ++i) util[i] = view[i];
   return util;
+}
+
+/// A uniform batch's totals: every server of level d sits at
+/// levels[d].utilization, so each (server, level) pair is one kernel
+/// point, fed to the level's exact sums server block by server block.
+std::optional<Error> account_uniform(const Fleet& fleet,
+                                     std::span<const FillPlan> levels,
+                                     std::span<Assignment> totals) {
+  constexpr std::size_t kBlockServers = 256;
+  const std::size_t slots = levels.size();
+  std::vector<double> clamped(slots);
+  for (std::size_t d = 0; d < slots; ++d) {
+    if (out_of_range(levels[d].utilization)) {
+      return Error::failed_precondition(
+          "policy produced utilisation outside [0,1]");
+    }
+    clamped[d] = std::clamp(levels[d].utilization, 0.0, 1.0);
+  }
+  const std::span<const double> peak_watts = fleet.peak_watts();
+  const std::span<const double> peak_ops = fleet.peak_ops();
+  std::vector<double> utils(kBlockServers * slots);
+  std::vector<double> norm(kBlockServers * slots);
+  for (std::size_t k = 0; k < utils.size(); ++k) utils[k] = clamped[k % slots];
+  std::vector<util::ExactSum> power(slots);
+  std::vector<util::ExactSum> ops(slots);
+  std::vector<double> power_terms(kBlockServers);
+  std::vector<double> ops_terms(kBlockServers);
+  for (std::size_t i0 = 0; i0 < fleet.size(); i0 += kBlockServers) {
+    const std::size_t count = std::min(kBlockServers, fleet.size() - i0);
+    fleet.normalized_power_matrix(
+        i0, count, std::span<const double>(utils.data(), count * slots),
+        std::span<double>(norm.data(), count * slots), slots);
+    for (std::size_t d = 0; d < slots; ++d) {
+      for (std::size_t r = 0; r < count; ++r) {
+        power_terms[r] = norm[r * slots + d] * peak_watts[i0 + r];
+        ops_terms[r] = clamped[d] * peak_ops[i0 + r];
+      }
+      power[d].add(std::span<const double>(power_terms.data(), count));
+      ops[d].add(std::span<const double>(ops_terms.data(), count));
+    }
+  }
+  for (std::size_t d = 0; d < slots; ++d) {
+    totals[d].total_power_watts = power[d].value();
+    totals[d].total_ops = ops[d].value();
+  }
+  return std::nullopt;
+}
+
+/// A staged batch's totals from range sums over the fill order. Column 0
+/// holds every server at 0.0 (the first stage's base) and column k + 1 at
+/// full[k]; under a level's plan the positions before its fill point read
+/// column stage + 1, the partial server its own utilisation, and the rest
+/// column stage. One pass over the servers feeds each server's power and
+/// ops terms at every column into exact sums by fill-position segment
+/// (FillRanges), and each level's totals are two range sums plus its
+/// partial server. The kernel runs in blocks of servers, one point per
+/// column; a column no level reads at a server's position is evaluated at
+/// 0.0 and dropped, so only values the levels hold are ever checked or
+/// summed.
+std::optional<Error> account_staged(const Fleet& fleet,
+                                    const FillPlans& plans,
+                                    std::span<const std::uint32_t> order,
+                                    std::span<Assignment> totals) {
+  const std::size_t servers = fleet.size();
+  const std::size_t columns = plans.full.size() + 1;
+  // Column j is read on [0, reach[j]) as a full value and on
+  // [from[j], servers) as a base value.
+  std::vector<std::size_t> reach(columns, 0);
+  std::vector<std::size_t> from(columns, servers);
+  std::vector<std::size_t> cuts;
+  for (const FillPlan& plan : plans.levels) {
+    const std::size_t rest = plan.filled + (plan.partial ? 1 : 0);
+    reach[plan.stage + 1] = std::max(reach[plan.stage + 1], plan.filled);
+    from[plan.stage] = std::min(from[plan.stage], rest);
+    cuts.push_back(plan.filled);
+    cuts.push_back(rest);
+  }
+  // Range column 2j sums power at value column j, 2j + 1 ops.
+  FillRanges ranges(servers, std::move(cuts), 2 * columns);
+  // The lowest and highest fill positions at which a column's value is out
+  // of range; a level fails when it reads one.
+  std::vector<std::size_t> first_bad(columns, servers);
+  std::vector<std::size_t> last_bad(columns, 0);
+  std::vector<bool> any_bad(columns, false);
+
+  constexpr std::size_t kBlockServers = 256;
+  const std::span<const double> peak_watts = fleet.peak_watts();
+  const std::span<const double> peak_ops = fleet.peak_ops();
+  const std::vector<std::uint64_t>& keys = plans.keys.front();
+  std::vector<double> clamped(kBlockServers * columns);
+  std::vector<double> norm(kBlockServers * columns);
+  const auto read = [&](std::size_t j, std::size_t pos) {
+    return pos < reach[j] || pos >= from[j];
+  };
+  for (std::size_t i0 = 0; i0 < servers; i0 += kBlockServers) {
+    const std::size_t count = std::min(kBlockServers, servers - i0);
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::size_t i = i0 + r;
+      const std::size_t pos = keys[i] >> 2;
+      for (std::size_t j = 0; j < columns; ++j) {
+        double u = 0.0;  // a column no level reads here: a harmless point
+        if (j > 0 && read(j, pos)) {
+          u = plans.full[j - 1][i];
+          if (out_of_range(u)) {
+            first_bad[j] = std::min(first_bad[j], pos);
+            last_bad[j] = std::max(last_bad[j], pos);
+            any_bad[j] = true;
+          }
+        }
+        clamped[r * columns + j] = std::clamp(u, 0.0, 1.0);
+      }
+    }
+    fleet.normalized_power_matrix(
+        i0, count, std::span<const double>(clamped.data(), count * columns),
+        std::span<double>(norm.data(), count * columns), columns);
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::size_t i = i0 + r;
+      const std::size_t pos = keys[i] >> 2;
+      for (std::size_t j = 0; j < columns; ++j) {
+        if (!read(j, pos)) continue;
+        ranges.add(2 * j, pos, norm[r * columns + j] * peak_watts[i]);
+        ranges.add(2 * j + 1, pos, clamped[r * columns + j] * peak_ops[i]);
+      }
+    }
+  }
+  ranges.finish();
+
+  for (std::size_t d = 0; d < plans.levels.size(); ++d) {
+    const FillPlan& plan = plans.levels[d];
+    const std::size_t rest = plan.filled + (plan.partial ? 1 : 0);
+    const bool bad_full = first_bad[plan.stage + 1] < plan.filled;
+    const bool bad_base = any_bad[plan.stage] && last_bad[plan.stage] >= rest;
+    if (bad_full || bad_base ||
+        (plan.partial && out_of_range(plan.utilization))) {
+      return Error::failed_precondition(
+          "policy produced utilisation outside [0,1]");
+    }
+    util::ExactSum power;
+    util::ExactSum ops;
+    ranges.fold(2 * (plan.stage + 1), 0, plan.filled, +1, power);
+    ranges.fold(2 * (plan.stage + 1) + 1, 0, plan.filled, +1, ops);
+    ranges.fold(2 * plan.stage, rest, servers, +1, power);
+    ranges.fold(2 * plan.stage + 1, rest, servers, +1, ops);
+    if (plan.partial) {
+      const std::size_t i = order[plan.filled];
+      const double clamped_u = std::clamp(plan.utilization, 0.0, 1.0);
+      power.add(fleet.normalized_power(i, clamped_u) * peak_watts[i]);
+      ops.add(clamped_u * peak_ops[i]);
+    }
+    totals[d].total_power_watts = power.value();
+    totals[d].total_ops = ops.value();
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -132,8 +311,8 @@ std::vector<double> PlacementPolicy::place(const Fleet& fleet,
 
 FillPlans PackToFullPolicy::plan_batch(const Fleet& fleet,
                                        std::span<const double> demands) const {
-  const std::vector<std::vector<double>> caps{
-      std::vector<double>(fleet.size(), 1.0)};
+  const std::vector<double> full(fleet.size(), 1.0);
+  const std::span<const double> caps[] = {full};
   return fill_walk(fleet, fleet.order_by_ee_at_full(), caps, demands);
 }
 
@@ -154,9 +333,16 @@ FillPlans OptimalRegionPolicy::plan_batch(
   // Stage 1 fills servers up to the top of their optimal region, best peak
   // EE first; demand exceeding the regions' capacity spills into stage 2,
   // full packing in the same order.
-  const std::vector<std::vector<double>> caps{
-      fleet.optimal_region_tops(ee_threshold_),
-      std::vector<double>(fleet.size(), 1.0)};
+  std::vector<double> other_tops;
+  std::span<const double> tops;
+  if (ee_threshold_ == kDefaultEeThreshold) {
+    tops = fleet.default_optimal_region_tops();
+  } else {
+    other_tops = fleet.optimal_region_tops(ee_threshold_);
+    tops = other_tops;
+  }
+  const std::vector<double> full(fleet.size(), 1.0);
+  const std::span<const double> caps[] = {tops, full};
   return fill_walk(fleet, fleet.order_by_peak_ee_value(), caps, demands);
 }
 
@@ -173,16 +359,19 @@ Result<Assignment> evaluate(const PlacementPolicy& policy, const Fleet& fleet,
   }
   const std::span<const double> peak_watts = fleet.peak_watts();
   const std::span<const double> peak_ops = fleet.peak_ops();
+  util::ExactSum power;
+  util::ExactSum ops;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     const double u = assignment.utilization[i];
-    if (u < -1e-9 || u > 1.0 + 1e-9) {
+    if (out_of_range(u)) {
       return Error::failed_precondition("policy produced utilisation outside [0,1]");
     }
     const double clamped = std::clamp(u, 0.0, 1.0);
-    assignment.total_power_watts +=
-        fleet.normalized_power(i, clamped) * peak_watts[i];
-    assignment.total_ops += clamped * peak_ops[i];
+    power.add(fleet.normalized_power(i, clamped) * peak_watts[i]);
+    ops.add(clamped * peak_ops[i]);
   }
+  assignment.total_power_watts = power.value();
+  assignment.total_ops = ops.value();
   return assignment;
 }
 
@@ -204,55 +393,18 @@ Result<BatchAccount> account_batch(const PlacementPolicy& policy,
   if (!aligned(plans, fleet.size(), demands.size())) {
     return Error::failed_precondition("policy returned a misaligned batch");
   }
-  // Server-major accounting: each server's grid row covers every level.
-  // Each level's sums still accumulate in server index order, so totals
-  // match evaluate() bitwise — the axpy kernel is element-wise
-  // (acc[d] += x[d] * s, no cross-lane reduction), so every variant
-  // produces the scalar loop's bytes. Servers go through the power kernel
-  // in blocks: each block's utilisations are read off the plans into a
-  // kBlockServers x levels matrix, one normalized_power_matrix call
-  // amortises kernel dispatch over its rows, and the block's clamped/norm
-  // matrices stay cache-resident.
-  constexpr std::size_t kBlockServers = 256;
-  const metrics::kernels::Kernels& kernel = metrics::kernels::active();
-  const std::span<const double> peak_watts_col = fleet.peak_watts();
-  const std::span<const double> peak_ops_col = fleet.peak_ops();
-  const std::size_t slots = demands.size();
-  std::vector<double> clamped(kBlockServers * slots);
-  std::vector<double> norm(kBlockServers * slots);
-  std::vector<double> power_acc(slots, 0.0);
-  std::vector<double> ops_acc(slots, 0.0);
-  std::vector<FillPlans::LevelView> views;
-  views.reserve(slots);
-  for (const FillPlan& plan : plans.levels) views.push_back(plans.view(plan));
-  for (std::size_t i0 = 0; i0 < fleet.size(); i0 += kBlockServers) {
-    const std::size_t count = std::min(kBlockServers, fleet.size() - i0);
-    for (std::size_t d = 0; d < slots; ++d) {
-      const FillPlans::LevelView view = views[d];
-      for (std::size_t r = 0; r < count; ++r) {
-        const double u = view[i0 + r];
-        if (u < -1e-9 || u > 1.0 + 1e-9) {
-          return Error::failed_precondition(
-              "policy produced utilisation outside [0,1]");
-        }
-        clamped[r * slots + d] = std::clamp(u, 0.0, 1.0);
-      }
-    }
-    fleet.normalized_power_matrix(
-        i0, count, std::span<const double>(clamped.data(), count * slots),
-        std::span<double>(norm.data(), count * slots), slots);
-    for (std::size_t r = 0; r < count; ++r) {
-      kernel.axpy(power_acc.data(), norm.data() + r * slots,
-                  peak_watts_col[i0 + r], slots);
-      kernel.axpy(ops_acc.data(), clamped.data() + r * slots,
-                  peak_ops_col[i0 + r], slots);
+  if (!plans.full.empty()) {
+    out.order = fill_order(plans);
+    if (out.order.empty()) {
+      return Error::failed_precondition("policy returned a misaligned batch");
     }
   }
-  out.totals.resize(slots);
-  for (std::size_t d = 0; d < slots; ++d) {
-    out.totals[d].total_power_watts = power_acc[d];
-    out.totals[d].total_ops = ops_acc[d];
-  }
+  out.totals.resize(demands.size());
+  const std::optional<Error> failed =
+      plans.full.empty()
+          ? account_uniform(fleet, plans.levels, out.totals)
+          : account_staged(fleet, plans, out.order, out.totals);
+  if (failed) return *failed;
   return out;
 }
 

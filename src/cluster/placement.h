@@ -13,17 +13,22 @@
 // fill point in one server order over demand-independent per-server
 // columns (FillPlans). Demand-independent work happens once per batch:
 // ordering servers by an efficiency score once per Fleet (its cached
-// server orders), working-region caps and the stage columns once per
-// batch. account_batch sums every plan's power and ops straight from the
-// plans through the fleet's grid rows, so no levels x servers matrix
-// exists on the batch path; place_batch and evaluate_batch expand the
-// plans into utilisation vectors only for callers that want them.
-// Callers holding raw std::vector<ServerRecord> data convert once at the
-// call boundary via Fleet::from_records (unvalidated) or Fleet::build
-// (validated) — every entry point here takes `const Fleet&` only, and the
-// results are byte-identical to the pre-Fleet record-at-a-time
-// implementations (pinned by tests/cluster_fleet_test.cpp) and to the
-// dense greedy fill (tests/placement_property_test.cpp).
+// server orders), working-region caps once per Fleet at the default
+// threshold, and the stage columns once per batch. account_batch takes
+// every plan's power and ops from range sums over the fill order through
+// the fleet's grid rows, so no levels x servers matrix exists on the
+// batch path; place_batch and evaluate_batch expand the plans into
+// utilisation vectors only for callers that want them. Callers holding
+// raw std::vector<ServerRecord> data convert once at the call boundary via
+// Fleet::from_records (unvalidated) or Fleet::build (validated) — every
+// entry point here takes `const Fleet&` only.
+//
+// Summation contract (docs/CLUSTER.md): every total here is the correctly
+// rounded exact sum (util::ExactSum) of the pre-Fleet record-at-a-time
+// per-server terms, so no total depends on the order its terms are
+// visited in. Utilisations are bitwise the dense greedy fill's
+// (tests/placement_property_test.cpp), and totals equal test-local exact
+// sums of the scalar terms (tests/cluster_fleet_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -35,6 +40,7 @@
 #include <vector>
 
 #include "cluster/fleet.h"
+#include "cluster/working_region.h"
 #include "dataset/record.h"
 #include "util/result.h"
 
@@ -87,8 +93,8 @@ struct FillPlans {
   std::vector<FillPlan> levels;
 
   /// One level's per-server utilisations with the plan's columns resolved
-  /// once — the form hot loops read. view[i] is bitwise the value the dense
-  /// greedy fill left in server i's slot of its utilisation vector.
+  /// once. view[i] is bitwise the value the dense greedy fill left in
+  /// server i's slot of its utilisation vector.
   class LevelView {
    public:
     [[nodiscard]] double operator[](std::size_t i) const {
@@ -100,8 +106,8 @@ struct FillPlans {
       return *(pos < filled_ ? full_ + i : base_ + (i & base_mask_));
     }
 
-    /// view[i] == 0.0, read off server i's key alone: the idle pass's
-    /// parked test, one load instead of the two view[i] depends on.
+    /// view[i] == 0.0, read off server i's key alone: the parked test,
+    /// one load instead of the two view[i] depends on.
     [[nodiscard]] bool zero(std::size_t i) const {
       if (key_ == nullptr) return utilization_ == 0.0;
       const std::uint64_t key = key_[i];
@@ -183,7 +189,7 @@ class BalancedPolicy final : public PlacementPolicy {
 /// otherwise be met.
 class OptimalRegionPolicy final : public PlacementPolicy {
  public:
-  explicit OptimalRegionPolicy(double ee_threshold = 0.95)
+  explicit OptimalRegionPolicy(double ee_threshold = kDefaultEeThreshold)
       : ee_threshold_(ee_threshold) {}
   [[nodiscard]] std::string name() const override { return "optimal-region"; }
   [[nodiscard]] FillPlans plan_batch(
@@ -195,8 +201,8 @@ class OptimalRegionPolicy final : public PlacementPolicy {
 
 /// Evaluates a policy: computes utilisations, per-curve powers (linear
 /// interpolation on the measured sheets; active idle at utilisation 0) and
-/// the achieved throughput. Fails if the fleet is empty or demand is out of
-/// [0, 1].
+/// the achieved throughput, each total the exact sum of its per-server
+/// terms. Fails if the fleet is empty or demand is out of [0, 1].
 epserve::Result<Assignment> evaluate(const PlacementPolicy& policy,
                                      const Fleet& fleet, double demand);
 
@@ -205,15 +211,22 @@ epserve::Result<Assignment> evaluate(const PlacementPolicy& policy,
 struct BatchAccount {
   FillPlans plans;
   std::vector<Assignment> totals;
+  /// The fill order the plans' keys encode: order[pos] is the server at
+  /// fill position pos in every stage. Empty for a uniform batch.
+  std::vector<std::uint32_t> order;
 };
 
 /// The one batch accounting routine, behind evaluate_batch and
-/// simulate_day: one plan_batch for the placement, then server-major power
-/// accounting straight from the plans through the fleet's grid rows (one
-/// lookup pass per server for the whole batch). Each total is the server
-/// index order sum of the per-server terms evaluate() adds, so per-demand
-/// totals are bit-identical to calling evaluate() per demand. Fails as
-/// evaluate_batch does.
+/// simulate_day: one plan_batch for the placement, then the plans' totals
+/// through the fleet's grid rows. A staged batch is one pass over the
+/// servers, each evaluated at its stage values, feeding exact sums by fill
+/// position; a level's totals are two range sums plus its partial server.
+/// A uniform batch evaluates every (server, level) point into exact
+/// per-level sums. Each total is the exact sum of the per-server terms
+/// evaluate() adds, so per-demand totals are bit-identical to calling
+/// evaluate() per demand. Fails as evaluate_batch does, and with "policy
+/// returned a misaligned batch" when the plans' keys do not encode one
+/// fill order shared by every stage.
 epserve::Result<BatchAccount> account_batch(const PlacementPolicy& policy,
                                             const Fleet& fleet,
                                             std::span<const double> demands);

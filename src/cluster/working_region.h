@@ -15,6 +15,10 @@ namespace epserve::cluster {
 
 class Fleet;
 
+/// The default EE threshold of optimal_region(): "within 5% of this
+/// machine's best efficiency".
+inline constexpr double kDefaultEeThreshold = 0.95;
+
 /// A closed utilisation band [lo, hi].
 struct Region {
   double lo = 0.0;
@@ -33,7 +37,7 @@ Region intersect(const Region& a, const Region& b);
 /// measured levels; 0 at utilisation 0. Default threshold 0.95: "within 5%
 /// of this machine's best efficiency".
 Region optimal_region(const metrics::PowerCurve& curve,
-                      double threshold = 0.95);
+                      double threshold = kDefaultEeThreshold);
 
 /// A logical cluster: servers grouped by EP bucket whose shared (overlapped)
 /// optimal region is non-empty (paper §V.C's grouping procedure).

@@ -2,8 +2,10 @@
 // temperature grows with dissipated power — a fixed point the steady state
 // must satisfy. The loop explains a second-order effect the base CpuModel
 // omits: at high utilisation the package runs hotter, leaks more, and the
-// power-utilisation curve steepens near full load (slightly *raising* EP at
-// constant peak power, and coupling fan speed to real heat).
+// power-utilisation curve steepens near full load. That *raises* EP, and
+// peak power moves with it: for a 95 W 8-core package the loop lifts EP
+// 0.667 -> 0.770, peak power 95.0 -> 97.3 W and idle 19.0 -> 16.7 W (claim
+// `ablation.thermal`). It also couples fan speed to real heat.
 #pragma once
 
 #include "power/cpu_model.h"

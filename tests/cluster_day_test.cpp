@@ -4,10 +4,15 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "dataset/generator.h"
 #include "metrics/curve_models.h"
@@ -192,6 +197,167 @@ TEST(SimulateDay, WakeHeavyDayMatchesDenseReferenceBitwise) {
         EXPECT_EQ(bits(day.value().wake_lost_gops), bits(ref.wake_lost_gops))
             << where;
         EXPECT_EQ(day.value().wake_count, ref.wake_count) << where;
+      }
+    }
+  }
+}
+
+/// A built-in policy whose plans are edited after the fill walk: `edit`
+/// receives the plans and the fleet size and may change any column.
+class EditedPolicy final : public PlacementPolicy {
+ public:
+  using Edit = std::function<void(FillPlans&, std::size_t)>;
+  EditedPolicy(std::string_view base, Edit edit)
+      : base_(make_placement_policy(base).take()), edit_(std::move(edit)) {}
+  [[nodiscard]] std::string name() const override { return base_->name(); }
+  [[nodiscard]] FillPlans plan_batch(
+      const Fleet& fleet, std::span<const double> demands) const override {
+    FillPlans plans = base_->plan_batch(fleet, demands);
+    edit_(plans, fleet.size());
+    return plans;
+  }
+
+ private:
+  std::unique_ptr<PlacementPolicy> base_;
+  Edit edit_;
+};
+
+/// Server i's stage-k value set to `value`, with its keys' zero flags
+/// (this stage's full value, the next stage's base) kept consistent.
+void set_full(FillPlans& plans, std::size_t stage, std::size_t i,
+              double value) {
+  plans.full[stage][i] = value;
+  const auto zero = std::uint64_t{value == 0.0};
+  plans.keys[stage][i] = (plans.keys[stage][i] & ~std::uint64_t{2}) | zero << 1;
+  if (stage + 1 < plans.keys.size()) {
+    plans.keys[stage + 1][i] = (plans.keys[stage + 1][i] & ~std::uint64_t{1}) |
+                               zero;
+  }
+}
+
+TEST(AccountBatch, RejectsPlansOutsideTheUnitRangeOrPastTheFleet) {
+  const auto built = Fleet::build(fleet());
+  ASSERT_TRUE(built.ok());
+  const std::vector<double> demands = {0.5, 1.0};
+  DemandTrace trace;
+  trace.demand = demands;
+  // Every server is full at demand 1.0, so each reads its full value.
+  const EditedPolicy outside("pack-to-full", [](FillPlans& plans,
+                                                std::size_t) {
+    plans.full[0][2] = 1.5;
+  });
+  const EditedPolicy past("pack-to-full", [](FillPlans& plans,
+                                             std::size_t servers) {
+    plans.levels[0].filled = servers + 1;
+  });
+  const std::pair<const PlacementPolicy*, std::string> cases[] = {
+      {&outside, "policy produced utilisation outside [0,1]"},
+      {&past, "policy returned a misaligned batch"}};
+  for (const auto& [policy, message] : cases) {
+    const auto account = account_batch(*policy, built.value(), demands);
+    ASSERT_FALSE(account.ok());
+    EXPECT_EQ(account.error().code, Error::Code::kFailedPrecondition);
+    EXPECT_EQ(account.error().message, message);
+    const auto evaluated = evaluate_batch(*policy, built.value(), demands);
+    ASSERT_FALSE(evaluated.ok());
+    EXPECT_EQ(evaluated.error().message, message);
+    for (const IdleModel& idle : {IdleModel::none(), IdleModel::acpi()}) {
+      const auto day = simulate_day(*policy, built.value(), trace, idle);
+      ASSERT_FALSE(day.ok());
+      EXPECT_EQ(day.error().message, message);
+    }
+  }
+}
+
+TEST(SimulateDay, RangeSumDayMatchesExactDenseDay) {
+  // The range-sum day against the dense slot x server reference, bit for
+  // bit: the registry's traces with the idle cap changing every slot, a
+  // trace of edge levels (+-0.0, a subnormal demand, full load, spill
+  // levels for optimal-region), and plans edited so that some servers'
+  // zero flags break the position rule or a partial server sits at 0.0.
+  const auto built = Fleet::build(reference::mixed_fleet(700));
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  const Fleet& fleet = built.value();
+  const std::vector<int> caps = {4, 1, 3, 0, 2, 4, 2};
+  std::vector<std::pair<std::string, DemandTrace>> traces;
+  for (const std::string_view name : trace_names()) {
+    auto trace = make_trace(name);
+    ASSERT_TRUE(trace.ok());
+    DemandTrace capped = std::move(trace).take();
+    capped.max_idle_state.resize(capped.demand.size());
+    for (std::size_t s = 0; s < capped.demand.size(); ++s) {
+      capped.max_idle_state[s] = caps[s % caps.size()];
+    }
+    traces.emplace_back(std::string(name), std::move(capped));
+  }
+  DemandTrace edges;
+  edges.slot_hours = 0.3;
+  edges.demand = {0.0, std::numeric_limits<double>::denorm_min(), 1.0, -0.0,
+                  0.9, 0.2, 0.0, 0.97, 0.05, 1.0, 0.0};
+  for (std::size_t s = 0; s < edges.demand.size(); ++s) {
+    edges.max_idle_state.push_back(caps[(s + 3) % caps.size()]);
+  }
+  traces.emplace_back("edges", edges);
+
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  const auto expect_same = [&bits](const DayResult& got, const DayResult& want,
+                                   const std::string& where) {
+    EXPECT_EQ(bits(got.energy_kwh), bits(want.energy_kwh)) << where;
+    EXPECT_EQ(bits(got.served_gops), bits(want.served_gops)) << where;
+    EXPECT_EQ(bits(got.avg_efficiency), bits(want.avg_efficiency)) << where;
+    EXPECT_EQ(bits(got.idle_energy_kwh), bits(want.idle_energy_kwh)) << where;
+    EXPECT_EQ(bits(got.wake_energy_kwh), bits(want.wake_energy_kwh)) << where;
+    EXPECT_EQ(bits(got.wake_lost_gops), bits(want.wake_lost_gops)) << where;
+    EXPECT_EQ(got.wake_count, want.wake_count) << where;
+  };
+  // Irregular servers: a full value of 0.0 in the first stage (so a later
+  // stage starts it from 0.0), in the second stage only, or in both.
+  const EditedPolicy pack_zeros("pack-to-full", [](FillPlans& plans,
+                                                   std::size_t servers) {
+    for (std::size_t i = 0; i < servers; i += 5) set_full(plans, 0, i, 0.0);
+  });
+  const EditedPolicy region_zeros("optimal-region", [](FillPlans& plans,
+                                                       std::size_t servers) {
+    for (std::size_t i = 0; i < servers; ++i) {
+      if (i % 7 == 0) set_full(plans, 0, i, 0.0);
+      if (i % 7 == 0 || i % 11 == 0) set_full(plans, 1, i, 0.0);
+      if (i % 13 == 0) set_full(plans, 0, i, 0.0);
+    }
+  });
+
+  // A custom plan may leave its partial server at 0.0, parking it. The
+  // edit reads only the plan, so a level's plan is edited alike in a batch
+  // of distinct levels and in one of every slot.
+  const EditedPolicy partial_zeros("pack-to-full", [](FillPlans& plans,
+                                                      std::size_t) {
+    for (FillPlan& plan : plans.levels) {
+      if (plan.partial && plan.filled % 2 == 0) plan.utilization = 0.0;
+    }
+  });
+
+  for (const auto& [trace_name, trace] : traces) {
+    for (const IdleModel& idle : {IdleModel::none(), IdleModel::acpi()}) {
+      const std::string suffix =
+          " " + trace_name + " idle states " + std::to_string(idle.states.size());
+      for (const char* name : {"pack-to-full", "balanced", "optimal-region"}) {
+        const auto policy = make_placement_policy(name);
+        ASSERT_TRUE(policy.ok());
+        const auto day = simulate_day(*policy.value(), fleet, trace, idle);
+        ASSERT_TRUE(day.ok()) << day.error().message;
+        expect_same(day.value(), reference::day(fleet, name, trace, idle),
+                    name + suffix);
+      }
+      for (const EditedPolicy* policy :
+           {&pack_zeros, &region_zeros, &partial_zeros}) {
+        const auto day = simulate_day(*policy, fleet, trace, idle);
+        ASSERT_TRUE(day.ok()) << day.error().message;
+        const DayResult want = reference::day_of(
+            fleet, policy->name(), policy->place_batch(fleet, trace.demand),
+            trace, idle);
+        if (!idle.trivial()) EXPECT_GT(want.wake_count, 0u);
+        expect_same(day.value(), want, "edited " + policy->name() + suffix);
       }
     }
   }

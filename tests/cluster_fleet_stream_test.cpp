@@ -2,14 +2,20 @@
 // Fleet::generate — generator chunks streamed through a Fleet::Builder —
 // must be indistinguishable (digest, columns, aggregates, whole-day policy
 // results, logical clusters and the operating guide) from a monolithic
-// Fleet::build() over the same records, at every chunk size. Runs under the
-// `scale` and `cluster` ctest labels.
+// Fleet::build() over the same records, at every chunk size, and every day
+// must keep its bits whatever number of threads runs the days. Runs under
+// the `scale` and `cluster` ctest labels.
 #include "cluster/fleet.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/autoscaler.h"
@@ -18,6 +24,8 @@
 #include "cluster/working_region.h"
 #include "dataset/generator.h"
 #include "metrics/load_level.h"
+#include "util/parallel.h"
+#include "util/thread_pool.h"
 
 namespace epserve::cluster {
 namespace {
@@ -112,6 +120,77 @@ TEST(FleetStream, DayStudyMatchesMonolithic) {
             scaled_monolithic.value().served_gops);
   EXPECT_EQ(scaled_streamed.value().avg_efficiency,
             scaled_monolithic.value().avg_efficiency);
+}
+
+/// Every (policy, trace, idle model) day of `fleet` — the exp runner's
+/// cells — run on `threads` lanes, as the bits of each result field in
+/// cell order (an ineligible autoscaler cell contributes nothing).
+std::vector<std::uint64_t> day_bits(const Fleet& fleet, std::size_t threads) {
+  struct Cell {
+    std::string_view policy;
+    DemandTrace trace;
+    IdleModel idle;
+  };
+  std::vector<Cell> cells;
+  for (const std::string_view policy : kDayPolicies) {
+    for (const std::string_view name : trace_names()) {
+      for (const IdleModel& idle : {IdleModel::none(), IdleModel::acpi()}) {
+        auto trace = make_trace(name);
+        EXPECT_TRUE(trace.ok());
+        cells.push_back({policy, std::move(trace).take(), idle});
+      }
+    }
+  }
+  std::vector<std::optional<DayResult>> days(cells.size());
+  const auto pool = make_worker_pool(threads);
+  parallel_for(pool.get(), cells.size(), [&](std::size_t c) {
+    auto day = simulate_policy_day(cells[c].policy, fleet, cells[c].trace,
+                                   cells[c].idle);
+    EXPECT_TRUE(day.ok());
+    if (day.ok()) days[c] = std::move(day).take();
+  });
+  std::vector<std::uint64_t> bits;
+  for (const auto& day : days) {
+    if (!day) continue;
+    for (const double field :
+         {day->energy_kwh, day->served_gops, day->avg_efficiency,
+          day->idle_energy_kwh, day->wake_energy_kwh, day->wake_lost_gops}) {
+      bits.push_back(std::bit_cast<std::uint64_t>(field));
+    }
+    bits.push_back(day->wake_count);
+  }
+  return bits;
+}
+
+TEST(FleetStream, ChunkingAndThreadCountsLeaveEveryDayBitIdentical) {
+  // Past Builder::kParallelRows, so the larger chunks fill on lanes.
+  const auto records = scaled_records(20000);
+  const auto one_shot = Fleet::build(records);
+  ASSERT_TRUE(one_shot.ok());
+  const std::vector<std::uint64_t> want = day_bits(one_shot.value(), 1);
+  ASSERT_FALSE(want.empty());
+  for (const std::size_t chunk :
+       {std::size_t{1000}, std::size_t{8192}, std::size_t{20000}}) {
+    Fleet::Builder builder;
+    for (std::size_t lo = 0; lo < records.size(); lo += chunk) {
+      const std::size_t count = std::min(chunk, records.size() - lo);
+      ASSERT_TRUE(builder
+                      .append(std::span<const ServerRecord>(
+                          records.data() + lo, count))
+                      .ok());
+    }
+    auto chunked = builder.finish();
+    ASSERT_TRUE(chunked.ok());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(chunked.value().capacity_ops()),
+              std::bit_cast<std::uint64_t>(one_shot.value().capacity_ops()))
+        << "chunk=" << chunk;
+    EXPECT_EQ(day_bits(chunked.value(), 1), want) << "chunk=" << chunk;
+  }
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    EXPECT_EQ(day_bits(one_shot.value(), threads), want)
+        << "threads=" << threads;
+  }
 }
 
 TEST(FleetStream, OperatingGuideMatchesMonolithic) {

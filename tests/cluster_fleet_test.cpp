@@ -2,15 +2,18 @@
 // cache — every column equals the per-record metric function bitwise, every
 // policy/simulation result routed through the Fleet equals the pre-refactor
 // record-at-a-time arithmetic bitwise (reimplemented here as the scalar
-// reference, per demand point and per trace slot), at fleet sizes
-// 1/100/5000 and from 1 or 8 threads sharing one LazyFleet or one Fleet's
-// lazily sorted server orders (run under -DEPSERVE_SANITIZE=thread via
-// `ctest -L parallel`).
+// reference, per demand point and per trace slot, with each placement total
+// the exact sum of its per-server terms and the autoscaler's slot sums in
+// prefix order), at fleet sizes 1/100/5000 and from 1 or 8 threads sharing
+// one LazyFleet or one Fleet's lazily sorted server orders (run under
+// -DEPSERVE_SANITIZE=thread via `ctest -L parallel`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <latch>
 #include <limits>
@@ -35,11 +38,23 @@
 #include "metrics/curve_models.h"
 #include "metrics/efficiency.h"
 #include "metrics/proportionality.h"
+#include "fsum_reference.h"
 #include "util/contracts.h"
 #include "util/telemetry.h"
 
 namespace epserve::cluster {
 namespace {
+
+/// A reference total: the exact sum of its terms (tests/fsum_reference.h),
+/// after checking that the sequential sum the reference once took lies
+/// within the standard error bound of it.
+double exact_total(const std::vector<double>& terms) {
+  const double exact = fsum_reference::fsum(terms);
+  EXPECT_TRUE(fsum_reference::within_sequential_bound(
+      terms, fsum_reference::sequential_sum(terms), exact))
+      << "sequential sum of " << terms.size() << " terms";
+  return exact;
+}
 
 /// Deterministic heterogeneous fleet: EP/idle/tau/peak parameters cycle with
 /// the index, so any size yields a mix of modern interior-peak and legacy
@@ -97,9 +112,9 @@ void reference_fill(const std::vector<dataset::ServerRecord>& fleet,
 }
 
 double reference_capacity(const std::vector<dataset::ServerRecord>& fleet) {
-  double capacity = 0.0;
-  for (const auto& s : fleet) capacity += s.curve.peak_ops();
-  return capacity;
+  std::vector<double> terms;
+  for (const auto& s : fleet) terms.push_back(s.curve.peak_ops());
+  return exact_total(terms);
 }
 
 std::vector<double> reference_place(
@@ -139,25 +154,35 @@ Assignment reference_evaluate(const std::vector<dataset::ServerRecord>& fleet,
                               const std::string& policy, double demand) {
   Assignment assignment;
   assignment.utilization = reference_place(fleet, policy, demand);
+  std::vector<double> power;
+  std::vector<double> ops;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     const double clamped = std::clamp(assignment.utilization[i], 0.0, 1.0);
-    assignment.total_power_watts +=
-        fleet[i].curve.normalized_power(clamped) * fleet[i].curve.peak_watts();
-    assignment.total_ops += clamped * fleet[i].curve.peak_ops();
+    power.push_back(fleet[i].curve.normalized_power(clamped) *
+                    fleet[i].curve.peak_watts());
+    ops.push_back(clamped * fleet[i].curve.peak_ops());
   }
+  assignment.total_power_watts = exact_total(power);
+  assignment.total_ops = exact_total(ops);
   return assignment;
 }
 
-/// Per-slot reference day over precomputed per-slot assignments: energy and
-/// served work summed in slot order, then a copy of simulate_day's idle pass
-/// (server-index order per slot) reading each slot's own assignment.
+/// Per-slot reference day over precomputed per-slot assignments: the slot
+/// energy and served work, then a copy of the slot x server idle pass
+/// reading each slot's own assignment; each total is the exact sum of the
+/// terms it collects.
 DayResult reference_day(const std::vector<dataset::ServerRecord>& fleet,
                         const std::vector<Assignment>& slots,
                         const DemandTrace& trace, const IdleModel& idle) {
   DayResult result;
+  std::vector<double> energy;
+  std::vector<double> served;
+  std::vector<double> idle_energy;
+  std::vector<double> wake_energy;
+  std::vector<double> wake_lost;
   for (const Assignment& slot : slots) {
-    result.energy_kwh += slot.total_power_watts * trace.slot_hours / 1000.0;
-    result.served_gops += slot.total_ops * trace.slot_hours * 3600.0 / 1e9;
+    energy.push_back(slot.total_power_watts * trace.slot_hours / 1000.0);
+    served.push_back(slot.total_ops * trace.slot_hours * 3600.0 / 1e9);
   }
   if (!idle.trivial()) {
     const double slot_seconds = trace.slot_hours * 3600.0;
@@ -169,10 +194,10 @@ DayResult reference_day(const std::vector<dataset::ServerRecord>& fleet,
         const double u = slots[s].utilization[i];
         const double idle_watts = fleet[i].curve.idle_watts();
         if (u == 0.0) {
-          result.energy_kwh += idle_watts * (state.power_fraction - 1.0) *
-                               trace.slot_hours / 1000.0;
-          result.idle_energy_kwh += idle_watts * state.power_fraction *
-                                    trace.slot_hours / 1000.0;
+          energy.push_back(idle_watts * (state.power_fraction - 1.0) *
+                           trace.slot_hours / 1000.0);
+          idle_energy.push_back(idle_watts * state.power_fraction *
+                                trace.slot_hours / 1000.0);
           parked_state[i] = cap;
           continue;
         }
@@ -180,19 +205,24 @@ DayResult reference_day(const std::vector<dataset::ServerRecord>& fleet,
           const IdleState& from =
               idle.states[static_cast<std::size_t>(parked_state[i])];
           result.wake_count += 1;
-          result.wake_energy_kwh += from.wake_energy_j / 3.6e6;
-          result.energy_kwh += from.wake_energy_j / 3.6e6;
+          wake_energy.push_back(from.wake_energy_j / 3.6e6);
+          energy.push_back(from.wake_energy_j / 3.6e6);
           const double gap =
               std::min(from.wake_latency_s, slot_seconds) / slot_seconds;
           const double lost = u * fleet[i].curve.peak_ops() * gap *
                               trace.slot_hours * 3600.0 / 1e9;
-          result.wake_lost_gops += lost;
-          result.served_gops -= lost;
+          wake_lost.push_back(lost);
+          served.push_back(-lost);
         }
         parked_state[i] = -1;
       }
     }
   }
+  result.energy_kwh = exact_total(energy);
+  result.served_gops = exact_total(served);
+  result.idle_energy_kwh = exact_total(idle_energy);
+  result.wake_energy_kwh = exact_total(wake_energy);
+  result.wake_lost_gops = exact_total(wake_lost);
   const double joules = result.energy_kwh * 3.6e6;
   result.avg_efficiency =
       joules > 0.0 ? result.served_gops * 1e9 / joules : 0.0;
@@ -617,6 +647,85 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FleetEquivalence,
                          ::testing::Values(std::size_t{1}, std::size_t{100},
                                            std::size_t{5000}));
 
+// --- Order freedom: a shuffled fleet accounts the same bits ---------------
+
+TEST(FleetOrder, ShuffledRecordsGiveBitIdenticalDaysAndAutoscaling) {
+  // Every total is an exact sum, and every fill order breaks ties by
+  // record id, so the row order of the records cannot show in any result.
+  const auto records = make_fleet(700);
+  auto shuffled = records;
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t k = shuffled.size(); k > 1; --k) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    std::swap(shuffled[k - 1], shuffled[(state >> 33) % k]);
+  }
+  const auto a = Fleet::build(records);
+  const auto b = Fleet::build(shuffled);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  EXPECT_EQ(bits(a.value().capacity_ops()), bits(b.value().capacity_ops()));
+  EXPECT_EQ(bits(a.value().total_idle_watts()),
+            bits(b.value().total_idle_watts()));
+
+  std::vector<std::pair<std::string, DemandTrace>> traces;
+  for (const std::string_view name : trace_names()) {
+    auto trace = make_trace(name);
+    ASSERT_TRUE(trace.ok());
+    traces.emplace_back(std::string(name), std::move(trace).take());
+  }
+  traces.emplace_back("repeated-levels", repeated_levels_trace());
+  for (const auto& [trace_name, trace] : traces) {
+    for (const char* policy : {"pack-to-full", "balanced", "optimal-region"}) {
+      for (const IdleModel& idle : {IdleModel::none(), IdleModel::acpi()}) {
+        const auto x = simulate_day(policy_by_name(policy), a.value(), trace,
+                                    idle);
+        const auto y = simulate_day(policy_by_name(policy), b.value(), trace,
+                                    idle);
+        ASSERT_TRUE(x.ok() && y.ok());
+        const std::string where = trace_name + " " + policy + " idle " +
+                                  std::to_string(idle.states.size());
+        EXPECT_EQ(bits(x.value().energy_kwh), bits(y.value().energy_kwh))
+            << where;
+        EXPECT_EQ(bits(x.value().served_gops), bits(y.value().served_gops))
+            << where;
+        EXPECT_EQ(bits(x.value().avg_efficiency),
+                  bits(y.value().avg_efficiency))
+            << where;
+        EXPECT_EQ(bits(x.value().idle_energy_kwh),
+                  bits(y.value().idle_energy_kwh))
+            << where;
+        EXPECT_EQ(bits(x.value().wake_energy_kwh),
+                  bits(y.value().wake_energy_kwh))
+            << where;
+        EXPECT_EQ(bits(x.value().wake_lost_gops),
+                  bits(y.value().wake_lost_gops))
+            << where;
+        EXPECT_EQ(x.value().wake_count, y.value().wake_count) << where;
+      }
+    }
+    const auto x = autoscale_over_day(a.value(), trace);
+    const auto y = autoscale_over_day(b.value(), trace);
+    ASSERT_TRUE(x.ok() && y.ok());
+    EXPECT_EQ(bits(x.value().energy_kwh), bits(y.value().energy_kwh))
+        << trace_name;
+    EXPECT_EQ(bits(x.value().served_gops), bits(y.value().served_gops))
+        << trace_name;
+    EXPECT_EQ(bits(x.value().avg_efficiency), bits(y.value().avg_efficiency))
+        << trace_name;
+    ASSERT_EQ(x.value().slots.size(), y.value().slots.size());
+    for (std::size_t s = 0; s < x.value().slots.size(); ++s) {
+      EXPECT_EQ(bits(x.value().slots[s].power_watts),
+                bits(y.value().slots[s].power_watts))
+          << trace_name << " slot " << s;
+      EXPECT_EQ(x.value().slots[s].active_servers,
+                y.value().slots[s].active_servers)
+          << trace_name << " slot " << s;
+    }
+  }
+}
+
 // --- Concurrency: 8 threads share one LazyFleet ----------------------------
 
 TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
@@ -682,6 +791,7 @@ TEST(FleetConcurrency, ServerOrdersSortOnceForAllThreadsAndSurviveAMove) {
 
   constexpr int kThreads = 8;
   std::vector<std::array<std::span<const std::size_t>, 3>> seen(kThreads);
+  std::vector<std::span<const double>> seen_tops(kThreads);
   std::latch start(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -689,9 +799,20 @@ TEST(FleetConcurrency, ServerOrdersSortOnceForAllThreadsAndSurviveAMove) {
     threads.emplace_back([&, t] {
       start.arrive_and_wait();
       seen[static_cast<std::size_t>(t)] = orders_of(fleet);
+      seen_tops[static_cast<std::size_t>(t)] =
+          fleet.default_optimal_region_tops();
     });
   }
   for (auto& thread : threads) thread.join();
+
+  // The default-threshold region tops are computed once, too, and equal
+  // the uncached computation at that threshold.
+  const std::vector<double> tops = fleet.optimal_region_tops(0.95);
+  for (const auto& per_thread : seen_tops) {
+    EXPECT_EQ(per_thread.data(), seen_tops[0].data());
+    EXPECT_TRUE(std::equal(per_thread.begin(), per_thread.end(), tops.begin(),
+                           tops.end()));
+  }
 
   std::array<std::vector<std::size_t>, 3> expected;
   for (std::size_t c = 0; c < expected.size(); ++c) {
@@ -712,8 +833,9 @@ TEST(FleetConcurrency, ServerOrdersSortOnceForAllThreadsAndSurviveAMove) {
     }
   }
 
-  // The orders move with the Fleet: no re-sort, same storage.
+  // The orders and tops move with the Fleet: no re-sort, same storage.
   const Fleet moved = std::move(fleet);
+  EXPECT_EQ(moved.default_optimal_region_tops().data(), seen_tops[0].data());
   const auto moved_orders = orders_of(moved);
   for (std::size_t c = 0; c < expected.size(); ++c) {
     EXPECT_EQ(moved_orders[c].data(), seen[0][c].data()) << names[c];

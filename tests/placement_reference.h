@@ -1,11 +1,15 @@
 // Dense reference placement and day accounting, for tests only: the greedy
-// fill that wrote one utilisation vector per demand level, the server-order
-// sums over those vectors, and the slot x server idle pass that read them.
-// src/cluster now plans and accounts without those vectors (FillPlans,
-// account_batch); these are the independent baseline its bits must match.
+// fill that wrote one utilisation vector per demand level, the sums over
+// those vectors, and the slot x server idle pass that read them. Each total
+// is the exact sum of the per-server terms it collects
+// (tests/fsum_reference.h). src/cluster now plans and accounts without
+// those vectors (FillPlans, account_batch, range sums over the fill order);
+// these are the independent baseline its bits must match.
 // Everything reads the Fleet's own columns, orders and grid rows, so a
 // mismatch points at the plan path, not at the Fleet.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
@@ -20,9 +24,21 @@
 #include "cluster/placement.h"
 #include "cluster/trace.h"
 #include "dataset/record.h"
+#include "fsum_reference.h"
 #include "metrics/power_curve.h"
 
 namespace epserve::cluster::reference {
+
+/// A reference total: the exact sum of its terms, after checking that the
+/// sequential sum the reference once took lies within the standard error
+/// bound of it.
+inline double exact_total(const std::vector<double>& terms) {
+  const double exact = fsum_reference::fsum(terms);
+  EXPECT_TRUE(fsum_reference::within_sequential_bound(
+      terms, fsum_reference::sequential_sum(terms), exact))
+      << "sequential sum of " << terms.size() << " terms";
+  return exact;
+}
 
 /// Greedy fill: walk servers in `order`, loading each up to its cap (ops),
 /// until `remaining_ops` is exhausted. Adds to existing utilisations.
@@ -68,34 +84,43 @@ inline std::vector<std::vector<double>> place_batch(
   return out;
 }
 
-/// Fleet power and ops of one utilisation vector, summed in server index
-/// order through the fleet's grid rows.
+/// Fleet power and ops of one utilisation vector through the fleet's grid
+/// rows, each the exact sum of its per-server terms.
 inline Assignment account(const Fleet& fleet, std::vector<double> utilization) {
   Assignment assignment;
   assignment.utilization = std::move(utilization);
+  std::vector<double> power;
+  std::vector<double> ops;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     const double clamped = std::clamp(assignment.utilization[i], 0.0, 1.0);
-    assignment.total_power_watts +=
-        fleet.normalized_power(i, clamped) * fleet.peak_watts()[i];
-    assignment.total_ops += clamped * fleet.peak_ops()[i];
+    power.push_back(fleet.normalized_power(i, clamped) * fleet.peak_watts()[i]);
+    ops.push_back(clamped * fleet.peak_ops()[i]);
   }
+  assignment.total_power_watts = exact_total(power);
+  assignment.total_ops = exact_total(ops);
   return assignment;
 }
 
-/// A day from one dense vector per slot: slot energy and served work
-/// summed in slot order, then the idle pass over every (slot, server) in
-/// server index order.
-inline DayResult day(const Fleet& fleet, std::string_view policy,
-                     const DemandTrace& trace, const IdleModel& idle) {
+/// A day from one dense vector per slot: slot energy and served work, then
+/// the idle pass over every (slot, server); each total is the exact sum of
+/// the terms it collects.
+inline DayResult day_of(const Fleet& fleet, std::string_view policy,
+                        std::vector<std::vector<double>> vectors,
+                        const DemandTrace& trace, const IdleModel& idle) {
   DayResult result;
   result.policy = std::string(policy);
   std::vector<Assignment> slots;
-  for (auto& util : place_batch(fleet, policy, trace.demand)) {
+  for (auto& util : vectors) {
     slots.push_back(account(fleet, std::move(util)));
   }
+  std::vector<double> energy;
+  std::vector<double> served;
+  std::vector<double> idle_energy;
+  std::vector<double> wake_energy;
+  std::vector<double> wake_lost;
   for (const Assignment& slot : slots) {
-    result.energy_kwh += slot.total_power_watts * trace.slot_hours / 1000.0;
-    result.served_gops += slot.total_ops * trace.slot_hours * 3600.0 / 1e9;
+    energy.push_back(slot.total_power_watts * trace.slot_hours / 1000.0);
+    served.push_back(slot.total_ops * trace.slot_hours * 3600.0 / 1e9);
   }
   if (!idle.trivial()) {
     const double slot_seconds = trace.slot_hours * 3600.0;
@@ -108,10 +133,10 @@ inline DayResult day(const Fleet& fleet, std::string_view policy,
       for (std::size_t i = 0; i < fleet.size(); ++i) {
         const double u = slots[s].utilization[i];
         if (u == 0.0) {
-          result.energy_kwh += idle_watts[i] * (state.power_fraction - 1.0) *
-                               trace.slot_hours / 1000.0;
-          result.idle_energy_kwh += idle_watts[i] * state.power_fraction *
-                                    trace.slot_hours / 1000.0;
+          energy.push_back(idle_watts[i] * (state.power_fraction - 1.0) *
+                           trace.slot_hours / 1000.0);
+          idle_energy.push_back(idle_watts[i] * state.power_fraction *
+                                trace.slot_hours / 1000.0);
           parked_state[i] = cap;
           continue;
         }
@@ -119,23 +144,35 @@ inline DayResult day(const Fleet& fleet, std::string_view policy,
           const IdleState& from =
               idle.states[static_cast<std::size_t>(parked_state[i])];
           result.wake_count += 1;
-          result.wake_energy_kwh += from.wake_energy_j / 3.6e6;
-          result.energy_kwh += from.wake_energy_j / 3.6e6;
+          wake_energy.push_back(from.wake_energy_j / 3.6e6);
+          energy.push_back(from.wake_energy_j / 3.6e6);
           const double gap =
               std::min(from.wake_latency_s, slot_seconds) / slot_seconds;
           const double lost =
               u * peak_ops[i] * gap * trace.slot_hours * 3600.0 / 1e9;
-          result.wake_lost_gops += lost;
-          result.served_gops -= lost;
+          wake_lost.push_back(lost);
+          served.push_back(-lost);
         }
         parked_state[i] = -1;
       }
     }
   }
+  result.energy_kwh = exact_total(energy);
+  result.served_gops = exact_total(served);
+  result.idle_energy_kwh = exact_total(idle_energy);
+  result.wake_energy_kwh = exact_total(wake_energy);
+  result.wake_lost_gops = exact_total(wake_lost);
   const double joules = result.energy_kwh * 3.6e6;
   result.avg_efficiency =
       joules > 0.0 ? result.served_gops * 1e9 / joules : 0.0;
   return result;
+}
+
+/// The day of a built-in policy from the greedy fill's vectors.
+inline DayResult day(const Fleet& fleet, std::string_view policy,
+                     const DemandTrace& trace, const IdleModel& idle) {
+  return day_of(fleet, policy, place_batch(fleet, policy, trace.demand), trace,
+                idle);
 }
 
 /// Heterogeneous fleet for plan-vs-dense checks. Servers cycle through
