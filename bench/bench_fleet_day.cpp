@@ -22,10 +22,12 @@
 //
 // Every per-policy energy/served/efficiency number is digested and
 // byte-compared between the two paths — the speedup only counts if the
-// outputs are bit-identical. The scalar side takes every total as the exact
-// sum of its terms (tests/fsum_reference.h), the library's contract, and
-// checks that the sequential sums it once took lie within the standard
-// error bound of them. The day simulation is additionally re-run with
+// outputs are bit-identical. The timed scalar pass sums sequentially, as
+// the scalar path always did; an untimed second pass takes every total as
+// the exact sum of the same terms (tests/fsum_reference.h), the library's
+// contract, yields the digest the fleet side is compared with, and checks
+// that each sequential sum lies within the standard error bound of the
+// exact one. The day simulation is additionally re-run with
 // the kernel dispatch pinned to kScalarReference (what EPSERVE_FORCE_SCALAR=1
 // selects) and must reproduce the same digest. Exits 1 on any digest
 // mismatch, if the fleet path is below the 3x end-to-end target, or if a
@@ -88,11 +90,25 @@ struct Digest {
   /// Whether every sequential sum lay within its bound of the exact one.
   bool sequential_within_bound = true;
   void add(double v) { values.push_back(v); }
-  /// The exact sum of `terms`, checking the sequential sum's bound.
-  double total(const std::vector<double>& terms) {
+};
+
+/// The timed scalar pass's running total: the sequential sum the scalar
+/// path always took.
+struct SequentialTotal {
+  double sum = 0.0;
+  void add(double x) { sum += x; }
+  double value(Digest& /*digest*/) const { return sum; }
+};
+
+/// The untimed pass's total: the exact sum of the same terms, recording in
+/// the digest whether their sequential sum lay within its error bound.
+struct ExactTotal {
+  std::vector<double> terms;
+  void add(double x) { terms.push_back(x); }
+  double value(Digest& digest) const {
     const double exact = fsum_reference::fsum(terms);
-    sequential_within_bound =
-        sequential_within_bound &&
+    digest.sequential_within_bound =
+        digest.sequential_within_bound &&
         fsum_reference::within_sequential_bound(
             terms, fsum_reference::sequential_sum(terms), exact);
     return exact;
@@ -130,6 +146,7 @@ void scalar_greedy_fill(const std::vector<dataset::ServerRecord>& fleet,
   }
 }
 
+template <typename Total>
 std::vector<double> scalar_place(
     Digest& digest, const std::vector<dataset::ServerRecord>& fleet,
     const std::string& policy, double demand) {
@@ -137,9 +154,9 @@ std::vector<double> scalar_place(
   if (policy == "balanced") {
     return std::vector<double>(fleet.size(), demand);
   }
-  std::vector<double> peak_ops;
-  for (const auto& s : fleet) peak_ops.push_back(s.curve.peak_ops());
-  double remaining = demand * digest.total(peak_ops);
+  Total capacity;
+  for (const auto& s : fleet) capacity.add(s.curve.peak_ops());
+  double remaining = demand * capacity.value(digest);
   if (policy == "pack-to-full") {
     const auto order = scalar_order_by(fleet, [](const auto& r) {
       return metrics::ee_at_level(r.curve, metrics::kNumLoadLevels - 1);
@@ -164,28 +181,30 @@ std::vector<double> scalar_place(
   return util;
 }
 
+template <typename Total>
 Digest scalar_day(const std::vector<dataset::ServerRecord>& fleet,
                   const cluster::DemandTrace& trace) {
   Digest d;
   for (const char* policy : {"pack-to-full", "balanced", "optimal-region"}) {
-    std::vector<double> energy_terms;
-    std::vector<double> served_terms;
+    Total energy_kwh_total;
+    Total served_gops_total;
     for (const double demand : trace.demand) {
-      const auto util = scalar_place(d, fleet, policy, demand);
-      std::vector<double> power_terms;
-      std::vector<double> ops_terms;
+      const auto util = scalar_place<Total>(d, fleet, policy, demand);
+      Total total_power_watts;
+      Total total_ops;
       for (std::size_t i = 0; i < fleet.size(); ++i) {
         const double clamped = std::clamp(util[i], 0.0, 1.0);
-        power_terms.push_back(fleet[i].curve.normalized_power(clamped) *
+        total_power_watts.add(fleet[i].curve.normalized_power(clamped) *
                               fleet[i].curve.peak_watts());
-        ops_terms.push_back(clamped * fleet[i].curve.peak_ops());
+        total_ops.add(clamped * fleet[i].curve.peak_ops());
       }
-      energy_terms.push_back(d.total(power_terms) * trace.slot_hours / 1000.0);
-      served_terms.push_back(d.total(ops_terms) * trace.slot_hours * 3600.0 /
-                             1e9);
+      energy_kwh_total.add(total_power_watts.value(d) * trace.slot_hours /
+                           1000.0);
+      served_gops_total.add(total_ops.value(d) * trace.slot_hours * 3600.0 /
+                            1e9);
     }
-    const double energy_kwh = d.total(energy_terms);
-    const double served_gops = d.total(served_terms);
+    const double energy_kwh = energy_kwh_total.value(d);
+    const double served_gops = served_gops_total.value(d);
     const double joules = energy_kwh * 3.6e6;
     d.add(energy_kwh);
     d.add(served_gops);
@@ -238,9 +257,11 @@ int main() {
   }
   constexpr int kIters = 5;
 
-  Digest scalar_digest;
-  const double scalar_s = time_iterations(
-      kIters, [&] { scalar_digest = scalar_day(records, trace); });
+  Digest sequential_digest;
+  const double scalar_s = time_iterations(kIters, [&] {
+    sequential_digest = scalar_day<SequentialTotal>(records, trace);
+  });
+  const Digest scalar_digest = scalar_day<ExactTotal>(records, trace);
   Digest fleet_digest;
   const double fleet_s = time_iterations(
       kIters, [&] { fleet_digest = fleet_day(built.value(), trace); });

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "cluster/fill_ranges.h"
+#include "cluster/lane_sums.h"
 #include "cluster/working_region.h"
 #include "util/contracts.h"
 #include "util/exact_sum.h"
@@ -137,11 +138,12 @@ std::vector<double> expand(const FillPlans& plans, const FillPlan& plan,
 
 /// A uniform batch's totals: every server of level d sits at
 /// levels[d].utilization, so each (server, level) pair is one kernel
-/// point, fed to the level's exact sums server block by server block.
+/// point, and each level's power and ops totals are exact lane sums over
+/// the servers.
 std::optional<Error> account_uniform(const Fleet& fleet,
                                      std::span<const FillPlan> levels,
                                      std::span<Assignment> totals) {
-  constexpr std::size_t kBlockServers = 256;
+  constexpr std::size_t kBlockServers = LaneSums::kMaxRows;
   const std::size_t slots = levels.size();
   std::vector<double> clamped(slots);
   for (std::size_t d = 0; d < slots; ++d) {
@@ -156,27 +158,19 @@ std::optional<Error> account_uniform(const Fleet& fleet,
   std::vector<double> utils(kBlockServers * slots);
   std::vector<double> norm(kBlockServers * slots);
   for (std::size_t k = 0; k < utils.size(); ++k) utils[k] = clamped[k % slots];
-  std::vector<util::ExactSum> power(slots);
-  std::vector<util::ExactSum> ops(slots);
-  std::vector<double> power_terms(kBlockServers);
-  std::vector<double> ops_terms(kBlockServers);
+  LaneSums power(slots);
+  LaneSums ops(slots);
   for (std::size_t i0 = 0; i0 < fleet.size(); i0 += kBlockServers) {
     const std::size_t count = std::min(kBlockServers, fleet.size() - i0);
     fleet.normalized_power_matrix(
         i0, count, std::span<const double>(utils.data(), count * slots),
         std::span<double>(norm.data(), count * slots), slots);
-    for (std::size_t d = 0; d < slots; ++d) {
-      for (std::size_t r = 0; r < count; ++r) {
-        power_terms[r] = norm[r * slots + d] * peak_watts[i0 + r];
-        ops_terms[r] = clamped[d] * peak_ops[i0 + r];
-      }
-      power[d].add(std::span<const double>(power_terms.data(), count));
-      ops[d].add(std::span<const double>(ops_terms.data(), count));
-    }
+    power.add_block(norm.data(), slots, peak_watts.data() + i0, count);
+    ops.add_block(clamped.data(), 0, peak_ops.data() + i0, count);
   }
   for (std::size_t d = 0; d < slots; ++d) {
-    totals[d].total_power_watts = power[d].value();
-    totals[d].total_ops = ops[d].value();
+    totals[d].total_power_watts = power.value(d);
+    totals[d].total_ops = ops.value(d);
   }
   return std::nullopt;
 }

@@ -222,7 +222,7 @@ struct BatchAccount {
 /// servers, each evaluated at its stage values, feeding exact sums by fill
 /// position; a level's totals are two range sums plus its partial server.
 /// A uniform batch evaluates every (server, level) point into exact
-/// per-level sums. Each total is the exact sum of the per-server terms
+/// per-level sums (cluster/lane_sums.h). Each total is the exact sum of the per-server terms
 /// evaluate() adds, so per-demand totals are bit-identical to calling
 /// evaluate() per demand. Fails as evaluate_batch does, and with "policy
 /// returned a misaligned batch" when the plans' keys do not encode one

@@ -76,6 +76,16 @@ struct FleetGridView {
 /// {0.0, 0.1, ..., 0.9}, bitwise equal to InterpolationTable::knot_u[0..9].
 extern const double kRowU0[FleetGridView::kRowBins];
 
+/// The lanes of split_accumulate, n entries each: lane k's two running
+/// accumulators and its window (split, lo, hi).
+struct SplitLanes {
+  double* hi_acc = nullptr;
+  double* lo_acc = nullptr;
+  const double* split = nullptr;
+  const double* lo = nullptr;
+  const double* hi = nullptr;
+};
+
 /// One selected kernel set. Function pointers, not virtuals: the table is
 /// immutable after dispatch and the calls sit inside per-batch loops.
 struct Kernels {
@@ -117,6 +127,19 @@ struct Kernels {
   /// acc[k] += x[k] * s, as separate round-to-nearest multiply and add (no
   /// FMA), matching the scalar accumulation loops bit-for-bit.
   void (*axpy)(double* acc, const double* x, double s, std::size_t n) = nullptr;
+
+  /// The inner loop of an exact sum per lane (cluster/lane_sums.h, behind
+  /// the uniform batch's level totals): for every row r < rows and lane
+  /// k < n, with p = x[r * stride + k] * s[r] (one rounded multiply), a
+  /// term that is zero or has lo[k] <= |p| < hi[k] adds
+  /// h = (p + split[k]) - split[k] to hi_acc[k] and p - h to lo_acc[k];
+  /// any other term (NaN included) adds nothing. Returns whether any term
+  /// was left out. Plain round-to-nearest ops in that order, each lane's
+  /// rows in turn, so every variant writes the same bits; the caller's
+  /// windows make each add exact.
+  bool (*split_accumulate)(const SplitLanes& lanes, const double* x,
+                           std::size_t stride, const double* s,
+                           std::size_t rows, std::size_t n) = nullptr;
 };
 
 /// The process-wide kernel set, chosen on first call and cached:

@@ -19,6 +19,7 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstdint>
 
 #include "metrics/simd/grid_eval.h"
@@ -166,13 +167,62 @@ void axpy_avx2(double* acc, const double* x, double s, std::size_t n) {
   }
 }
 
+bool split_accumulate_avx2(const SplitLanes& lanes, const double* x,
+                           std::size_t stride, const double* s,
+                           std::size_t rows, std::size_t n) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  int taken = 0xf;  // the AND of every row's lane mask
+  // Four lanes at a time, their accumulators held in registers across the
+  // rows; each lane still adds its rows in order.
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d lo = _mm256_loadu_pd(lanes.lo + k);
+    const __m256d hi = _mm256_loadu_pd(lanes.hi + k);
+    const __m256d split = _mm256_loadu_pd(lanes.split + k);
+    __m256d hi_acc = _mm256_loadu_pd(lanes.hi_acc + k);
+    __m256d lo_acc = _mm256_loadu_pd(lanes.lo_acc + k);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const __m256d p = _mm256_mul_pd(_mm256_loadu_pd(x + r * stride + k),
+                                      _mm256_set1_pd(s[r]));
+      const __m256d magnitude = _mm256_andnot_pd(sign, p);
+      const __m256d take = _mm256_or_pd(
+          _mm256_cmp_pd(p, zero, _CMP_EQ_OQ),
+          _mm256_and_pd(_mm256_cmp_pd(magnitude, lo, _CMP_GE_OQ),
+                        _mm256_cmp_pd(magnitude, hi, _CMP_LT_OQ)));
+      taken &= _mm256_movemask_pd(take);
+      const __m256d h = _mm256_sub_pd(_mm256_add_pd(p, split), split);
+      hi_acc = _mm256_blendv_pd(hi_acc, _mm256_add_pd(hi_acc, h), take);
+      lo_acc = _mm256_blendv_pd(
+          lo_acc, _mm256_add_pd(lo_acc, _mm256_sub_pd(p, h)), take);
+    }
+    _mm256_storeu_pd(lanes.hi_acc + k, hi_acc);
+    _mm256_storeu_pd(lanes.lo_acc + k, lo_acc);
+  }
+  bool left_out = taken != 0xf;
+  for (; k < n; ++k) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double p = x[r * stride + k] * s[r];
+      const double magnitude = std::fabs(p);
+      if (p == 0.0 || (magnitude >= lanes.lo[k] && magnitude < lanes.hi[k])) {
+        const double h = (p + lanes.split[k]) - lanes.split[k];
+        lanes.hi_acc[k] += h;
+        lanes.lo_acc[k] += p - h;
+      } else {
+        left_out = true;
+      }
+    }
+  }
+  return left_out;
+}
+
 }  // namespace
 
 extern const Kernels kGridAvx2Kernels;
 const Kernels kGridAvx2Kernels = {
     Variant::kGridAvx2, "grid-avx2",    grid_batch_avx2,
     fleet_batch_avx2,   row_batch_avx2, row_matrix_avx2,
-    clamp01_avx2,       axpy_avx2,
+    clamp01_avx2,       axpy_avx2,      split_accumulate_avx2,
 };
 
 }  // namespace epserve::metrics::kernels

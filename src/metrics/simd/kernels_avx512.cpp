@@ -291,13 +291,49 @@ void axpy_avx512(double* acc, const double* x, double s, std::size_t n) {
   }
 }
 
+bool split_accumulate_avx512(const SplitLanes& lanes, const double* x,
+                             std::size_t stride, const double* s,
+                             std::size_t rows, std::size_t n) {
+  const __m512d zero = _mm512_setzero_pd();
+  __mmask8 left_out = 0;
+  // Eight lanes at a time, their accumulators held in registers across
+  // the rows; each lane still adds its rows in order.
+  for (std::size_t k = 0; k < n; k += 8) {
+    // The last vector masks off the lanes past n.
+    const auto live =
+        static_cast<__mmask8>(n - k >= 8 ? 0xff : (1u << (n - k)) - 1);
+    const __m512d lo = _mm512_maskz_loadu_pd(live, lanes.lo + k);
+    const __m512d hi = _mm512_maskz_loadu_pd(live, lanes.hi + k);
+    const __m512d split = _mm512_maskz_loadu_pd(live, lanes.split + k);
+    __m512d hi_acc = _mm512_maskz_loadu_pd(live, lanes.hi_acc + k);
+    __m512d lo_acc = _mm512_maskz_loadu_pd(live, lanes.lo_acc + k);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const __m512d p =
+          _mm512_mul_pd(_mm512_maskz_loadu_pd(live, x + r * stride + k),
+                        _mm512_set1_pd(s[r]));
+      const __m512d magnitude = _mm512_abs_pd(p);
+      const auto take = static_cast<__mmask8>(
+          _mm512_mask_cmp_pd_mask(live, p, zero, _CMP_EQ_OQ) |
+          (_mm512_mask_cmp_pd_mask(live, magnitude, lo, _CMP_GE_OQ) &
+           _mm512_cmp_pd_mask(magnitude, hi, _CMP_LT_OQ)));
+      left_out = static_cast<__mmask8>(left_out | (live & ~take));
+      const __m512d h = _mm512_sub_pd(_mm512_add_pd(p, split), split);
+      hi_acc = _mm512_mask_add_pd(hi_acc, take, hi_acc, h);
+      lo_acc = _mm512_mask_add_pd(lo_acc, take, lo_acc, _mm512_sub_pd(p, h));
+    }
+    _mm512_mask_storeu_pd(lanes.hi_acc + k, live, hi_acc);
+    _mm512_mask_storeu_pd(lanes.lo_acc + k, live, lo_acc);
+  }
+  return left_out != 0;
+}
+
 }  // namespace
 
 extern const Kernels kGridAvx512Kernels;
 const Kernels kGridAvx512Kernels = {
     Variant::kGridAvx512, "grid-avx512",    grid_batch_avx512,
     fleet_batch_avx512,   row_batch_avx512, row_matrix_avx512,
-    clamp01_avx512,       axpy_avx512,
+    clamp01_avx512,       axpy_avx512,      split_accumulate_avx512,
 };
 
 }  // namespace epserve::metrics::kernels

@@ -11,6 +11,7 @@
 #include <arm_neon.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 
 #include "metrics/simd/grid_eval.h"
@@ -129,13 +130,35 @@ void axpy_neon(double* acc, const double* x, double s, std::size_t n) {
   }
 }
 
+// A plain loop: the same ops in the same order as the scalar variant.
+bool split_accumulate_neon(const SplitLanes& lanes, const double* x,
+                           std::size_t stride, const double* s,
+                           std::size_t rows, std::size_t n) {
+  bool left_out = false;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = x + r * stride;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double p = row[k] * s[r];
+      const double magnitude = std::fabs(p);
+      if (p == 0.0 || (magnitude >= lanes.lo[k] && magnitude < lanes.hi[k])) {
+        const double h = (p + lanes.split[k]) - lanes.split[k];
+        lanes.hi_acc[k] += h;
+        lanes.lo_acc[k] += p - h;
+      } else {
+        left_out = true;
+      }
+    }
+  }
+  return left_out;
+}
+
 }  // namespace
 
 extern const Kernels kGridNeonKernels;
 const Kernels kGridNeonKernels = {
     Variant::kGridNeon, "grid-neon",    grid_batch_neon,
     fleet_batch_neon,   row_batch_neon, row_matrix_neon,
-    clamp01_neon,       axpy_neon,
+    clamp01_neon,       axpy_neon,      split_accumulate_neon,
 };
 
 }  // namespace epserve::metrics::kernels

@@ -4,6 +4,7 @@
 // Compiled with the project's baseline ISA flags — nothing here requires
 // AVX2/NEON.
 #include <algorithm>
+#include <cmath>
 
 #include "metrics/simd/grid_eval.h"
 #include "metrics/simd/kernels.h"
@@ -73,6 +74,27 @@ void axpy_scalar(double* acc, const double* x, double s, std::size_t n) {
   }
 }
 
+bool split_accumulate_scalar(const SplitLanes& lanes, const double* x,
+                             std::size_t stride, const double* s,
+                             std::size_t rows, std::size_t n) {
+  bool left_out = false;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = x + r * stride;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double p = row[k] * s[r];
+      const double magnitude = std::fabs(p);
+      if (p == 0.0 || (magnitude >= lanes.lo[k] && magnitude < lanes.hi[k])) {
+        const double h = (p + lanes.split[k]) - lanes.split[k];
+        lanes.hi_acc[k] += h;
+        lanes.lo_acc[k] += p - h;
+      } else {
+        left_out = true;
+      }
+    }
+  }
+  return left_out;
+}
+
 }  // namespace
 
 // kScalarReference runs these same loops: the scalar grid expression IS the
@@ -83,14 +105,14 @@ extern const Kernels kScalarReferenceKernels;
 const Kernels kScalarReferenceKernels = {
     Variant::kScalarReference, "scalar-reference", grid_batch_scalar,
     fleet_batch_scalar,        row_batch_scalar,   row_matrix_scalar,
-    clamp01_scalar,            axpy_scalar,
+    clamp01_scalar,            axpy_scalar,        split_accumulate_scalar,
 };
 
 extern const Kernels kGridScalarKernels;
 const Kernels kGridScalarKernels = {
     Variant::kGridScalar, "grid-scalar",    grid_batch_scalar,
     fleet_batch_scalar,   row_batch_scalar, row_matrix_scalar,
-    clamp01_scalar,       axpy_scalar,
+    clamp01_scalar,       axpy_scalar,      split_accumulate_scalar,
 };
 
 }  // namespace epserve::metrics::kernels

@@ -30,7 +30,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <span>
 
 namespace epserve::util {
 
@@ -52,27 +51,6 @@ class ExactSum {
       return;
     }
     add_outside(bits, exponent);
-  }
-
-  /// Adds every term of a span: the same value as adding them one by one,
-  /// with the window's running sum held in registers across the span.
-  void add(std::span<const double> terms) {
-    Int128 window = 0;
-    std::uint64_t low = window_low_;
-    double scale = window_scale_;
-    for (const double x : terms) {
-      const auto bits = std::bit_cast<std::uint64_t>(x);
-      const std::uint64_t exponent = (bits >> 52) & 0x7ff;
-      if (exponent - low <= kWindowSpan) {
-        window += static_cast<std::int64_t>(x * scale);
-      } else {
-        // May open the window; nothing reached `window` before it opened.
-        add_outside(bits, exponent);
-        low = window_low_;
-        scale = window_scale_;
-      }
-    }
-    window_sum_ += window;
   }
 
   /// Adds `copies` copies of one term, exactly: the same value as calling

@@ -5,9 +5,9 @@
 //    random utilisations);
 //  * at native resolution (1 bin/segment — what cluster::Fleet stores) the
 //    grid is bitwise identical to the knot walk at EVERY utilisation;
-//  * every compiled-in vector variant (AVX2/NEON) is bitwise identical to
-//    the scalar grid loop on all four kernels, including unaligned sizes
-//    that exercise the scalar tails;
+//  * every compiled-in vector variant (AVX2/AVX-512/NEON) is bitwise
+//    identical to the scalar loops on every kernel, split_accumulate
+//    included, with unaligned sizes that exercise the tails;
 //  * dispatch honours EPSERVE_FORCE_SCALAR and the set_active_for_testing
 //    seam, and every variant, kScalarReference included, evaluates a
 //    Fleet's grid rows bitwise equal to the knot walk, on the knot band too;
@@ -357,6 +357,78 @@ TEST(SimdKernels, VectorClampAndAxpyBitwiseEqualScalar) {
     vec->axpy(acc_actual.data(), x.data(), 217.375, n);
     for (std::size_t k = 0; k < n; ++k) {
       ASSERT_EQ(acc_actual[k], acc_expected[k]) << vec->name << " axpy k=" << k;
+    }
+  }
+}
+
+// split_accumulate over lane counts around each vector width, shared and
+// per-row lane values (stride 0 and n), and terms that are zero, -0.0,
+// NaN, infinite, subnormal, or outside their lane's window; one lane has no
+// window yet (all zero). Both accumulators and the left-out flag must
+// match the scalar loop bit for bit.
+TEST(SimdKernels, VectorSplitAccumulateBitwiseEqualsScalar) {
+  const kernels::Kernels* scalar =
+      kernels::get(kernels::Variant::kGridScalar);
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> value(1.0, 2.0);
+  std::uniform_int_distribution<int> binade(-30, 30);
+  std::uniform_int_distribution<int> pick(0, 15);
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -1e300};
+  for (const std::size_t n : {1, 3, 4, 5, 8, 9, 17}) {
+    std::vector<double> split(n, 0.0);
+    std::vector<double> lo(n, 0.0);
+    std::vector<double> hi(n, 0.0);
+    for (std::size_t k = 1; k < n; ++k) {
+      const int e = binade(rng) / 3;
+      lo[k] = std::ldexp(1.0, e - 18);
+      hi[k] = std::ldexp(1.0, e + 19);
+      split[k] = std::ldexp(1.5, e + 27);
+    }
+    for (const std::size_t rows : {0, 1, 7, 256}) {
+      for (const std::size_t stride : {std::size_t{0}, n}) {
+        std::vector<double> x(std::max<std::size_t>(rows * stride, 1) + n);
+        for (double& v : x) {
+          const int which = pick(rng);
+          v = which < 6 ? specials[which]
+                        : std::ldexp(value(rng), binade(rng)) *
+                              (which % 2 == 0 ? 1.0 : -1.0);
+        }
+        std::vector<double> s(rows);
+        for (double& v : s) v = std::ldexp(value(rng), binade(rng) / 4);
+        if (rows > 2) s[1] = -s[1];
+        std::vector<double> want_hi(n, 0.25);
+        std::vector<double> want_lo(n, -0.5);
+        const bool want_left_out = scalar->split_accumulate(
+            kernels::SplitLanes{want_hi.data(), want_lo.data(), split.data(),
+                                lo.data(), hi.data()},
+            x.data(), stride, s.data(), rows, n);
+        for (const auto variant : compiled_vector_variants()) {
+          const kernels::Kernels* vec = kernels::get(variant);
+          std::vector<double> got_hi(n, 0.25);
+          std::vector<double> got_lo(n, -0.5);
+          const bool got_left_out = vec->split_accumulate(
+              kernels::SplitLanes{got_hi.data(), got_lo.data(), split.data(),
+                                  lo.data(), hi.data()},
+              x.data(), stride, s.data(), rows, n);
+          EXPECT_EQ(got_left_out, want_left_out)
+              << vec->name << " n=" << n << " rows=" << rows;
+          for (std::size_t k = 0; k < n; ++k) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got_hi[k]),
+                      std::bit_cast<std::uint64_t>(want_hi[k]))
+                << vec->name << " hi n=" << n << " rows=" << rows
+                << " stride=" << stride << " k=" << k;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got_lo[k]),
+                      std::bit_cast<std::uint64_t>(want_lo[k]))
+                << vec->name << " lo n=" << n << " rows=" << rows
+                << " stride=" << stride << " k=" << k;
+          }
+        }
+      }
     }
   }
 }

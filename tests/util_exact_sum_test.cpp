@@ -147,6 +147,44 @@ TEST(ExactSum, InfinityAndNanFollowTheStatedRule) {
   EXPECT_EQ(with.value(), 2.5);
 }
 
+// add()'s fast path sums the terms of a window of eleven binades as
+// integers. The window opens on the first normal term whose exponent field
+// is at least 52, and spans the fields [low, low + 10] with low that field
+// less 5, clamped to [52, 2036]. For terms on either side of each edge, at
+// the clamps too, a window is opened and then cancelled, so the sum that
+// remains is of one field and shows an error in its last bit; infinities
+// and NaNs after an opened window still follow the value rule.
+TEST(ExactSum, WindowEdgeTermsAreExact) {
+  const auto term = [](std::uint64_t field, bool longest, bool negative) {
+    const std::uint64_t fraction = longest ? (std::uint64_t{1} << 52) - 1 : 0;
+    return std::bit_cast<double>(
+        (negative ? std::uint64_t{1} << 63 : 0) | field << 52 | fraction);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::uint64_t anchor :
+       {52ULL, 57ULL, 58ULL, 1023ULL, 2041ULL, 2042ULL, 2046ULL}) {
+    const double opener = term(anchor, false, false);
+    const std::uint64_t low =
+        std::clamp<std::uint64_t>(anchor - 5, 52, 2036);
+    for (const std::uint64_t field : {low - 1, low, low + 10, low + 11}) {
+      if (field > 2046) continue;
+      // The largest and the smallest significand of the field, of either
+      // sign, ordered so that no partial sum overflows at the top.
+      for (const bool negative : {false, true}) {
+        const std::vector<double> terms = {
+            opener, term(field, negative, true), term(field, !negative, false),
+            -opener};
+        expect_matches_fsum(terms, "window edge");
+      }
+    }
+    EXPECT_EQ(exact({opener, inf}), inf) << anchor;
+    EXPECT_EQ(exact({opener, -inf, 1.0}), -inf) << anchor;
+    EXPECT_TRUE(std::isnan(
+        exact({opener, std::numeric_limits<double>::quiet_NaN()})))
+        << anchor;
+  }
+}
+
 TEST(ExactSum, CopiesEqualRepeatedAdds) {
   std::mt19937_64 rng(17);
   for (const double term : {0.1, -3.0e-7, 1e300, -1e-310, 123456.789}) {
