@@ -202,7 +202,6 @@ metrics::kernels::FleetGridView Fleet::grid_view() const {
   view.w0 = grid_w0_.data();
   view.m = grid_m_.data();
   view.inv_peak = grid_inv_peak_.data();
-  view.servers = grid_inv_peak_.size();
   return view;
 }
 
@@ -227,13 +226,6 @@ void Fleet::normalized_power_matrix(std::size_t i0, std::size_t count,
   EPSERVE_EXPECTS(utils.size() == count * slots && out.size() == utils.size());
   metrics::kernels::active().row_matrix(grid_view(), i0, count, utils.data(),
                                         out.data(), slots);
-  telemetry::count("kernel.batch_points", utils.size());
-}
-
-void Fleet::normalized_power_per_server(std::span<const double> utils,
-                                        std::span<double> out) const {
-  EPSERVE_EXPECTS(utils.size() == size() && out.size() == size());
-  metrics::kernels::active().fleet_batch(grid_view(), utils.data(), out.data());
   telemetry::count("kernel.batch_points", utils.size());
 }
 

@@ -5,10 +5,10 @@
 // call: each placement evaluation rebuilt each server's power interpolation
 // table, each policy batch (and the autoscaler) re-sorted the fleet by an
 // efficiency score, and each subsystem (placement, day simulation,
-// autoscaler, knightshift, power cap, working regions, operating guide)
-// walked its own std::vector<ServerRecord> copy record by record. A Fleet is
-// built once — ids and ops rows, a columnar snapshot (dataset::ColumnarSnapshot),
-// one native-resolution grid row per server and the fleet-level aggregates —
+// autoscaler, power cap, working regions, operating guide) walked its own
+// std::vector<ServerRecord> copy record by record. A Fleet is built once —
+// ids and ops rows, a columnar snapshot (dataset::ColumnarSnapshot), one
+// native-resolution grid row per server and the fleet-level aggregates —
 // and then shared, read-only, across every policy, slot, and thread. The
 // three server orders the policies fill by are sorted at most once per
 // Fleet, on first use (order_by_ee_at_full() and its siblings).
@@ -154,20 +154,20 @@ class Fleet {
   // Every lookup reads server i's grid row, the fleet's one power table, and
   // is bitwise identical to curve(i).normalized_power(u) (docs/KERNELS.md).
   // Every utilisation must be in [0, 1]; violations raise ContractViolation.
+  // Three shapes, one per kind of caller: a point (cluster::evaluate, the
+  // serve daemon), one server's row over many utilisations (the
+  // autoscaler, through the row_batch kernel) and a block of rows
+  // (account_batch, through row_matrix; with slots = 1 it takes one point
+  // per server).
 
-  /// normalized_power of server `i` at one utilisation.
+  /// normalized_power of server `i` at one utilisation, the shared scalar
+  /// expression with no kernel-table call.
   [[nodiscard]] double normalized_power(std::size_t i, double utilization) const;
 
   /// Batched variant: out[k] = normalized_power(i, utils[k]), through the
   /// kernel set metrics::kernels::active() selects.
   void normalized_power_batch(std::size_t i, std::span<const double> utils,
                               std::span<double> out) const;
-
-  /// One point per server: out[i] = normalized_power(i, utils[i]) across the
-  /// whole fleet, served by the fleet_batch kernel over the SoA grid
-  /// columns. Both spans must have size() entries.
-  void normalized_power_per_server(std::span<const double> utils,
-                                   std::span<double> out) const;
 
   /// Blocked matrix form of normalized_power_batch — the placement batch
   /// evaluator's inner loop: for servers i0..i0+count-1,

@@ -1,11 +1,9 @@
 #include "cluster/knightshift.h"
 
 #include <algorithm>
-#include <span>
-#include <vector>
+#include <array>
 
 #include "metrics/proportionality.h"
-#include "util/contracts.h"
 
 namespace epserve::cluster {
 
@@ -21,10 +19,8 @@ double knight_power(const KnightShiftConfig& config, double primary_peak_watts,
 
 }  // namespace
 
-Result<metrics::PowerCurve> knightshift_curve(const Fleet& fleet,
-                                              std::size_t primary_index,
-                                              const KnightShiftConfig& config) {
-  EPSERVE_EXPECTS(primary_index < fleet.size());
+Result<metrics::PowerCurve> knightshift_curve(
+    const dataset::ServerRecord& primary, const KnightShiftConfig& config) {
   if (!(config.knight_capacity_fraction > 0.0 &&
         config.knight_capacity_fraction < 1.0)) {
     return Error::invalid_argument("knight capacity fraction must be in (0,1)");
@@ -38,24 +34,17 @@ Result<metrics::PowerCurve> knightshift_curve(const Fleet& fleet,
       config.primary_suspend_fraction > 1.0) {
     return Error::invalid_argument("fractions must be in [0,1]");
   }
-  if (auto valid = fleet.curve(primary_index).validate(); !valid.ok()) {
-    return valid.error();
-  }
+  const metrics::PowerCurve& sheet = primary.curve;
+  if (auto valid = sheet.validate(); !valid.ok()) return valid.error();
 
-  const double primary_ops = fleet.peak_ops()[primary_index];
-  const double primary_watts = fleet.peak_watts()[primary_index];
+  const double primary_ops = sheet.peak_ops();
+  const double primary_watts = sheet.peak_watts();
   const double knight_ops = primary_ops * config.knight_capacity_fraction;
   const double composite_ops = primary_ops + knight_ops;
 
-  // Evaluation points: the eleven levels, then active idle (u = 0). Split
-  // them by regime up front so every shared-regime primary lookup runs as
-  // one batch against the primary's grid row.
+  // Evaluation points: the eleven levels, then active idle (u = 0).
   constexpr std::size_t kNumPoints = metrics::kNumLoadLevels + 1;
   std::array<double, kNumPoints> point_watts{};
-  std::vector<std::size_t> shared_points;
-  std::vector<double> primary_utils;
-  shared_points.reserve(kNumPoints);
-  primary_utils.reserve(kNumPoints);
   for (std::size_t p = 0; p < kNumPoints; ++p) {
     const double u = p < metrics::kNumLoadLevels ? metrics::kLoadLevels[p] : 0.0;
     const double demand_ops = u * composite_ops;
@@ -67,16 +56,11 @@ Result<metrics::PowerCurve> knightshift_curve(const Fleet& fleet,
                        primary_watts * config.primary_suspend_fraction;
     } else {
       // Shared regime: knight saturated, primary takes the remainder.
-      shared_points.push_back(p);
-      primary_utils.push_back(
-          std::min(1.0, (demand_ops - knight_ops) / primary_ops));
+      const double primary_util =
+          std::min(1.0, (demand_ops - knight_ops) / primary_ops);
+      point_watts[p] = knight_power(config, primary_watts, 1.0) +
+                       sheet.normalized_power(primary_util) * primary_watts;
     }
-  }
-  std::vector<double> norm(primary_utils.size());
-  fleet.normalized_power_batch(primary_index, primary_utils, norm);
-  for (std::size_t k = 0; k < shared_points.size(); ++k) {
-    point_watts[shared_points[k]] =
-        knight_power(config, primary_watts, 1.0) + norm[k] * primary_watts;
   }
 
   std::array<double, metrics::kNumLoadLevels> watts{};
@@ -91,32 +75,16 @@ Result<metrics::PowerCurve> knightshift_curve(const Fleet& fleet,
   return curve;
 }
 
-Result<metrics::PowerCurve> knightshift_curve(
-    const dataset::ServerRecord& primary, const KnightShiftConfig& config) {
-  const Fleet fleet =
-      Fleet::from_records(std::span<const dataset::ServerRecord>(&primary, 1));
-  return knightshift_curve(fleet, 0, config);
-}
-
 Result<KnightShiftComparison> compare_knightshift(
-    const Fleet& fleet, std::size_t primary_index,
-    const KnightShiftConfig& config) {
-  EPSERVE_EXPECTS(primary_index < fleet.size());
-  auto composite = knightshift_curve(fleet, primary_index, config);
+    const dataset::ServerRecord& primary, const KnightShiftConfig& config) {
+  auto composite = knightshift_curve(primary, config);
   if (!composite.ok()) return composite.error();
   KnightShiftComparison cmp;
-  cmp.primary_ep = fleet.ep()[primary_index];
+  cmp.primary_ep = metrics::energy_proportionality(primary.curve);
   cmp.composite_ep = metrics::energy_proportionality(composite.value());
-  cmp.primary_idle_fraction = fleet.idle_fraction()[primary_index];
+  cmp.primary_idle_fraction = primary.curve.idle_fraction();
   cmp.composite_idle_fraction = composite.value().idle_fraction();
   return cmp;
-}
-
-Result<KnightShiftComparison> compare_knightshift(
-    const dataset::ServerRecord& primary, const KnightShiftConfig& config) {
-  const Fleet fleet =
-      Fleet::from_records(std::span<const dataset::ServerRecord>(&primary, 1));
-  return compare_knightshift(fleet, 0, config);
 }
 
 }  // namespace epserve::cluster

@@ -8,9 +8,6 @@
 // "wall").
 #pragma once
 
-#include <cstddef>
-
-#include "cluster/fleet.h"
 #include "dataset/record.h"
 #include "metrics/power_curve.h"
 #include "util/result.h"
@@ -32,15 +29,9 @@ struct KnightShiftConfig {
 
 /// The composite's measurement sheet at the eleven SPECpower points, where
 /// utilisation is relative to the COMPOSITE peak throughput (primary peak +
-/// knight peak). Fails on non-physical configuration.
-///
-/// The Fleet overload takes the primary by index and reads peak ops/watts
-/// from the fleet columns; the shared-regime power lookups run as one batch
-/// against the primary's grid row. The record overload is
-/// a thin wrapper over a one-server fleet; both produce identical curves.
-epserve::Result<metrics::PowerCurve> knightshift_curve(
-    const Fleet& fleet, std::size_t primary_index,
-    const KnightShiftConfig& config = {});
+/// knight peak). Each shared-regime point evaluates the primary's own curve
+/// (PowerCurve::normalized_power). Fails on non-physical configuration or
+/// on a primary sheet that fails PowerCurve::validate().
 epserve::Result<metrics::PowerCurve> knightshift_curve(
     const dataset::ServerRecord& primary, const KnightShiftConfig& config = {});
 
@@ -52,11 +43,6 @@ struct KnightShiftComparison {
   double composite_idle_fraction = 0.0;
 };
 
-/// Fleet overload: the primary's own EP / idle fraction come straight from
-/// the fleet's derived columns instead of being recomputed per call.
-epserve::Result<KnightShiftComparison> compare_knightshift(
-    const Fleet& fleet, std::size_t primary_index,
-    const KnightShiftConfig& config = {});
 epserve::Result<KnightShiftComparison> compare_knightshift(
     const dataset::ServerRecord& primary, const KnightShiftConfig& config = {});
 

@@ -35,11 +35,14 @@ Result<CapResult> max_throughput_under_cap(const PlacementPolicy& policy,
     return result;
   }
 
-  // Bisection on demand; per-policy power is monotone in demand.
+  // Bisection on demand; per-policy power is monotone in demand. A
+  // tolerance below the spacing of doubles near the answer ends the loop
+  // once lo and hi are adjacent, where the midpoint rounds to one of them.
   double lo = 0.0, hi = 1.0;
   Assignment at_lo = std::move(idle).take();
   while (hi - lo > tolerance) {
     const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) break;
     auto assignment = evaluate(policy, fleet, mid);
     if (!assignment.ok()) return assignment.error();
     if (assignment.value().total_power_watts <= cap_watts) {

@@ -20,9 +20,10 @@ struct CapResult {
 
 /// Finds the largest demand a policy can serve without exceeding
 /// `cap_watts`, by bisection over the demand axis (power is monotone in
-/// demand for all built-in policies). Fails when even zero demand (fleet
-/// idle) violates the cap, or on an empty fleet. The fleet's grid rows are
-/// reused across every bisection step.
+/// demand for all built-in policies), until the bracket is no wider than
+/// `tolerance` or its ends are adjacent doubles. Fails when even zero
+/// demand (fleet idle) violates the cap, or on an empty fleet. The fleet's
+/// grid rows are reused across every bisection step.
 epserve::Result<CapResult> max_throughput_under_cap(
     const PlacementPolicy& policy, const Fleet& fleet, double cap_watts,
     double tolerance = 1e-4);

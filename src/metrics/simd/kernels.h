@@ -1,11 +1,12 @@
 // metrics/simd — batch power kernels with one-time runtime dispatch.
 //
-// Every hot path in the system (analysis passes, cluster policies, the day
-// simulator, the serve daemon's request path) bottoms out in the same
-// normalized-power interpolation. This layer provides that interpolation as
-// branch-free batch kernels over uniform utilisation grids
-// (metrics/uniform_grid.h), with explicit AVX2 (x86-64) and NEON (arm64)
-// implementations selected once per process by kernels::active():
+// The cluster layer's batch paths (placement accounting, the day
+// simulator, the autoscaler) bottom out in the same normalized-power
+// interpolation. This layer provides that interpolation as branch-free
+// batch kernels over uniform utilisation grids (metrics/uniform_grid.h) and
+// the Fleet's native 10-bin rows, with explicit AVX2, AVX-512 (x86-64) and
+// NEON (arm64) implementations selected once per process by
+// kernels::active():
 //
 //   kScalarReference  forcible with EPSERVE_FORCE_SCALAR=1: the same plain
 //                     scalar loops as kGridScalar, so a forced-scalar run
@@ -26,10 +27,19 @@
 //                     avx512f and avx512dq.
 //   kGridNeon         NEON intrinsics, 2 lanes/vector (arm64 baseline ISA).
 //
+// A table holds five entries, each kept for the caller that uses it
+// (docs/KERNELS.md):
+//
+//   grid_batch        UniformGridTable::evaluate_batch;
+//   row_batch         Fleet::normalized_power_batch, the autoscaler's pass 2;
+//   row_matrix        Fleet::normalized_power_matrix, account_batch's blocks;
+//   axpy              the autoscaler's per-level power sums;
+//   split_accumulate  the balanced batch's exact level sums (lane_sums.h).
+//
 // Bitwise policy (docs/KERNELS.md): all grid variants evaluate the exact
 // scalar expression `(w0[idx] + (u - u0[idx]) * m[idx]) * inv_peak` with
-// round-to-nearest IEEE ops and no FMA contraction, so kGridAvx2/kGridNeon
-// match kGridScalar bit-for-bit, and all of them match the knot-walk
+// round-to-nearest IEEE ops and no FMA contraction, so every vector variant
+// matches kGridScalar bit-for-bit, and all of them match the knot-walk
 // reference wherever bin selection resolves to the same knot segment (always
 // at native 10-bin resolution; within <=2 ULP for finer grids — see
 // UniformGridTable).
@@ -63,13 +73,13 @@ struct GridView {
 /// Whole-fleet grid at native resolution: per-server rows of kRowBins bins
 /// (the ten SPECpower knot segments), index-aligned with the fleet. u0 is
 /// the shared kRowU0 array — identical for every server, so it is not
-/// replicated per row.
+/// replicated per row. Callers bound the row indices they pass by the
+/// fleet's size.
 struct FleetGridView {
   static constexpr std::int32_t kRowBins = 10;
   const double* w0 = nullptr;        // [servers * kRowBins], row i at i*10
   const double* m = nullptr;         // [servers * kRowBins]
   const double* inv_peak = nullptr;  // [servers]
-  std::size_t servers = 0;
 };
 
 /// Left-knot utilisations of the native grid's ten segments:
@@ -99,20 +109,15 @@ struct Kernels {
   void (*grid_batch)(const GridView& grid, const double* utils, double* out,
                      std::size_t n) = nullptr;
 
-  /// out[i] = normalized power of server i at utils[i], for all servers in
-  /// the fleet view. Same precondition as grid_batch.
-  void (*fleet_batch)(const FleetGridView& fleet, const double* utils,
-                      double* out) = nullptr;
-
-  /// out[k] = normalized power of server `i` at utils[k] — the day-sim /
-  /// placement hot shape (one server's row, a batch of demand slots). Same
-  /// precondition and bitwise contract as grid_batch on that row; variants
-  /// specialise it because the row's 10-bin parameters and the shared kRowU0
-  /// column have compile-time-known extents, unlike a general GridView.
+  /// out[k] = normalized power of server `i` at utils[k] — one server's row
+  /// over a batch of utilisations. Same precondition and bitwise contract
+  /// as grid_batch on that row; variants specialise it because the row's
+  /// 10-bin parameters and the shared kRowU0 column have compile-time-known
+  /// extents, unlike a general GridView.
   void (*row_batch)(const FleetGridView& fleet, std::size_t i,
                     const double* utils, double* out, std::size_t n) = nullptr;
 
-  /// Blocked matrix form of row_batch, the placement/day-sim inner loop:
+  /// Blocked matrix form of row_batch, the placement accounting's loop:
   /// for servers i0..i0+count-1, out[r*slots + d] = normalized power of
   /// server i0+r at utils[r*slots + d]. One call amortises all dispatch and
   /// setup cost across the whole block; same precondition and bitwise
@@ -120,9 +125,6 @@ struct Kernels {
   void (*row_matrix)(const FleetGridView& fleet, std::size_t i0,
                      std::size_t count, const double* utils, double* out,
                      std::size_t slots) = nullptr;
-
-  /// out[k] = min(max(in[k], 0.0), 1.0) — the day-sim utilisation clamp.
-  void (*clamp01)(const double* in, double* out, std::size_t n) = nullptr;
 
   /// acc[k] += x[k] * s, as separate round-to-nearest multiply and add (no
   /// FMA), matching the scalar accumulation loops bit-for-bit.
@@ -144,10 +146,10 @@ struct Kernels {
 
 /// The process-wide kernel set, chosen on first call and cached:
 /// EPSERVE_FORCE_SCALAR=1 (any value other than "0") forces
-/// kScalarReference; otherwise the best ISA the CPU reports (AVX2 via CPUID
-/// on x86-64, NEON on arm64), falling back to kGridScalar. Publishes the
-/// `kernel.dispatch` telemetry gauge (the Variant value) when telemetry is
-/// enabled at selection time. Thread-safe.
+/// kScalarReference; otherwise the best ISA the CPU reports (AVX-512, then
+/// AVX2, via CPUID on x86-64; NEON on arm64), falling back to kGridScalar.
+/// Publishes the `kernel.dispatch` telemetry gauge (the Variant value) when
+/// telemetry is enabled at selection time. Thread-safe.
 const Kernels& active();
 
 /// What active() would select given the current environment and CPU,

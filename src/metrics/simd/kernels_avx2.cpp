@@ -75,53 +75,6 @@ void grid_batch_avx2(const GridView& grid, const double* utils, double* out,
   }
 }
 
-void fleet_batch_avx2(const FleetGridView& fleet, const double* utils,
-                      double* out) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d ten = _mm256_set1_pd(10.0);
-  const __m128i zero_i = _mm_setzero_si128();
-  const __m128i last_seg = _mm_set1_epi32(9);
-  // Lane-wise loads beat vgatherdpd here: four pair loads and two unpacks
-  // per parameter set, fed by segment indices spilled through a stack slot.
-  // The range check is OR-accumulated across the whole loop and raised once
-  // at the end — the clamped segment index keeps every intermediate load
-  // in-bounds for any input (NaN converts to INT_MIN and clamps to 0), so
-  // deferring the throw is safe; `out` is unspecified on violation.
-  __m256d bad = _mm256_setzero_pd();
-  alignas(16) std::int32_t seg_arr[4];
-  std::size_t i = 0;
-  for (; i + 4 <= fleet.servers; i += 4) {
-    const __m256d u = _mm256_loadu_pd(utils + i);
-    bad = _mm256_or_pd(bad, out_of_range_mask(u, zero, one));
-    __m128i seg = _mm256_cvttpd_epi32(_mm256_mul_pd(u, ten));
-    seg = _mm_min_epi32(_mm_max_epi32(seg, zero_i), last_seg);
-    _mm_store_si128(reinterpret_cast<__m128i*>(seg_arr), seg);
-    const std::size_t a0 = (i + 0) * 10 + static_cast<std::size_t>(seg_arr[0]);
-    const std::size_t a1 = (i + 1) * 10 + static_cast<std::size_t>(seg_arr[1]);
-    const std::size_t a2 = (i + 2) * 10 + static_cast<std::size_t>(seg_arr[2]);
-    const std::size_t a3 = (i + 3) * 10 + static_cast<std::size_t>(seg_arr[3]);
-    const __m256d u0 =
-        _mm256_set_pd(kRowU0[seg_arr[3]], kRowU0[seg_arr[2]],
-                      kRowU0[seg_arr[1]], kRowU0[seg_arr[0]]);
-    const __m256d w0 = _mm256_set_pd(fleet.w0[a3], fleet.w0[a2], fleet.w0[a1],
-                                     fleet.w0[a0]);
-    const __m256d m =
-        _mm256_set_pd(fleet.m[a3], fleet.m[a2], fleet.m[a1], fleet.m[a0]);
-    const __m256d inv_peak = _mm256_loadu_pd(fleet.inv_peak + i);
-    __m256d v = _mm256_mul_pd(
-        _mm256_add_pd(w0, _mm256_mul_pd(_mm256_sub_pd(u, u0), m)), inv_peak);
-    v = _mm256_blendv_pd(v, one, _mm256_cmp_pd(u, one, _CMP_EQ_OQ));
-    _mm256_storeu_pd(out + i, v);
-  }
-  if (_mm256_movemask_pd(bad) != 0) {
-    detail::utilization_out_of_range();
-  }
-  for (; i < fleet.servers; ++i) {
-    out[i] = detail::fleet_eval_checked(fleet, i, utils[i]);
-  }
-}
-
 void row_batch_avx2(const FleetGridView& fleet, std::size_t i,
                     const double* utils, double* out, std::size_t n) {
   const std::size_t row = i * FleetGridView::kRowBins;
@@ -135,23 +88,6 @@ void row_matrix_avx2(const FleetGridView& fleet, std::size_t i0,
                      std::size_t slots) {
   for (std::size_t r = 0; r < count; ++r) {
     row_batch_avx2(fleet, i0 + r, utils + r * slots, out + r * slots, slots);
-  }
-}
-
-void clamp01_avx2(const double* in, double* out, std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    // maxpd/minpd with the limit as the first operand propagate the input
-    // (second operand) through NaN and signed-zero cases, matching the
-    // scalar two-branch clamp.
-    const __m256d v = _mm256_loadu_pd(in + k);
-    _mm256_storeu_pd(out + k, _mm256_min_pd(one, _mm256_max_pd(zero, v)));
-  }
-  for (; k < n; ++k) {
-    const double v = in[k];
-    out[k] = v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
   }
 }
 
@@ -220,9 +156,13 @@ bool split_accumulate_avx2(const SplitLanes& lanes, const double* x,
 
 extern const Kernels kGridAvx2Kernels;
 const Kernels kGridAvx2Kernels = {
-    Variant::kGridAvx2, "grid-avx2",    grid_batch_avx2,
-    fleet_batch_avx2,   row_batch_avx2, row_matrix_avx2,
-    clamp01_avx2,       axpy_avx2,      split_accumulate_avx2,
+    .variant = Variant::kGridAvx2,
+    .name = "grid-avx2",
+    .grid_batch = grid_batch_avx2,
+    .row_batch = row_batch_avx2,
+    .row_matrix = row_matrix_avx2,
+    .axpy = axpy_avx2,
+    .split_accumulate = split_accumulate_avx2,
 };
 
 }  // namespace epserve::metrics::kernels

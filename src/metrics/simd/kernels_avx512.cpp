@@ -11,6 +11,12 @@
 // Bitwise contract: same as the other vector TUs — plain round-to-nearest
 // mul/sub/add (no FMA), truncating converts, and permutes/gathers that move
 // exact bit patterns, so results match kGridScalar bit-for-bit.
+//
+// The 64-bit min/max, the 32-bit truncating convert and the gather are
+// called in their full-mask forms (mask 0xff): GCC 12's unmasked wrappers
+// start from an _mm512_undefined_*() vector and warn -Wmaybe-uninitialized
+// wherever they inline, while the masked forms compile to the same
+// instructions (vpmaxsq/vpminsq, vcvttpd2dq, kxnorb + vgatherdpd).
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 
 #include <immintrin.h>
@@ -73,7 +79,8 @@ inline std::size_t grid_batch_registers(const RegisterTable& u0,
     const __m512d u = _mm512_loadu_pd(utils + k);
     bad = static_cast<__mmask8>(bad | out_of_range_mask(u, zero, one));
     __m512i idx = _mm512_cvttpd_epi64(_mm512_mul_pd(u, scale));
-    idx = _mm512_min_epi64(_mm512_max_epi64(idx, zero_i), last);
+    idx = _mm512_maskz_min_epi64(
+        0xff, _mm512_maskz_max_epi64(0xff, idx, zero_i), last);
     __m512d v = _mm512_mul_pd(
         _mm512_add_pd(w0.lookup(idx),
                       _mm512_mul_pd(_mm512_sub_pd(u, u0.lookup(idx)),
@@ -109,11 +116,11 @@ void grid_batch_avx512(const GridView& grid, const double* utils, double* out,
     for (; k + 8 <= n; k += 8) {
       const __m512d u = _mm512_loadu_pd(utils + k);
       bad = static_cast<__mmask8>(bad | out_of_range_mask(u, zero, one));
-      __m256i idx = _mm512_cvttpd_epi32(_mm512_mul_pd(u, scale));
+      __m256i idx = _mm512_maskz_cvttpd_epi32(0xff, _mm512_mul_pd(u, scale));
       idx = _mm256_min_epi32(_mm256_max_epi32(idx, zero_i), last);
-      const __m512d u0 = _mm512_i32gather_pd(idx, grid.u0, 8);
-      const __m512d w0 = _mm512_i32gather_pd(idx, grid.w0, 8);
-      const __m512d m = _mm512_i32gather_pd(idx, grid.m, 8);
+      const __m512d u0 = _mm512_mask_i32gather_pd(zero, 0xff, idx, grid.u0, 8);
+      const __m512d w0 = _mm512_mask_i32gather_pd(zero, 0xff, idx, grid.w0, 8);
+      const __m512d m = _mm512_mask_i32gather_pd(zero, 0xff, idx, grid.m, 8);
       __m512d v = _mm512_mul_pd(
           _mm512_add_pd(w0, _mm512_mul_pd(_mm512_sub_pd(u, u0), m)), inv_peak);
       v = _mm512_mask_mov_pd(v, _mm512_cmp_pd_mask(u, one, _CMP_EQ_OQ), one);
@@ -125,44 +132,6 @@ void grid_batch_avx512(const GridView& grid, const double* utils, double* out,
   }
   for (; k < n; ++k) {
     out[k] = detail::grid_eval_checked(grid, utils[k]);
-  }
-}
-
-void fleet_batch_avx512(const FleetGridView& fleet, const double* utils,
-                        double* out) {
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d ten = _mm512_set1_pd(10.0);
-  const __m512i zero_i = _mm512_setzero_si512();
-  const __m512i last_seg = _mm512_set1_epi64(9);
-  const RegisterTable u0_table =
-      RegisterTable::load(kRowU0, FleetGridView::kRowBins);
-  // Flat 64-bit row bases {i..i+7} * 10 step by 80 — no int32 index ceiling.
-  __m512i row_base = _mm512_setr_epi64(0, 10, 20, 30, 40, 50, 60, 70);
-  const __m512i row_step = _mm512_set1_epi64(80);
-  __mmask8 bad = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= fleet.servers; i += 8) {
-    const __m512d u = _mm512_loadu_pd(utils + i);
-    bad = static_cast<__mmask8>(bad | out_of_range_mask(u, zero, one));
-    __m512i seg = _mm512_cvttpd_epi64(_mm512_mul_pd(u, ten));
-    seg = _mm512_min_epi64(_mm512_max_epi64(seg, zero_i), last_seg);
-    const __m512i at = _mm512_add_epi64(row_base, seg);
-    const __m512d u0 = u0_table.lookup(seg);
-    const __m512d w0 = _mm512_i64gather_pd(at, fleet.w0, 8);
-    const __m512d m = _mm512_i64gather_pd(at, fleet.m, 8);
-    const __m512d inv_peak = _mm512_loadu_pd(fleet.inv_peak + i);
-    __m512d v = _mm512_mul_pd(
-        _mm512_add_pd(w0, _mm512_mul_pd(_mm512_sub_pd(u, u0), m)), inv_peak);
-    v = _mm512_mask_mov_pd(v, _mm512_cmp_pd_mask(u, one, _CMP_EQ_OQ), one);
-    _mm512_storeu_pd(out + i, v);
-    row_base = _mm512_add_epi64(row_base, row_step);
-  }
-  if (bad != 0) {
-    detail::utilization_out_of_range();
-  }
-  for (; i < fleet.servers; ++i) {
-    out[i] = detail::fleet_eval_checked(fleet, i, utils[i]);
   }
 }
 
@@ -208,7 +177,8 @@ struct RowConstants {
     const __m512d u = _mm512_loadu_pd(utils + k);
     bad = static_cast<__mmask8>(bad | out_of_range_mask(u, c.zero, c.one));
     __m512i idx = _mm512_cvttpd_epi64(_mm512_mul_pd(u, c.scale));
-    idx = _mm512_min_epi64(_mm512_max_epi64(idx, c.zero_i), c.last);
+    idx = _mm512_maskz_min_epi64(
+        0xff, _mm512_maskz_max_epi64(0xff, idx, c.zero_i), c.last);
     __m512d v = _mm512_mul_pd(
         _mm512_add_pd(w0.lookup(idx),
                       _mm512_mul_pd(_mm512_sub_pd(u, c.u0.lookup(idx)),
@@ -260,22 +230,6 @@ void row_matrix_avx512(const FleetGridView& fleet, std::size_t i0,
   }
   if (bad != 0) {
     detail::utilization_out_of_range();
-  }
-}
-
-void clamp01_avx512(const double* in, double* out, std::size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d one = _mm512_set1_pd(1.0);
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    // Limit-first operand order propagates NaN and signed-zero inputs
-    // (second operand) unchanged, matching the scalar two-branch clamp.
-    const __m512d v = _mm512_loadu_pd(in + k);
-    _mm512_storeu_pd(out + k, _mm512_min_pd(one, _mm512_max_pd(zero, v)));
-  }
-  for (; k < n; ++k) {
-    const double v = in[k];
-    out[k] = v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
   }
 }
 
@@ -331,9 +285,13 @@ bool split_accumulate_avx512(const SplitLanes& lanes, const double* x,
 
 extern const Kernels kGridAvx512Kernels;
 const Kernels kGridAvx512Kernels = {
-    Variant::kGridAvx512, "grid-avx512",    grid_batch_avx512,
-    fleet_batch_avx512,   row_batch_avx512, row_matrix_avx512,
-    clamp01_avx512,       axpy_avx512,      split_accumulate_avx512,
+    .variant = Variant::kGridAvx512,
+    .name = "grid-avx512",
+    .grid_batch = grid_batch_avx512,
+    .row_batch = row_batch_avx512,
+    .row_matrix = row_matrix_avx512,
+    .axpy = axpy_avx512,
+    .split_accumulate = split_accumulate_avx512,
 };
 
 }  // namespace epserve::metrics::kernels

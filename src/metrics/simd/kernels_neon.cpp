@@ -55,35 +55,6 @@ void grid_batch_neon(const GridView& grid, const double* utils, double* out,
   }
 }
 
-void fleet_batch_neon(const FleetGridView& fleet, const double* utils,
-                      double* out) {
-  const float64x2_t one = vdupq_n_f64(1.0);
-  std::size_t i = 0;
-  for (; i + 2 <= fleet.servers; i += 2) {
-    const double ua = utils[i];
-    const double ub = utils[i + 1];
-    if (!lane_in_range(ua) || !lane_in_range(ub)) {
-      detail::utilization_out_of_range();
-    }
-    const std::size_t sa = bin_of(ua, 10.0, 9);
-    const std::size_t sb = bin_of(ub, 10.0, 9);
-    const std::size_t ra = i * FleetGridView::kRowBins + sa;
-    const std::size_t rb = (i + 1) * FleetGridView::kRowBins + sb;
-    const float64x2_t u = vld1q_f64(utils + i);
-    const float64x2_t u0 = {kRowU0[sa], kRowU0[sb]};
-    const float64x2_t w0 = {fleet.w0[ra], fleet.w0[rb]};
-    const float64x2_t m = {fleet.m[ra], fleet.m[rb]};
-    const float64x2_t inv_peak = vld1q_f64(fleet.inv_peak + i);
-    float64x2_t v = vmulq_f64(
-        vaddq_f64(w0, vmulq_f64(vsubq_f64(u, u0), m)), inv_peak);
-    v = vbslq_f64(vceqq_f64(u, one), one, v);
-    vst1q_f64(out + i, v);
-  }
-  for (; i < fleet.servers; ++i) {
-    out[i] = detail::fleet_eval_checked(fleet, i, utils[i]);
-  }
-}
-
 void row_batch_neon(const FleetGridView& fleet, std::size_t i,
                     const double* utils, double* out, std::size_t n) {
   const std::size_t row = i * FleetGridView::kRowBins;
@@ -97,24 +68,6 @@ void row_matrix_neon(const FleetGridView& fleet, std::size_t i0,
                      std::size_t slots) {
   for (std::size_t r = 0; r < count; ++r) {
     row_batch_neon(fleet, i0 + r, utils + r * slots, out + r * slots, slots);
-  }
-}
-
-void clamp01_neon(const double* in, double* out, std::size_t n) {
-  std::size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const float64x2_t v = vld1q_f64(in + k);
-    // Compare-and-select rather than vmin/vmax so NaN and -0.0 lanes pass
-    // through unchanged, matching the scalar two-branch clamp.
-    const float64x2_t lo = vbslq_f64(vcltq_f64(v, vdupq_n_f64(0.0)),
-                                     vdupq_n_f64(0.0), v);
-    const float64x2_t hi = vbslq_f64(vcgtq_f64(lo, vdupq_n_f64(1.0)),
-                                     vdupq_n_f64(1.0), lo);
-    vst1q_f64(out + k, hi);
-  }
-  for (; k < n; ++k) {
-    const double v = in[k];
-    out[k] = v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
   }
 }
 
@@ -156,9 +109,13 @@ bool split_accumulate_neon(const SplitLanes& lanes, const double* x,
 
 extern const Kernels kGridNeonKernels;
 const Kernels kGridNeonKernels = {
-    Variant::kGridNeon, "grid-neon",    grid_batch_neon,
-    fleet_batch_neon,   row_batch_neon, row_matrix_neon,
-    clamp01_neon,       axpy_neon,      split_accumulate_neon,
+    .variant = Variant::kGridNeon,
+    .name = "grid-neon",
+    .grid_batch = grid_batch_neon,
+    .row_batch = row_batch_neon,
+    .row_matrix = row_matrix_neon,
+    .axpy = axpy_neon,
+    .split_accumulate = split_accumulate_neon,
 };
 
 }  // namespace epserve::metrics::kernels

@@ -36,13 +36,6 @@ void grid_batch_scalar(const GridView& grid, const double* utils, double* out,
   }
 }
 
-void fleet_batch_scalar(const FleetGridView& fleet, const double* utils,
-                        double* out) {
-  for (std::size_t i = 0; i < fleet.servers; ++i) {
-    out[i] = detail::fleet_eval_checked(fleet, i, utils[i]);
-  }
-}
-
 void row_batch_scalar(const FleetGridView& fleet, std::size_t i,
                       const double* utils, double* out, std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
@@ -58,13 +51,6 @@ void row_matrix_scalar(const FleetGridView& fleet, std::size_t i0,
       out[r * slots + d] =
           detail::fleet_eval_checked(fleet, i0 + r, utils[r * slots + d]);
     }
-  }
-}
-
-void clamp01_scalar(const double* in, double* out, std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const double v = in[k];
-    out[k] = v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
   }
 }
 
@@ -103,16 +89,24 @@ bool split_accumulate_scalar(const SplitLanes& lanes, const double* x,
 // equal every other variant's. Only its variant and name differ.
 extern const Kernels kScalarReferenceKernels;
 const Kernels kScalarReferenceKernels = {
-    Variant::kScalarReference, "scalar-reference", grid_batch_scalar,
-    fleet_batch_scalar,        row_batch_scalar,   row_matrix_scalar,
-    clamp01_scalar,            axpy_scalar,        split_accumulate_scalar,
+    .variant = Variant::kScalarReference,
+    .name = "scalar-reference",
+    .grid_batch = grid_batch_scalar,
+    .row_batch = row_batch_scalar,
+    .row_matrix = row_matrix_scalar,
+    .axpy = axpy_scalar,
+    .split_accumulate = split_accumulate_scalar,
 };
 
 extern const Kernels kGridScalarKernels;
 const Kernels kGridScalarKernels = {
-    Variant::kGridScalar, "grid-scalar",    grid_batch_scalar,
-    fleet_batch_scalar,   row_batch_scalar, row_matrix_scalar,
-    clamp01_scalar,       axpy_scalar,      split_accumulate_scalar,
+    .variant = Variant::kGridScalar,
+    .name = "grid-scalar",
+    .grid_batch = grid_batch_scalar,
+    .row_batch = row_batch_scalar,
+    .row_matrix = row_matrix_scalar,
+    .axpy = axpy_scalar,
+    .split_accumulate = split_accumulate_scalar,
 };
 
 }  // namespace epserve::metrics::kernels

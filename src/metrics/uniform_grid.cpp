@@ -49,14 +49,8 @@ void UniformGridTable::evaluate_batch(std::span<const double> utils,
                                       std::span<double> out) const {
   EPSERVE_EXPECTS(utils.size() == out.size());
   if (utils.empty()) return;
-  const kernels::Kernels& k = kernels::active();
-  // The knot-walk reference cannot evaluate a resampled table; under forced
-  // scalar the grid expression still runs, as the plain scalar loop.
-  const kernels::Kernels& effective =
-      k.variant == kernels::Variant::kScalarReference
-          ? *kernels::get(kernels::Variant::kGridScalar)
-          : k;
-  effective.grid_batch(view(), utils.data(), out.data(), utils.size());
+  kernels::active().grid_batch(view(), utils.data(), out.data(),
+                               utils.size());
   telemetry::count("kernel.batch_points", utils.size());
 }
 

@@ -74,10 +74,9 @@ class UniformGridTable {
   [[nodiscard]] double evaluate(double utilization) const;
 
   /// Batched evaluation through the process-selected kernels
-  /// (kernels::active()); under EPSERVE_FORCE_SCALAR the grid expression
-  /// still runs, as the kGridScalar loop — the knot-walk reference cannot
-  /// evaluate a resampled table. `out.size()` must equal `utils.size()`;
-  /// every utilisation must be in [0, 1].
+  /// (kernels::active()); under EPSERVE_FORCE_SCALAR that is the plain
+  /// scalar grid loop kGridScalar also runs. `out.size()` must equal
+  /// `utils.size()`; every utilisation must be in [0, 1].
   void evaluate_batch(std::span<const double> utils,
                       std::span<double> out) const;
 

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
+#include "cluster/trace.h"
 #include "metrics/curve_models.h"
+#include "metrics/simd/kernels.h"
 
 namespace epserve::cluster {
 namespace {
@@ -107,6 +114,103 @@ TEST(Autoscaler, ZeroDemandPowersEverythingDown) {
     EXPECT_DOUBLE_EQ(slot.power_watts, 0.0);
   }
   EXPECT_DOUBLE_EQ(result.value().energy_kwh, 0.0);
+}
+
+/// Servers whose EP, idle fraction, knee, peak watts and peak ops cycle
+/// with the index, so the activation order mixes them and the power sums
+/// round.
+std::vector<dataset::ServerRecord> mixed_fleet(std::size_t n) {
+  std::vector<dataset::ServerRecord> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double idle = 0.20 + 0.05 * static_cast<double>(i % 7);
+    const double tau = 0.5 + 0.1 * static_cast<double>(i % 4);
+    const double ep =
+        (1.0 - idle) * (tau + 0.25 + 0.1 * static_cast<double>(i % 6));
+    auto model = metrics::TwoSegmentPowerModel::solve(ep, idle, tau);
+    EXPECT_TRUE(model.ok());
+    dataset::ServerRecord r;
+    r.id = static_cast<int>(i) + 1;
+    r.curve = metrics::to_power_curve(
+        model.value(), 250.0 + 10.3 * static_cast<double>(i % 9),
+        1e6 + 1.1e5 * static_cast<double>(i % 11));
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+// The summation contract behind every slot power, under every kernel
+// variant the build and CPU offer: a slot's power is the sum, in ascending
+// activation position j < active, of normalized_power(u) * peak_watts of
+// server order[j], added one term at a time from 0.0; u spreads the slot's
+// demand over the active prefix's capacity, summed in the same order. The
+// day's energy is the slot-order sum of the slot powers and wake
+// penalties.
+TEST(Autoscaler, SlotPowersAreActivationOrderSumsUnderEveryKernel) {
+  namespace kernels = metrics::kernels;
+  const auto records = mixed_fleet(301);
+  const Fleet fleet = Fleet::from_records(records);
+  const std::span<const std::size_t> order = fleet.order_by_overall_score();
+  const AutoscalerConfig config;
+
+  std::vector<DemandTrace> traces;
+  for (const auto name : trace_names()) {
+    auto trace = make_trace(name);
+    ASSERT_TRUE(trace.ok()) << trace.error().message;
+    if (!trace.value().latency_critical()) {
+      traces.push_back(std::move(trace).take());
+    }
+  }
+  ASSERT_FALSE(traces.empty());
+  DemandTrace repeats;  // repeated levels, both ends of the range
+  repeats.slot_hours = 0.5;
+  repeats.demand = {0.0,  0.35, 1.0, 0.35, 0.0,  0.62,
+                    1.0,  0.62, 0.35, 0.08, 0.08, 0.9};
+  traces.push_back(repeats);
+
+  struct RestoreKernels {
+    kernels::Variant saved = kernels::active().variant;
+    ~RestoreKernels() { kernels::set_active_for_testing(saved); }
+  } restore;
+  for (const auto variant :
+       {kernels::Variant::kScalarReference, kernels::Variant::kGridScalar,
+        kernels::Variant::kGridAvx2, kernels::Variant::kGridAvx512,
+        kernels::Variant::kGridNeon}) {
+    if (!kernels::set_active_for_testing(variant)) continue;
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+      const DemandTrace& trace = traces[t];
+      const auto result = autoscale_over_day(fleet, trace, config);
+      ASSERT_TRUE(result.ok()) << result.error().message;
+      ASSERT_EQ(result.value().slots.size(), trace.demand.size());
+      double energy_kwh = 0.0;
+      for (std::size_t s = 0; s < trace.demand.size(); ++s) {
+        const ScaleSlot& slot = result.value().slots[s];
+        const auto active = static_cast<std::size_t>(slot.active_servers);
+        double active_capacity = 0.0;
+        for (std::size_t j = 0; j < active; ++j) {
+          active_capacity += records[order[j]].curve.peak_ops();
+        }
+        const double u =
+            active_capacity > 0.0
+                ? std::min(1.0, trace.demand[s] * fleet.capacity_ops() /
+                                    active_capacity)
+                : 0.0;
+        double power = 0.0;
+        for (std::size_t j = 0; j < active; ++j) {
+          const metrics::PowerCurve& curve = records[order[j]].curve;
+          power += curve.normalized_power(u) * curve.peak_watts();
+        }
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(slot.power_watts),
+                  std::bit_cast<std::uint64_t>(power))
+            << kernels::variant_name(variant) << " trace " << t << " slot "
+            << s << " active " << active;
+        energy_kwh += power * trace.slot_hours / 1000.0 +
+                      slot.wakes * config.wake_penalty_wh / 1000.0;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.value().energy_kwh),
+                std::bit_cast<std::uint64_t>(energy_kwh))
+          << kernels::variant_name(variant) << " trace " << t;
+    }
+  }
 }
 
 TEST(Autoscaler, RejectsBadInputs) {

@@ -321,8 +321,8 @@ TEST(FleetBuild, ColumnsAreBitwiseCopiesOfPerRecordMetrics) {
   const Fleet& fleet = built.value();
   ASSERT_EQ(fleet.size(), records.size());
 
-  double capacity = 0.0;
-  double idle = 0.0;
+  std::vector<double> capacity_terms;
+  std::vector<double> idle_terms;
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& curve = records[i].curve;
     EXPECT_EQ(fleet.peak_ops()[i], curve.peak_ops());
@@ -336,11 +336,11 @@ TEST(FleetBuild, ColumnsAreBitwiseCopiesOfPerRecordMetrics) {
               metrics::peak_ee_utilization(curve));
     EXPECT_EQ(fleet.ee_at_full()[i],
               metrics::ee_at_level(curve, metrics::kNumLoadLevels - 1));
-    capacity += curve.peak_ops();
-    idle += curve.idle_watts();
+    capacity_terms.push_back(curve.peak_ops());
+    idle_terms.push_back(curve.idle_watts());
   }
-  EXPECT_EQ(fleet.capacity_ops(), capacity);
-  EXPECT_EQ(fleet.total_idle_watts(), idle);
+  EXPECT_EQ(fleet.capacity_ops(), exact_total(capacity_terms));
+  EXPECT_EQ(fleet.total_idle_watts(), exact_total(idle_terms));
 }
 
 TEST(FleetBuild, NormalizedPowerMatchesCurveBitwise) {

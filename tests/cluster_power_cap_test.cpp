@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "dataset/generator.h"
 #include "metrics/curve_models.h"
 
 namespace epserve::cluster {
@@ -52,6 +56,36 @@ TEST(PowerCap, BisectionConvergesToTheBoundary) {
       evaluate(policy, Fleet::from_records(fleet()), std::min(1.0, result.value().max_demand + 1e-3));
   ASSERT_TRUE(above.ok());
   EXPECT_GT(above.value().total_power_watts, 900.0 - 1.0);
+}
+
+// A tolerance below the spacing of doubles near the answer: the bisection
+// stops once its bracket's ends are adjacent doubles, where the midpoint
+// rounds to one of them, and returns the boundary to the last bit.
+TEST(PowerCap, ToleranceBelowDoubleSpacingStopsAtAdjacentDemands) {
+  dataset::ScaledConfig config;
+  config.seed = 5;
+  config.servers = 200;
+  config.threads = 1;
+  auto built = Fleet::generate(config, 64);
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  const Fleet& scaled = built.value();
+  const PackToFullPolicy policy;
+  const auto at_cap = evaluate(policy, scaled, 0.37);
+  ASSERT_TRUE(at_cap.ok());
+  const double cap = at_cap.value().total_power_watts;
+  for (const double tolerance :
+       {1e-300, std::numeric_limits<double>::denorm_min()}) {
+    const auto result =
+        max_throughput_under_cap(policy, scaled, cap, tolerance);
+    ASSERT_TRUE(result.ok()) << result.error().message;
+    const double max_demand = result.value().max_demand;
+    EXPECT_LE(result.value().power_at_max, cap) << "tolerance " << tolerance;
+    const auto above =
+        evaluate(policy, scaled, std::nextafter(max_demand, 1.0));
+    ASSERT_TRUE(above.ok());
+    EXPECT_GT(above.value().total_power_watts, cap)
+        << "tolerance " << tolerance;
+  }
 }
 
 TEST(PowerCap, EpAwarePlacementDoesMoreWorkUnderTheSameCap) {

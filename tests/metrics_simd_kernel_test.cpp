@@ -240,20 +240,22 @@ TEST(SimdKernels, VectorGridBatchBitwiseEqualsScalar) {
   }
 }
 
+// One point per server across the whole fleet: row_matrix with one slot.
 TEST(SimdKernels, VectorFleetBatchBitwiseEqualsScalar) {
   const auto records = make_fleet_records(1003);
   auto fleet = cluster::Fleet::build(records);
   ASSERT_TRUE(fleet.ok());
   const auto view = fleet.value().grid_view();
-  const auto utils = random_utils(view.servers, 11);
-  std::vector<double> expected(view.servers);
-  std::vector<double> actual(view.servers);
+  const std::size_t servers = fleet.value().size();
+  const auto utils = random_utils(servers, 11);
+  std::vector<double> expected(servers);
+  std::vector<double> actual(servers);
   kernels::get(kernels::Variant::kGridScalar)
-      ->fleet_batch(view, utils.data(), expected.data());
+      ->row_matrix(view, 0, servers, utils.data(), expected.data(), 1);
   for (const auto variant : compiled_vector_variants()) {
     const kernels::Kernels* vec = kernels::get(variant);
-    vec->fleet_batch(view, utils.data(), actual.data());
-    for (std::size_t i = 0; i < view.servers; ++i) {
+    vec->row_matrix(view, 0, servers, utils.data(), actual.data(), 1);
+    for (std::size_t i = 0; i < servers; ++i) {
       ASSERT_EQ(actual[i], expected[i]) << vec->name << " server " << i;
     }
   }
@@ -264,29 +266,28 @@ TEST(SimdKernels, VectorRowKernelsBitwiseEqualScalar) {
   auto fleet = cluster::Fleet::build(records);
   ASSERT_TRUE(fleet.ok());
   const auto view = fleet.value().grid_view();
+  const std::size_t servers = fleet.value().size();
   const kernels::Kernels* scalar =
       kernels::get(kernels::Variant::kGridScalar);
   // Slot counts straddling the vector widths and the 2x-unrolled main loop.
   for (const std::size_t slots :
        {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{24},
         std::size_t{27}}) {
-    const auto utils = random_utils(view.servers * slots, 17);
+    const auto utils = random_utils(servers * slots, 17);
     std::vector<double> expected(utils.size());
     std::vector<double> actual(utils.size());
-    scalar->row_matrix(view, 0, view.servers, utils.data(), expected.data(),
-                       slots);
+    scalar->row_matrix(view, 0, servers, utils.data(), expected.data(), slots);
     for (const auto variant : compiled_vector_variants()) {
       const kernels::Kernels* vec = kernels::get(variant);
       // Whole matrix in one call...
-      vec->row_matrix(view, 0, view.servers, utils.data(), actual.data(),
-                      slots);
+      vec->row_matrix(view, 0, servers, utils.data(), actual.data(), slots);
       for (std::size_t at = 0; at < utils.size(); ++at) {
         ASSERT_EQ(actual[at], expected[at])
             << vec->name << " slots=" << slots << " at=" << at;
       }
       // ...and row by row, including a nonzero block offset.
       std::vector<double> row_out(slots);
-      for (std::size_t i = 0; i < view.servers; ++i) {
+      for (std::size_t i = 0; i < servers; ++i) {
         vec->row_batch(view, i, utils.data() + i * slots, row_out.data(),
                        slots);
         for (std::size_t d = 0; d < slots; ++d) {
@@ -294,10 +295,10 @@ TEST(SimdKernels, VectorRowKernelsBitwiseEqualScalar) {
               << vec->name << " slots=" << slots << " server=" << i;
         }
       }
-      const std::size_t tail = view.servers / 2;
-      vec->row_matrix(view, tail, view.servers - tail,
-                      utils.data() + tail * slots, actual.data(), slots);
-      for (std::size_t at = 0; at < (view.servers - tail) * slots; ++at) {
+      const std::size_t tail = servers / 2;
+      vec->row_matrix(view, tail, servers - tail, utils.data() + tail * slots,
+                      actual.data(), slots);
+      for (std::size_t at = 0; at < (servers - tail) * slots; ++at) {
         ASSERT_EQ(actual[at], expected[tail * slots + at])
             << vec->name << " slots=" << slots << " offset block at=" << at;
       }
@@ -330,26 +331,14 @@ TEST(SimdKernels, RowKernelsRejectOutOfRange) {
   }
 }
 
+// Named for the clamp01 kernel it also covered until that kernel was
+// removed; it checks axpy alone now.
 TEST(SimdKernels, VectorClampAndAxpyBitwiseEqualScalar) {
   const kernels::Kernels* scalar =
       kernels::get(kernels::Variant::kGridScalar);
-  std::vector<double> in = {-0.5, -0.0, 0.0,  0.25, 1.0,
-                            1.5,  -1e9, 1e-9, 0.999999};
-  in.push_back(std::numeric_limits<double>::quiet_NaN());
-  in.push_back(std::numeric_limits<double>::infinity());
-  in.push_back(-std::numeric_limits<double>::infinity());
-  const std::size_t n = in.size();
+  const std::size_t n = 12;  // one AVX-512 vector and a four-lane tail
   for (const auto variant : compiled_vector_variants()) {
     const kernels::Kernels* vec = kernels::get(variant);
-    std::vector<double> expected(n);
-    std::vector<double> actual(n);
-    scalar->clamp01(in.data(), expected.data(), n);
-    vec->clamp01(in.data(), actual.data(), n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const auto ebits = std::bit_cast<std::uint64_t>(expected[k]);
-      const auto abits = std::bit_cast<std::uint64_t>(actual[k]);
-      ASSERT_EQ(abits, ebits) << vec->name << " clamp01 k=" << k;
-    }
     const auto x = random_utils(n, 5);
     std::vector<double> acc_expected(n, 0.125);
     std::vector<double> acc_actual(n, 0.125);
@@ -520,8 +509,9 @@ TEST(FleetKernels, EveryVariantMatchesPowerCurveReference) {
   for (const auto v : compiled_vector_variants()) variants.push_back(v);
   for (const auto variant : variants) {
     ASSERT_TRUE(kernels::set_active_for_testing(variant));
+    // One point per server: the matrix form with one slot.
     std::vector<double> out(fleet.size());
-    fleet.normalized_power_per_server(utils, out);
+    fleet.normalized_power_matrix(0, fleet.size(), utils, out, 1);
     for (std::size_t i = 0; i < fleet.size(); ++i) {
       ASSERT_EQ(out[i], reference[i])
           << kernels::variant_name(variant) << " server " << i;
@@ -567,7 +557,7 @@ TEST(FleetKernels, EveryVariantMatchesPowerCurveReference) {
       for (std::size_t i = 0; i < fleet.size(); ++i) {
         rotated[i] = band[(i + shift) % band.size()];
       }
-      fleet.normalized_power_per_server(rotated, out);
+      fleet.normalized_power_matrix(0, fleet.size(), rotated, out, 1);
       for (std::size_t i = 0; i < fleet.size(); ++i) {
         ASSERT_EQ(out[i], records[i].curve.normalized_power(rotated[i]))
             << kernels::variant_name(variant) << " per-server server " << i
@@ -642,7 +632,7 @@ TEST(FleetKernels, SharedFleetIsRaceFreeAcrossThreads) {
             random_utils(fleet.size(), static_cast<std::uint32_t>(100 + t));
         std::vector<double> out(fleet.size());
         for (int round = 0; round < 16; ++round) {
-          fleet.normalized_power_per_server(utils, out);
+          fleet.normalized_power_matrix(0, fleet.size(), utils, out, 1);
         }
         results[static_cast<std::size_t>(t)] = std::move(out);
       });

@@ -236,12 +236,12 @@ FleetImage image_of(const std::function<cluster::Fleet()>& build) {
   add_column(image, "ee_at_full", fleet.ee_at_full());
   const auto grid = fleet.grid_view();
   const std::size_t bins =
-      grid.servers *
+      fleet.size() *
       static_cast<std::size_t>(metrics::kernels::FleetGridView::kRowBins);
   add_column(image, "grid_w0", std::span<const double>(grid.w0, bins));
   add_column(image, "grid_m", std::span<const double>(grid.m, bins));
   add_column(image, "grid_inv_peak",
-             std::span<const double>(grid.inv_peak, grid.servers));
+             std::span<const double>(grid.inv_peak, fleet.size()));
   auto& ids = image.columns["server_id"];
   auto& sheets = image.columns["curve"];
   for (std::size_t i = 0; i < fleet.size(); ++i) {
