@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <numeric>
 #include <span>
 #include <utility>
 
-#include "metrics/simd/kernels.h"
+#include "cluster/lane_sums.h"
+#include "util/contracts.h"
+#include "util/exact_sum.h"
 #include "util/telemetry.h"
 
 namespace epserve::cluster {
@@ -57,7 +59,7 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
   AutoscaleResult result;
   result.slots.resize(num_slots);
   std::vector<double> slot_utilization(num_slots, 0.0);
-  std::vector<double> slot_served_ops(num_slots, 0.0);
+  util::ExactSum served_gops;
   int active = 0;
   for (std::size_t s = 0; s < num_slots; ++s) {
     const double demand = trace.demand[s];
@@ -98,7 +100,8 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
             ? std::min(1.0, demand_ops / active_capacity)
             : 0.0;
     slot_utilization[s] = utilization;
-    slot_served_ops[s] = std::min(demand_ops, active_capacity);
+    served_gops.add(std::min(demand_ops, active_capacity) * trace.slot_hours *
+                    3600.0 / 1e9);
 
     ScaleSlot& slot = result.slots[s];
     slot.demand = demand;
@@ -113,7 +116,6 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
   struct Level {
     std::size_t active = 0;
     double utilization = 0.0;
-    double power_watts = 0.0;
   };
   std::vector<Level> levels;
   std::vector<std::size_t> level_of(num_slots);
@@ -124,56 +126,56 @@ Result<AutoscaleResult> autoscale_over_day(const Fleet& fleet,
     const auto [it, added] = level_index.try_emplace(
         {active_servers, std::bit_cast<std::uint64_t>(slot_utilization[s])},
         levels.size());
-    if (added) levels.push_back({active_servers, slot_utilization[s], 0.0});
+    if (added) levels.push_back({active_servers, slot_utilization[s]});
     level_of[s] = it->second;
   }
   telemetry::count("cluster.autoscale.levels", levels.size());
 
-  // Pass 2 — server-major power: for each prefix position j, one batched
-  // table evaluation covers every level whose active set includes order[j].
-  // With the levels sorted by active prefix, longest first, those levels
-  // are a leading run that only shortens as j grows, so each position is
-  // one batch and one element-wise axpy over that run. Each level still
-  // adds its servers in ascending j, the order the scalar per-slot loop
-  // did, so slot powers match bitwise.
-  const std::span<const double> peak_watts = fleet.peak_watts();
-  std::vector<std::size_t> by_active(levels.size());
-  std::iota(by_active.begin(), by_active.end(), std::size_t{0});
-  std::stable_sort(by_active.begin(), by_active.end(),
-                   [&levels](std::size_t a, std::size_t b) {
-                     return levels[a].active > levels[b].active;
-                   });
-  std::vector<double> utils(levels.size());
-  for (std::size_t k = 0; k < levels.size(); ++k) {
-    utils[k] = levels[by_active[k]].utilization;
-  }
-  std::vector<double> norm(levels.size());
-  std::vector<double> power(levels.size(), 0.0);
-  const metrics::kernels::Kernels& kernel = metrics::kernels::active();
-  std::size_t run = levels.size();
+  // Pass 2 — each level is a lane, summed as account_batch sums a balanced
+  // batch: servers in index order through blocks of kernel points, one per
+  // (server, level), each term zeroed in every level whose active prefix
+  // does not hold the server (its activation rank is past the prefix), and
+  // each level's power the exact sum of its terms (LaneSums). No sum
+  // depends on the order its terms arrive in.
+  EPSERVE_EXPECTS(n <= std::numeric_limits<std::uint32_t>::max());
+  std::vector<std::uint32_t> rank(n);
   for (std::size_t j = 0; j < n; ++j) {
-    while (run > 0 && levels[by_active[run - 1]].active <= j) --run;
-    if (run == 0) break;  // active > j fails for every later j too
-    const std::span<const double> run_utils(utils.data(), run);
-    fleet.normalized_power_batch(order[j], run_utils,
-                                 std::span<double>(norm.data(), run));
-    kernel.axpy(power.data(), norm.data(), peak_watts[order[j]], run);
+    rank[order[j]] = static_cast<std::uint32_t>(j);
   }
-  for (std::size_t k = 0; k < levels.size(); ++k) {
-    levels[by_active[k]].power_watts = power[k];
+  constexpr std::size_t kBlockServers = LaneSums::kMaxRows;
+  const std::size_t lanes = levels.size();
+  const std::span<const double> peak_watts = fleet.peak_watts();
+  std::vector<double> utils(kBlockServers * lanes);
+  std::vector<double> norm(kBlockServers * lanes);
+  for (std::size_t k = 0; k < utils.size(); ++k) {
+    utils[k] = levels[k % lanes].utilization;
   }
-  for (std::size_t s = 0; s < num_slots; ++s) {
-    result.slots[s].power_watts = levels[level_of[s]].power_watts;
+  LaneSums power(lanes);
+  for (std::size_t i0 = 0; i0 < n; i0 += kBlockServers) {
+    const std::size_t count = std::min(kBlockServers, n - i0);
+    fleet.normalized_power_matrix(
+        i0, count, std::span<const double>(utils.data(), count * lanes),
+        std::span<double>(norm.data(), count * lanes), lanes);
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::uint32_t position = rank[i0 + r];
+      double* row = norm.data() + r * lanes;
+      for (std::size_t k = 0; k < lanes; ++k) {
+        if (position >= levels[k].active) row[k] = 0.0;
+      }
+    }
+    power.add_block(norm.data(), lanes, peak_watts.data() + i0, count);
   }
 
-  // Pass 3 — energy/served accounting in slot order (the legacy per-slot
-  // accumulation sequence).
+  // Pass 3 — the day's totals, exact sums of the per-slot terms.
+  util::ExactSum energy_kwh;
   for (std::size_t s = 0; s < num_slots; ++s) {
-    result.energy_kwh +=
-        result.slots[s].power_watts * trace.slot_hours / 1000.0 +
-        result.slots[s].wakes * config.wake_penalty_wh / 1000.0;
-    result.served_gops += slot_served_ops[s] * trace.slot_hours * 3600.0 / 1e9;
+    ScaleSlot& slot = result.slots[s];
+    slot.power_watts = power.value(level_of[s]);
+    energy_kwh.add(slot.power_watts * trace.slot_hours / 1000.0 +
+                   slot.wakes * config.wake_penalty_wh / 1000.0);
   }
+  result.energy_kwh = energy_kwh.value();
+  result.served_gops = served_gops.value();
   const double joules = result.energy_kwh * 3.6e6;
   result.avg_efficiency =
       joules > 0.0 ? result.served_gops * 1e9 / joules : 0.0;

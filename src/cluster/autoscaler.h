@@ -43,11 +43,15 @@ struct AutoscaleResult {
 /// Runs the autoscaler over a demand trace against a prebuilt Fleet. Servers
 /// are ordered by overall EE (best first, Fleet::order_by_overall_score) and
 /// the active prefix serves the demand, each active machine at
-/// min(1, demand_ops / active_capacity). Power is accounted server-major
-/// through the fleet's grid rows, once per distinct
-/// (active prefix, utilisation) pair: one batched evaluation per server
-/// covers every pair it is active in. Fails on an empty fleet or trace, a
-/// demand outside [0, 1] (NaN included), or an out-of-range target.
+/// min(1, demand_ops / active_capacity); the prefix capacities and the
+/// utilisation are sequential sums and quotients in prefix order. Power is
+/// accounted once per distinct (active prefix, utilisation) pair, as
+/// account_batch accounts a balanced level: each slot power is the
+/// correctly rounded exact sum of normalized_power(u) * peak_watts over the
+/// active servers, so a fully active slot reads the balanced total at its
+/// utilisation bit for bit. energy_kwh and served_gops are exact sums of
+/// the per-slot terms. Fails on an empty fleet or trace, a demand outside
+/// [0, 1] (NaN included), or an out-of-range target.
 epserve::Result<AutoscaleResult> autoscale_over_day(
     const Fleet& fleet, const DemandTrace& trace,
     const AutoscalerConfig& config = {});

@@ -210,14 +210,6 @@ double Fleet::normalized_power(std::size_t i, double utilization) const {
                                                       utilization);
 }
 
-void Fleet::normalized_power_batch(std::size_t i, std::span<const double> utils,
-                                   std::span<double> out) const {
-  EPSERVE_EXPECTS(utils.size() == out.size());
-  metrics::kernels::active().row_batch(grid_view(), i, utils.data(),
-                                       out.data(), utils.size());
-  telemetry::count("kernel.batch_points", utils.size());
-}
-
 void Fleet::normalized_power_matrix(std::size_t i0, std::size_t count,
                                     std::span<const double> utils,
                                     std::span<double> out,

@@ -154,26 +154,21 @@ class Fleet {
   // Every lookup reads server i's grid row, the fleet's one power table, and
   // is bitwise identical to curve(i).normalized_power(u) (docs/KERNELS.md).
   // Every utilisation must be in [0, 1]; violations raise ContractViolation.
-  // Three shapes, one per kind of caller: a point (cluster::evaluate, the
-  // serve daemon), one server's row over many utilisations (the
-  // autoscaler, through the row_batch kernel) and a block of rows
-  // (account_batch, through row_matrix; with slots = 1 it takes one point
-  // per server).
+  // Two shapes, one per kind of caller: a point (cluster::evaluate, the
+  // serve daemon) and a block of rows (account_batch and the autoscaler,
+  // through the row_matrix kernel; with slots = 1 it takes one point per
+  // server).
 
   /// normalized_power of server `i` at one utilisation, the shared scalar
   /// expression with no kernel-table call.
   [[nodiscard]] double normalized_power(std::size_t i, double utilization) const;
 
-  /// Batched variant: out[k] = normalized_power(i, utils[k]), through the
-  /// kernel set metrics::kernels::active() selects.
-  void normalized_power_batch(std::size_t i, std::span<const double> utils,
-                              std::span<double> out) const;
-
-  /// Blocked matrix form of normalized_power_batch — the placement batch
-  /// evaluator's inner loop: for servers i0..i0+count-1,
-  /// out[r * slots + d] = normalized_power(i0 + r, utils[r * slots + d]).
-  /// One kernel call per block amortises dispatch across every row. Both
-  /// spans must have count * slots entries.
+  /// Blocked matrix form — the batch accounting's inner loop: for servers
+  /// i0..i0+count-1, out[r * slots + d] = normalized_power(i0 + r,
+  /// utils[r * slots + d]), through the kernel set
+  /// metrics::kernels::active() selects. One kernel call per block
+  /// amortises dispatch across every row. Both spans must have
+  /// count * slots entries.
   void normalized_power_matrix(std::size_t i0, std::size_t count,
                                std::span<const double> utils,
                                std::span<double> out,

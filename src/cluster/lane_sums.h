@@ -1,6 +1,6 @@
 // Exact per-lane sums of many short rows of terms — the engine behind a
-// uniform (balanced) batch's level totals, where each level is a lane and
-// each server a row.
+// uniform (balanced) batch's level totals and the autoscaler's slot
+// powers, where each level is a lane and each server a row.
 //
 // Each lane keeps a util::ExactSum, but a term does not go to it one by
 // one: the split_accumulate kernel (metrics/simd/kernels.h) adds a block

@@ -27,14 +27,14 @@
 //                     avx512f and avx512dq.
 //   kGridNeon         NEON intrinsics, 2 lanes/vector (arm64 baseline ISA).
 //
-// A table holds five entries, each kept for the caller that uses it
+// A table holds three entries, each kept for the caller that uses it
 // (docs/KERNELS.md):
 //
 //   grid_batch        UniformGridTable::evaluate_batch;
-//   row_batch         Fleet::normalized_power_batch, the autoscaler's pass 2;
-//   row_matrix        Fleet::normalized_power_matrix, account_batch's blocks;
-//   axpy              the autoscaler's per-level power sums;
-//   split_accumulate  the balanced batch's exact level sums (lane_sums.h).
+//   row_matrix        Fleet::normalized_power_matrix: account_batch's and
+//                     the autoscaler's blocks of servers;
+//   split_accumulate  the exact per-level sums of a balanced batch and of
+//                     the autoscaler's levels (cluster/lane_sums.h).
 //
 // Bitwise policy (docs/KERNELS.md): all grid variants evaluate the exact
 // scalar expression `(w0[idx] + (u - u0[idx]) * m[idx]) * inv_peak` with
@@ -109,36 +109,26 @@ struct Kernels {
   void (*grid_batch)(const GridView& grid, const double* utils, double* out,
                      std::size_t n) = nullptr;
 
-  /// out[k] = normalized power of server `i` at utils[k] — one server's row
-  /// over a batch of utilisations. Same precondition and bitwise contract
-  /// as grid_batch on that row; variants specialise it because the row's
-  /// 10-bin parameters and the shared kRowU0 column have compile-time-known
-  /// extents, unlike a general GridView.
-  void (*row_batch)(const FleetGridView& fleet, std::size_t i,
-                    const double* utils, double* out, std::size_t n) = nullptr;
-
-  /// Blocked matrix form of row_batch, the placement accounting's loop:
-  /// for servers i0..i0+count-1, out[r*slots + d] = normalized power of
-  /// server i0+r at utils[r*slots + d]. One call amortises all dispatch and
-  /// setup cost across the whole block; same precondition and bitwise
-  /// contract per row as row_batch.
+  /// Blocked rows of the fleet grid, the batch accounting's loop: for
+  /// servers i0..i0+count-1, out[r*slots + d] = normalized power of server
+  /// i0+r at utils[r*slots + d]. Same precondition and bitwise contract per
+  /// row as grid_batch on that row; variants specialise it because the
+  /// row's 10-bin parameters and the shared kRowU0 column have
+  /// compile-time-known extents, unlike a general GridView. One call
+  /// amortises all dispatch and setup cost across the whole block.
   void (*row_matrix)(const FleetGridView& fleet, std::size_t i0,
                      std::size_t count, const double* utils, double* out,
                      std::size_t slots) = nullptr;
 
-  /// acc[k] += x[k] * s, as separate round-to-nearest multiply and add (no
-  /// FMA), matching the scalar accumulation loops bit-for-bit.
-  void (*axpy)(double* acc, const double* x, double s, std::size_t n) = nullptr;
-
   /// The inner loop of an exact sum per lane (cluster/lane_sums.h, behind
-  /// the uniform batch's level totals): for every row r < rows and lane
-  /// k < n, with p = x[r * stride + k] * s[r] (one rounded multiply), a
-  /// term that is zero or has lo[k] <= |p| < hi[k] adds
-  /// h = (p + split[k]) - split[k] to hi_acc[k] and p - h to lo_acc[k];
-  /// any other term (NaN included) adds nothing. Returns whether any term
-  /// was left out. Plain round-to-nearest ops in that order, each lane's
-  /// rows in turn, so every variant writes the same bits; the caller's
-  /// windows make each add exact.
+  /// the uniform batch's and the autoscaler's level totals): for every row
+  /// r < rows and lane k < n, with p = x[r * stride + k] * s[r] (one
+  /// rounded multiply), a term that is zero or has lo[k] <= |p| < hi[k]
+  /// adds h = (p + split[k]) - split[k] to hi_acc[k] and p - h to
+  /// lo_acc[k]; any other term (NaN included) adds nothing. Returns whether
+  /// any term was left out. Plain round-to-nearest ops in that order, each
+  /// lane's rows in turn, so every variant writes the same bits; the
+  /// caller's windows make each add exact.
   bool (*split_accumulate)(const SplitLanes& lanes, const double* x,
                            std::size_t stride, const double* s,
                            std::size_t rows, std::size_t n) = nullptr;

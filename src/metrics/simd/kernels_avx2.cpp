@@ -75,8 +75,10 @@ void grid_batch_avx2(const GridView& grid, const double* utils, double* out,
   }
 }
 
-void row_batch_avx2(const FleetGridView& fleet, std::size_t i,
-                    const double* utils, double* out, std::size_t n) {
+// One server's row over a batch of utilisations: the grid kernel on the
+// row's ten bins.
+void row_avx2(const FleetGridView& fleet, std::size_t i, const double* utils,
+              double* out, std::size_t n) {
   const std::size_t row = i * FleetGridView::kRowBins;
   const GridView grid{kRowU0,          fleet.w0 + row, fleet.m + row,
                       fleet.inv_peak[i], 10.0,         9};
@@ -87,19 +89,7 @@ void row_matrix_avx2(const FleetGridView& fleet, std::size_t i0,
                      std::size_t count, const double* utils, double* out,
                      std::size_t slots) {
   for (std::size_t r = 0; r < count; ++r) {
-    row_batch_avx2(fleet, i0 + r, utils + r * slots, out + r * slots, slots);
-  }
-}
-
-void axpy_avx2(double* acc, const double* x, double s, std::size_t n) {
-  const __m256d sv = _mm256_set1_pd(s);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d product = _mm256_mul_pd(_mm256_loadu_pd(x + k), sv);
-    _mm256_storeu_pd(acc + k, _mm256_add_pd(_mm256_loadu_pd(acc + k), product));
-  }
-  for (; k < n; ++k) {
-    acc[k] += x[k] * s;
+    row_avx2(fleet, i0 + r, utils + r * slots, out + r * slots, slots);
   }
 }
 
@@ -159,9 +149,7 @@ const Kernels kGridAvx2Kernels = {
     .variant = Variant::kGridAvx2,
     .name = "grid-avx2",
     .grid_batch = grid_batch_avx2,
-    .row_batch = row_batch_avx2,
     .row_matrix = row_matrix_avx2,
-    .axpy = axpy_avx2,
     .split_accumulate = split_accumulate_avx2,
 };
 

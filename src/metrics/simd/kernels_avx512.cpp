@@ -210,14 +210,6 @@ struct RowConstants {
   return bad;
 }
 
-void row_batch_avx512(const FleetGridView& fleet, std::size_t i,
-                      const double* utils, double* out, std::size_t n) {
-  const RowConstants c = RowConstants::make();
-  if (row_avx512(c, fleet, i, utils, out, n) != 0) {
-    detail::utilization_out_of_range();
-  }
-}
-
 void row_matrix_avx512(const FleetGridView& fleet, std::size_t i0,
                        std::size_t count, const double* utils, double* out,
                        std::size_t slots) {
@@ -230,18 +222,6 @@ void row_matrix_avx512(const FleetGridView& fleet, std::size_t i0,
   }
   if (bad != 0) {
     detail::utilization_out_of_range();
-  }
-}
-
-void axpy_avx512(double* acc, const double* x, double s, std::size_t n) {
-  const __m512d sv = _mm512_set1_pd(s);
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m512d product = _mm512_mul_pd(_mm512_loadu_pd(x + k), sv);
-    _mm512_storeu_pd(acc + k, _mm512_add_pd(_mm512_loadu_pd(acc + k), product));
-  }
-  for (; k < n; ++k) {
-    acc[k] += x[k] * s;
   }
 }
 
@@ -288,9 +268,7 @@ const Kernels kGridAvx512Kernels = {
     .variant = Variant::kGridAvx512,
     .name = "grid-avx512",
     .grid_batch = grid_batch_avx512,
-    .row_batch = row_batch_avx512,
     .row_matrix = row_matrix_avx512,
-    .axpy = axpy_avx512,
     .split_accumulate = split_accumulate_avx512,
 };
 

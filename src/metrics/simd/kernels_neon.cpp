@@ -55,8 +55,10 @@ void grid_batch_neon(const GridView& grid, const double* utils, double* out,
   }
 }
 
-void row_batch_neon(const FleetGridView& fleet, std::size_t i,
-                    const double* utils, double* out, std::size_t n) {
+// One server's row over a batch of utilisations: the grid kernel on the
+// row's ten bins.
+void row_neon(const FleetGridView& fleet, std::size_t i, const double* utils,
+              double* out, std::size_t n) {
   const std::size_t row = i * FleetGridView::kRowBins;
   const GridView grid{kRowU0,          fleet.w0 + row, fleet.m + row,
                       fleet.inv_peak[i], 10.0,         9};
@@ -67,19 +69,7 @@ void row_matrix_neon(const FleetGridView& fleet, std::size_t i0,
                      std::size_t count, const double* utils, double* out,
                      std::size_t slots) {
   for (std::size_t r = 0; r < count; ++r) {
-    row_batch_neon(fleet, i0 + r, utils + r * slots, out + r * slots, slots);
-  }
-}
-
-void axpy_neon(double* acc, const double* x, double s, std::size_t n) {
-  const float64x2_t sv = vdupq_n_f64(s);
-  std::size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const float64x2_t product = vmulq_f64(vld1q_f64(x + k), sv);
-    vst1q_f64(acc + k, vaddq_f64(vld1q_f64(acc + k), product));
-  }
-  for (; k < n; ++k) {
-    acc[k] += x[k] * s;
+    row_neon(fleet, i0 + r, utils + r * slots, out + r * slots, slots);
   }
 }
 
@@ -112,9 +102,7 @@ const Kernels kGridNeonKernels = {
     .variant = Variant::kGridNeon,
     .name = "grid-neon",
     .grid_batch = grid_batch_neon,
-    .row_batch = row_batch_neon,
     .row_matrix = row_matrix_neon,
-    .axpy = axpy_neon,
     .split_accumulate = split_accumulate_neon,
 };
 

@@ -36,13 +36,6 @@ void grid_batch_scalar(const GridView& grid, const double* utils, double* out,
   }
 }
 
-void row_batch_scalar(const FleetGridView& fleet, std::size_t i,
-                      const double* utils, double* out, std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    out[k] = detail::fleet_eval_checked(fleet, i, utils[k]);
-  }
-}
-
 void row_matrix_scalar(const FleetGridView& fleet, std::size_t i0,
                        std::size_t count, const double* utils, double* out,
                        std::size_t slots) {
@@ -51,12 +44,6 @@ void row_matrix_scalar(const FleetGridView& fleet, std::size_t i0,
       out[r * slots + d] =
           detail::fleet_eval_checked(fleet, i0 + r, utils[r * slots + d]);
     }
-  }
-}
-
-void axpy_scalar(double* acc, const double* x, double s, std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    acc[k] += x[k] * s;
   }
 }
 
@@ -92,9 +79,7 @@ const Kernels kScalarReferenceKernels = {
     .variant = Variant::kScalarReference,
     .name = "scalar-reference",
     .grid_batch = grid_batch_scalar,
-    .row_batch = row_batch_scalar,
     .row_matrix = row_matrix_scalar,
-    .axpy = axpy_scalar,
     .split_accumulate = split_accumulate_scalar,
 };
 
@@ -103,9 +88,7 @@ const Kernels kGridScalarKernels = {
     .variant = Variant::kGridScalar,
     .name = "grid-scalar",
     .grid_batch = grid_batch_scalar,
-    .row_batch = row_batch_scalar,
     .row_matrix = row_matrix_scalar,
-    .axpy = axpy_scalar,
     .split_accumulate = split_accumulate_scalar,
 };
 

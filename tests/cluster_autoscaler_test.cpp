@@ -9,7 +9,9 @@
 #include <span>
 #include <vector>
 
+#include "cluster/placement.h"
 #include "cluster/trace.h"
+#include "fsum_reference.h"
 #include "metrics/curve_models.h"
 #include "metrics/simd/kernels.h"
 
@@ -139,18 +141,21 @@ std::vector<dataset::ServerRecord> mixed_fleet(std::size_t n) {
 }
 
 // The summation contract behind every slot power, under every kernel
-// variant the build and CPU offer: a slot's power is the sum, in ascending
-// activation position j < active, of normalized_power(u) * peak_watts of
-// server order[j], added one term at a time from 0.0; u spreads the slot's
-// demand over the active prefix's capacity, summed in the same order. The
-// day's energy is the slot-order sum of the slot powers and wake
-// penalties.
+// variant the build and CPU offer: a slot's power is the correctly rounded
+// exact sum of normalized_power(u) * peak_watts over the servers order[j],
+// j < active, and the prefix-order sequential sum those terms once took
+// lies within the standard bound of it; u spreads the slot's demand over
+// the active prefix's capacity, summed in prefix order. The day's energy
+// and served work are exact sums of the per-slot terms. A slot whose
+// active prefix is the whole fleet reads the balanced batch's total at its
+// utilisation, bit for bit.
 TEST(Autoscaler, SlotPowersAreActivationOrderSumsUnderEveryKernel) {
   namespace kernels = metrics::kernels;
   const auto records = mixed_fleet(301);
   const Fleet fleet = Fleet::from_records(records);
   const std::span<const std::size_t> order = fleet.order_by_overall_score();
   const AutoscalerConfig config;
+  const BalancedPolicy balanced;
 
   std::vector<DemandTrace> traces;
   for (const auto name : trace_names()) {
@@ -161,16 +166,28 @@ TEST(Autoscaler, SlotPowersAreActivationOrderSumsUnderEveryKernel) {
     }
   }
   ASSERT_FALSE(traces.empty());
-  DemandTrace repeats;  // repeated levels, both ends of the range
+  // Repeated levels, both ends of the range, and demands past the target
+  // utilisation, which activate the whole fleet.
+  DemandTrace repeats;
   repeats.slot_hours = 0.5;
-  repeats.demand = {0.0,  0.35, 1.0, 0.35, 0.0,  0.62,
-                    1.0,  0.62, 0.35, 0.08, 0.08, 0.9};
+  repeats.demand = {0.0,  0.35, 1.0,  0.35, 0.0,  0.62, 1.0,  0.62,
+                    0.35, 0.08, 0.08, 0.9,  0.75, 0.83, 0.97, 0.75};
   traces.push_back(repeats);
+
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto exact = [](const std::vector<double>& terms) {
+    const double sum = fsum_reference::fsum(terms);
+    EXPECT_TRUE(fsum_reference::within_sequential_bound(
+        terms, fsum_reference::sequential_sum(terms), sum))
+        << "sequential sum of " << terms.size() << " terms";
+    return sum;
+  };
 
   struct RestoreKernels {
     kernels::Variant saved = kernels::active().variant;
     ~RestoreKernels() { kernels::set_active_for_testing(saved); }
   } restore;
+  std::size_t fully_active = 0;
   for (const auto variant :
        {kernels::Variant::kScalarReference, kernels::Variant::kGridScalar,
         kernels::Variant::kGridAvx2, kernels::Variant::kGridAvx512,
@@ -181,7 +198,8 @@ TEST(Autoscaler, SlotPowersAreActivationOrderSumsUnderEveryKernel) {
       const auto result = autoscale_over_day(fleet, trace, config);
       ASSERT_TRUE(result.ok()) << result.error().message;
       ASSERT_EQ(result.value().slots.size(), trace.demand.size());
-      double energy_kwh = 0.0;
+      std::vector<double> energy_terms;
+      std::vector<double> served_terms;
       for (std::size_t s = 0; s < trace.demand.size(); ++s) {
         const ScaleSlot& slot = result.value().slots[s];
         const auto active = static_cast<std::size_t>(slot.active_servers);
@@ -189,28 +207,41 @@ TEST(Autoscaler, SlotPowersAreActivationOrderSumsUnderEveryKernel) {
         for (std::size_t j = 0; j < active; ++j) {
           active_capacity += records[order[j]].curve.peak_ops();
         }
+        const double demand_ops = trace.demand[s] * fleet.capacity_ops();
         const double u =
-            active_capacity > 0.0
-                ? std::min(1.0, trace.demand[s] * fleet.capacity_ops() /
-                                    active_capacity)
-                : 0.0;
-        double power = 0.0;
+            active_capacity > 0.0 ? std::min(1.0, demand_ops / active_capacity)
+                                  : 0.0;
+        std::vector<double> terms;
         for (std::size_t j = 0; j < active; ++j) {
           const metrics::PowerCurve& curve = records[order[j]].curve;
-          power += curve.normalized_power(u) * curve.peak_watts();
+          terms.push_back(curve.normalized_power(u) * curve.peak_watts());
         }
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(slot.power_watts),
-                  std::bit_cast<std::uint64_t>(power))
+        const double power = exact(terms);
+        ASSERT_EQ(bits(slot.power_watts), bits(power))
             << kernels::variant_name(variant) << " trace " << t << " slot "
             << s << " active " << active;
-        energy_kwh += power * trace.slot_hours / 1000.0 +
-                      slot.wakes * config.wake_penalty_wh / 1000.0;
+        if (active == fleet.size()) {
+          const auto level =
+              account_batch(balanced, fleet, std::vector<double>{u});
+          ASSERT_TRUE(level.ok()) << level.error().message;
+          EXPECT_EQ(bits(slot.power_watts),
+                    bits(level.value().totals[0].total_power_watts))
+              << kernels::variant_name(variant) << " trace " << t
+              << " slot " << s << " u " << u;
+          ++fully_active;
+        }
+        energy_terms.push_back(power * trace.slot_hours / 1000.0 +
+                               slot.wakes * config.wake_penalty_wh / 1000.0);
+        served_terms.push_back(std::min(demand_ops, active_capacity) *
+                               trace.slot_hours * 3600.0 / 1e9);
       }
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.value().energy_kwh),
-                std::bit_cast<std::uint64_t>(energy_kwh))
+      EXPECT_EQ(bits(result.value().energy_kwh), bits(exact(energy_terms)))
+          << kernels::variant_name(variant) << " trace " << t;
+      EXPECT_EQ(bits(result.value().served_gops), bits(exact(served_terms)))
           << kernels::variant_name(variant) << " trace " << t;
     }
   }
+  EXPECT_GT(fully_active, 0u);
 }
 
 TEST(Autoscaler, RejectsBadInputs) {

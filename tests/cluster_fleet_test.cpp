@@ -2,10 +2,10 @@
 // cache — every column equals the per-record metric function bitwise, every
 // policy/simulation result routed through the Fleet equals the pre-refactor
 // record-at-a-time arithmetic bitwise (reimplemented here as the scalar
-// reference, per demand point and per trace slot, with each placement total
-// the exact sum of its per-server terms and the autoscaler's slot sums in
-// prefix order), at fleet sizes 1/100/5000 and from 1 or 8 threads sharing
-// one LazyFleet or one Fleet's lazily sorted server orders (run under
+// reference, per demand point and per trace slot, with each placement and
+// autoscaler total the exact sum of its per-server or per-slot terms), at
+// fleet sizes 1/100/5000 and from 1 or 8 threads sharing one LazyFleet or
+// one Fleet's lazily sorted server orders (run under
 // -DEPSERVE_SANITIZE=thread via `ctest -L parallel`).
 #include <gtest/gtest.h>
 
@@ -230,8 +230,9 @@ DayResult reference_day(const std::vector<dataset::ServerRecord>& fleet,
 }
 
 /// Per-slot reference autoscaler: a linear scan grows the active prefix one
-/// server at a time, and each slot's power sums its active servers in prefix
-/// order.
+/// server at a time, and each slot's power is the exact sum of its active
+/// servers' terms, as are the day's energy and served work of the per-slot
+/// terms.
 AutoscaleResult reference_autoscale(
     const std::vector<dataset::ServerRecord>& fleet, const DemandTrace& trace,
     const AutoscalerConfig& config) {
@@ -246,6 +247,8 @@ AutoscaleResult reference_autoscale(
     return sum;
   };
   AutoscaleResult result;
+  std::vector<double> energy;
+  std::vector<double> served;
   int active = 0;
   for (const double demand : trace.demand) {
     const double demand_ops = demand * capacity;
@@ -271,18 +274,21 @@ AutoscaleResult reference_autoscale(
     const double utilization =
         active_capacity > 0.0 ? std::min(1.0, demand_ops / active_capacity)
                               : 0.0;
+    std::vector<double> power;
     for (int k = 0; k < active; ++k) {
       const auto& curve = fleet[order[static_cast<std::size_t>(k)]].curve;
-      slot.power_watts += curve.normalized_power(utilization) *
-                          curve.peak_watts();
+      power.push_back(curve.normalized_power(utilization) *
+                      curve.peak_watts());
     }
-    result.energy_kwh += slot.power_watts * trace.slot_hours / 1000.0 +
-                         slot.wakes * config.wake_penalty_wh / 1000.0;
-    result.served_gops +=
-        std::min(demand_ops, active_capacity) * trace.slot_hours * 3600.0 /
-        1e9;
+    slot.power_watts = exact_total(power);
+    energy.push_back(slot.power_watts * trace.slot_hours / 1000.0 +
+                     slot.wakes * config.wake_penalty_wh / 1000.0);
+    served.push_back(std::min(demand_ops, active_capacity) *
+                     trace.slot_hours * 3600.0 / 1e9);
     result.slots.push_back(slot);
   }
+  result.energy_kwh = exact_total(energy);
+  result.served_gops = exact_total(served);
   const double joules = result.energy_kwh * 3.6e6;
   result.avg_efficiency =
       joules > 0.0 ? result.served_gops * 1e9 / joules : 0.0;

@@ -285,16 +285,17 @@ TEST(SimdKernels, VectorRowKernelsBitwiseEqualScalar) {
         ASSERT_EQ(actual[at], expected[at])
             << vec->name << " slots=" << slots << " at=" << at;
       }
-      // ...and row by row, including a nonzero block offset.
+      // ...one row at a time (count = 1 at each row offset)...
       std::vector<double> row_out(slots);
       for (std::size_t i = 0; i < servers; ++i) {
-        vec->row_batch(view, i, utils.data() + i * slots, row_out.data(),
-                       slots);
+        vec->row_matrix(view, i, 1, utils.data() + i * slots, row_out.data(),
+                        slots);
         for (std::size_t d = 0; d < slots; ++d) {
           ASSERT_EQ(row_out[d], expected[i * slots + d])
               << vec->name << " slots=" << slots << " server=" << i;
         }
       }
+      // ...and a block that starts at a nonzero offset.
       const std::size_t tail = servers / 2;
       vec->row_matrix(view, tail, servers - tail, utils.data() + tail * slots,
                       actual.data(), slots);
@@ -321,31 +322,12 @@ TEST(SimdKernels, RowKernelsRejectOutOfRange) {
       utils[bad_at] = 1.5;
       std::vector<double> out(utils.size());
       EXPECT_THROW(
-          k->row_batch(view, 1, utils.data(), out.data(), utils.size()),
+          k->row_matrix(view, 1, 1, utils.data(), out.data(), utils.size()),
           ContractViolation)
           << k->name << " bad_at=" << bad_at;
       EXPECT_THROW(k->row_matrix(view, 0, 3, utils.data(), out.data(), 3),
                    ContractViolation)
           << k->name << " matrix bad_at=" << bad_at;
-    }
-  }
-}
-
-// Named for the clamp01 kernel it also covered until that kernel was
-// removed; it checks axpy alone now.
-TEST(SimdKernels, VectorClampAndAxpyBitwiseEqualScalar) {
-  const kernels::Kernels* scalar =
-      kernels::get(kernels::Variant::kGridScalar);
-  const std::size_t n = 12;  // one AVX-512 vector and a four-lane tail
-  for (const auto variant : compiled_vector_variants()) {
-    const kernels::Kernels* vec = kernels::get(variant);
-    const auto x = random_utils(n, 5);
-    std::vector<double> acc_expected(n, 0.125);
-    std::vector<double> acc_actual(n, 0.125);
-    scalar->axpy(acc_expected.data(), x.data(), 217.375, n);
-    vec->axpy(acc_actual.data(), x.data(), 217.375, n);
-    for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_EQ(acc_actual[k], acc_expected[k]) << vec->name << " axpy k=" << k;
     }
   }
 }
@@ -516,20 +498,21 @@ TEST(FleetKernels, EveryVariantMatchesPowerCurveReference) {
       ASSERT_EQ(out[i], reference[i])
           << kernels::variant_name(variant) << " server " << i;
     }
-    // Per-server batch API, one server against many utilisations.
+    // One server against many utilisations: count = 1 at row offset 5.
     const auto point_utils = random_utils(97, 31);
     std::vector<double> batch(point_utils.size());
-    fleet.normalized_power_batch(5, point_utils, batch);
+    fleet.normalized_power_matrix(5, 1, point_utils, batch,
+                                  point_utils.size());
     for (std::size_t k = 0; k < point_utils.size(); ++k) {
       ASSERT_EQ(batch[k], records[5].curve.normalized_power(point_utils[k]))
           << kernels::variant_name(variant) << " k=" << k;
     }
-    // The knot band through all three APIs, for every server: each call
-    // must equal the curve's own knot walk bit for bit.
+    // The knot band through every shape, for every server: each call must
+    // equal the curve's own knot walk bit for bit.
     const auto band = knot_band();
     std::vector<double> band_out(band.size());
     for (std::size_t i = 0; i < fleet.size(); ++i) {
-      fleet.normalized_power_batch(i, band, band_out);
+      fleet.normalized_power_matrix(i, 1, band, band_out, band.size());
       for (std::size_t k = 0; k < band.size(); ++k) {
         ASSERT_EQ(band_out[k], records[i].curve.normalized_power(band[k]))
             << kernels::variant_name(variant) << " batch server " << i
@@ -564,8 +547,9 @@ TEST(FleetKernels, EveryVariantMatchesPowerCurveReference) {
             << " u = " << rotated[i];
       }
     }
-    // Blocked matrix API: every (server, slot) cell equals the per-server
-    // batch result, including a block that does not start at server 0.
+    // Blocked matrix API: every (server, slot) cell equals the one-row
+    // result at that row offset, including a block that does not start at
+    // server 0.
     constexpr std::size_t kSlots = 11;
     constexpr std::size_t kFirst = 3;
     const std::size_t count = fleet.size() - kFirst;
@@ -574,10 +558,10 @@ TEST(FleetKernels, EveryVariantMatchesPowerCurveReference) {
     fleet.normalized_power_matrix(kFirst, count, matrix_utils, matrix, kSlots);
     std::vector<double> row(kSlots);
     for (std::size_t r = 0; r < count; ++r) {
-      fleet.normalized_power_batch(
-          kFirst + r,
+      fleet.normalized_power_matrix(
+          kFirst + r, 1,
           std::span<const double>(matrix_utils.data() + r * kSlots, kSlots),
-          row);
+          row, kSlots);
       for (std::size_t d = 0; d < kSlots; ++d) {
         ASSERT_EQ(matrix[r * kSlots + d], row[d])
             << kernels::variant_name(variant) << " row " << r << " slot " << d;
