@@ -13,6 +13,7 @@
 
 #include "cluster/autoscaler.h"
 #include "cluster/fill_ranges.h"
+#include "cluster/staged_state.h"
 #include "util/exact_sum.h"
 #include "util/telemetry.h"
 
@@ -95,13 +96,13 @@ class IdleTerms {
 /// level sits at its utilisation, so a slot parks all servers or none, and
 /// a slot where neither it nor the slot before parks anything charges
 /// nothing. The rest are charged server by server.
-void account_idle_uniform(const Fleet& fleet, const FillPlans& plans,
+void account_idle_uniform(const Fleet& fleet, std::span<const FillPlan> levels,
                           std::span<const std::size_t> level_of,
                           std::span<const int> caps, const IdleTerms& terms,
                           DaySums& sums) {
   bool parked_before = false;
   for (std::size_t s = 0; s < level_of.size(); ++s) {
-    const double u = plans.levels[level_of[s]].utilization;
+    const double u = levels[level_of[s]].utilization;
     const bool parked = u == 0.0;
     if (parked) {
       for (std::size_t i = 0; i < fleet.size(); ++i) {
@@ -117,25 +118,26 @@ void account_idle_uniform(const Fleet& fleet, const FillPlans& plans,
 }
 
 /// The idle accounting of a staged batch from range sums over its fill
-/// order. A server is regular when its keys' zero flags follow the
-/// position rule: under a level's plan it is parked exactly when it sits
-/// at or past the first stage's fill point (the partial server aside). A
-/// slot's regular parked servers are then the positions from its rule
-/// start a_s (the first stage's fill point, past any partial server; the
-/// fleet size for a later stage) on, and the regular servers that wake
-/// into slot s are the positions in [a_{s-1}, a_s), at their slot-s
-/// utilisation: the level's full value before its fill point and its base
-/// value after. One pass over the servers feeds each regular server's
-/// parked, residency and wake-loss terms into exact sums by fill-position
-/// segment (FillRanges), and every range adds the difference of two
-/// prefixes. Irregular servers and the partial servers of a slot and of
-/// the slot before are charged one by one.
+/// order, reading the batch's staged state in place. A server is regular
+/// when its keys' zero flags follow the position rule: under a level's plan
+/// it is parked exactly when it sits at or past the first stage's fill
+/// point (the partial server aside). A slot's regular parked servers are
+/// then the positions from its rule start a_s (the first stage's fill
+/// point, past any partial server; the fleet size for a later stage) on,
+/// and the regular servers that wake into slot s are the positions in
+/// [a_{s-1}, a_s), at their slot-s utilisation: the level's full value
+/// before its fill point and its base value after. One pass over the
+/// servers feeds each regular server's parked, residency and wake-loss
+/// terms into exact sums by fill-position segment (FillRanges), and every
+/// range adds the difference of two prefixes. Irregular servers and the
+/// partial servers of a slot and of the slot before are charged one by
+/// one.
 void account_idle_staged(const Fleet& fleet, const BatchAccount& account,
                          std::span<const std::size_t> level_of,
                          std::span<const int> caps, const IdleTerms& terms,
                          DaySums& sums) {
-  const FillPlans& plans = account.plans;
-  const std::span<const std::uint32_t> order = account.order;
+  const FillPlans& plans = account.staged->columns();
+  const std::span<const std::size_t> order = account.staged->order();
   const std::size_t servers = fleet.size();
   const std::size_t slots = level_of.size();
   const auto irregular_server = [&plans](std::size_t i) {
@@ -192,7 +194,7 @@ void account_idle_staged(const Fleet& fleet, const BatchAccount& account,
 
   std::size_t start_before = servers;  // a_{s-1}; nothing parks before slot 0
   for (std::size_t s = 0; s < slots; ++s) {
-    const FillPlan& plan = plans.levels[level_of[s]];
+    const FillPlan& plan = account.levels[level_of[s]];
     const std::size_t past = plan.filled + (plan.partial ? 1 : 0);
     const std::size_t start = plan.stage == 0 ? past : servers;
     if (start < servers) {
@@ -268,13 +270,13 @@ void account_idle_staged(const Fleet& fleet, const BatchAccount& account,
   // slot before's, whose parked state the position rule does not give.
   std::vector<std::size_t> singles;
   for (std::size_t s = 0; s < slots; ++s) {
-    const FillPlan& plan = plans.levels[level_of[s]];
+    const FillPlan& plan = account.levels[level_of[s]];
     const FillPlans::LevelView view = plans.view(plan);
     singles.assign(irregular.begin(), irregular.end());
     if (plan.partial) singles.push_back(plan.filled);
     std::optional<FillPlans::LevelView> before;
     if (s > 0) {
-      const FillPlan& prev = plans.levels[level_of[s - 1]];
+      const FillPlan& prev = account.levels[level_of[s - 1]];
       before = plans.view(prev);
       if (prev.partial) singles.push_back(prev.filled);
     }
@@ -365,8 +367,8 @@ Result<DayResult> simulate_day(const PlacementPolicy& policy,
       caps[s] = trace.idle_state_cap(s, idle.deepest());
     }
     const IdleTerms terms(fleet, trace, idle);
-    if (account.value().plans.full.empty()) {
-      account_idle_uniform(fleet, account.value().plans, level_of, caps, terms,
+    if (account.value().staged == nullptr) {
+      account_idle_uniform(fleet, account.value().levels, level_of, caps, terms,
                            sums);
     } else {
       account_idle_staged(fleet, account.value(), level_of, caps, terms, sums);

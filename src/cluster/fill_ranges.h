@@ -1,5 +1,6 @@
 // Exact sums of per-server columns over ranges of fill positions — the
-// engine behind a staged placement day's level totals and idle charges.
+// engine behind a staged placement day's idle charges (its level totals
+// come from the staged state's prefix snapshots, cluster/staged_state.h).
 //
 // A staged batch's plans put each server at a fill position, and every
 // quantity the day needs is a sum of one per-server term over a range of

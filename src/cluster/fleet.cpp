@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <optional>
 #include <string>
+#include <utility>
 
+#include "cluster/staged_state.h"
 #include "cluster/working_region.h"
 #include "dataset/generator.h"
 #include "metrics/efficiency.h"
@@ -29,6 +32,78 @@ static_assert(kRowBins == metrics::kNumLoadLevels,
 
 /// Rows per fill block: the unit of work one lane takes at a time.
 constexpr std::size_t kBlockRows = 2048;
+
+/// Server indices by score descending, record id ascending. Each server is
+/// one word: the high bits a prefix of a key that falls as the score rises
+/// (-0.0 keyed as +0.0, which it equals), the low bits its index. A stable
+/// LSD radix sort on the prefix bits leaves equal prefixes in index order,
+/// and each run of them is then sorted by the comparison itself, so the
+/// result is the permutation that comparison defines. The words become the
+/// order in place; with one scatter buffer that is 16 bytes per server.
+std::vector<std::size_t> sort_by_score(std::span<const double> score,
+                                       std::span<const std::int32_t> ids) {
+  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
+                "a word packs a 64-bit key prefix above the index");
+  const std::size_t n = score.size();
+  std::vector<std::size_t> words(n);
+  if (n < 2) {
+    std::iota(words.begin(), words.end(), std::size_t{0});
+    return words;
+  }
+  const auto index_bits = static_cast<unsigned>(std::bit_width(n - 1));
+  const std::size_t index_mask = (std::size_t{1} << index_bits) - 1;
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double s = score[i] == 0.0 ? 0.0 : score[i];
+    const auto bits = std::bit_cast<std::uint64_t>(s);
+    const std::uint64_t rising = (bits & kSign) != 0 ? ~bits : bits | kSign;
+    words[i] = (~rising & ~index_mask) | i;
+  }
+
+  constexpr unsigned kDigitBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const unsigned digits = (64 - index_bits + kDigitBits - 1) / kDigitBits;
+  // Every pass's histogram from one read: a stable pass only reorders.
+  std::vector<std::uint32_t> counts(digits * kBuckets, 0);
+  for (const std::size_t word : words) {
+    for (unsigned d = 0; d < digits; ++d) {
+      ++counts[d * kBuckets +
+               ((word >> (index_bits + d * kDigitBits)) & (kBuckets - 1))];
+    }
+  }
+  std::vector<std::size_t> scattered(n);
+  for (unsigned d = 0; d < digits; ++d) {
+    const unsigned shift = index_bits + d * kDigitBits;
+    std::uint32_t* const count = counts.data() + d * kBuckets;
+    // A digit every word shares moves nothing.
+    if (std::find(count, count + kBuckets, n) != count + kBuckets) continue;
+    std::uint32_t next = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      next += std::exchange(count[b], next);
+    }
+    for (const std::size_t word : words) {
+      scattered[count[(word >> shift) & (kBuckets - 1)]++] = word;
+    }
+    words.swap(scattered);
+  }
+
+  for (std::size_t lo = 0; lo < n;) {
+    const std::size_t prefix = words[lo] & ~index_mask;
+    std::size_t hi = lo + 1;
+    while (hi < n && (words[hi] & ~index_mask) == prefix) ++hi;
+    for (std::size_t k = lo; k < hi; ++k) words[k] &= index_mask;
+    if (hi - lo > 1) {
+      std::sort(words.begin() + static_cast<std::ptrdiff_t>(lo),
+                words.begin() + static_cast<std::ptrdiff_t>(hi),
+                [&](std::size_t a, std::size_t b) {
+                  if (score[a] != score[b]) return score[a] > score[b];
+                  return ids[a] < ids[b];
+                });
+    }
+    lo = hi;
+  }
+  return words;
+}
 
 }  // namespace
 
@@ -241,13 +316,8 @@ std::span<const double> Fleet::default_optimal_region_tops() const {
 std::span<const std::size_t> Fleet::sorted_order(
     LazyOrder& lazy, std::span<const double> score) const {
   std::call_once(lazy.once, [&] {
-    lazy.order.resize(size());
-    std::iota(lazy.order.begin(), lazy.order.end(), std::size_t{0});
-    std::sort(lazy.order.begin(), lazy.order.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (score[a] != score[b]) return score[a] > score[b];
-                return server_id(a) < server_id(b);
-              });
+    const telemetry::Span span("fleet.sort_order");
+    lazy.order = sort_by_score(score, ids_);
   });
   return lazy.order;
 }
@@ -262,6 +332,15 @@ std::span<const std::size_t> Fleet::order_by_peak_ee_value() const {
 
 std::span<const std::size_t> Fleet::order_by_overall_score() const {
   return sorted_order(orders_->overall_score, overall_score());
+}
+
+std::shared_ptr<const StagedState> Fleet::staged_state(
+    StagedPolicy policy) const {
+  LazyStaged& lazy = orders_->staged[static_cast<std::size_t>(policy)];
+  std::call_once(lazy.once, [&] {
+    lazy.state = StagedState::build(*this, stages_of(*this, policy));
+  });
+  return lazy.state;
 }
 
 std::uint64_t Fleet::digest() const {

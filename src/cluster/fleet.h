@@ -11,7 +11,9 @@
 // native-resolution grid row per server and the fleet-level aggregates —
 // and then shared, read-only, across every policy, slot, and thread. The
 // three server orders the policies fill by are sorted at most once per
-// Fleet, on first use (order_by_ee_at_full() and its siblings).
+// Fleet, on first use (order_by_ee_at_full() and its siblings), and so are
+// the two built-in staged policies' stage columns and prefix sums
+// (staged_state()): a staged batch then costs its fill walk and its levels.
 //
 // Every Fleet owns its columns, whichever factory built it: build(),
 // from_records() and generate() all append rows through Fleet::Builder, so
@@ -52,6 +54,8 @@ struct ScaledConfig;
 }
 
 namespace epserve::cluster {
+
+class StagedState;  // cluster/staged_state.h
 
 class Fleet {
  public:
@@ -141,7 +145,10 @@ class Fleet {
   // under std::call_once however many threads ask, and shared by every
   // later call on this Fleet or on the Fleet it is moved into. A build never
   // sorts: fleets whose orders nobody asks for (serve epochs between
-  // placements, fleet-only benches) pay nothing for them.
+  // placements, fleet-only benches) pay nothing for them. The sort is a
+  // radix sort on a prefix of each score's bits, each run of equal
+  // prefixes then settled by the comparison above (one `fleet.sort_order`
+  // span per order).
 
   /// By ee_at_full() — PackToFullPolicy's fill order.
   [[nodiscard]] std::span<const std::size_t> order_by_ee_at_full() const;
@@ -191,6 +198,20 @@ class Fleet {
   /// (shared by every later call, moved with the Fleet).
   [[nodiscard]] std::span<const double> default_optimal_region_tops() const;
 
+  // --- Staged-policy state --------------------------------------------------
+
+  /// The built-in staged policies whose demand-independent state the Fleet
+  /// keeps: PackToFullPolicy, and OptimalRegionPolicy at kDefaultEeThreshold.
+  enum class StagedPolicy { kPackToFull, kOptimalRegion };
+
+  /// That policy's stage columns, fill order and exact prefix sums
+  /// (cluster/staged_state.h), built on the first call per policy, exactly
+  /// once under std::call_once however many threads ask, and kept like the
+  /// server orders (the same pointer for every later call, moved with the
+  /// Fleet). account_batch reads it in place of plan_batch's columns.
+  [[nodiscard]] std::shared_ptr<const StagedState> staged_state(
+      StagedPolicy policy) const;
+
   /// Deterministic FNV-1a digest of the fleet's composition (server ids and
   /// the bit patterns of the peak/idle/EP columns). Two fleets digest equal
   /// iff they evaluate identically, so the serve layer stamps it on every
@@ -209,12 +230,17 @@ class Fleet {
     std::once_flag once;
     std::vector<std::size_t> order;
   };
+  struct LazyStaged {
+    std::once_flag once;
+    std::shared_ptr<const StagedState> state;
+  };
   struct LazyOrders {
     LazyOrder ee_at_full;
     LazyOrder peak_ee_value;
     LazyOrder overall_score;
     std::once_flag default_tops_once;
     std::vector<double> default_tops;
+    LazyStaged staged[2];  // by StagedPolicy
   };
   std::span<const std::size_t> sorted_order(LazyOrder& lazy,
                                             std::span<const double> score) const;
@@ -231,7 +257,8 @@ class Fleet {
   double capacity_ops_ = 0.0;
   double total_idle_watts_ = 0.0;
   // Behind a pointer so the Fleet stays movable (a once_flag is not) and a
-  // moved-to Fleet keeps the orders already sorted and the tops computed.
+  // moved-to Fleet keeps the orders already sorted, the tops computed and
+  // the staged state built.
   std::unique_ptr<LazyOrders> orders_ = std::make_unique<LazyOrders>();
 };
 

@@ -11,17 +11,19 @@
 // plan, not a vector: a policy's core entry point is plan_batch(fleet,
 // demands), one fill walk that leaves each demand level as a FillPlan — a
 // fill point in one server order over demand-independent per-server
-// columns (FillPlans). Demand-independent work happens once per batch:
-// ordering servers by an efficiency score once per Fleet (its cached
-// server orders), working-region caps once per Fleet at the default
-// threshold, and the stage columns once per batch. account_batch takes
-// every plan's power and ops from range sums over the fill order through
-// the fleet's grid rows, so no levels x servers matrix exists on the
-// batch path; place_batch and evaluate_batch expand the plans into
-// utilisation vectors only for callers that want them. Callers holding
-// raw std::vector<ServerRecord> data convert once at the call boundary via
-// Fleet::from_records (unvalidated) or Fleet::build (validated) — every
-// entry point here takes `const Fleet&` only.
+// columns (FillPlans). Demand-independent work happens once per Fleet:
+// ordering servers by an efficiency score (its cached server orders),
+// working-region caps at the default threshold, and, for the built-in
+// staged policies at their defaults, the stage columns with exact prefix
+// sums of every term a level reads (Fleet::staged_state,
+// cluster/staged_state.h). account_batch then runs the fill walk and takes
+// each level's power and ops from those prefix sums, so no levels x servers
+// matrix exists on the batch path; any other staged policy builds the same
+// state from its plans once per batch. place_batch and evaluate_batch
+// expand the plans into utilisation vectors only for callers that want
+// them. Callers holding raw std::vector<ServerRecord> data convert once at
+// the call boundary via Fleet::from_records (unvalidated) or Fleet::build
+// (validated) — every entry point here takes `const Fleet&` only.
 //
 // Summation contract (docs/CLUSTER.md): every total here is the correctly
 // rounded exact sum (util::ExactSum) of the pre-Fleet record-at-a-time
@@ -34,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -144,6 +147,8 @@ struct FillPlans {
   }
 };
 
+struct BatchAccount;
+
 /// Placement policy interface. Each demand is the requested fraction of the
 /// fleet's aggregate peak throughput, in [0, 1].
 class PlacementPolicy {
@@ -152,10 +157,9 @@ class PlacementPolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Batch-first core: one FillPlan per demand point, placing ops summing
-  /// to demand * capacity. Demand-independent state is computed once: sort
-  /// orders once per Fleet (Fleet::order_by_*), caps and stage columns
-  /// once per batch. Each demand's plan is independent of the other
-  /// demands in the batch.
+  /// to demand * capacity. Sort orders come once per Fleet
+  /// (Fleet::order_by_*); the returned columns are this call's own. Each
+  /// demand's plan is independent of the other demands in the batch.
   [[nodiscard]] virtual FillPlans plan_batch(
       const Fleet& fleet, std::span<const double> demands) const = 0;
 
@@ -166,6 +170,22 @@ class PlacementPolicy {
   /// Single-demand convenience over place_batch.
   [[nodiscard]] std::vector<double> place(const Fleet& fleet,
                                           double demand) const;
+
+ private:
+  friend epserve::Result<BatchAccount> account_batch(
+      const PlacementPolicy& policy, const Fleet& fleet,
+      std::span<const double> demands);
+
+  /// The Fleet-kept staged state whose columns equal this policy's
+  /// plan_batch columns on every Fleet, if any: PackToFullPolicy's, and
+  /// OptimalRegionPolicy's at kDefaultEeThreshold. account_batch then walks
+  /// those columns instead of calling plan_batch. Every other policy has
+  /// none, so a policy that forwards plan_batch to a built-in one is
+  /// accounted from its own plans.
+  [[nodiscard]] virtual std::optional<Fleet::StagedPolicy> staged_memo()
+      const {
+    return std::nullopt;
+  }
 };
 
 /// Packs servers to 100% one at a time, most-efficient-at-full-load first.
@@ -174,6 +194,12 @@ class PackToFullPolicy final : public PlacementPolicy {
   [[nodiscard]] std::string name() const override { return "pack-to-full"; }
   [[nodiscard]] FillPlans plan_batch(
       const Fleet& fleet, std::span<const double> demands) const override;
+
+ private:
+  [[nodiscard]] std::optional<Fleet::StagedPolicy> staged_memo()
+      const override {
+    return Fleet::StagedPolicy::kPackToFull;
+  }
 };
 
 /// Spreads load uniformly: every server runs at the same utilisation.
@@ -196,44 +222,54 @@ class OptimalRegionPolicy final : public PlacementPolicy {
       const Fleet& fleet, std::span<const double> demands) const override;
 
  private:
+  [[nodiscard]] std::optional<Fleet::StagedPolicy> staged_memo()
+      const override {
+    if (ee_threshold_ != kDefaultEeThreshold) return std::nullopt;
+    return Fleet::StagedPolicy::kOptimalRegion;
+  }
+
   double ee_threshold_;
 };
 
-/// Evaluates a policy: computes utilisations, per-curve powers (linear
-/// interpolation on the measured sheets; active idle at utilisation 0) and
-/// the achieved throughput, each total the exact sum of its per-server
-/// terms. Fails if the fleet is empty or demand is out of [0, 1].
+/// Evaluates a policy at one demand: evaluate_batch over that demand, so
+/// utilisations, per-curve powers (linear interpolation on the measured
+/// sheets; active idle at utilisation 0) and the achieved throughput, each
+/// total the exact sum of its per-server terms. Fails if the fleet is
+/// empty or demand is out of [0, 1].
 epserve::Result<Assignment> evaluate(const PlacementPolicy& policy,
                                      const Fleet& fleet, double demand);
 
 /// A batch's plans and each plan's fleet totals; the Assignments carry
 /// total_power_watts and total_ops with empty utilisation vectors.
 struct BatchAccount {
-  FillPlans plans;
+  /// A staged batch's stage columns and fill order (cluster/staged_state.h):
+  /// the Fleet's own for a built-in staged policy at its defaults, else
+  /// built from this batch's plans. Null for a uniform batch. It may view
+  /// the Fleet's server order, so read it only while the Fleet lives.
+  std::shared_ptr<const StagedState> staged;
+  /// One plan per demand, in demand order: fill points over
+  /// staged->columns(), or a uniform level's utilisation.
+  std::vector<FillPlan> levels;
   std::vector<Assignment> totals;
-  /// The fill order the plans' keys encode: order[pos] is the server at
-  /// fill position pos in every stage. Empty for a uniform batch.
-  std::vector<std::uint32_t> order;
 };
 
-/// The one batch accounting routine, behind evaluate_batch and
-/// simulate_day: one plan_batch for the placement, then the plans' totals
-/// through the fleet's grid rows. A staged batch is one pass over the
-/// servers, each evaluated at its stage values, feeding exact sums by fill
-/// position; a level's totals are two range sums plus its partial server.
+/// The one batch accounting routine, behind evaluate_batch, evaluate,
+/// simulate_day and max_throughput_under_cap. A staged batch's levels come
+/// from the fill walk over its staged state, which a built-in staged policy
+/// reads from the Fleet and any other builds from one plan_batch call; each
+/// level's totals are prefix sums of that state plus its partial server.
 /// A uniform batch evaluates every (server, level) point into exact
-/// per-level sums (cluster/lane_sums.h). Each total is the exact sum of the per-server terms
-/// evaluate() adds, so per-demand totals are bit-identical to calling
-/// evaluate() per demand. Fails as evaluate_batch does, and with "policy
-/// returned a misaligned batch" when the plans' keys do not encode one
-/// fill order shared by every stage.
+/// per-level sums (cluster/lane_sums.h). Each total is the exact sum of
+/// its per-server terms, so per-demand totals do not depend on the rest of
+/// the batch. Fails as evaluate_batch does, and with "policy returned a
+/// misaligned batch" when the plans do not fit the fleet and the demands
+/// or their keys do not encode one fill order shared by every stage.
 epserve::Result<BatchAccount> account_batch(const PlacementPolicy& policy,
                                             const Fleet& fleet,
                                             std::span<const double> demands);
 
 /// Evaluates a policy at many demand points in one call: account_batch's
-/// totals, with each plan expanded into its utilisation vector. Per-slot
-/// results are bit-identical to calling evaluate() per demand.
+/// totals, with each plan expanded into its utilisation vector.
 epserve::Result<std::vector<Assignment>> evaluate_batch(
     const PlacementPolicy& policy, const Fleet& fleet,
     std::span<const double> demands);

@@ -16,14 +16,22 @@ Result<CapResult> max_throughput_under_cap(const PlacementPolicy& policy,
   }
   const telemetry::Span policy_span("cluster/policy/power-cap",
                                     telemetry::Span::Scope::kRoot);
-  auto idle = evaluate(policy, fleet, 0.0);
+  // Each step reads one demand's totals; a built-in staged policy's come
+  // from the Fleet's staged state, so no step rebuilds its columns.
+  const auto totals_at = [&](double demand) -> Result<Assignment> {
+    auto account =
+        account_batch(policy, fleet, std::span<const double>(&demand, 1));
+    if (!account.ok()) return account.error();
+    return std::move(account.value().totals.front());
+  };
+  auto idle = totals_at(0.0);
   if (!idle.ok()) return idle.error();
   if (idle.value().total_power_watts > cap_watts) {
     return Error::failed_precondition(
         "fleet idle power already exceeds the cap");
   }
 
-  auto full = evaluate(policy, fleet, 1.0);
+  auto full = totals_at(1.0);
   if (!full.ok()) return full.error();
 
   CapResult result;
@@ -43,7 +51,7 @@ Result<CapResult> max_throughput_under_cap(const PlacementPolicy& policy,
   while (hi - lo > tolerance) {
     const double mid = 0.5 * (lo + hi);
     if (mid == lo || mid == hi) break;
-    auto assignment = evaluate(policy, fleet, mid);
+    auto assignment = totals_at(mid);
     if (!assignment.ok()) return assignment.error();
     if (assignment.value().total_power_watts <= cap_watts) {
       lo = mid;

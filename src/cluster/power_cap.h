@@ -22,8 +22,10 @@ struct CapResult {
 /// `cap_watts`, by bisection over the demand axis (power is monotone in
 /// demand for all built-in policies), until the bracket is no wider than
 /// `tolerance` or its ends are adjacent doubles. Fails when even zero
-/// demand (fleet idle) violates the cap, or on an empty fleet. The fleet's
-/// grid rows are reused across every bisection step.
+/// demand (fleet idle) violates the cap, or on an empty fleet. Each step is
+/// one account_batch over its demand, so a built-in staged policy's steps
+/// read the Fleet's staged state (Fleet::staged_state) and run only the
+/// fill walk and the level's prefix sums.
 epserve::Result<CapResult> max_throughput_under_cap(
     const PlacementPolicy& policy, const Fleet& fleet, double cap_watts,
     double tolerance = 1e-4);

@@ -14,10 +14,13 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/staged_state.h"
 #include "dataset/generator.h"
 #include "metrics/curve_models.h"
+#include "metrics/simd/kernels.h"
 #include "placement_reference.h"
 #include "util/contracts.h"
+#include "util/telemetry.h"
 
 namespace epserve::cluster {
 namespace {
@@ -361,6 +364,102 @@ TEST(SimulateDay, RangeSumDayMatchesExactDenseDay) {
       }
     }
   }
+}
+
+/// Restores the dispatched kernel set on scope exit.
+class KernelGuard {
+ public:
+  KernelGuard() : saved_(metrics::kernels::active().variant) {}
+  ~KernelGuard() { metrics::kernels::set_active_for_testing(saved_); }
+  KernelGuard(const KernelGuard&) = delete;
+  KernelGuard& operator=(const KernelGuard&) = delete;
+
+ private:
+  metrics::kernels::Variant saved_;
+};
+
+TEST(SimulateDay, KeptStagedStateDayEqualsAFreshlyBuiltOneBitForBit) {
+  // A built-in staged policy's day reads the staged state its Fleet keeps;
+  // a policy that forwards plan_batch to it builds that state from its own
+  // plans on every call. Both days must agree bit for bit, over the trace
+  // registry with and without an idle model, at fleet sizes around the
+  // snapshot stride, under every kernel variant the CPU has: each variant
+  // gets its own Fleet, so its kernel computes the kept snapshots.
+  namespace kernels = metrics::kernels;
+  const KernelGuard guard;
+  constexpr std::size_t kStride = StagedState::kSnapshotStride;
+  std::vector<DemandTrace> traces;
+  for (const std::string_view name : trace_names()) {
+    auto trace = make_trace(name);
+    ASSERT_TRUE(trace.ok());
+    traces.push_back(std::move(trace).take());
+  }
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  std::size_t variants = 0;
+  for (const auto variant :
+       {kernels::Variant::kScalarReference, kernels::Variant::kGridScalar,
+        kernels::Variant::kGridAvx2, kernels::Variant::kGridAvx512,
+        kernels::Variant::kGridNeon}) {
+    if (!kernels::set_active_for_testing(variant)) continue;
+    ++variants;
+    for (const std::size_t size :
+         {std::size_t{1}, kStride - 1, kStride, kStride + 1, std::size_t{5000}}) {
+      const auto built = Fleet::build(reference::mixed_fleet(size));
+      ASSERT_TRUE(built.ok()) << built.error().message;
+      const Fleet& fleet = built.value();
+      telemetry::reset();
+      telemetry::set_enabled(true);
+      std::uint64_t fresh_days = 0;
+      for (const char* name : {"pack-to-full", "optimal-region"}) {
+        const auto kept = make_placement_policy(name);
+        ASSERT_TRUE(kept.ok());
+        const EditedPolicy forwarding(name, [](FillPlans&, std::size_t) {});
+        for (std::size_t t = 0; t < traces.size(); ++t) {
+          for (const IdleModel& idle : {IdleModel::none(), IdleModel::acpi()}) {
+            const std::string where =
+                std::string(kernels::variant_name(variant)) + " " + name +
+                " servers " + std::to_string(size) + " trace " +
+                std::to_string(t) + " idle states " +
+                std::to_string(idle.states.size());
+            const auto got = simulate_day(*kept.value(), fleet, traces[t], idle);
+            const auto want = simulate_day(forwarding, fleet, traces[t], idle);
+            ++fresh_days;
+            ASSERT_TRUE(got.ok()) << where << ": " << got.error().message;
+            ASSERT_TRUE(want.ok()) << where << ": " << want.error().message;
+            EXPECT_EQ(bits(got.value().energy_kwh), bits(want.value().energy_kwh))
+                << where;
+            EXPECT_EQ(bits(got.value().served_gops),
+                      bits(want.value().served_gops))
+                << where;
+            EXPECT_EQ(bits(got.value().avg_efficiency),
+                      bits(want.value().avg_efficiency))
+                << where;
+            EXPECT_EQ(bits(got.value().idle_energy_kwh),
+                      bits(want.value().idle_energy_kwh))
+                << where;
+            EXPECT_EQ(bits(got.value().wake_energy_kwh),
+                      bits(want.value().wake_energy_kwh))
+                << where;
+            EXPECT_EQ(bits(got.value().wake_lost_gops),
+                      bits(want.value().wake_lost_gops))
+                << where;
+            EXPECT_EQ(got.value().wake_count, want.value().wake_count) << where;
+          }
+        }
+      }
+      // One kept build per policy; the forwarding policy built one per day.
+      const auto snap = telemetry::snapshot();
+      telemetry::set_enabled(false);
+      telemetry::reset();
+      const auto* builds = snap.find_counter("staged_state.builds");
+      ASSERT_NE(builds, nullptr);
+      EXPECT_EQ(builds->value, 2 + fresh_days)
+          << kernels::variant_name(variant) << " servers " << size;
+    }
+  }
+  EXPECT_GE(variants, 2u);
 }
 
 TEST(CompareOverDay, ReturnsAllThreePolicies) {

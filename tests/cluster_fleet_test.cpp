@@ -33,6 +33,7 @@
 #include "cluster/operating_guide.h"
 #include "cluster/placement.h"
 #include "cluster/power_cap.h"
+#include "cluster/staged_state.h"
 #include "cluster/trace.h"
 #include "cluster/working_region.h"
 #include "metrics/curve_models.h"
@@ -777,77 +778,222 @@ TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
   telemetry::reset();
 }
 
-TEST(FleetConcurrency, ServerOrdersSortOnceForAllThreadsAndSurviveAMove) {
-  // Duplicate a third of the fleet under fresh ids so every score column has
-  // ties for the record-id tiebreak to settle.
-  auto records = make_fleet(300);
-  for (std::size_t i = 0; i < 100; ++i) {
-    dataset::ServerRecord copy = records[i];
-    copy.id = 1000 - static_cast<int>(i);
-    records.push_back(std::move(copy));
+/// Server `r`'s sheet with its full-load ops set to `ee` times its
+/// full-load watts, so its ee_at_full reads about `ee` (exactly, for zeros
+/// and denorm_min) and its peak EE and overall score move with it.
+void set_full_load_ee(dataset::ServerRecord& r, double ee) {
+  std::array<double, metrics::kNumLoadLevels> watts{};
+  std::array<double, metrics::kNumLoadLevels> ops{};
+  for (std::size_t level = 0; level < metrics::kNumLoadLevels; ++level) {
+    watts[level] = r.curve.watts_at_level(level);
+    ops[level] = r.curve.ops_at_level(level);
   }
-  Fleet fleet = Fleet::from_records(records);
-  const auto orders_of = [](const Fleet& f) {
-    return std::array{f.order_by_ee_at_full(), f.order_by_peak_ee_value(),
-                      f.order_by_overall_score()};
-  };
-  const std::array scores{fleet.ee_at_full(), fleet.peak_ee_value(),
-                          fleet.overall_score()};
-  const std::array names{"ee_at_full", "peak_ee_value", "overall_score"};
+  ops.back() = ee * watts.back();
+  r.curve = metrics::PowerCurve(watts, ops, r.curve.idle_watts());
+}
 
+TEST(FleetConcurrency, ServerOrdersSortOnceForAllThreadsAndSurviveAMove) {
+  // Each order is the permutation the comparison (score descending, record
+  // id ascending) defines, on every input a score-bits radix sort could get
+  // wrong: runs of equal scores whose ids fall as the index rises, -0.0
+  // beside +0.0 (equal, so the id decides), subnormals of either sign,
+  // negative and huge scores, and fleets of 0, 1, 2 and one either side of
+  // the staged state's snapshot stride.
+  constexpr double kSpecial[] = {0.0,
+                                 -0.0,
+                                 std::numeric_limits<double>::denorm_min(),
+                                 -std::numeric_limits<double>::denorm_min(),
+                                 1e-310,
+                                 -1e-310,
+                                 -1.0,
+                                 -5e5,
+                                 1e300,
+                                 -1e300,
+                                 0.0,
+                                 -0.0};
+  std::vector<std::pair<std::string, std::vector<dataset::ServerRecord>>>
+      cases;
+  {
+    // A third of the fleet duplicated under fresh ids: every score column
+    // has ties for the record-id tiebreak to settle.
+    auto records = make_fleet(300);
+    for (std::size_t i = 0; i < 100; ++i) {
+      dataset::ServerRecord copy = records[i];
+      copy.id = 1000 - static_cast<int>(i);
+      records.push_back(std::move(copy));
+    }
+    cases.emplace_back("duplicates", std::move(records));
+  }
+  constexpr std::size_t kStride = StagedState::kSnapshotStride;
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, kStride - 1,
+        kStride + 1}) {
+    // make_fleet's sheets repeat with the index, and ids fall as it rises;
+    // every third server takes the next special score.
+    auto records = make_fleet(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      records[i].id = 5000 - static_cast<int>(i);
+      if (i % 3 == 0 || size <= 2) {
+        set_full_load_ee(records[i], kSpecial[(i / 3) % std::size(kSpecial)]);
+      }
+    }
+    if (size == 2) set_full_load_ee(records[1], -0.0);  // beside +0.0
+    cases.emplace_back("size " + std::to_string(size), std::move(records));
+  }
+
+  for (const auto& [label, records] : cases) {
+    Fleet fleet = Fleet::from_records(records);
+    const auto orders_of = [](const Fleet& f) {
+      return std::array{f.order_by_ee_at_full(), f.order_by_peak_ee_value(),
+                        f.order_by_overall_score()};
+    };
+    const std::array scores{fleet.ee_at_full(), fleet.peak_ee_value(),
+                            fleet.overall_score()};
+    const std::array names{"ee_at_full", "peak_ee_value", "overall_score"};
+
+    constexpr int kThreads = 8;
+    std::vector<std::array<std::span<const std::size_t>, 3>> seen(kThreads);
+    std::vector<std::span<const double>> seen_tops(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        seen[static_cast<std::size_t>(t)] = orders_of(fleet);
+        seen_tops[static_cast<std::size_t>(t)] =
+            fleet.default_optimal_region_tops();
+      });
+    }
+    for (auto& thread : threads) thread.join();
+
+    // The default-threshold region tops are computed once, too, and equal
+    // the uncached computation at that threshold.
+    if (label == "duplicates") {
+      const std::vector<double> tops = fleet.optimal_region_tops(0.95);
+      for (const auto& per_thread : seen_tops) {
+        EXPECT_EQ(per_thread.data(), seen_tops[0].data());
+        EXPECT_TRUE(std::equal(per_thread.begin(), per_thread.end(),
+                               tops.begin(), tops.end()));
+      }
+    }
+
+    std::array<std::vector<std::size_t>, 3> expected;
+    for (std::size_t c = 0; c < expected.size(); ++c) {
+      const std::span<const double> score = scores[c];
+      expected[c].resize(fleet.size());
+      std::iota(expected[c].begin(), expected[c].end(), std::size_t{0});
+      std::sort(expected[c].begin(), expected[c].end(),
+                [&](std::size_t a, std::size_t b) {
+                  if (score[a] != score[b]) return score[a] > score[b];
+                  return records[a].id < records[b].id;
+                });
+      for (const auto& per_thread : seen) {
+        // One shared vector, not a copy per caller.
+        EXPECT_EQ(per_thread[c].data(), seen[0][c].data())
+            << label << " " << names[c];
+        EXPECT_TRUE(std::equal(per_thread[c].begin(), per_thread[c].end(),
+                               expected[c].begin(), expected[c].end()))
+            << label << " " << names[c];
+      }
+    }
+
+    // The orders and tops move with the Fleet: no re-sort, same storage.
+    const Fleet moved = std::move(fleet);
+    EXPECT_EQ(moved.default_optimal_region_tops().data(),
+              seen_tops[0].data());
+    const auto moved_orders = orders_of(moved);
+    for (std::size_t c = 0; c < expected.size(); ++c) {
+      EXPECT_EQ(moved_orders[c].data(), seen[0][c].data())
+          << label << " " << names[c];
+      EXPECT_TRUE(std::equal(moved_orders[c].begin(), moved_orders[c].end(),
+                             expected[c].begin(), expected[c].end()))
+          << label << " " << names[c];
+    }
+  }
+}
+
+TEST(FleetConcurrency, StagedStateBuildsOnceForAllThreadsAndSurvivesAMove) {
+  // Eight threads account both built-in staged policies on a fresh Fleet
+  // at once, so each reaches the Fleet's kept staged state first: each
+  // policy's is built once, every thread reads the same one, and it moves
+  // with the Fleet.
+  const auto records = make_fleet(1200);
+  const auto trace = DemandTrace::diurnal();
+  const PackToFullPolicy pack;
+  const OptimalRegionPolicy region;
+  const std::array<const PlacementPolicy*, 2> policies{&pack, &region};
+  const std::array kinds{Fleet::StagedPolicy::kPackToFull,
+                         Fleet::StagedPolicy::kOptimalRegion};
+  std::array<std::vector<Assignment>, 2> baseline;
+  {
+    const Fleet other = Fleet::from_records(records);
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      auto account = account_batch(*policies[p], other, trace.demand);
+      ASSERT_TRUE(account.ok()) << account.error().message;
+      baseline[p] = std::move(account.value().totals);
+    }
+  }
+  const auto expect_baseline = [&](const std::vector<Assignment>& totals,
+                                   std::size_t p) {
+    ASSERT_EQ(totals.size(), baseline[p].size());
+    for (std::size_t d = 0; d < totals.size(); ++d) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(totals[d].total_power_watts),
+                std::bit_cast<std::uint64_t>(baseline[p][d].total_power_watts))
+          << policies[p]->name() << " level " << d;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(totals[d].total_ops),
+                std::bit_cast<std::uint64_t>(baseline[p][d].total_ops))
+          << policies[p]->name() << " level " << d;
+    }
+  };
+
+  Fleet fleet = Fleet::from_records(records);
+  telemetry::reset();
+  telemetry::set_enabled(true);
   constexpr int kThreads = 8;
-  std::vector<std::array<std::span<const std::size_t>, 3>> seen(kThreads);
-  std::vector<std::span<const double>> seen_tops(kThreads);
+  std::vector<std::array<const void*, 2>> seen(kThreads);
+  std::vector<std::array<std::vector<Assignment>, 2>> totals(kThreads);
   std::latch start(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      const auto k = static_cast<std::size_t>(t);
       start.arrive_and_wait();
-      seen[static_cast<std::size_t>(t)] = orders_of(fleet);
-      seen_tops[static_cast<std::size_t>(t)] =
-          fleet.default_optimal_region_tops();
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        // Half the threads start with the other policy.
+        const std::size_t q = (p + k) % policies.size();
+        auto account = account_batch(*policies[q], fleet, trace.demand);
+        if (account.ok()) totals[k][q] = std::move(account.value().totals);
+        seen[k][q] = fleet.staged_state(kinds[q]).get();
+      }
     });
   }
   for (auto& thread : threads) thread.join();
+  const auto snap = telemetry::snapshot();
+  telemetry::set_enabled(false);
+  telemetry::reset();
+  const auto* builds = snap.find_counter("staged_state.builds");
+  ASSERT_NE(builds, nullptr);
+  EXPECT_EQ(builds->value, policies.size());
 
-  // The default-threshold region tops are computed once, too, and equal
-  // the uncached computation at that threshold.
-  const std::vector<double> tops = fleet.optimal_region_tops(0.95);
-  for (const auto& per_thread : seen_tops) {
-    EXPECT_EQ(per_thread.data(), seen_tops[0].data());
-    EXPECT_TRUE(std::equal(per_thread.begin(), per_thread.end(), tops.begin(),
-                           tops.end()));
-  }
-
-  std::array<std::vector<std::size_t>, 3> expected;
-  for (std::size_t c = 0; c < expected.size(); ++c) {
-    const std::span<const double> score = scores[c];
-    expected[c].resize(fleet.size());
-    std::iota(expected[c].begin(), expected[c].end(), std::size_t{0});
-    std::sort(expected[c].begin(), expected[c].end(),
-              [&](std::size_t a, std::size_t b) {
-                if (score[a] != score[b]) return score[a] > score[b];
-                return records[a].id < records[b].id;
-              });
-    for (const auto& per_thread : seen) {
-      // One shared vector, not a copy per caller.
-      EXPECT_EQ(per_thread[c].data(), seen[0][c].data()) << names[c];
-      EXPECT_TRUE(std::equal(per_thread[c].begin(), per_thread[c].end(),
-                             expected[c].begin(), expected[c].end()))
-          << names[c];
+  for (std::size_t k = 0; k < seen.size(); ++k) {
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      EXPECT_NE(seen[k][p], nullptr);
+      EXPECT_EQ(seen[k][p], seen[0][p]) << policies[p]->name();
+      expect_baseline(totals[k][p], p);
     }
   }
+  EXPECT_NE(seen[0][0], seen[0][1]);
 
-  // The orders and tops move with the Fleet: no re-sort, same storage.
   const Fleet moved = std::move(fleet);
-  EXPECT_EQ(moved.default_optimal_region_tops().data(), seen_tops[0].data());
-  const auto moved_orders = orders_of(moved);
-  for (std::size_t c = 0; c < expected.size(); ++c) {
-    EXPECT_EQ(moved_orders[c].data(), seen[0][c].data()) << names[c];
-    EXPECT_TRUE(std::equal(moved_orders[c].begin(), moved_orders[c].end(),
-                           expected[c].begin(), expected[c].end()))
-        << names[c];
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    EXPECT_EQ(moved.staged_state(kinds[p]).get(), seen[0][p])
+        << policies[p]->name();
+    auto account = account_batch(*policies[p], moved, trace.demand);
+    ASSERT_TRUE(account.ok()) << account.error().message;
+    EXPECT_EQ(account.value().staged.get(), seen[0][p]);
+    expect_baseline(account.value().totals, p);
   }
 }
 
