@@ -370,9 +370,4 @@ std::uint64_t Fleet::digest() const {
   return hash;
 }
 
-const epserve::Result<Fleet>& LazyFleet::get() const {
-  std::call_once(once_, [this] { fleet_.emplace(Fleet::build(servers_)); });
-  return *fleet_;
-}
-
 }  // namespace epserve::cluster

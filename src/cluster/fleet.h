@@ -12,8 +12,10 @@
 // and then shared, read-only, across every policy, slot, and thread. The
 // three server orders the policies fill by are sorted at most once per
 // Fleet, on first use (order_by_ee_at_full() and its siblings), and so are
-// the two built-in staged policies' stage columns and prefix sums
-// (staged_state()): a staged batch then costs its fill walk and its levels.
+// the two staged policies' stage columns and prefix sums (staged_state()):
+// a staged batch then costs its fill walk and its levels. Threads share a
+// built Fleet by const reference; what it builds lazily is built once,
+// under std::call_once.
 //
 // Every Fleet owns its columns, whichever factory built it: build(),
 // from_records() and generate() all append rows through Fleet::Builder, so
@@ -37,7 +39,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -187,28 +188,28 @@ class Fleet {
   [[nodiscard]] metrics::kernels::FleetGridView grid_view() const;
 
   /// Top of each server's optimal working region at `ee_threshold` (1.0 for
-  /// servers whose region is empty) — OptimalRegionPolicy's per-batch cap
-  /// vector, identical to calling optimal_region() per record.
+  /// servers whose region is empty), identical to calling optimal_region()
+  /// per record.
   [[nodiscard]] std::vector<double> optimal_region_tops(
       double ee_threshold) const;
 
-  /// optimal_region_tops(kDefaultEeThreshold), the only threshold the serve
-  /// daemon and the built-in policies use: computed on the first call,
+  /// optimal_region_tops(kDefaultEeThreshold), OptimalRegionPolicy's stage-1
+  /// caps (the only threshold a policy uses): computed on the first call,
   /// exactly once under std::call_once, and kept like the server orders
   /// (shared by every later call, moved with the Fleet).
   [[nodiscard]] std::span<const double> default_optimal_region_tops() const;
 
   // --- Staged-policy state --------------------------------------------------
 
-  /// The built-in staged policies whose demand-independent state the Fleet
-  /// keeps: PackToFullPolicy, and OptimalRegionPolicy at kDefaultEeThreshold.
+  /// The staged placement policies, whose demand-independent state the
+  /// Fleet keeps: PackToFullPolicy and OptimalRegionPolicy.
   enum class StagedPolicy { kPackToFull, kOptimalRegion };
 
   /// That policy's stage columns, fill order and exact prefix sums
   /// (cluster/staged_state.h), built on the first call per policy, exactly
   /// once under std::call_once however many threads ask, and kept like the
   /// server orders (the same pointer for every later call, moved with the
-  /// Fleet). account_batch reads it in place of plan_batch's columns.
+  /// Fleet). Every staged batch on this Fleet walks and accounts it.
   [[nodiscard]] std::shared_ptr<const StagedState> staged_state(
       StagedPolicy policy) const;
 
@@ -303,28 +304,6 @@ class Fleet::Builder {
   Fleet fleet_;
   util::ExactSum capacity_ops_;
   util::ExactSum idle_watts_;
-};
-
-/// Thread-safe lazy Fleet: many threads may request the fleet concurrently,
-/// the build runs exactly once under std::call_once (the same discipline as
-/// AnalysisContext's memoized members; TSan-checked under `ctest -L
-/// parallel`). Views the records until the build runs; the built Fleet owns
-/// its columns.
-class LazyFleet {
- public:
-  explicit LazyFleet(std::span<const dataset::ServerRecord> servers)
-      : servers_(servers) {}
-
-  LazyFleet(const LazyFleet&) = delete;
-  LazyFleet& operator=(const LazyFleet&) = delete;
-
-  /// The shared build result (error if the fleet failed validation).
-  const epserve::Result<Fleet>& get() const;
-
- private:
-  std::span<const dataset::ServerRecord> servers_;
-  mutable std::once_flag once_;
-  mutable std::optional<epserve::Result<Fleet>> fleet_;
 };
 
 }  // namespace epserve::cluster

@@ -1,6 +1,10 @@
 #include "cluster/operating_guide.h"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
+#include <string>
+#include <system_error>
 
 #include "metrics/efficiency.h"
 #include "util/strings.h"
@@ -31,6 +35,20 @@ double relative_ee_at(const metrics::PowerCurve& curve, double utilization,
   return metrics::ee_at_level(curve, metrics::kNumLoadLevels - 1) / peak;
 }
 
+/// The fewest decimals, at least one, whose fixed rendering of `width`
+/// reads back as `width`; max_digits10 when none up to it does.
+int bucket_decimals(double width) {
+  constexpr int kMax = std::numeric_limits<double>::max_digits10;
+  for (int decimals = 1; decimals < kMax; ++decimals) {
+    const std::string text = format_fixed(width, decimals);
+    double read = 0.0;
+    const auto parsed =
+        std::from_chars(text.data(), text.data() + text.size(), read);
+    if (parsed.ec == std::errc{} && read == width) return decimals;
+  }
+  return kMax;
+}
+
 }  // namespace
 
 Result<OperatingGuide> build_operating_guide(const Fleet& fleet,
@@ -46,6 +64,7 @@ Result<OperatingGuide> build_operating_guide(const Fleet& fleet,
   const telemetry::Span span("cluster/guide", telemetry::Span::Scope::kRoot);
 
   OperatingGuide guide;
+  guide.ep_bucket_width = ep_bucket_width;
   double efficient_ops = 0.0;
   double peak_ops = 0.0;
 
@@ -89,14 +108,16 @@ std::string render_guide(const OperatingGuide& guide) {
   TextTable table;
   table.columns({"EP bucket", "servers", "shared region", "target util",
                  "rel. EE at target"});
+  const int decimals = bucket_decimals(guide.ep_bucket_width);
   for (const auto& entry : guide.entries) {
     const std::string region =
         entry.shared_region.empty()
             ? "(disjoint)"
             : format_percent(entry.shared_region.lo, 0) + ".." +
                   format_percent(entry.shared_region.hi, 0);
-    table.row({format_fixed(entry.ep_bucket_lo, 1) + ".." +
-                   format_fixed(entry.ep_bucket_lo + 0.1, 1),
+    table.row({format_fixed(entry.ep_bucket_lo, decimals) + ".." +
+                   format_fixed(entry.ep_bucket_lo + guide.ep_bucket_width,
+                                decimals),
                std::to_string(entry.servers), region,
                format_percent(entry.target_utilization, 0),
                format_percent(entry.efficiency_at_target, 1)});

@@ -28,6 +28,9 @@ struct GuideEntry {
 
 struct OperatingGuide {
   std::vector<GuideEntry> entries;  // ascending EP buckets
+  /// Width of each EP bucket: entry e covers [ep_bucket_lo, ep_bucket_lo +
+  /// ep_bucket_width).
+  double ep_bucket_width = 0.1;
   /// Fraction of fleet peak throughput available when every cluster runs at
   /// its target utilisation (the capacity the operator can serve without
   /// leaving the efficient regime).
@@ -42,7 +45,9 @@ epserve::Result<OperatingGuide> build_operating_guide(
     const Fleet& fleet, double ee_threshold = 0.95,
     double ep_bucket_width = 0.1);
 
-/// Renders the guide as a table.
+/// Renders the guide as a table. Each EP bucket prints as `lo..hi`, both
+/// ends with the fewest decimals (at least one, at most max_digits10) that
+/// print the bucket width as itself.
 std::string render_guide(const OperatingGuide& guide);
 
 }  // namespace epserve::cluster

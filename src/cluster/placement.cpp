@@ -6,7 +6,6 @@
 
 #include "cluster/lane_sums.h"
 #include "cluster/staged_state.h"
-#include "cluster/working_region.h"
 #include "util/contracts.h"
 #include "util/exact_sum.h"
 #include "util/telemetry.h"
@@ -15,40 +14,15 @@ namespace epserve::cluster {
 
 namespace {
 
-/// A staged policy's plans: the stage columns and the fill walk over them
-/// (cluster/staged_state.h).
-FillPlans fill_walk(const Fleet& fleet, const Stages& stages,
-                    std::span<const double> demands) {
-  FillPlans plans = stage_columns(fleet, stages);
-  plans.levels = walk_levels(fleet, stages, plans, demands);
-  return plans;
-}
-
-/// Whether `plans` fits a batch of `demands` levels on `servers` servers:
-/// one plan per level, and every column, stage index and fill point in
-/// range, so a LevelView never reads past a column.
-bool aligned(const FillPlans& plans, std::size_t servers,
-             std::size_t demands) {
-  if (plans.levels.size() != demands) return false;
-  if (plans.full.empty()) return true;
-  if (plans.keys.size() != plans.full.size()) return false;
-  for (std::size_t stage = 0; stage < plans.full.size(); ++stage) {
-    if (plans.full[stage].size() != servers ||
-        plans.keys[stage].size() != servers) {
-      return false;
-    }
-  }
-  return std::all_of(
-      plans.levels.begin(), plans.levels.end(), [&](const FillPlan& plan) {
-        return plan.stage < plans.full.size() &&
-               plan.filled + (plan.partial ? 1 : 0) <= servers;
-      });
-}
-
-std::vector<double> expand(const FillPlans& plans, const FillPlan& plan,
+/// Level `d`'s utilisation vector: its plan over the batch's staged
+/// columns, or its uniform utilisation on every server.
+std::vector<double> expand(const BatchAccount& batch, std::size_t d,
                            std::size_t servers) {
-  if (plans.full.empty()) return std::vector<double>(servers, plan.utilization);
-  const FillPlans::LevelView view = plans.view(plan);
+  const FillPlan& plan = batch.levels[d];
+  if (batch.staged == nullptr) {
+    return std::vector<double>(servers, plan.utilization);
+  }
+  const FillPlans::LevelView view = batch.staged->columns().view(plan);
   std::vector<double> util(servers);
   for (std::size_t i = 0; i < servers; ++i) util[i] = view[i];
   return util;
@@ -95,14 +69,37 @@ std::optional<Error> account_uniform(const Fleet& fleet,
 
 }  // namespace
 
+std::string PlacementPolicy::name() const {
+  if (!staged_) return "balanced";
+  return *staged_ == Fleet::StagedPolicy::kPackToFull ? "pack-to-full"
+                                                      : "optimal-region";
+}
+
+BatchAccount PlacementPolicy::plan(const Fleet& fleet,
+                                   std::span<const double> demands) const {
+  BatchAccount out;
+  if (staged_) {
+    out.staged = fleet.staged_state(*staged_);
+    out.levels = walk_levels(fleet, stages_of(fleet, *staged_),
+                             out.staged->columns(), demands);
+    return out;
+  }
+  out.levels.reserve(demands.size());
+  for (const double demand : demands) {
+    FillPlan plan;
+    plan.utilization = demand;
+    out.levels.push_back(plan);
+  }
+  return out;
+}
+
 std::vector<std::vector<double>> PlacementPolicy::place_batch(
     const Fleet& fleet, std::span<const double> demands) const {
-  const FillPlans plans = plan_batch(fleet, demands);
-  EPSERVE_ENSURES(aligned(plans, fleet.size(), demands.size()));
+  const BatchAccount batch = plan(fleet, demands);
   std::vector<std::vector<double>> out;
-  out.reserve(plans.levels.size());
-  for (const FillPlan& plan : plans.levels) {
-    out.push_back(expand(plans, plan, fleet.size()));
+  out.reserve(batch.levels.size());
+  for (std::size_t d = 0; d < batch.levels.size(); ++d) {
+    out.push_back(expand(batch, d, fleet.size()));
   }
   return out;
 }
@@ -125,35 +122,6 @@ Stages stages_of(const Fleet& fleet, Fleet::StagedPolicy policy) {
           {fleet.default_optimal_region_tops(), {}}};
 }
 
-FillPlans PackToFullPolicy::plan_batch(const Fleet& fleet,
-                                       std::span<const double> demands) const {
-  return fill_walk(fleet, stages_of(fleet, Fleet::StagedPolicy::kPackToFull),
-                   demands);
-}
-
-FillPlans BalancedPolicy::plan_batch(const Fleet& /*fleet*/,
-                                     std::span<const double> demands) const {
-  FillPlans plans;
-  plans.levels.reserve(demands.size());
-  for (const double demand : demands) {
-    FillPlan plan;
-    plan.utilization = demand;
-    plans.levels.push_back(plan);
-  }
-  return plans;
-}
-
-FillPlans OptimalRegionPolicy::plan_batch(
-    const Fleet& fleet, std::span<const double> demands) const {
-  if (ee_threshold_ == kDefaultEeThreshold) {
-    return fill_walk(
-        fleet, stages_of(fleet, Fleet::StagedPolicy::kOptimalRegion), demands);
-  }
-  const std::vector<double> tops = fleet.optimal_region_tops(ee_threshold_);
-  return fill_walk(fleet, {fleet.order_by_peak_ee_value(), {tops, {}}},
-                   demands);
-}
-
 Result<Assignment> evaluate(const PlacementPolicy& policy, const Fleet& fleet,
                             double demand) {
   auto evaluated =
@@ -174,25 +142,7 @@ Result<BatchAccount> account_batch(const PlacementPolicy& policy,
       return Error::invalid_argument("demand must be in [0, 1]");
     }
   }
-  BatchAccount out;
-  if (const auto memo = policy.staged_memo()) {
-    out.staged = fleet.staged_state(*memo);
-    out.levels = walk_levels(fleet, stages_of(fleet, *memo),
-                             out.staged->columns(), demands);
-  } else {
-    FillPlans plans = policy.plan_batch(fleet, demands);
-    if (!aligned(plans, fleet.size(), demands.size())) {
-      return Error::failed_precondition("policy returned a misaligned batch");
-    }
-    out.levels = std::move(plans.levels);
-    if (!plans.full.empty()) {
-      out.staged = StagedState::build(fleet, std::move(plans));
-      if (out.staged == nullptr) {
-        return Error::failed_precondition(
-            "policy returned a misaligned batch");
-      }
-    }
-  }
+  BatchAccount out = policy.plan(fleet, demands);
   out.totals.resize(demands.size());
   if (out.staged == nullptr) {
     if (auto failed = account_uniform(fleet, out.levels, out.totals)) {
@@ -217,12 +167,8 @@ Result<std::vector<Assignment>> evaluate_batch(const PlacementPolicy& policy,
   auto account = account_batch(policy, fleet, demands);
   if (!account.ok()) return account.error();
   BatchAccount& batch = account.value();
-  const FillPlans uniform;  // no columns: every level is uniform
-  const FillPlans& columns =
-      batch.staged == nullptr ? uniform : batch.staged->columns();
   for (std::size_t d = 0; d < batch.totals.size(); ++d) {
-    batch.totals[d].utilization =
-        expand(columns, batch.levels[d], fleet.size());
+    batch.totals[d].utilization = expand(batch, d, fleet.size());
   }
   return std::move(batch.totals);
 }

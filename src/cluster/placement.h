@@ -7,23 +7,25 @@
 // racks, EP-aware placement (keep machines inside their optimal working
 // region, e.g. at 70% rather than packed full) maximises throughput per watt.
 //
-// The engine is batch-first over a cluster::Fleet, and a placement is a
-// plan, not a vector: a policy's core entry point is plan_batch(fleet,
-// demands), one fill walk that leaves each demand level as a FillPlan — a
-// fill point in one server order over demand-independent per-server
-// columns (FillPlans). Demand-independent work happens once per Fleet:
-// ordering servers by an efficiency score (its cached server orders),
-// working-region caps at the default threshold, and, for the built-in
-// staged policies at their defaults, the stage columns with exact prefix
-// sums of every term a level reads (Fleet::staged_state,
-// cluster/staged_state.h). account_batch then runs the fill walk and takes
-// each level's power and ops from those prefix sums, so no levels x servers
-// matrix exists on the batch path; any other staged policy builds the same
-// state from its plans once per batch. place_batch and evaluate_batch
-// expand the plans into utilisation vectors only for callers that want
-// them. Callers holding raw std::vector<ServerRecord> data convert once at
-// the call boundary via Fleet::from_records (unvalidated) or Fleet::build
-// (validated) — every entry point here takes `const Fleet&` only.
+// The policy set is closed: the paper's three placements, each at its
+// defaults — pack servers full, spread load evenly, and keep each server
+// inside its optimal working region at kDefaultEeThreshold. The engine is
+// batch-first over a cluster::Fleet, and a placement is a plan, not a
+// vector. A staged policy (pack-to-full, optimal-region) leaves each demand
+// level as a FillPlan — a fill point in one server order over
+// demand-independent per-server stage columns (FillPlans) — and balanced
+// leaves each as one uniform utilisation. Demand-independent work happens
+// once per Fleet: the server orders, the working-region tops at the
+// default threshold, and each staged policy's stage columns with exact
+// prefix sums of every term a level reads (Fleet::staged_state,
+// cluster/staged_state.h). A batch then costs the fill walk over those
+// columns, and account_batch takes each level's power and ops from their
+// prefix sums, so no levels x servers matrix exists on the batch path.
+// place_batch and evaluate_batch expand the plans into utilisation vectors
+// only for callers that want them. Callers holding raw
+// std::vector<ServerRecord> data convert once at the call boundary via
+// Fleet::from_records (unvalidated) or Fleet::build (validated) — every
+// entry point here takes `const Fleet&` only.
 //
 // Summation contract (docs/CLUSTER.md): every total here is the correctly
 // rounded exact sum (util::ExactSum) of the pre-Fleet record-at-a-time
@@ -75,16 +77,15 @@ struct FillPlan {
   double utilization = 0.0;
 };
 
-/// A policy's placement of a batch of demand levels in the compact form a
-/// fill walk produces. The walk visits servers in one fill order, stage by
+/// A staged policy's stage columns, the demand-independent half of its
+/// placements. The fill walk visits servers in one fill order, stage by
 /// stage; stage k raises each server it reaches from its stage k-1 value
 /// (0.0 before the first stage) to full[k][i]. Under a level's plan the
 /// first `filled` servers of the order sit at full[stage], the partial
 /// server (if any) at the plan's utilisation, and every other server at
-/// its stage-(stage-1) value. With no stages the batch is uniform: every
-/// server of a level sits at its plan's utilisation. The columns do not
-/// depend on demand, so a batch costs O(stages x servers) memory however
-/// many levels it holds.
+/// its stage-(stage-1) value. The columns do not depend on demand, so the
+/// Fleet keeps one set per staged policy (StagedState) and a batch adds
+/// only its levels' fill points.
 struct FillPlans {
   /// keys[k][i]: server i's fill-order position shifted left by two, with
   /// bit 1 set when full[k][i] is 0.0 and bit 0 when server i starts stage
@@ -92,8 +93,6 @@ struct FillPlans {
   std::vector<std::vector<std::uint64_t>> keys;
   /// full[k][i]: server i's utilisation once stage k has filled it.
   std::vector<std::vector<double>> full;
-  /// One plan per demand, in demand order.
-  std::vector<FillPlan> levels;
 
   /// One level's per-server utilisations with the plan's columns resolved
   /// once. view[i] is bitwise the value the dense greedy fill left in
@@ -130,8 +129,8 @@ struct FillPlans {
     double utilization_ = 0.0;
   };
 
-  /// The view of one of this batch's plans. It points into these columns,
-  /// so it is valid only while this FillPlans lives unchanged.
+  /// The view of one plan over these columns. It points into them, so it
+  /// is valid only while this FillPlans lives unchanged.
   [[nodiscard]] LevelView view(const FillPlan& plan) const {
     static constexpr double kZero = 0.0;
     LevelView view;
@@ -149,21 +148,24 @@ struct FillPlans {
 
 struct BatchAccount;
 
-/// Placement policy interface. Each demand is the requested fraction of the
-/// fleet's aggregate peak throughput, in [0, 1].
+/// A placement policy: one of the three below, each at its defaults. Each
+/// demand is the requested fraction of the fleet's aggregate peak
+/// throughput, in [0, 1].
 class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
+  PlacementPolicy(const PlacementPolicy&) = default;
+  PlacementPolicy& operator=(const PlacementPolicy&) = default;
+  PlacementPolicy(PlacementPolicy&&) = default;
+  PlacementPolicy& operator=(PlacementPolicy&&) = default;
 
-  /// Batch-first core: one FillPlan per demand point, placing ops summing
-  /// to demand * capacity. Sort orders come once per Fleet
-  /// (Fleet::order_by_*); the returned columns are this call's own. Each
-  /// demand's plan is independent of the other demands in the batch.
-  [[nodiscard]] virtual FillPlans plan_batch(
-      const Fleet& fleet, std::span<const double> demands) const = 0;
+  /// "pack-to-full", "balanced" or "optimal-region".
+  [[nodiscard]] std::string name() const;
 
-  /// The plans expanded: one utilisation vector per demand point.
+  /// One utilisation vector per demand point, placing ops summing to
+  /// demand * capacity. Each demand's placement is independent of the
+  /// other demands in the batch. A staged policy walks the Fleet's kept
+  /// staged state, which the first call on a Fleet builds.
   [[nodiscard]] std::vector<std::vector<double>> place_batch(
       const Fleet& fleet, std::span<const double> demands) const;
 
@@ -172,63 +174,46 @@ class PlacementPolicy {
                                           double demand) const;
 
  private:
+  friend class PackToFullPolicy;
+  friend class BalancedPolicy;
+  friend class OptimalRegionPolicy;
   friend epserve::Result<BatchAccount> account_batch(
       const PlacementPolicy& policy, const Fleet& fleet,
       std::span<const double> demands);
 
-  /// The Fleet-kept staged state whose columns equal this policy's
-  /// plan_batch columns on every Fleet, if any: PackToFullPolicy's, and
-  /// OptimalRegionPolicy's at kDefaultEeThreshold. account_batch then walks
-  /// those columns instead of calling plan_batch. Every other policy has
-  /// none, so a policy that forwards plan_batch to a built-in one is
-  /// accounted from its own plans.
-  [[nodiscard]] virtual std::optional<Fleet::StagedPolicy> staged_memo()
-      const {
-    return std::nullopt;
-  }
+  explicit PlacementPolicy(std::optional<Fleet::StagedPolicy> staged)
+      : staged_(staged) {}
+
+  /// The batch's plans, with no totals: the fill walk over the Fleet's
+  /// kept staged state for a staged policy, else each demand as one
+  /// uniform level.
+  [[nodiscard]] BatchAccount plan(const Fleet& fleet,
+                                  std::span<const double> demands) const;
+
+  /// Which of the Fleet's kept staged states the policy walks; empty for
+  /// balanced.
+  std::optional<Fleet::StagedPolicy> staged_;
 };
 
 /// Packs servers to 100% one at a time, most-efficient-at-full-load first.
 class PackToFullPolicy final : public PlacementPolicy {
  public:
-  [[nodiscard]] std::string name() const override { return "pack-to-full"; }
-  [[nodiscard]] FillPlans plan_batch(
-      const Fleet& fleet, std::span<const double> demands) const override;
-
- private:
-  [[nodiscard]] std::optional<Fleet::StagedPolicy> staged_memo()
-      const override {
-    return Fleet::StagedPolicy::kPackToFull;
-  }
+  PackToFullPolicy() : PlacementPolicy(Fleet::StagedPolicy::kPackToFull) {}
 };
 
 /// Spreads load uniformly: every server runs at the same utilisation.
 class BalancedPolicy final : public PlacementPolicy {
  public:
-  [[nodiscard]] std::string name() const override { return "balanced"; }
-  [[nodiscard]] FillPlans plan_batch(
-      const Fleet& fleet, std::span<const double> demands) const override;
+  BalancedPolicy() : PlacementPolicy(std::nullopt) {}
 };
 
 /// §V.C policy: fill servers only up to the top of their optimal working
-/// region (ordered by peak EE), packing beyond it only when demand cannot
-/// otherwise be met.
+/// region at kDefaultEeThreshold (ordered by peak EE), packing beyond it
+/// only when demand cannot otherwise be met.
 class OptimalRegionPolicy final : public PlacementPolicy {
  public:
-  explicit OptimalRegionPolicy(double ee_threshold = kDefaultEeThreshold)
-      : ee_threshold_(ee_threshold) {}
-  [[nodiscard]] std::string name() const override { return "optimal-region"; }
-  [[nodiscard]] FillPlans plan_batch(
-      const Fleet& fleet, std::span<const double> demands) const override;
-
- private:
-  [[nodiscard]] std::optional<Fleet::StagedPolicy> staged_memo()
-      const override {
-    if (ee_threshold_ != kDefaultEeThreshold) return std::nullopt;
-    return Fleet::StagedPolicy::kOptimalRegion;
-  }
-
-  double ee_threshold_;
+  OptimalRegionPolicy()
+      : PlacementPolicy(Fleet::StagedPolicy::kOptimalRegion) {}
 };
 
 /// Evaluates a policy at one demand: evaluate_batch over that demand, so
@@ -243,9 +228,8 @@ epserve::Result<Assignment> evaluate(const PlacementPolicy& policy,
 /// total_power_watts and total_ops with empty utilisation vectors.
 struct BatchAccount {
   /// A staged batch's stage columns and fill order (cluster/staged_state.h):
-  /// the Fleet's own for a built-in staged policy at its defaults, else
-  /// built from this batch's plans. Null for a uniform batch. It may view
-  /// the Fleet's server order, so read it only while the Fleet lives.
+  /// the Fleet's kept state for the policy. Null for a uniform batch. It
+  /// views the Fleet's server order, so read it only while the Fleet lives.
   std::shared_ptr<const StagedState> staged;
   /// One plan per demand, in demand order: fill points over
   /// staged->columns(), or a uniform level's utilisation.
@@ -255,15 +239,14 @@ struct BatchAccount {
 
 /// The one batch accounting routine, behind evaluate_batch, evaluate,
 /// simulate_day and max_throughput_under_cap. A staged batch's levels come
-/// from the fill walk over its staged state, which a built-in staged policy
-/// reads from the Fleet and any other builds from one plan_batch call; each
-/// level's totals are prefix sums of that state plus its partial server.
-/// A uniform batch evaluates every (server, level) point into exact
-/// per-level sums (cluster/lane_sums.h). Each total is the exact sum of
-/// its per-server terms, so per-demand totals do not depend on the rest of
-/// the batch. Fails as evaluate_batch does, and with "policy returned a
-/// misaligned batch" when the plans do not fit the fleet and the demands
-/// or their keys do not encode one fill order shared by every stage.
+/// from the fill walk over the Fleet's kept staged state, and each level's
+/// totals are prefix sums of that state plus its partial server. A uniform
+/// batch evaluates every (server, level) point into exact per-level sums
+/// (cluster/lane_sums.h). Each total is the exact sum of its per-server
+/// terms, so per-demand totals do not depend on the rest of the batch.
+/// Fails if the fleet is empty or a demand is out of [0, 1], and with
+/// "policy produced utilisation outside [0,1]" when a level reads a
+/// server value outside it (StagedState::account).
 epserve::Result<BatchAccount> account_batch(const PlacementPolicy& policy,
                                             const Fleet& fleet,
                                             std::span<const double> demands);

@@ -16,7 +16,7 @@ Result<CapResult> max_throughput_under_cap(const PlacementPolicy& policy,
   }
   const telemetry::Span policy_span("cluster/policy/power-cap",
                                     telemetry::Span::Scope::kRoot);
-  // Each step reads one demand's totals; a built-in staged policy's come
+  // Each step reads one demand's totals; a staged policy's come
   // from the Fleet's staged state, so no step rebuilds its columns.
   const auto totals_at = [&](double demand) -> Result<Assignment> {
     auto account =

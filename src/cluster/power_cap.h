@@ -23,7 +23,7 @@ struct CapResult {
 /// demand for all built-in policies), until the bracket is no wider than
 /// `tolerance` or its ends are adjacent doubles. Fails when even zero
 /// demand (fleet idle) violates the cap, or on an empty fleet. Each step is
-/// one account_batch over its demand, so a built-in staged policy's steps
+/// one account_batch over its demand, so a staged policy's steps
 /// read the Fleet's staged state (Fleet::staged_state) and run only the
 /// fill walk and the level's prefix sums.
 epserve::Result<CapResult> max_throughput_under_cap(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/contracts.h"
 #include "util/telemetry.h"
 
 namespace epserve::cluster {
@@ -13,8 +12,7 @@ double cap_of(std::span<const double> caps, std::size_t i) {
   return caps.empty() ? 1.0 : caps[i];
 }
 
-}  // namespace
-
+/// The stage columns of a fill by `stages`.
 FillPlans stage_columns(const Fleet& fleet, const Stages& stages) {
   const std::span<const double> peak_ops = fleet.peak_ops();
   const std::size_t servers = fleet.size();
@@ -42,6 +40,8 @@ FillPlans stage_columns(const Fleet& fleet, const Stages& stages) {
   }
   return plans;
 }
+
+}  // namespace
 
 std::vector<FillPlan> walk_levels(const Fleet& fleet, const Stages& stages,
                                   const FillPlans& columns,
@@ -92,35 +92,6 @@ std::shared_ptr<const StagedState> StagedState::build(const Fleet& fleet,
   state->columns_ = stage_columns(fleet, stages);
   state->order_ = stages.order;
   state->index(fleet);
-  return state;
-}
-
-std::shared_ptr<const StagedState> StagedState::build(const Fleet& fleet,
-                                                      FillPlans columns) {
-  EPSERVE_EXPECTS(!columns.full.empty() &&
-                  columns.keys.size() == columns.full.size());
-  const telemetry::Span span("staged_state.build");
-  telemetry::count("staged_state.builds");
-  const std::size_t servers = fleet.size();
-  std::shared_ptr<StagedState> state(new StagedState());
-  StagedState& s = *state;
-  s.columns_ = std::move(columns);
-  s.columns_.levels.clear();
-  const std::vector<std::vector<std::uint64_t>>& keys = s.columns_.keys;
-  constexpr auto kUnset = ~std::size_t{0};
-  s.own_order_.assign(servers, kUnset);
-  for (std::size_t i = 0; i < servers; ++i) {
-    const std::uint64_t pos = keys.front()[i] >> 2;
-    if (pos >= servers || s.own_order_[pos] != kUnset) return nullptr;
-    s.own_order_[pos] = i;
-  }
-  for (std::size_t stage = 1; stage < keys.size(); ++stage) {
-    for (std::size_t i = 0; i < servers; ++i) {
-      if (keys[stage][i] >> 2 != keys.front()[i] >> 2) return nullptr;
-    }
-  }
-  s.order_ = s.own_order_;
-  s.index(fleet);
   return state;
 }
 

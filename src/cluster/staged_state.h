@@ -12,10 +12,8 @@
 // terms re-evaluated at each ragged end, through Fleet::normalized_power.
 // Exact sums make that the same value as adding every term.
 //
-// The Fleet keeps one StagedState per built-in staged policy at its
-// defaults (Fleet::staged_state), built on first use. Any other staged
-// batch (a non-default threshold, a custom policy) builds one from its
-// plan_batch columns per call, and both are accounted alike.
+// The Fleet keeps one StagedState per staged policy (Fleet::staged_state),
+// built on first use; every staged batch walks and accounts that one.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +45,8 @@ struct Stages {
   std::vector<std::span<const double>> caps;
 };
 
-/// A built-in staged policy's stages on `fleet` (placement.cpp): its
-/// Fleet-sorted order, and OptimalRegionPolicy's default-threshold tops.
+/// A staged policy's stages on `fleet` (placement.cpp): its Fleet-sorted
+/// order, and OptimalRegionPolicy's default-threshold tops.
 Stages stages_of(const Fleet& fleet, Fleet::StagedPolicy policy);
 
 // The one fill walk, behind pack-to-full and optimal-region. For each
@@ -61,14 +59,10 @@ Stages stages_of(const Fleet& fleet, Fleet::StagedPolicy policy);
 // later stage starts from every server at its previous full value. Each
 // full value and partial utilisation is `base + take / peak_ops` with the
 // greedy fill's operands, so the plans expand to its vectors bit for bit.
-// The full values do not depend on demand (stage_columns); the fill points
-// do (walk_levels).
+// The full values do not depend on demand (a StagedState's columns); the
+// fill points do (walk_levels).
 
-/// The stage columns of a fill by `stages`: FillPlans::full and keys, no
-/// levels.
-FillPlans stage_columns(const Fleet& fleet, const Stages& stages);
-
-/// The fill walk over those columns: one plan per demand.
+/// The fill walk over a StagedState's columns: one plan per demand.
 std::vector<FillPlan> walk_levels(const Fleet& fleet, const Stages& stages,
                                   const FillPlans& columns,
                                   std::span<const double> demands);
@@ -78,21 +72,14 @@ class StagedState {
   /// Fill positions between prefix snapshots.
   static constexpr std::size_t kSnapshotStride = 512;
 
-  /// The state of a fill by `stages`: its stage_columns, and its order as
-  /// a view, which must outlive the state (the Fleet's orders do).
+  /// The state of a fill by `stages`: its stage columns (FillPlans::full
+  /// and keys), and its order as a view, which must outlive the state (the
+  /// Fleet's orders do). Emits one `staged_state.build` span and counts
+  /// `staged_state.builds`.
   static std::shared_ptr<const StagedState> build(const Fleet& fleet,
                                                   const Stages& stages);
 
-  /// The state of a staged batch's columns; their levels are not read. The
-  /// fill order is read off the keys, and the build fails (null) unless
-  /// they encode one permutation of the servers shared by every stage.
-  static std::shared_ptr<const StagedState> build(const Fleet& fleet,
-                                                  FillPlans columns);
-
-  // Either build emits one `staged_state.build` span and counts
-  // `staged_state.builds`.
-
-  /// The stage columns (levels empty); view() a level's plan through them.
+  /// The stage columns; view() a level's plan through them.
   [[nodiscard]] const FillPlans& columns() const { return columns_; }
   /// order()[pos] is the server at fill position pos.
   [[nodiscard]] std::span<const std::size_t> order() const { return order_; }
@@ -143,7 +130,6 @@ class StagedState {
 
   FillPlans columns_;
   std::span<const std::size_t> order_;
-  std::vector<std::size_t> own_order_;  // when read off the keys
   /// Snapshots per column past the one at position 0: snapshot m of column
   /// j sums positions [0, min(m * kSnapshotStride, servers)).
   std::size_t snapshot_count_ = 0;

@@ -4,8 +4,8 @@
 // record-at-a-time arithmetic bitwise (reimplemented here as the scalar
 // reference, per demand point and per trace slot, with each placement and
 // autoscaler total the exact sum of its per-server or per-slot terms), at
-// fleet sizes 1/100/5000 and from 1 or 8 threads sharing one LazyFleet or
-// one Fleet's lazily sorted server orders (run under
+// fleet sizes 1/100/5000 and from 1 or 8 threads sharing one Fleet, its
+// lazily sorted server orders and its kept staged state (run under
 // -DEPSERVE_SANITIZE=thread via `ctest -L parallel`).
 #include <gtest/gtest.h>
 
@@ -733,9 +733,9 @@ TEST(FleetOrder, ShuffledRecordsGiveBitIdenticalDaysAndAutoscaling) {
   }
 }
 
-// --- Concurrency: 8 threads share one LazyFleet ----------------------------
+// --- Concurrency: 8 threads share one Fleet ---------------------------------
 
-TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
+TEST(FleetConcurrency, EightThreadsShareOneFleetWithIdenticalResults) {
   const auto records = make_fleet(100);
   const auto trace = DemandTrace::diurnal();
 
@@ -744,38 +744,34 @@ TEST(FleetConcurrency, EightThreadsSeeOneBuildAndIdenticalResults) {
       compare_policies_over_day(Fleet::from_records(records), trace);
   ASSERT_TRUE(baseline.ok());
 
-  telemetry::reset();
-  telemetry::set_enabled(true);
-  {
-    const LazyFleet lazy(records);
-    constexpr int kThreads = 8;
-    std::vector<std::vector<DayResult>> per_thread(kThreads);
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        const auto& built = lazy.get();
-        ASSERT_TRUE(built.ok());
-        auto day = compare_policies_over_day(built.value(), trace);
-        ASSERT_TRUE(day.ok());
-        per_thread[static_cast<std::size_t>(t)] = std::move(day).take();
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    for (const auto& result : per_thread) {
-      ASSERT_EQ(result.size(), baseline.value().size());
-      for (std::size_t i = 0; i < result.size(); ++i) {
-        EXPECT_EQ(result[i].energy_kwh, baseline.value()[i].energy_kwh);
-        EXPECT_EQ(result[i].served_gops, baseline.value()[i].served_gops);
-      }
+  const auto built = Fleet::build(records);
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  const Fleet& fleet = built.value();
+  constexpr int kThreads = 8;
+  std::vector<std::vector<DayResult>> per_thread(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      auto day = compare_policies_over_day(fleet, trace);
+      ASSERT_TRUE(day.ok());
+      per_thread[static_cast<std::size_t>(t)] = std::move(day).take();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& result : per_thread) {
+    ASSERT_EQ(result.size(), baseline.value().size());
+    for (std::size_t i = 0; i < result.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result[i].energy_kwh),
+                std::bit_cast<std::uint64_t>(baseline.value()[i].energy_kwh))
+          << result[i].policy;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result[i].served_gops),
+                std::bit_cast<std::uint64_t>(baseline.value()[i].served_gops))
+          << result[i].policy;
     }
   }
-  const auto snap = telemetry::snapshot();
-  telemetry::set_enabled(false);
-  const auto* builds = snap.find_counter("fleet.builds");
-  ASSERT_NE(builds, nullptr);
-  EXPECT_EQ(builds->value, 1u);
-  telemetry::reset();
 }
 
 /// Server `r`'s sheet with its full-load ops set to `ee` times its
@@ -995,23 +991,6 @@ TEST(FleetConcurrency, StagedStateBuildsOnceForAllThreadsAndSurvivesAMove) {
     EXPECT_EQ(account.value().staged.get(), seen[0][p]);
     expect_baseline(account.value().totals, p);
   }
-}
-
-TEST(FleetConcurrency, LazyFleetPropagatesBuildErrors) {
-  auto records = make_fleet(2);
-  records[0].curve = metrics::PowerCurve{};
-  const LazyFleet lazy(records);
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      const auto& built = lazy.get();
-      EXPECT_FALSE(built.ok());
-      EXPECT_NE(built.error().message.find("server 1: "), std::string::npos);
-    });
-  }
-  for (auto& thread : threads) thread.join();
 }
 
 }  // namespace

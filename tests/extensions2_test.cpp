@@ -190,6 +190,22 @@ TEST(OperatingGuide, RendersTable) {
   const std::string text = cluster::render_guide(guide.value());
   EXPECT_NE(text.find("EP bucket"), std::string::npos);
   EXPECT_NE(text.find("efficient capacity"), std::string::npos);
+  EXPECT_NE(text.find("0.9..1.0"), std::string::npos);
+
+  // Both ends of a bucket print with the decimals its width needs: the
+  // generated population's quarter-wide buckets start at 0, 0.25, 0.5,
+  // 0.75 and 1.0.
+  auto population = dataset::generate_population();
+  ASSERT_TRUE(population.ok());
+  const auto quarters = cluster::build_operating_guide(
+      cluster::Fleet::from_records(population.value()), 0.95, 0.25);
+  ASSERT_TRUE(quarters.ok());
+  const std::string quarter_text = cluster::render_guide(quarters.value());
+  for (const char* bucket :
+       {"0.00..0.25", "0.25..0.50", "0.50..0.75", "0.75..1.00", "1.00..1.25"}) {
+    EXPECT_NE(quarter_text.find(bucket), std::string::npos) << bucket;
+  }
+  EXPECT_EQ(quarter_text.find("0.2..0.3"), std::string::npos);
 }
 
 TEST(OperatingGuide, RejectsBadArguments) {

@@ -204,11 +204,15 @@ TEST_P(PlanEquivalence, PlaceBatchAndTotalsMatchDenseGreedyFillBitwise) {
 
   // The grid does reach optimal-region's spill stage, and pack-to-full
   // leaves a partial server somewhere on it.
-  const auto optimal = OptimalRegionPolicy().plan_batch(fleet, demands);
-  EXPECT_TRUE(std::any_of(optimal.levels.begin(), optimal.levels.end(),
+  const auto optimal = account_batch(OptimalRegionPolicy(), fleet, demands);
+  ASSERT_TRUE(optimal.ok()) << optimal.error().message;
+  const std::vector<FillPlan>& region_levels = optimal.value().levels;
+  EXPECT_TRUE(std::any_of(region_levels.begin(), region_levels.end(),
                           [](const FillPlan& plan) { return plan.stage == 1; }));
-  const auto pack = PackToFullPolicy().plan_batch(fleet, demands);
-  EXPECT_TRUE(std::any_of(pack.levels.begin(), pack.levels.end(),
+  const auto pack = account_batch(PackToFullPolicy(), fleet, demands);
+  ASSERT_TRUE(pack.ok()) << pack.error().message;
+  const std::vector<FillPlan>& pack_levels = pack.value().levels;
+  EXPECT_TRUE(std::any_of(pack_levels.begin(), pack_levels.end(),
                           [](const FillPlan& plan) { return plan.partial; }));
 }
 
