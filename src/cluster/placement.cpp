@@ -28,28 +28,19 @@ std::vector<double> expand(const BatchAccount& batch, std::size_t d,
   return util;
 }
 
-/// A uniform batch's totals: every server of level d sits at
-/// levels[d].utilization, so each (server, level) pair is one kernel
-/// point, and each level's power and ops totals are exact lane sums over
-/// the servers.
-std::optional<Error> account_uniform(const Fleet& fleet,
-                                     std::span<const FillPlan> levels,
-                                     std::span<Assignment> totals) {
+/// A uniform batch's totals: every server of level d sits at demands[d],
+/// which account_batch has checked to lie in [0, 1], so each (server,
+/// level) pair is one kernel point, and each level's power and ops totals
+/// are exact lane sums over the servers.
+void account_uniform(const Fleet& fleet, std::span<const double> demands,
+                     std::span<Assignment> totals) {
   constexpr std::size_t kBlockServers = LaneSums::kMaxRows;
-  const std::size_t slots = levels.size();
-  std::vector<double> clamped(slots);
-  for (std::size_t d = 0; d < slots; ++d) {
-    if (outside_unit_range(levels[d].utilization)) {
-      return Error::failed_precondition(
-          "policy produced utilisation outside [0,1]");
-    }
-    clamped[d] = std::clamp(levels[d].utilization, 0.0, 1.0);
-  }
+  const std::size_t slots = demands.size();
   const std::span<const double> peak_watts = fleet.peak_watts();
   const std::span<const double> peak_ops = fleet.peak_ops();
   std::vector<double> utils(kBlockServers * slots);
   std::vector<double> norm(kBlockServers * slots);
-  for (std::size_t k = 0; k < utils.size(); ++k) utils[k] = clamped[k % slots];
+  for (std::size_t k = 0; k < utils.size(); ++k) utils[k] = demands[k % slots];
   LaneSums power(slots);
   LaneSums ops(slots);
   for (std::size_t i0 = 0; i0 < fleet.size(); i0 += kBlockServers) {
@@ -58,13 +49,12 @@ std::optional<Error> account_uniform(const Fleet& fleet,
         i0, count, std::span<const double>(utils.data(), count * slots),
         std::span<double>(norm.data(), count * slots), slots);
     power.add_block(norm.data(), slots, peak_watts.data() + i0, count);
-    ops.add_block(clamped.data(), 0, peak_ops.data() + i0, count);
+    ops.add_block(demands.data(), 0, peak_ops.data() + i0, count);
   }
   for (std::size_t d = 0; d < slots; ++d) {
     totals[d].total_power_watts = power.value(d);
     totals[d].total_ops = ops.value(d);
   }
-  return std::nullopt;
 }
 
 }  // namespace
@@ -145,9 +135,7 @@ Result<BatchAccount> account_batch(const PlacementPolicy& policy,
   BatchAccount out = policy.plan(fleet, demands);
   out.totals.resize(demands.size());
   if (out.staged == nullptr) {
-    if (auto failed = account_uniform(fleet, out.levels, out.totals)) {
-      return *failed;
-    }
+    account_uniform(fleet, demands, out.totals);
     return out;
   }
   for (std::size_t d = 0; d < out.levels.size(); ++d) {

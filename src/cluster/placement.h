@@ -100,7 +100,6 @@ struct FillPlans {
   class LevelView {
    public:
     [[nodiscard]] double operator[](std::size_t i) const {
-      if (key_ == nullptr) return utilization_;
       const std::uint64_t pos = key_[i] >> 2;
       if (pos == partial_pos_) return utilization_;
       // A pointer select, not a branch: fill order is unrelated to index
@@ -111,7 +110,6 @@ struct FillPlans {
     /// view[i] == 0.0, read off server i's key alone: the parked test,
     /// one load instead of the two view[i] depends on.
     [[nodiscard]] bool zero(std::size_t i) const {
-      if (key_ == nullptr) return utilization_ == 0.0;
       const std::uint64_t key = key_[i];
       const std::uint64_t pos = key >> 2;
       if (pos == partial_pos_) return utilization_ == 0.0;
@@ -120,7 +118,7 @@ struct FillPlans {
 
    private:
     friend struct FillPlans;
-    const std::uint64_t* key_ = nullptr;  // null: uniform
+    const std::uint64_t* key_ = nullptr;
     const double* full_ = nullptr;
     const double* base_ = nullptr;        // the first stage: one shared 0.0
     std::size_t base_mask_ = 0;           // 0 for that shared 0.0, else ~0
@@ -129,13 +127,13 @@ struct FillPlans {
     double utilization_ = 0.0;
   };
 
-  /// The view of one plan over these columns. It points into them, so it
+  /// The view of one plan over these columns, which must hold the plan's
+  /// stage (a StagedState's hold one or two). It points into them, so it
   /// is valid only while this FillPlans lives unchanged.
   [[nodiscard]] LevelView view(const FillPlan& plan) const {
     static constexpr double kZero = 0.0;
     LevelView view;
     view.utilization_ = plan.utilization;
-    if (full.empty()) return view;
     view.key_ = keys[plan.stage].data();
     view.full_ = full[plan.stage].data();
     view.base_ = plan.stage == 0 ? &kZero : full[plan.stage - 1].data();

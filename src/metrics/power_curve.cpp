@@ -43,40 +43,18 @@ PowerCurve::InterpolationTable PowerCurve::interpolation_table() const {
   return t;
 }
 
-namespace {
-
-// Shared evaluation kernel: scalar and batched normalized_power both run
-// exactly this expression, so batch == scalar bitwise. The segment index is
-// u * 10 truncated (the knots are a uniform 0.1 grid); the clamp covers the
-// rounding case where u < 1.0 but u * 10.0 lands on 10.0.
-inline double eval_table(const PowerCurve::InterpolationTable& t, double u) {
-  if (u == 1.0) return 1.0;
-  const std::size_t seg =
-      std::min(static_cast<std::size_t>(u * 10.0), kNumLoadLevels - 1);
-  return (t.knot_watts[seg] + (u - t.knot_u[seg]) * t.slope[seg]) * t.inv_peak;
-}
-
-}  // namespace
-
+// The knot walk. The segment index is u * 10 truncated (the knots are a
+// uniform 0.1 grid); the clamp covers the rounding case where u < 1.0 but
+// u * 10.0 lands on 10.0.
 double PowerCurve::normalized_power(double utilization) const {
   EPSERVE_EXPECTS(utilization >= 0.0 && utilization <= 1.0);
-  return eval_table(interpolation_table(), utilization);
-}
-
-void PowerCurve::normalized_power_batch(std::span<const double> utils,
-                                        std::span<double> out) const {
-  EPSERVE_EXPECTS(utils.size() == out.size());
+  if (utilization == 1.0) return 1.0;
   const InterpolationTable t = interpolation_table();
-  for (std::size_t i = 0; i < utils.size(); ++i) {
-    EPSERVE_EXPECTS(utils[i] >= 0.0 && utils[i] <= 1.0);
-    out[i] = eval_table(t, utils[i]);
-  }
-}
-
-double PowerCurve::normalized_power_from_table(const InterpolationTable& table,
-                                               double utilization) {
-  EPSERVE_EXPECTS(utilization >= 0.0 && utilization <= 1.0);
-  return eval_table(table, utilization);
+  const std::size_t seg =
+      std::min(static_cast<std::size_t>(utilization * 10.0),
+               kNumLoadLevels - 1);
+  return (t.knot_watts[seg] + (utilization - t.knot_u[seg]) * t.slope[seg]) *
+         t.inv_peak;
 }
 
 Result<bool> PowerCurve::validate() const {

@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstddef>
-#include <span>
 
 #include "metrics/load_level.h"
 #include "util/result.h"
@@ -35,12 +34,11 @@ class PowerCurve {
   [[nodiscard]] double peak_watts() const { return watts_.back(); }
   [[nodiscard]] double peak_ops() const { return ops_.back(); }
 
-  /// Precomputed interpolation state for normalized_power: watts at the
-  /// eleven knots (active idle at u=0, then the ten levels), one slope per
-  /// segment, and the reciprocal of peak power. Building it costs a handful
-  /// of flops; evaluating with it is branch-light and division-free, which
-  /// is what makes the batched evaluation below worthwhile in per-interval
-  /// energy loops.
+  /// The interpolation state normalized_power walks: watts at the eleven
+  /// knots (active idle at u=0, then the ten levels), one slope per
+  /// segment, and the reciprocal of peak power. Its only other consumer is
+  /// cluster::Fleet, which copies each server's knot watts and slopes into
+  /// its native 10-bin grid rows, so those rows evaluate the same terms.
   struct InterpolationTable {
     std::array<double, kNumLoadLevels + 1> knot_u{};      // 0.0, 0.1 ... 1.0
     std::array<double, kNumLoadLevels + 1> knot_watts{};  // idle, w(0.1)...
@@ -54,20 +52,6 @@ class PowerCurve {
   /// 10% level below 10% utilisation), matching the paper's trapezoid
   /// treatment of the curve.
   [[nodiscard]] double normalized_power(double utilization) const;
-
-  /// Batched normalized_power: `out[i] = normalized_power(utils[i])`,
-  /// bit-identical to the scalar call (both evaluate the same
-  /// InterpolationTable kernel), but the table is built once per batch
-  /// instead of once per point. `out.size()` must equal `utils.size()`; every
-  /// utilisation must be in [0, 1].
-  void normalized_power_batch(std::span<const double> utils,
-                              std::span<double> out) const;
-
-  /// Evaluates the shared interpolation kernel (the knot walk) against a
-  /// caller-held table. Results are bitwise identical to normalized_power on
-  /// the curve the table was built from. The utilisation must be in [0, 1].
-  static double normalized_power_from_table(const InterpolationTable& table,
-                                            double utilization);
 
   /// Idle power as a fraction of power at 100% load (the paper's "idle power
   /// percentage").

@@ -1,9 +1,8 @@
-// Shared scalar grid-evaluation expressions (internal to the kernel TUs,
-// UniformGridTable and cluster::Fleet's single-point lookup). Every kernel
-// variant — scalar loop, AVX2, NEON — must compute exactly these
-// round-to-nearest operation sequences so results are bitwise identical
-// across variants (docs/KERNELS.md). Do not "optimise" into FMA or
-// reassociated forms.
+// The shared scalar row expression (internal to the kernel TUs and
+// cluster::Fleet's single-point lookup). Every kernel variant — scalar
+// loop, AVX2, AVX-512, NEON — must compute exactly this round-to-nearest
+// operation sequence so results are bitwise identical across variants
+// (docs/KERNELS.md). Do not "optimise" into FMA or reassociated forms.
 #pragma once
 
 #include <algorithm>
@@ -17,19 +16,10 @@ namespace epserve::metrics::kernels::detail {
 /// ran per point (scalar) or per vector (SIMD). Throws ContractViolation.
 [[noreturn]] void utilization_out_of_range();
 
-/// One point against a uniform grid view. The expression matches
-/// PowerCurve's knot-walk kernel term for term: same special case at
-/// u == 1.0, same truncating index, same mul/sub/add/mul order.
-inline double grid_eval_checked(const GridView& g, double u) {
-  if (!(u >= 0.0 && u <= 1.0)) utilization_out_of_range();
-  if (u == 1.0) return 1.0;
-  const std::size_t idx =
-      std::min(static_cast<std::size_t>(u * g.scale),
-               static_cast<std::size_t>(g.last_bin));
-  return (g.w0[idx] + (u - g.u0[idx]) * g.m[idx]) * g.inv_peak;
-}
-
 /// One (server, utilisation) point against the fleet's native 10-bin rows.
+/// The expression matches PowerCurve's knot walk term for term: same
+/// special case at u == 1.0, same truncating index, same mul/sub/add/mul
+/// order.
 inline double fleet_eval_checked(const FleetGridView& f, std::size_t i,
                                  double u) {
   if (!(u >= 0.0 && u <= 1.0)) utilization_out_of_range();

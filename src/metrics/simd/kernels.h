@@ -3,46 +3,42 @@
 // The cluster layer's batch paths (placement accounting, the day
 // simulator, the autoscaler) bottom out in the same normalized-power
 // interpolation. This layer provides that interpolation as branch-free
-// batch kernels over uniform utilisation grids (metrics/uniform_grid.h) and
-// the Fleet's native 10-bin rows, with explicit AVX2, AVX-512 (x86-64) and
-// NEON (arm64) implementations selected once per process by
-// kernels::active():
+// batch kernels over the Fleet's native 10-bin rows (one bin per SPECpower
+// knot segment), with explicit AVX2, AVX-512 (x86-64) and NEON (arm64)
+// implementations selected once per process by kernels::active():
 //
 //   kScalarReference  forcible with EPSERVE_FORCE_SCALAR=1: the same plain
 //                     scalar loops as kGridScalar, so a forced-scalar run
-//                     uses no vector ISA and prints the same bytes (at the
-//                     fleet's native resolution the grid expression is the
-//                     knot walk of PowerCurve::normalized_power);
-//   kGridScalar       the grid expression as a plain scalar loop — the
+//                     uses no vector ISA and prints the same bytes (the row
+//                     expression is the knot walk of
+//                     PowerCurve::normalized_power);
+//   kGridScalar       the row expression as a plain scalar loop — the
 //                     portable fallback and the bitwise reference the vector
 //                     variants are tested against;
 //   kGridAvx2         AVX2 intrinsics, 4 lanes/vector, lane-wise bin
 //                     loads. Compiled with -mavx2 in its own TU only
 //                     (CMake EPSERVE_SIMD); never called unless CPUID
 //                     reports AVX2.
-//   kGridAvx512       AVX-512F/DQ intrinsics, 8 lanes/vector; tables of
-//                     <=16 bins (the fleet's native 10-bin rows) are held
-//                     in register pairs and looked up with vpermi2pd.
-//                     Preferred over AVX2 when CPUID reports both
-//                     avx512f and avx512dq.
+//   kGridAvx512       AVX-512F/DQ intrinsics, 8 lanes/vector; a row's ten
+//                     bins are held in register pairs and looked up with
+//                     vpermi2pd. Preferred over AVX2 when CPUID reports
+//                     both avx512f and avx512dq.
 //   kGridNeon         NEON intrinsics, 2 lanes/vector (arm64 baseline ISA).
 //
-// A table holds three entries, each kept for the caller that uses it
+// A table holds two entries, each kept for the caller that uses it
 // (docs/KERNELS.md):
 //
-//   grid_batch        UniformGridTable::evaluate_batch;
 //   row_matrix        Fleet::normalized_power_matrix: account_batch's and
 //                     the autoscaler's blocks of servers;
 //   split_accumulate  the exact per-level sums of a balanced batch and of
 //                     the autoscaler's levels (cluster/lane_sums.h).
 //
-// Bitwise policy (docs/KERNELS.md): all grid variants evaluate the exact
+// Bitwise policy (docs/KERNELS.md): every variant evaluates the exact
 // scalar expression `(w0[idx] + (u - u0[idx]) * m[idx]) * inv_peak` with
-// round-to-nearest IEEE ops and no FMA contraction, so every vector variant
-// matches kGridScalar bit-for-bit, and all of them match the knot-walk
-// reference wherever bin selection resolves to the same knot segment (always
-// at native 10-bin resolution; within <=2 ULP for finer grids — see
-// UniformGridTable).
+// round-to-nearest IEEE ops and no FMA contraction, on the bin the knot
+// walk picks (u * 10 truncated, clamped to [0, 9]), so every vector variant
+// matches kGridScalar bit-for-bit and all of them match the knot-walk
+// reference at every utilisation.
 #pragma once
 
 #include <cstddef>
@@ -56,18 +52,6 @@ enum class Variant : std::uint8_t {
   kGridAvx2 = 2,
   kGridNeon = 3,
   kGridAvx512 = 4,
-};
-
-/// Raw-column view of one curve's uniform grid (a UniformGridTable; the
-/// fleet's rows use FleetGridView). All arrays have last_bin + 1 entries;
-/// bin idx covers utilisation [idx/scale, (idx+1)/scale).
-struct GridView {
-  const double* u0 = nullptr;  // left-knot utilisation of the bin's segment
-  const double* w0 = nullptr;  // watts at that knot
-  const double* m = nullptr;   // segment slope (watts per unit utilisation)
-  double inv_peak = 0.0;
-  double scale = 0.0;              // bins over [0, 1]
-  std::int32_t last_bin = 0;       // bins - 1
 };
 
 /// Whole-fleet grid at native resolution: per-server rows of kRowBins bins
@@ -102,20 +86,13 @@ struct Kernels {
   Variant variant = Variant::kGridScalar;
   const char* name = "";  // wire/CLI name, e.g. "grid-avx2"
 
-  /// out[k] = normalized power of `grid` at utils[k]. Precondition (same as
-  /// PowerCurve::normalized_power_batch): every utilisation in [0, 1];
-  /// violations raise ContractViolation. Checked per vector, not per point,
-  /// in the SIMD variants.
-  void (*grid_batch)(const GridView& grid, const double* utils, double* out,
-                     std::size_t n) = nullptr;
-
   /// Blocked rows of the fleet grid, the batch accounting's loop: for
   /// servers i0..i0+count-1, out[r*slots + d] = normalized power of server
-  /// i0+r at utils[r*slots + d]. Same precondition and bitwise contract per
-  /// row as grid_batch on that row; variants specialise it because the
-  /// row's 10-bin parameters and the shared kRowU0 column have
-  /// compile-time-known extents, unlike a general GridView. One call
-  /// amortises all dispatch and setup cost across the whole block.
+  /// i0+r at utils[r*slots + d], bitwise the knot walk of that server's
+  /// curve. Precondition: every utilisation in [0, 1]; violations raise
+  /// ContractViolation, checked per vector, not per point, in the SIMD
+  /// variants. One call amortises all dispatch and setup cost across the
+  /// whole block.
   void (*row_matrix)(const FleetGridView& fleet, std::size_t i0,
                      std::size_t count, const double* utils, double* out,
                      std::size_t slots) = nullptr;

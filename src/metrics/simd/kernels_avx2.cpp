@@ -1,4 +1,4 @@
-// AVX2 kernel variant: 4 doubles per vector, gather-based bin loads.
+// AVX2 kernel variant: 4 doubles per vector, lane-wise bin loads.
 //
 // This TU is the only one compiled with -mavx2 (CMake sets the flag per
 // file, plus -ffp-contract=off so nothing here can silently become an FMA);
@@ -6,8 +6,8 @@
 // CPUID before routing any call here.
 //
 // Bitwise contract: every vector op below is the IEEE round-to-nearest
-// double op the scalar grid expression performs, in the same order —
-// multiply, truncating convert, clamp, gather, sub, mul, add, mul, and a
+// double op the scalar row expression performs, in the same order —
+// multiply, truncating convert, clamp, bin loads, sub, mul, add, mul, and a
 // final blend for the u == 1.0 special case. No FMA, no reassociation.
 // tests/metrics_simd_kernel_test.cpp pins kGridAvx2 == kGridScalar
 // bit-for-bit.
@@ -34,14 +34,18 @@ inline __m256d out_of_range_mask(__m256d u, __m256d zero, __m256d one) {
                       _mm256_cmp_pd(u, one, _CMP_NLE_UQ));
 }
 
-void grid_batch_avx2(const GridView& grid, const double* utils, double* out,
-                     std::size_t n) {
+// One server's row over a batch of utilisations.
+void row_avx2(const FleetGridView& fleet, std::size_t i, const double* utils,
+              double* out, std::size_t n) {
+  const std::size_t row = i * FleetGridView::kRowBins;
+  const double* w0_row = fleet.w0 + row;
+  const double* m_row = fleet.m + row;
   const __m256d zero = _mm256_setzero_pd();
   const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d scale = _mm256_set1_pd(grid.scale);
-  const __m256d inv_peak = _mm256_set1_pd(grid.inv_peak);
+  const __m256d scale = _mm256_set1_pd(10.0);
+  const __m256d inv_peak = _mm256_set1_pd(fleet.inv_peak[i]);
   const __m128i zero_i = _mm_setzero_si128();
-  const __m128i last_bin = _mm_set1_epi32(grid.last_bin);
+  const __m128i last_bin = _mm_set1_epi32(9);
   // Lane-wise parameter loads (vgatherdpd is slower than four scalar loads
   // plus unpacks on every uarch this has run on). The range check is
   // OR-accumulated and raised once after the loop: the clamped bin index
@@ -56,12 +60,12 @@ void grid_batch_avx2(const GridView& grid, const double* utils, double* out,
     __m128i bin = _mm256_cvttpd_epi32(_mm256_mul_pd(u, scale));
     bin = _mm_min_epi32(_mm_max_epi32(bin, zero_i), last_bin);
     _mm_store_si128(reinterpret_cast<__m128i*>(idx), bin);
-    const __m256d u0 = _mm256_set_pd(grid.u0[idx[3]], grid.u0[idx[2]],
-                                     grid.u0[idx[1]], grid.u0[idx[0]]);
-    const __m256d w0 = _mm256_set_pd(grid.w0[idx[3]], grid.w0[idx[2]],
-                                     grid.w0[idx[1]], grid.w0[idx[0]]);
-    const __m256d m = _mm256_set_pd(grid.m[idx[3]], grid.m[idx[2]],
-                                    grid.m[idx[1]], grid.m[idx[0]]);
+    const __m256d u0 = _mm256_set_pd(kRowU0[idx[3]], kRowU0[idx[2]],
+                                     kRowU0[idx[1]], kRowU0[idx[0]]);
+    const __m256d w0 = _mm256_set_pd(w0_row[idx[3]], w0_row[idx[2]],
+                                     w0_row[idx[1]], w0_row[idx[0]]);
+    const __m256d m = _mm256_set_pd(m_row[idx[3]], m_row[idx[2]],
+                                    m_row[idx[1]], m_row[idx[0]]);
     __m256d v = _mm256_mul_pd(
         _mm256_add_pd(w0, _mm256_mul_pd(_mm256_sub_pd(u, u0), m)), inv_peak);
     v = _mm256_blendv_pd(v, one, _mm256_cmp_pd(u, one, _CMP_EQ_OQ));
@@ -71,18 +75,8 @@ void grid_batch_avx2(const GridView& grid, const double* utils, double* out,
     detail::utilization_out_of_range();
   }
   for (; k < n; ++k) {
-    out[k] = detail::grid_eval_checked(grid, utils[k]);
+    out[k] = detail::fleet_eval_checked(fleet, i, utils[k]);
   }
-}
-
-// One server's row over a batch of utilisations: the grid kernel on the
-// row's ten bins.
-void row_avx2(const FleetGridView& fleet, std::size_t i, const double* utils,
-              double* out, std::size_t n) {
-  const std::size_t row = i * FleetGridView::kRowBins;
-  const GridView grid{kRowU0,          fleet.w0 + row, fleet.m + row,
-                      fleet.inv_peak[i], 10.0,         9};
-  grid_batch_avx2(grid, utils, out, n);
 }
 
 void row_matrix_avx2(const FleetGridView& fleet, std::size_t i0,
@@ -148,7 +142,6 @@ extern const Kernels kGridAvx2Kernels;
 const Kernels kGridAvx2Kernels = {
     .variant = Variant::kGridAvx2,
     .name = "grid-avx2",
-    .grid_batch = grid_batch_avx2,
     .row_matrix = row_matrix_avx2,
     .split_accumulate = split_accumulate_avx2,
 };

@@ -2,26 +2,22 @@
 // -mavx512f -mavx512dq in its own TU (plus -ffp-contract=off); the
 // dispatcher requires both CPUID bits before routing here.
 //
-// The payoff over AVX2 is not just width: for tables of at most 16 bins —
-// the fleet's native 10-bin rows, i.e. the day-sim/placement hot path — the
-// whole parameter table fits in two zmm registers and the per-vector bin
-// lookup collapses to one vpermi2pd per parameter, replacing twelve scalar
-// loads plus shuffles. Larger grids fall back to 8-lane gathers.
+// The payoff over AVX2 is not just width: a fleet row's ten bins — the
+// day-sim/placement hot path — fit in two zmm registers per parameter, and
+// the per-vector bin lookup collapses to one vpermi2pd per parameter,
+// replacing twelve scalar loads plus shuffles.
 //
 // Bitwise contract: same as the other vector TUs — plain round-to-nearest
-// mul/sub/add (no FMA), truncating converts, and permutes/gathers that move
-// exact bit patterns, so results match kGridScalar bit-for-bit.
+// mul/sub/add (no FMA), truncating converts, and permutes that move exact
+// bit patterns, so results match kGridScalar bit-for-bit.
 //
-// The 64-bit min/max, the 32-bit truncating convert and the gather are
-// called in their full-mask forms (mask 0xff): GCC 12's unmasked wrappers
-// start from an _mm512_undefined_*() vector and warn -Wmaybe-uninitialized
-// wherever they inline, while the masked forms compile to the same
-// instructions (vpmaxsq/vpminsq, vcvttpd2dq, kxnorb + vgatherdpd).
+// The 64-bit min/max are called in their full-mask forms (mask 0xff):
+// GCC 12's unmasked wrappers start from an _mm512_undefined_*() vector and
+// warn -Wmaybe-uninitialized wherever they inline, while the masked forms
+// compile to the same instructions (vpmaxsq/vpminsq).
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 
 #include <immintrin.h>
-
-#include <cstdint>
 
 #include "metrics/simd/grid_eval.h"
 #include "metrics/simd/kernels.h"
@@ -35,105 +31,15 @@ inline __mmask8 out_of_range_mask(__m512d u, __m512d zero, __m512d one) {
                                _mm512_cmp_pd_mask(u, one, _CMP_NLE_UQ));
 }
 
-/// One parameter column of a <=16-bin table, resident in two zmm registers.
+/// One parameter column of a row's ten bins, resident in two zmm registers.
 struct RegisterTable {
   __m512d lo;
   __m512d hi;
-
-  static RegisterTable load(const double* column, std::int32_t bins) {
-    const __mmask8 lo_mask =
-        bins >= 8 ? static_cast<__mmask8>(0xff)
-                  : static_cast<__mmask8>((1u << bins) - 1u);
-    const __mmask8 hi_mask =
-        bins <= 8 ? static_cast<__mmask8>(0)
-                  : static_cast<__mmask8>((1u << (bins - 8)) - 1u);
-    // Masked lanes are never dereferenced, so the loads cannot fault past
-    // the end of the column.
-    return {_mm512_maskz_loadu_pd(lo_mask, column),
-            _mm512_maskz_loadu_pd(hi_mask, column + 8)};
-  }
 
   [[nodiscard]] __m512d lookup(__m512i idx) const {
     return _mm512_permutex2var_pd(lo, idx, hi);
   }
 };
-
-/// Shared 8-lane loop body for any grid whose table fits in registers.
-/// Handles `n - n % 8` points; returns the index where the tail begins.
-inline std::size_t grid_batch_registers(const RegisterTable& u0,
-                                        const RegisterTable& w0,
-                                        const RegisterTable& m,
-                                        double grid_scale, double grid_inv_peak,
-                                        std::int32_t grid_last_bin,
-                                        const double* utils, double* out,
-                                        std::size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d scale = _mm512_set1_pd(grid_scale);
-  const __m512d inv_peak = _mm512_set1_pd(grid_inv_peak);
-  const __m512i zero_i = _mm512_setzero_si512();
-  const __m512i last = _mm512_set1_epi64(grid_last_bin);
-  __mmask8 bad = 0;
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m512d u = _mm512_loadu_pd(utils + k);
-    bad = static_cast<__mmask8>(bad | out_of_range_mask(u, zero, one));
-    __m512i idx = _mm512_cvttpd_epi64(_mm512_mul_pd(u, scale));
-    idx = _mm512_maskz_min_epi64(
-        0xff, _mm512_maskz_max_epi64(0xff, idx, zero_i), last);
-    __m512d v = _mm512_mul_pd(
-        _mm512_add_pd(w0.lookup(idx),
-                      _mm512_mul_pd(_mm512_sub_pd(u, u0.lookup(idx)),
-                                    m.lookup(idx))),
-        inv_peak);
-    v = _mm512_mask_mov_pd(v, _mm512_cmp_pd_mask(u, one, _CMP_EQ_OQ), one);
-    _mm512_storeu_pd(out + k, v);
-  }
-  if (bad != 0) {
-    detail::utilization_out_of_range();
-  }
-  return k;
-}
-
-void grid_batch_avx512(const GridView& grid, const double* utils, double* out,
-                       std::size_t n) {
-  std::size_t k = 0;
-  if (grid.last_bin < 16) {
-    const std::int32_t bins = grid.last_bin + 1;
-    k = grid_batch_registers(RegisterTable::load(grid.u0, bins),
-                             RegisterTable::load(grid.w0, bins),
-                             RegisterTable::load(grid.m, bins), grid.scale,
-                             grid.inv_peak, grid.last_bin, utils, out, n);
-  } else {
-    // Large grid (e.g. a 250-bin UniformGridTable): 8-lane gathers.
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d one = _mm512_set1_pd(1.0);
-    const __m512d scale = _mm512_set1_pd(grid.scale);
-    const __m512d inv_peak = _mm512_set1_pd(grid.inv_peak);
-    const __m256i zero_i = _mm256_setzero_si256();
-    const __m256i last = _mm256_set1_epi32(grid.last_bin);
-    __mmask8 bad = 0;
-    for (; k + 8 <= n; k += 8) {
-      const __m512d u = _mm512_loadu_pd(utils + k);
-      bad = static_cast<__mmask8>(bad | out_of_range_mask(u, zero, one));
-      __m256i idx = _mm512_maskz_cvttpd_epi32(0xff, _mm512_mul_pd(u, scale));
-      idx = _mm256_min_epi32(_mm256_max_epi32(idx, zero_i), last);
-      const __m512d u0 = _mm512_mask_i32gather_pd(zero, 0xff, idx, grid.u0, 8);
-      const __m512d w0 = _mm512_mask_i32gather_pd(zero, 0xff, idx, grid.w0, 8);
-      const __m512d m = _mm512_mask_i32gather_pd(zero, 0xff, idx, grid.m, 8);
-      __m512d v = _mm512_mul_pd(
-          _mm512_add_pd(w0, _mm512_mul_pd(_mm512_sub_pd(u, u0), m)), inv_peak);
-      v = _mm512_mask_mov_pd(v, _mm512_cmp_pd_mask(u, one, _CMP_EQ_OQ), one);
-      _mm512_storeu_pd(out + k, v);
-    }
-    if (bad != 0) {
-      detail::utilization_out_of_range();
-    }
-  }
-  for (; k < n; ++k) {
-    out[k] = detail::grid_eval_checked(grid, utils[k]);
-  }
-}
 
 // Shared hoistable state of the native-row kernels: everything that does not
 // depend on which server's row is being evaluated.
@@ -152,15 +58,15 @@ struct RowConstants {
   }
 };
 
-// One server's row over a batch of demand slots. Unlike the general grid
-// path, everything about the table is known at compile time — exactly
-// kRowBins (10) bins, so the load masks are immediates (full zmm + 2
-// lanes), u0 is the shared kRowU0 column, and inv_peak is a single
-// broadcast. The slot loop is unrolled 2x: iterations are independent, so
-// the second vector hides the first one's convert/permute latency. Returns
-// the accumulated out-of-range lane mask (nonzero = violation) so callers
-// can defer the throw past their own loops; keeping the accumulator local
-// lets it live in a mask register instead of memory.
+// One server's row over a batch of demand slots. Everything about the
+// table is known at compile time — exactly kRowBins (10) bins, so the load
+// masks are immediates (full zmm + 2 lanes), u0 is the shared kRowU0
+// column, and inv_peak is a single broadcast. The slot loop is unrolled 2x:
+// iterations are independent, so the second vector hides the first one's
+// convert/permute latency. Returns the accumulated out-of-range lane mask
+// (nonzero = violation) so callers can defer the throw past their own
+// loops; keeping the accumulator local lets it live in a mask register
+// instead of memory.
 // always_inline: GCC otherwise outlines this and reloads every RowConstants
 // register from the stack on each row, which costs more than the row body.
 [[gnu::always_inline]] inline __mmask8 row_avx512(
@@ -267,7 +173,6 @@ extern const Kernels kGridAvx512Kernels;
 const Kernels kGridAvx512Kernels = {
     .variant = Variant::kGridAvx512,
     .name = "grid-avx512",
-    .grid_batch = grid_batch_avx512,
     .row_matrix = row_matrix_avx512,
     .split_accumulate = split_accumulate_avx512,
 };

@@ -22,16 +22,19 @@ namespace {
 
 inline bool lane_in_range(double u) { return u >= 0.0 && u <= 1.0; }
 
-/// Truncating bin index clamped to [0, last] — u already range-checked.
-inline std::size_t bin_of(double u, double scale, std::size_t last) {
-  return std::min(static_cast<std::size_t>(u * scale), last);
+/// Truncating bin index clamped to [0, 9] — u already range-checked.
+inline std::size_t bin_of(double u) {
+  return std::min(static_cast<std::size_t>(u * 10.0), std::size_t{9});
 }
 
-void grid_batch_neon(const GridView& grid, const double* utils, double* out,
-                     std::size_t n) {
+// One server's row over a batch of utilisations.
+void row_neon(const FleetGridView& fleet, std::size_t i, const double* utils,
+              double* out, std::size_t n) {
+  const std::size_t row = i * FleetGridView::kRowBins;
+  const double* w0_row = fleet.w0 + row;
+  const double* m_row = fleet.m + row;
   const float64x2_t one = vdupq_n_f64(1.0);
-  const float64x2_t inv_peak = vdupq_n_f64(grid.inv_peak);
-  const std::size_t last = static_cast<std::size_t>(grid.last_bin);
+  const float64x2_t inv_peak = vdupq_n_f64(fleet.inv_peak[i]);
   std::size_t k = 0;
   for (; k + 2 <= n; k += 2) {
     const double ua = utils[k];
@@ -39,30 +42,20 @@ void grid_batch_neon(const GridView& grid, const double* utils, double* out,
     if (!lane_in_range(ua) || !lane_in_range(ub)) {
       detail::utilization_out_of_range();
     }
-    const std::size_t ia = bin_of(ua, grid.scale, last);
-    const std::size_t ib = bin_of(ub, grid.scale, last);
+    const std::size_t ia = bin_of(ua);
+    const std::size_t ib = bin_of(ub);
     const float64x2_t u = vld1q_f64(utils + k);
-    const float64x2_t u0 = {grid.u0[ia], grid.u0[ib]};
-    const float64x2_t w0 = {grid.w0[ia], grid.w0[ib]};
-    const float64x2_t m = {grid.m[ia], grid.m[ib]};
+    const float64x2_t u0 = {kRowU0[ia], kRowU0[ib]};
+    const float64x2_t w0 = {w0_row[ia], w0_row[ib]};
+    const float64x2_t m = {m_row[ia], m_row[ib]};
     float64x2_t v = vmulq_f64(
         vaddq_f64(w0, vmulq_f64(vsubq_f64(u, u0), m)), inv_peak);
     v = vbslq_f64(vceqq_f64(u, one), one, v);
     vst1q_f64(out + k, v);
   }
   for (; k < n; ++k) {
-    out[k] = detail::grid_eval_checked(grid, utils[k]);
+    out[k] = detail::fleet_eval_checked(fleet, i, utils[k]);
   }
-}
-
-// One server's row over a batch of utilisations: the grid kernel on the
-// row's ten bins.
-void row_neon(const FleetGridView& fleet, std::size_t i, const double* utils,
-              double* out, std::size_t n) {
-  const std::size_t row = i * FleetGridView::kRowBins;
-  const GridView grid{kRowU0,          fleet.w0 + row, fleet.m + row,
-                      fleet.inv_peak[i], 10.0,         9};
-  grid_batch_neon(grid, utils, out, n);
 }
 
 void row_matrix_neon(const FleetGridView& fleet, std::size_t i0,
@@ -101,7 +94,6 @@ extern const Kernels kGridNeonKernels;
 const Kernels kGridNeonKernels = {
     .variant = Variant::kGridNeon,
     .name = "grid-neon",
-    .grid_batch = grid_batch_neon,
     .row_matrix = row_matrix_neon,
     .split_accumulate = split_accumulate_neon,
 };

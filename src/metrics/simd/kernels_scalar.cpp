@@ -1,4 +1,4 @@
-// Scalar kernel variants: the grid expression as a plain loop, shared by
+// Scalar kernel variants: the row expression as a plain loop, shared by
 // kGridScalar (the portable fallback and the bitwise reference for the
 // vector TUs) and kScalarReference (the EPSERVE_FORCE_SCALAR=1 set).
 // Compiled with the project's baseline ISA flags — nothing here requires
@@ -28,13 +28,6 @@ void utilization_out_of_range() {
 }  // namespace detail
 
 namespace {
-
-void grid_batch_scalar(const GridView& grid, const double* utils, double* out,
-                       std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    out[k] = detail::grid_eval_checked(grid, utils[k]);
-  }
-}
 
 void row_matrix_scalar(const FleetGridView& fleet, std::size_t i0,
                        std::size_t count, const double* utils, double* out,
@@ -70,15 +63,14 @@ bool split_accumulate_scalar(const SplitLanes& lanes, const double* x,
 
 }  // namespace
 
-// kScalarReference runs these same loops: the scalar grid expression IS the
-// knot-walk expression at the fleet's native resolution, so forcing it
-// (EPSERVE_FORCE_SCALAR=1) selects a path with no vector ISA whose bytes
-// equal every other variant's. Only its variant and name differ.
+// kScalarReference runs these same loops: the scalar row expression IS the
+// knot-walk expression, so forcing it (EPSERVE_FORCE_SCALAR=1) selects a
+// path with no vector ISA whose bytes equal every other variant's. Only its
+// variant and name differ.
 extern const Kernels kScalarReferenceKernels;
 const Kernels kScalarReferenceKernels = {
     .variant = Variant::kScalarReference,
     .name = "scalar-reference",
-    .grid_batch = grid_batch_scalar,
     .row_matrix = row_matrix_scalar,
     .split_accumulate = split_accumulate_scalar,
 };
@@ -87,7 +79,6 @@ extern const Kernels kGridScalarKernels;
 const Kernels kGridScalarKernels = {
     .variant = Variant::kGridScalar,
     .name = "grid-scalar",
-    .grid_batch = grid_batch_scalar,
     .row_matrix = row_matrix_scalar,
     .split_accumulate = split_accumulate_scalar,
 };

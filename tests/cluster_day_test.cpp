@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -309,6 +310,52 @@ TEST(SimulateDay, RangeSumDayMatchesExactDenseDay) {
       }
     }
   }
+}
+
+TEST(SimulateDay, PartialServerThatUnderflowsToZeroParks) {
+  // A level whose partial server sits at +0.0, which the idle pass parks
+  // one by one. Server A carries 1 - 2^-53 ops at every level on tiny
+  // power, so it leads pack-to-full's order; server B's throughput scales
+  // with 2^1023, so the fleet's capacity rounds to 2^1023. At demand
+  // 2^-1023 the walk fills A and leaves 2^-53 ops for B, whose share
+  // 2^-53 / 2^1023 underflows to +0.0.
+  std::vector<dataset::ServerRecord> records(2);
+  std::array<double, metrics::kNumLoadLevels> watts{};
+  std::array<double, metrics::kNumLoadLevels> ops{};
+  for (std::size_t k = 0; k < metrics::kNumLoadLevels; ++k) {
+    watts[k] = 1e-300 * static_cast<double>(k + 2);
+    ops[k] = 1.0 - std::ldexp(1.0, -53);
+  }
+  records[0].id = 1;
+  records[0].curve = metrics::PowerCurve(watts, ops, 1e-300);
+  for (std::size_t k = 0; k < metrics::kNumLoadLevels; ++k) {
+    watts[k] = 5e8 + 5e7 * static_cast<double>(k + 1);
+    ops[k] = std::ldexp(1.0, 1023) * metrics::kLoadLevels[k];
+  }
+  records[1].id = 2;
+  records[1].curve = metrics::PowerCurve(watts, ops, 4e8);
+  const auto built = Fleet::build(records);
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  const Fleet& fleet = built.value();
+  ASSERT_EQ(fleet.capacity_ops(), std::ldexp(1.0, 1023));
+
+  DemandTrace trace;
+  const double low = std::ldexp(1.0, -1023);
+  trace.demand = {0.5, low, 0.5, low};
+  const PackToFullPolicy policy;
+  const auto account = account_batch(policy, fleet, trace.demand);
+  ASSERT_TRUE(account.ok()) << account.error().message;
+  const FillPlan& plan = account.value().levels[1];
+  EXPECT_EQ(fleet.order_by_ee_at_full().front(), 0u);
+  EXPECT_TRUE(plan.partial);
+  EXPECT_EQ(plan.filled, 1u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.utilization), 0u);  // +0.0
+  const auto day = simulate_day(policy, fleet, trace, IdleModel::acpi());
+  ASSERT_TRUE(day.ok()) << day.error().message;
+  const DayResult ref =
+      reference::day(fleet, "pack-to-full", trace, IdleModel::acpi());
+  EXPECT_GT(ref.wake_count, 0u);
+  expect_same_day(day.value(), ref, "partial server at +0.0");
 }
 
 /// Restores the dispatched kernel set on scope exit.

@@ -3,8 +3,8 @@
 // groups the legacy std::map builders produce — same keys in the same order,
 // same members in the same order — across population sizes, every context
 // analysis must equal its map-based reference (tests/analysis_reference.h)
-// field for field, and the batched power kernel must be bit-identical to the
-// scalar one. Runs under the `columnar` ctest label, i.e. also under
+// field for field, and a batched placement must equal its per-slot
+// evaluations. Runs under the `columnar` ctest label, i.e. also under
 // -DEPSERVE_SANITIZE=thread.
 #include "dataset/columnar.h"
 
@@ -26,7 +26,6 @@
 #include "dataset/group_index.h"
 #include "dataset/repository.h"
 #include "metrics/derived.h"
-#include "metrics/power_curve.h"
 
 namespace epserve::dataset {
 namespace {
@@ -332,21 +331,6 @@ TEST(ColumnarSnapshot, DerivedColumnsAreBitwiseCopiesOfTheBundle) {
     EXPECT_EQ(snap.idle_fraction()[i], derived[i].idle_fraction);
     EXPECT_EQ(snap.peak_ee_value()[i], derived[i].peak_ee.value);
     EXPECT_EQ(snap.peak_ee_utilization()[i], derived[i].peak_ee_utilization);
-  }
-}
-
-TEST(NormalizedPowerBatch, BitIdenticalToScalarAcrossTheWholeGrid) {
-  const ResultRepository repo = repo_of_size(477);
-  std::vector<double> utils;
-  for (int i = 0; i <= 1000; ++i) utils.push_back(static_cast<double>(i) / 1000.0);
-  for (const double level : metrics::kLoadLevels) utils.push_back(level);
-  std::vector<double> batch(utils.size());
-  for (const auto& record : repo.records()) {
-    record.curve.normalized_power_batch(utils, batch);
-    for (std::size_t i = 0; i < utils.size(); ++i) {
-      EXPECT_EQ(batch[i], record.curve.normalized_power(utils[i]))
-          << record.id << " at u=" << utils[i];
-    }
   }
 }
 

@@ -1,13 +1,10 @@
 // metrics/simd contract tests (docs/KERNELS.md):
 //
-//  * UniformGridTable at the default fine resolution matches the knot-walk
-//    reference bitwise at every knot and within <= 2 ULP everywhere (10k
-//    random utilisations);
-//  * at native resolution (1 bin/segment — what cluster::Fleet stores) the
-//    grid is bitwise identical to the knot walk at EVERY utilisation;
 //  * every compiled-in vector variant (AVX2/AVX-512/NEON) is bitwise
-//    identical to the scalar loops on every kernel, split_accumulate
-//    included, with unaligned sizes that exercise the tails;
+//    identical to the scalar loops on both kernels, row_matrix and
+//    split_accumulate, with unaligned sizes that exercise the tails, and
+//    every variant rejects an out-of-range utilisation in a vector and in
+//    its tail;
 //  * dispatch honours EPSERVE_FORCE_SCALAR and the set_active_for_testing
 //    seam, and every variant, kScalarReference included, evaluates a
 //    Fleet's grid rows bitwise equal to the knot walk, on the knot band too;
@@ -31,7 +28,6 @@
 #include "metrics/load_level.h"
 #include "metrics/power_curve.h"
 #include "metrics/simd/kernels.h"
-#include "metrics/uniform_grid.h"
 #include "util/contracts.h"
 
 namespace epserve::metrics {
@@ -57,10 +53,6 @@ PowerCurve make_curve(double ep, double idle, double tau, double peak_watts,
   return to_power_curve(model.value(), peak_watts, peak_ops);
 }
 
-PowerCurve make_default_curve() {
-  return make_curve(0.72, 0.31, 0.6, 311.0, 1.25e6);
-}
-
 std::vector<dataset::ServerRecord> make_fleet_records(std::size_t size) {
   std::vector<dataset::ServerRecord> fleet;
   fleet.reserve(size);
@@ -77,18 +69,6 @@ std::vector<dataset::ServerRecord> make_fleet_records(std::size_t size) {
     fleet.push_back(std::move(r));
   }
   return fleet;
-}
-
-/// Distance in representable doubles (0 = bitwise equal). Both finite.
-std::uint64_t ulp_distance(double a, double b) {
-  const auto ordered = [](double x) {
-    const auto bits = std::bit_cast<std::int64_t>(x);
-    return bits >= 0 ? static_cast<std::uint64_t>(bits) + (1ULL << 63)
-                     : (1ULL << 63) - static_cast<std::uint64_t>(-bits);
-  };
-  const std::uint64_t ua = ordered(a);
-  const std::uint64_t ub = ordered(b);
-  return ua > ub ? ua - ub : ub - ua;
 }
 
 std::vector<double> random_utils(std::size_t n, std::uint32_t seed) {
@@ -123,86 +103,7 @@ std::vector<double> knot_band() {
   return band;
 }
 
-// --- UniformGridTable vs the knot-walk reference ---------------------------
-
-TEST(UniformGridTable, MatchesReferenceBitwiseAtKnots) {
-  const PowerCurve curve = make_default_curve();
-  const auto table = curve.interpolation_table();
-  const auto grid = UniformGridTable::resample(table);
-  ASSERT_EQ(grid.bins(), 10 * UniformGridTable::kDefaultBinsPerSegment);
-  for (const double knot : table.knot_u) {
-    EXPECT_EQ(grid.evaluate(knot),
-              PowerCurve::normalized_power_from_table(table, knot))
-        << "knot " << knot;
-  }
-}
-
-TEST(UniformGridTable, WithinTwoUlpOfReferenceEverywhere) {
-  const PowerCurve curve = make_default_curve();
-  const auto table = curve.interpolation_table();
-  const auto grid = UniformGridTable::resample(table);
-  const auto utils = random_utils(10000, 42);
-  std::uint64_t worst = 0;
-  for (const double u : utils) {
-    const double reference = PowerCurve::normalized_power_from_table(table, u);
-    worst = std::max(worst, ulp_distance(grid.evaluate(u), reference));
-  }
-  // The documented policy: bin selection can disagree with the knot walk only
-  // within a few ULP of a knot, where the two segment lines agree to 2 ULP.
-  EXPECT_LE(worst, 2u);
-}
-
-TEST(UniformGridTable, NativeResolutionIsBitwiseEverywhere) {
-  const PowerCurve curve = make_default_curve();
-  const auto table = curve.interpolation_table();
-  // 1 bin/segment: the bin index computation IS the knot walk's own u * 10.
-  const auto grid = UniformGridTable::resample(table, 1);
-  ASSERT_EQ(grid.bins(), 10u);
-  const auto utils = random_utils(10000, 7);
-  for (const double u : utils) {
-    ASSERT_EQ(grid.evaluate(u),
-              PowerCurve::normalized_power_from_table(table, u))
-        << "u = " << u;
-  }
-  // Utilisations a few ULP either side of every knot — the adversarial band.
-  for (const double knot : table.knot_u) {
-    double lo = knot;
-    double hi = knot;
-    for (int step = 0; step < 4; ++step) {
-      lo = std::nextafter(lo, 0.0);
-      hi = std::nextafter(hi, 1.0);
-      for (const double u : {lo, hi}) {
-        ASSERT_EQ(grid.evaluate(u),
-                  PowerCurve::normalized_power_from_table(table, u))
-            << "u near knot " << knot;
-      }
-    }
-  }
-}
-
-TEST(UniformGridTable, BatchMatchesScalarEvaluate) {
-  const PowerCurve curve = make_default_curve();
-  const auto grid = UniformGridTable::from_curve(curve);
-  const auto utils = random_utils(1003, 99);  // odd size: exercises tails
-  std::vector<double> out(utils.size());
-  grid.evaluate_batch(utils, out);
-  for (std::size_t k = 0; k < utils.size(); ++k) {
-    ASSERT_EQ(out[k], grid.evaluate(utils[k])) << "k = " << k;
-  }
-}
-
-TEST(UniformGridTable, RejectsOutOfRangeUtilization) {
-  const auto grid = UniformGridTable::from_curve(make_default_curve());
-  EXPECT_THROW((void)grid.evaluate(-0.001), ContractViolation);
-  EXPECT_THROW((void)grid.evaluate(1.001), ContractViolation);
-  EXPECT_THROW((void)grid.evaluate(std::numeric_limits<double>::quiet_NaN()),
-               ContractViolation);
-  const std::vector<double> bad = {0.5, 0.2, 1.5, 0.1};
-  std::vector<double> out(bad.size());
-  EXPECT_THROW(grid.evaluate_batch(bad, out), ContractViolation);
-}
-
-// --- Vector variants vs the scalar grid loop -------------------------------
+// --- Vector variants vs the scalar loops ----------------------------------
 
 std::vector<kernels::Variant> compiled_vector_variants() {
   std::vector<kernels::Variant> variants;
@@ -212,32 +113,6 @@ std::vector<kernels::Variant> compiled_vector_variants() {
     if (kernels::get(v) != nullptr) variants.push_back(v);
   }
   return variants;
-}
-
-TEST(SimdKernels, VectorGridBatchBitwiseEqualsScalar) {
-  const auto grid = UniformGridTable::from_curve(make_default_curve());
-  const auto view = grid.view();
-  const kernels::Kernels* scalar =
-      kernels::get(kernels::Variant::kGridScalar);
-  ASSERT_NE(scalar, nullptr);
-  for (const auto variant : compiled_vector_variants()) {
-    const kernels::Kernels* vec = kernels::get(variant);
-    // Sizes straddling the vector width, so both the SIMD body and the
-    // scalar tail run.
-    for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                                std::size_t{5}, std::size_t{64},
-                                std::size_t{1003}}) {
-      const auto utils = random_utils(n, static_cast<std::uint32_t>(n));
-      std::vector<double> expected(n);
-      std::vector<double> actual(n);
-      scalar->grid_batch(view, utils.data(), expected.data(), n);
-      vec->grid_batch(view, utils.data(), actual.data(), n);
-      for (std::size_t k = 0; k < n; ++k) {
-        ASSERT_EQ(actual[k], expected[k])
-            << vec->name << " n=" << n << " k=" << k;
-      }
-    }
-  }
 }
 
 // One point per server across the whole fleet: row_matrix with one slot.
@@ -316,18 +191,22 @@ TEST(SimdKernels, RowKernelsRejectOutOfRange) {
   for (const auto v : compiled_vector_variants()) variants.push_back(v);
   for (const auto variant : variants) {
     const kernels::Kernels* k = kernels::get(variant);
-    // Violations in the vector body and in the scalar tail.
-    for (const std::size_t bad_at : {std::size_t{2}, std::size_t{8}}) {
-      std::vector<double> utils(9, 0.5);
-      utils[bad_at] = 1.5;
-      std::vector<double> out(utils.size());
-      EXPECT_THROW(
-          k->row_matrix(view, 1, 1, utils.data(), out.data(), utils.size()),
-          ContractViolation)
-          << k->name << " bad_at=" << bad_at;
-      EXPECT_THROW(k->row_matrix(view, 0, 3, utils.data(), out.data(), 3),
-                   ContractViolation)
-          << k->name << " matrix bad_at=" << bad_at;
+    // Violations in the vector body and in the scalar tail: above 1, below
+    // 0 and NaN.
+    for (const double bad :
+         {1.5, -0.001, std::numeric_limits<double>::quiet_NaN()}) {
+      for (const std::size_t bad_at : {std::size_t{2}, std::size_t{8}}) {
+        std::vector<double> utils(9, 0.5);
+        utils[bad_at] = bad;
+        std::vector<double> out(utils.size());
+        EXPECT_THROW(
+            k->row_matrix(view, 1, 1, utils.data(), out.data(), utils.size()),
+            ContractViolation)
+            << k->name << " bad=" << bad << " bad_at=" << bad_at;
+        EXPECT_THROW(k->row_matrix(view, 0, 3, utils.data(), out.data(), 3),
+                     ContractViolation)
+            << k->name << " bad=" << bad << " matrix bad_at=" << bad_at;
+      }
     }
   }
 }
@@ -401,19 +280,6 @@ TEST(SimdKernels, VectorSplitAccumulateBitwiseEqualsScalar) {
         }
       }
     }
-  }
-}
-
-TEST(SimdKernels, VectorVariantsRejectOutOfRange) {
-  const auto grid = UniformGridTable::from_curve(make_default_curve());
-  for (const auto variant : compiled_vector_variants()) {
-    const kernels::Kernels* vec = kernels::get(variant);
-    std::vector<double> bad = {0.1, 0.2, 0.3, 1.5};  // one full vector
-    std::vector<double> out(bad.size());
-    EXPECT_THROW(vec->grid_batch(grid.view(), bad.data(), out.data(),
-                                 bad.size()),
-                 ContractViolation)
-        << vec->name;
   }
 }
 
