@@ -1,7 +1,9 @@
 // Million-server streaming pipeline gate (ROADMAP item 1): sharded scaled
-// generation (2007-2023 cohorts) -> chunked Fleet/snapshot build -> radix
-// grouping -> one whole-day placement simulation, end to end, at 1,000,000
-// servers on one machine.
+// generation (2007-2023 cohorts) -> chunked Fleet build -> radix grouping of
+// the population's hw_year cohort column -> one whole-day placement
+// simulation, end to end, at 1,000,000 servers on one machine. The Fleet
+// holds only what placement reads, so the year column is streamed from the
+// same generator config, one chunk at a time.
 //
 // Self-verifying:
 //   - digest byte-compare: a streamed Fleet::Builder fed generator chunks
@@ -11,14 +13,15 @@
 //   - the radix GroupIndex build must be >= 2x the comparison sort at 1M
 //     rows on the hw_year cohort column,
 //   - peak RSS must stay under a fixed ceiling: the streamed path holds one
-//     generator chunk plus the fleet's columns, never a full
-//     vector<ServerRecord> of the population.
+//     generator chunk plus the fleet's columns and the year column, never a
+//     full vector<ServerRecord> of the population.
 // Exits 1 on any violation. Prints one BENCH_JSON line for run_benches.sh.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "common.h"
@@ -99,7 +102,18 @@ int main() {
   const double rows_per_s = static_cast<double>(kScaleServers) / build_s;
 
   // --- radix vs comparison grouping at 1M rows ------------------------------
-  const auto year_keys = fleet.value().snapshot().hw_year();
+  std::vector<std::int32_t> year_keys;
+  year_keys.reserve(kScaleServers);
+  const auto streamed = dataset::generate_population_chunked(
+      scale_config, kChunkRows,
+      [&](std::span<const dataset::ServerRecord> chunk, std::uint64_t) {
+        for (const auto& record : chunk) year_keys.push_back(record.hw_year);
+      });
+  if (!streamed.ok()) {
+    std::fprintf(stderr, "FAIL: year column stream: %s\n",
+                 streamed.error().message.c_str());
+    return 1;
+  }
   constexpr int kGroupIters = 5;
   std::size_t radix_groups = 0;
   const auto radix_start = std::chrono::steady_clock::now();

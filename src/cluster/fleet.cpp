@@ -13,6 +13,7 @@
 #include "cluster/staged_state.h"
 #include "cluster/working_region.h"
 #include "dataset/generator.h"
+#include "metrics/derived.h"
 #include "metrics/efficiency.h"
 #include "metrics/load_level.h"
 #include "metrics/simd/grid_eval.h"
@@ -107,6 +108,19 @@ std::vector<std::size_t> sort_by_score(std::span<const double> score,
 
 }  // namespace
 
+template <typename Fn>
+void Fleet::for_each_column(Fn&& fn) {
+  fn(ids_, 1);
+  fn(ops_, metrics::kNumLoadLevels);
+  for (auto* column : {&peak_ops_, &peak_watts_, &idle_watts_, &ep_,
+                       &overall_score_, &peak_ee_value_, &peak_ee_utilization_,
+                       &ee_at_full_, &grid_inv_peak_}) {
+    fn(*column, 1);
+  }
+  fn(grid_w0_, kRowBins);
+  fn(grid_m_, kRowBins);
+}
+
 epserve::Result<bool> Fleet::Builder::append(
     std::span<const dataset::ServerRecord> chunk) {
   return append_rows(chunk, /*validate=*/true);
@@ -114,13 +128,9 @@ epserve::Result<bool> Fleet::Builder::append(
 
 void Fleet::Builder::reserve(std::uint64_t rows) {
   const auto n = static_cast<std::size_t>(rows);
-  snapshot_builder_.reserve(rows);
-  fleet_.ids_.reserve(n);
-  fleet_.ops_.reserve(n * metrics::kNumLoadLevels);
-  fleet_.ee_at_full_.reserve(n);
-  fleet_.grid_w0_.reserve(n * kRowBins);
-  fleet_.grid_m_.reserve(n * kRowBins);
-  fleet_.grid_inv_peak_.reserve(n);
+  fleet_.for_each_column([n](auto& column, std::size_t width) {
+    column.reserve(n * width);
+  });
 }
 
 epserve::Result<bool> Fleet::Builder::append_rows(
@@ -156,26 +166,28 @@ epserve::Result<bool> Fleet::Builder::append_rows(
       if (error) return *std::move(error);
     }
   }
-  if (auto appended = snapshot_builder_.append_rows(chunk, {}, pool);
-      !appended.ok()) {
-    return appended.error();
-  }
 
   Fleet& f = fleet_;
   const std::size_t first = f.ids_.size();
   const std::size_t rows = first + chunk.size();
-  f.ids_.resize(rows);
-  f.ops_.resize(rows * metrics::kNumLoadLevels);
-  f.ee_at_full_.resize(rows);
-  f.grid_w0_.resize(rows * kRowBins);
-  f.grid_m_.resize(rows * kRowBins);
-  f.grid_inv_peak_.resize(rows);
+  f.for_each_column([rows](auto& column, std::size_t width) {
+    column.resize(rows * width);
+  });
   parallel_for_blocks(pool, chunk.size(), kBlockRows,
                       [&](std::size_t, std::size_t lo, std::size_t hi) {
     for (std::size_t k = lo; k < hi; ++k) {
       const metrics::PowerCurve& curve = chunk[k].curve;
       const std::size_t i = first + k;
       f.ids_[i] = chunk[k].id;
+      f.peak_ops_[i] = curve.peak_ops();
+      f.peak_watts_[i] = curve.peak_watts();
+      f.idle_watts_[i] = curve.idle_watts();
+      const metrics::DerivedCurveMetrics derived =
+          metrics::derive_curve_metrics(curve);
+      f.ep_[i] = derived.ep;
+      f.overall_score_[i] = derived.overall_score;
+      f.peak_ee_value_[i] = derived.peak_ee.value;
+      f.peak_ee_utilization_[i] = derived.peak_ee_utilization;
       // The grid row is the interpolation table's own knot watts and
       // slopes, copied bit for bit, so grid evaluation and the knot walk
       // run the identical expression on identical inputs.
@@ -202,7 +214,6 @@ epserve::Result<bool> Fleet::Builder::append_rows(
 Fleet Fleet::Builder::take() {
   telemetry::count("fleet.builds");
   telemetry::count("fleet.servers", fleet_.size());
-  fleet_.snapshot_ = snapshot_builder_.finish();
   fleet_.capacity_ops_ = capacity_ops_.value();
   fleet_.total_idle_watts_ = idle_watts_.value();
   return std::move(fleet_);
@@ -252,8 +263,7 @@ epserve::Result<Fleet> Fleet::build(
 Fleet Fleet::from_records(std::span<const dataset::ServerRecord> servers) {
   telemetry::Span span("fleet.build");
   Builder builder;
-  // A span never exceeds the snapshot's uint32 row ceiling in one chunk on
-  // supported fleets; the contract check keeps the adapter infallible.
+  // Without validation an append cannot fail.
   const auto appended = builder.append_rows(servers, /*validate=*/false);
   EPSERVE_EXPECTS(appended.ok());
   return builder.take();
@@ -296,19 +306,14 @@ void Fleet::normalized_power_matrix(std::size_t i0, std::size_t count,
   telemetry::count("kernel.batch_points", utils.size());
 }
 
-std::vector<double> Fleet::optimal_region_tops(double ee_threshold) const {
-  std::vector<double> tops;
-  tops.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    const Region region = optimal_region(curve(i), ee_threshold);
-    tops.push_back(region.empty() ? 1.0 : region.hi);
-  }
-  return tops;
-}
-
 std::span<const double> Fleet::default_optimal_region_tops() const {
   std::call_once(orders_->default_tops_once, [this] {
-    orders_->default_tops = optimal_region_tops(kDefaultEeThreshold);
+    std::vector<double>& tops = orders_->default_tops;
+    tops.reserve(size());
+    for (std::size_t i = 0; i < size(); ++i) {
+      const Region region = optimal_region(curve(i), kDefaultEeThreshold);
+      tops.push_back(region.empty() ? 1.0 : region.hi);
+    }
   });
   return orders_->default_tops;
 }

@@ -7,8 +7,8 @@
 // efficiency score, and each subsystem (placement, day simulation,
 // autoscaler, power cap, working regions, operating guide) walked its own
 // std::vector<ServerRecord> copy record by record. A Fleet is built once —
-// ids and ops rows, a columnar snapshot (dataset::ColumnarSnapshot), one
-// native-resolution grid row per server and the fleet-level aggregates —
+// ids and ops rows, the seven per-server columns the cluster layer reads,
+// one native-resolution grid row per server and the fleet-level aggregates —
 // and then shared, read-only, across every policy, slot, and thread. The
 // three server orders the policies fill by are sorted at most once per
 // Fleet, on first use (order_by_ee_at_full() and its siblings), and so are
@@ -27,7 +27,9 @@
 // column and a per-server ops row.
 //
 // Determinism contract (docs/CLUSTER.md): every column is a bitwise copy of
-// the corresponding per-record computation, and a grid row holds the
+// the corresponding per-record computation (the derived ones from one
+// metrics::derive_curve_metrics call per row, as the analysis snapshot
+// derives them), and a grid row holds the
 // server's knot watts and slopes, so every power lookup runs the knot-walk
 // expression of PowerCurve::normalized_power on the same doubles. Every
 // fleet-wide total is the correctly rounded exact sum of the legacy
@@ -42,7 +44,6 @@
 #include <span>
 #include <vector>
 
-#include "dataset/columnar.h"
 #include "dataset/record.h"
 #include "metrics/power_curve.h"
 #include "metrics/simd/kernels.h"
@@ -101,11 +102,6 @@ class Fleet {
   /// its ops row.
   [[nodiscard]] metrics::PowerCurve curve(std::size_t i) const;
 
-  /// The columnar snapshot backing the record/derived columns.
-  [[nodiscard]] const dataset::ColumnarSnapshot& snapshot() const {
-    return snapshot_;
-  }
-
   // --- Fleet aggregates (the correctly rounded exact sums of the per-server
   // --- peak ops and idle watts, util::ExactSum: independent of row order and
   // --- chunking) ------------------------------------------------------------
@@ -113,27 +109,22 @@ class Fleet {
   [[nodiscard]] double total_idle_watts() const { return total_idle_watts_; }
 
   // --- Per-server columns ---------------------------------------------------
-  [[nodiscard]] std::span<const double> peak_ops() const {
-    return snapshot_.peak_ops();
-  }
+  [[nodiscard]] std::span<const double> peak_ops() const { return peak_ops_; }
   [[nodiscard]] std::span<const double> peak_watts() const {
-    return snapshot_.peak_watts();
+    return peak_watts_;
   }
   [[nodiscard]] std::span<const double> idle_watts() const {
-    return snapshot_.idle_watts();
+    return idle_watts_;
   }
-  [[nodiscard]] std::span<const double> ep() const { return snapshot_.ep(); }
+  [[nodiscard]] std::span<const double> ep() const { return ep_; }
   [[nodiscard]] std::span<const double> overall_score() const {
-    return snapshot_.overall_score();
-  }
-  [[nodiscard]] std::span<const double> idle_fraction() const {
-    return snapshot_.idle_fraction();
+    return overall_score_;
   }
   [[nodiscard]] std::span<const double> peak_ee_value() const {
-    return snapshot_.peak_ee_value();
+    return peak_ee_value_;
   }
   [[nodiscard]] std::span<const double> peak_ee_utilization() const {
-    return snapshot_.peak_ee_utilization();
+    return peak_ee_utilization_;
   }
   /// EE at the 100% load level (PackToFullPolicy's ordering score).
   [[nodiscard]] std::span<const double> ee_at_full() const {
@@ -187,16 +178,12 @@ class Fleet {
   /// server's InterpolationTable knot watts and slopes, copied bit for bit.
   [[nodiscard]] metrics::kernels::FleetGridView grid_view() const;
 
-  /// Top of each server's optimal working region at `ee_threshold` (1.0 for
-  /// servers whose region is empty), identical to calling optimal_region()
-  /// per record.
-  [[nodiscard]] std::vector<double> optimal_region_tops(
-      double ee_threshold) const;
-
-  /// optimal_region_tops(kDefaultEeThreshold), OptimalRegionPolicy's stage-1
-  /// caps (the only threshold a policy uses): computed on the first call,
-  /// exactly once under std::call_once, and kept like the server orders
-  /// (shared by every later call, moved with the Fleet).
+  /// Top of each server's optimal working region at kDefaultEeThreshold (1.0
+  /// for servers whose region is empty), identical to calling
+  /// optimal_region() per record: OptimalRegionPolicy's stage-1 caps.
+  /// Computed on the first call, exactly once under std::call_once, and kept
+  /// like the server orders (shared by every later call, moved with the
+  /// Fleet).
   [[nodiscard]] std::span<const double> default_optimal_region_tops() const;
 
   // --- Staged-policy state --------------------------------------------------
@@ -213,13 +200,16 @@ class Fleet {
   [[nodiscard]] std::shared_ptr<const StagedState> staged_state(
       StagedPolicy policy) const;
 
-  /// Deterministic FNV-1a digest of the fleet's composition (server ids and
-  /// the bit patterns of the peak/idle/EP columns). Two fleets digest equal
-  /// iff they evaluate identically, so the serve layer stamps it on every
-  /// response: a response mixing state from two epochs would carry a digest
-  /// matching neither (docs/SERVING.md, tests/serve_swap_stress_test.cpp).
-  /// Not cached: each call rehashes every column, so callers that stamp it
-  /// repeatedly keep the value (serve::FleetState, the exp runner).
+  /// Deterministic FNV-1a digest of the fleet's composition: its size, the
+  /// server ids and the bit patterns of the peak_ops, peak_watts,
+  /// idle_watts and ep columns. Nothing else is hashed: two fleets that
+  /// differ only in a 10-90% watts or ops value digest equal yet evaluate
+  /// differently. Unequal digests do tell two fleets apart, and the serve
+  /// layer stamps the digest beside its epoch on every response; the epoch
+  /// is what tells two snapshots apart (docs/SERVING.md,
+  /// tests/serve_swap_stress_test.cpp). Not cached: each call rehashes every
+  /// column, so callers that stamp it repeatedly keep the value
+  /// (serve::FleetState, the exp runner).
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
@@ -245,11 +235,21 @@ class Fleet {
   };
   std::span<const std::size_t> sorted_order(LazyOrder& lazy,
                                             std::span<const double> score) const;
+  /// fn(column, values per server) for every per-server column, so the
+  /// Builder sizes them together (defined in fleet.cpp, its one user).
+  template <typename Fn>
+  void for_each_column(Fn&& fn);
 
-  dataset::ColumnarSnapshot snapshot_;
   // Sized once per chunk, each row written by the lane that fills it.
   util::AlignedVector<std::int32_t> ids_;
   util::AlignedVector<double> ops_;  // [size * kNumLoadLevels]
+  util::AlignedVector<double> peak_ops_;
+  util::AlignedVector<double> peak_watts_;
+  util::AlignedVector<double> idle_watts_;
+  util::AlignedVector<double> ep_;
+  util::AlignedVector<double> overall_score_;
+  util::AlignedVector<double> peak_ee_value_;
+  util::AlignedVector<double> peak_ee_utilization_;
   util::AlignedVector<double> ee_at_full_;
   // SoA grid columns (native knot resolution; see grid_view()).
   util::AlignedVector<double> grid_w0_;        // [size * kRowBins]
@@ -300,7 +300,6 @@ class Fleet::Builder {
   /// Moves the finished fleet out and counts it; no checks, no span.
   Fleet take();
 
-  dataset::ColumnarSnapshot::Builder snapshot_builder_;
   Fleet fleet_;
   util::ExactSum capacity_ops_;
   util::ExactSum idle_watts_;

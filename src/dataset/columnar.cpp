@@ -6,15 +6,11 @@
 
 #include "power/uarch.h"
 #include "util/contracts.h"
-#include "util/parallel.h"
 #include "util/telemetry.h"
 
 namespace epserve::dataset {
 
 namespace {
-
-/// Rows per fill block: the unit of work one lane takes at a time.
-constexpr std::size_t kBlockRows = 2048;
 
 /// Largest row count any builder has reached since process start — the
 /// `columnar.peak_rows` gauge. A plain atomic max: the gauge answers "how
@@ -41,22 +37,17 @@ epserve::Result<bool> ColumnarSnapshot::Builder::append(
     std::span<const ServerRecord> records,
     std::span<const metrics::DerivedCurveMetrics> derived) {
   EPSERVE_EXPECTS(derived.size() == records.size());
-  return append_rows(records, derived, nullptr);
+  return append_rows(records, derived);
 }
 
 epserve::Result<bool> ColumnarSnapshot::Builder::append(
     std::span<const ServerRecord> records) {
-  return append_rows(records, {}, nullptr);
-}
-
-void ColumnarSnapshot::Builder::reserve(std::uint64_t rows) {
-  snap_.for_each_row_column(
-      [&](auto& column) { column.reserve(static_cast<std::size_t>(rows)); });
+  return append_rows(records, {});
 }
 
 epserve::Result<bool> ColumnarSnapshot::Builder::append_rows(
     std::span<const ServerRecord> records,
-    std::span<const metrics::DerivedCurveMetrics> derived, ThreadPool* pool) {
+    std::span<const metrics::DerivedCurveMetrics> derived) {
   EPSERVE_EXPECTS(!finished_);
   EPSERVE_EXPECTS(derived.empty() || derived.size() == records.size());
   if (records.size() > max_rows_ - rows_) {
@@ -69,79 +60,49 @@ epserve::Result<bool> ColumnarSnapshot::Builder::append_rows(
   telemetry::count("columnar.rows", records.size());
 
   const auto first = static_cast<std::size_t>(rows_);
-  const std::size_t n = records.size();
-  const std::size_t rows = first + n;
+  const std::size_t rows = first + records.size();
   snap_.for_each_row_column([rows](auto& column) { column.resize(rows); });
-
-  // Each block's distinct codenames in first-seen order; its rows hold
-  // block-local ids until the merge below.
-  std::vector<std::vector<std::string_view>> block_names(
-      block_count(n, kBlockRows));
-  parallel_for_blocks(pool, n, kBlockRows, [&](std::size_t b, std::size_t lo,
-                                               std::size_t hi) {
-    std::unordered_map<std::string_view, std::int32_t> local_ids;
-    std::vector<std::string_view>& names = block_names[b];
-    for (std::size_t k = lo; k < hi; ++k) {
-      const ServerRecord& r = records[k];
-      const std::size_t i = first + k;
-      snap_.hw_year_[i] = r.hw_year;
-      snap_.pub_year_[i] = r.pub_year;
-      snap_.nodes_[i] = r.nodes;
-      snap_.chips_[i] = r.chips;
-      snap_.total_cores_[i] = r.total_cores();
-      const auto [it, inserted] = local_ids.try_emplace(
-          r.cpu_codename, static_cast<std::int32_t>(names.size()));
-      if (inserted) names.push_back(r.cpu_codename);
-      snap_.codename_id_[i] = it->second;
-      snap_.mpc_centi_[i] = ResultRepository::mpc_centi_key(r);
-      snap_.memory_per_core_[i] = r.memory_per_core();
-      snap_.idle_watts_[i] = r.curve.idle_watts();
-      snap_.peak_watts_[i] = r.curve.peak_watts();
-      snap_.peak_ops_[i] = r.curve.peak_ops();
-      metrics::DerivedCurveMetrics derived_here;
-      const metrics::DerivedCurveMetrics& bundle =
-          derived.empty()
-              ? (derived_here = metrics::derive_curve_metrics(r.curve))
-              : derived[k];
-      snap_.ep_[i] = bundle.ep;
-      snap_.overall_score_[i] = bundle.overall_score;
-      snap_.idle_fraction_[i] = bundle.idle_fraction;
-      snap_.peak_ee_value_[i] = bundle.peak_ee.value;
-      snap_.peak_ee_utilization_[i] = bundle.peak_ee_utilization;
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    const ServerRecord& r = records[k];
+    const std::size_t i = first + k;
+    snap_.hw_year_[i] = r.hw_year;
+    snap_.pub_year_[i] = r.pub_year;
+    snap_.nodes_[i] = r.nodes;
+    snap_.chips_[i] = r.chips;
+    snap_.total_cores_[i] = r.total_cores();
+    // finish() remaps the provisional (first-seen) ids onto the sorted id
+    // space.
+    const auto [it, inserted] = provisional_ids_.try_emplace(
+        r.cpu_codename, static_cast<std::int32_t>(snap_.codenames_.size()));
+    if (inserted) {
+      snap_.codenames_.push_back(r.cpu_codename);
+      // Generated/imported populations always resolve; ad-hoc record sets
+      // (synthetic test servers, external records) may not — mark as
+      // unknown.
+      const auto* info = power::find_uarch(r.cpu_codename);
+      provisional_families_.push_back(
+          info != nullptr ? static_cast<std::int32_t>(info->family) : -1);
     }
-  });
-
-  // Merge in block order: a codename's provisional id is its first-seen
-  // position in the whole stream, as a serial scan assigns it. finish()
-  // remaps provisional ids onto the sorted id space.
-  std::vector<std::vector<std::int32_t>> to_provisional(block_names.size());
-  for (std::size_t b = 0; b < block_names.size(); ++b) {
-    for (const std::string_view name : block_names[b]) {
-      const auto [it, inserted] = provisional_ids_.try_emplace(
-          std::string(name),
-          static_cast<std::int32_t>(snap_.codenames_.size()));
-      if (inserted) {
-        snap_.codenames_.emplace_back(name);
-        // Generated/imported populations always resolve; ad-hoc cluster
-        // fleets (synthetic test servers, external records) may not —
-        // mark as unknown.
-        const auto* info = power::find_uarch(name);
-        provisional_families_.push_back(
-            info != nullptr ? static_cast<std::int32_t>(info->family) : -1);
-      }
-      to_provisional[b].push_back(it->second);
-    }
+    snap_.codename_id_[i] = it->second;
+    snap_.family_id_[i] =
+        provisional_families_[static_cast<std::size_t>(it->second)];
+    snap_.mpc_centi_[i] = ResultRepository::mpc_centi_key(r);
+    snap_.memory_per_core_[i] = r.memory_per_core();
+    snap_.idle_watts_[i] = r.curve.idle_watts();
+    snap_.peak_watts_[i] = r.curve.peak_watts();
+    snap_.peak_ops_[i] = r.curve.peak_ops();
+    metrics::DerivedCurveMetrics derived_here;
+    const metrics::DerivedCurveMetrics& bundle =
+        derived.empty()
+            ? (derived_here = metrics::derive_curve_metrics(r.curve))
+            : derived[k];
+    snap_.ep_[i] = bundle.ep;
+    snap_.overall_score_[i] = bundle.overall_score;
+    snap_.idle_fraction_[i] = bundle.idle_fraction;
+    snap_.peak_ee_value_[i] = bundle.peak_ee.value;
+    snap_.peak_ee_utilization_[i] = bundle.peak_ee_utilization;
   }
-  parallel_for_blocks(pool, n, kBlockRows, [&](std::size_t b, std::size_t lo,
-                                               std::size_t hi) {
-    for (std::size_t i = first + lo; i < first + hi; ++i) {
-      const std::int32_t id =
-          to_provisional[b][static_cast<std::size_t>(snap_.codename_id_[i])];
-      snap_.codename_id_[i] = id;
-      snap_.family_id_[i] = provisional_families_[static_cast<std::size_t>(id)];
-    }
-  });
-  rows_ += n;
+  rows_ += records.size();
   note_rows(rows_);
   return true;
 }

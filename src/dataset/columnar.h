@@ -32,13 +32,6 @@
 #include "util/aligned.h"
 #include "util/result.h"
 
-namespace epserve {
-class ThreadPool;
-}
-namespace epserve::cluster {
-class Fleet;
-}
-
 namespace epserve::dataset {
 
 class ColumnarSnapshot {
@@ -73,11 +66,11 @@ class ColumnarSnapshot {
   /// Convenience overload deriving the bundle itself (cold path).
   static ColumnarSnapshot build(const ResultRepository& repo);
 
-  /// Core build over a bare record span — the entry point cluster::Fleet
-  /// uses for fleets that are not repositories. Identical to the repository
-  /// overloads for the same records; records with a codename unknown to
-  /// power::find_uarch() get family_id -1 (analysis repositories always
-  /// resolve, ad-hoc cluster fleets may not).
+  /// Core build over a bare record span, for record sets that are not
+  /// repositories. Identical to the repository overloads for the same
+  /// records; records with a codename unknown to power::find_uarch() get
+  /// family_id -1 (analysis repositories always resolve, ad-hoc record sets
+  /// may not).
   static ColumnarSnapshot build(
       std::span<const ServerRecord> records,
       std::span<const metrics::DerivedCurveMetrics> derived);
@@ -202,22 +195,13 @@ class ColumnarSnapshot::Builder {
   [[nodiscard]] ColumnarSnapshot finish();
 
  private:
-  // cluster::Fleet::Builder sizes a streamed fleet's columns once and fills
-  // its large chunks on a pool.
-  friend class cluster::Fleet;
-
-  /// Capacity for `rows` rows in total, so later appends never reallocate.
-  void reserve(std::uint64_t rows);
-
-  /// The one row routine behind both append overloads. Sizes every column
-  /// for the chunk once, then fills it in index blocks on `pool` (null: the
-  /// calling thread alone); each row is written once, by one lane. An empty
-  /// `derived` means each row's bundle is derived in place. Codenames
-  /// intern per block and merge in block order, which is the first-seen
-  /// order of a serial scan, so the columns do not depend on the pool.
+  /// The one row routine behind both append overloads: sizes every column
+  /// for the chunk once, then fills it row by row. An empty `derived` means
+  /// each row's bundle is derived in place. A codename's provisional id is
+  /// its first-seen position in the whole stream.
   epserve::Result<bool> append_rows(
       std::span<const ServerRecord> records,
-      std::span<const metrics::DerivedCurveMetrics> derived, ThreadPool* pool);
+      std::span<const metrics::DerivedCurveMetrics> derived);
 
   ColumnarSnapshot snap_;
   std::unordered_map<std::string, std::int32_t> provisional_ids_;

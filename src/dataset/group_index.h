@@ -19,7 +19,8 @@
 // scatters indices in ascending order and is therefore naturally stable.
 // The comparison sort is retained as the equivalence reference (and as the
 // fallback for pathologically wide key ranges); the two produce identical
-// indices, pinned by tests/dataset_group_radix_test.cpp.
+// indices, pinned by the GroupIndexRadix cases in
+// tests/dataset_scale_test.cpp.
 #pragma once
 
 #include <cstdint>

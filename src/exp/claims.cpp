@@ -415,7 +415,8 @@ Measured sec6_knightshift(In in) {
   bool holds = true;
   std::vector<std::string> gains;
   for (std::size_t i = 0; i < gain.size(); ++i) {
-    gains.push_back("+" + format_fixed(gain[i], 2));
+    // Appended: GCC 12 at -O3 reports a false -Wrestrict on "+" + string.
+    gains.push_back(std::string("+").append(format_fixed(gain[i], 2)));
     for (std::size_t j = 0; j < gain.size(); ++j) {
       holds = holds && (primary[j] <= primary[i] || gain[j] < gain[i]);
     }

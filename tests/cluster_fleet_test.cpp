@@ -337,7 +337,6 @@ TEST(FleetBuild, ColumnsAreBitwiseCopiesOfPerRecordMetrics) {
     EXPECT_EQ(fleet.idle_watts()[i], curve.idle_watts());
     EXPECT_EQ(fleet.ep()[i], metrics::energy_proportionality(curve));
     EXPECT_EQ(fleet.overall_score()[i], metrics::overall_score(curve));
-    EXPECT_EQ(fleet.idle_fraction()[i], curve.idle_fraction());
     EXPECT_EQ(fleet.peak_ee_value()[i], metrics::peak_ee(curve).value);
     EXPECT_EQ(fleet.peak_ee_utilization()[i],
               metrics::peak_ee_utilization(curve));
@@ -474,10 +473,10 @@ TEST(FleetBuild, NamesTheServerForEveryCurveFailureMode) {
 TEST(FleetBuild, OptimalRegionTopsMatchPerRecordRegions) {
   const auto records = make_fleet(50);
   const Fleet fleet = Fleet::from_records(records);
-  const auto tops = fleet.optimal_region_tops(0.95);
+  const auto tops = fleet.default_optimal_region_tops();
   ASSERT_EQ(tops.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const Region region = optimal_region(records[i].curve, 0.95);
+    const Region region = optimal_region(records[i].curve, kDefaultEeThreshold);
     EXPECT_EQ(tops[i], region.empty() ? 1.0 : region.hi);
   }
 }
@@ -864,9 +863,14 @@ TEST(FleetConcurrency, ServerOrdersSortOnceForAllThreadsAndSurviveAMove) {
     for (auto& thread : threads) thread.join();
 
     // The default-threshold region tops are computed once, too, and equal
-    // the uncached computation at that threshold.
+    // each server's own region top at that threshold.
     if (label == "duplicates") {
-      const std::vector<double> tops = fleet.optimal_region_tops(0.95);
+      std::vector<double> tops;
+      for (std::size_t i = 0; i < fleet.size(); ++i) {
+        const Region region =
+            optimal_region(fleet.curve(i), kDefaultEeThreshold);
+        tops.push_back(region.empty() ? 1.0 : region.hi);
+      }
       for (const auto& per_thread : seen_tops) {
         EXPECT_EQ(per_thread.data(), seen_tops[0].data());
         EXPECT_TRUE(std::equal(per_thread.begin(), per_thread.end(),

@@ -2,7 +2,9 @@
 //   - the scaled generator emits byte-identical records for every chunk size
 //     and thread count (each record is a pure function of seed and index),
 //   - ColumnarSnapshot::Builder produces bitwise-identical columns to the
-//     one-shot build() whatever the chunk boundaries,
+//     one-shot build() whatever the chunk boundaries, and interns codenames
+//     onto their sorted positions (family_id -1 for a codename the uarch
+//     catalog does not know),
 //   - the radix GroupIndex build equals the comparison reference on every
 //     key-shape that matters (duplicates, single group, empty, all-distinct,
 //     masked),
@@ -13,12 +15,16 @@
 // Runs under the `scale` ctest label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dataset/calibration.h"
@@ -27,6 +33,7 @@
 #include "dataset/group_index.h"
 #include "dataset/io.h"
 #include "metrics/power_curve.h"
+#include "power/uarch.h"
 #include "util/csv.h"
 #include "util/telemetry.h"
 
@@ -46,6 +53,40 @@ void expect_bitwise_equal(std::span<const T> actual, std::span<const T> expected
               0)
         << what;
   }
+}
+
+/// Every row column bitwise, and the interned codenames.
+void expect_same_snapshot(const ColumnarSnapshot& snapshot,
+                          const ColumnarSnapshot& reference) {
+  expect_bitwise_equal(snapshot.hw_year(), reference.hw_year(), "hw_year");
+  expect_bitwise_equal(snapshot.pub_year(), reference.pub_year(), "pub_year");
+  expect_bitwise_equal(snapshot.nodes(), reference.nodes(), "nodes");
+  expect_bitwise_equal(snapshot.chips(), reference.chips(), "chips");
+  expect_bitwise_equal(snapshot.total_cores(), reference.total_cores(),
+                       "total_cores");
+  expect_bitwise_equal(snapshot.codename_id(), reference.codename_id(),
+                       "codename_id");
+  expect_bitwise_equal(snapshot.family_id(), reference.family_id(),
+                       "family_id");
+  expect_bitwise_equal(snapshot.mpc_centi(), reference.mpc_centi(),
+                       "mpc_centi");
+  expect_bitwise_equal(snapshot.memory_per_core(), reference.memory_per_core(),
+                       "memory_per_core");
+  expect_bitwise_equal(snapshot.idle_watts(), reference.idle_watts(),
+                       "idle_watts");
+  expect_bitwise_equal(snapshot.peak_watts(), reference.peak_watts(),
+                       "peak_watts");
+  expect_bitwise_equal(snapshot.peak_ops(), reference.peak_ops(), "peak_ops");
+  expect_bitwise_equal(snapshot.ep(), reference.ep(), "ep");
+  expect_bitwise_equal(snapshot.overall_score(), reference.overall_score(),
+                       "overall_score");
+  expect_bitwise_equal(snapshot.idle_fraction(), reference.idle_fraction(),
+                       "idle_fraction");
+  expect_bitwise_equal(snapshot.peak_ee_value(), reference.peak_ee_value(),
+                       "peak_ee_value");
+  expect_bitwise_equal(snapshot.peak_ee_utilization(),
+                       reference.peak_ee_utilization(), "peak_ee_utilization");
+  EXPECT_EQ(snapshot.codenames(), reference.codenames());
 }
 
 void expect_records_identical(const ServerRecord& a, const ServerRecord& b) {
@@ -181,38 +222,52 @@ TEST(ColumnarBuilder, ChunkedSnapshotBitwiseEqualsOneShotBuild) {
     ASSERT_TRUE(emitted.ok());
     const auto snapshot = builder.finish();
     ASSERT_EQ(snapshot.size(), reference.size()) << "chunk=" << chunk_size;
-    expect_bitwise_equal(snapshot.hw_year(), reference.hw_year(), "hw_year");
-    expect_bitwise_equal(snapshot.pub_year(), reference.pub_year(), "pub_year");
-    expect_bitwise_equal(snapshot.nodes(), reference.nodes(), "nodes");
-    expect_bitwise_equal(snapshot.chips(), reference.chips(), "chips");
-    expect_bitwise_equal(snapshot.total_cores(), reference.total_cores(),
-                         "total_cores");
-    expect_bitwise_equal(snapshot.codename_id(), reference.codename_id(),
-                         "codename_id");
-    expect_bitwise_equal(snapshot.family_id(), reference.family_id(),
-                         "family_id");
-    expect_bitwise_equal(snapshot.mpc_centi(), reference.mpc_centi(),
-                         "mpc_centi");
-    expect_bitwise_equal(snapshot.memory_per_core(),
-                         reference.memory_per_core(), "memory_per_core");
-    expect_bitwise_equal(snapshot.idle_watts(), reference.idle_watts(),
-                         "idle_watts");
-    expect_bitwise_equal(snapshot.peak_watts(), reference.peak_watts(),
-                         "peak_watts");
-    expect_bitwise_equal(snapshot.peak_ops(), reference.peak_ops(),
-                         "peak_ops");
-    expect_bitwise_equal(snapshot.ep(), reference.ep(), "ep");
-    expect_bitwise_equal(snapshot.overall_score(), reference.overall_score(),
-                         "overall_score");
-    expect_bitwise_equal(snapshot.idle_fraction(), reference.idle_fraction(),
-                         "idle_fraction");
-    expect_bitwise_equal(snapshot.peak_ee_value(), reference.peak_ee_value(),
-                         "peak_ee_value");
-    expect_bitwise_equal(snapshot.peak_ee_utilization(),
-                         reference.peak_ee_utilization(),
-                         "peak_ee_utilization");
-    EXPECT_EQ(snapshot.codenames(), reference.codenames());
+    expect_same_snapshot(snapshot, reference);
   }
+}
+
+TEST(ColumnarBuilder, InternsCodenamesInSortedOrderAcrossChunks) {
+  // Four chunks (100, 100, 99 and 1 rows). The first names one codename;
+  // the second adds one power::find_uarch does not know; the third adds two
+  // more, so first-seen order is the reverse of sorted order.
+  constexpr std::string_view kUnknown = "Mystery Lake";
+  ASSERT_EQ(power::find_uarch(kUnknown), nullptr);
+  auto records = collect_chunked(small_config(300), 300);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    std::string_view name = "Skylake";
+    if (i >= 200 && i < 299) {
+      name = std::array<std::string_view, 3>{"Haswell", "Abu Dhabi",
+                                             kUnknown}[i % 3];
+    } else if (i >= 100 && i % 2 == 1) {
+      name = kUnknown;
+    }
+    records[i].cpu_codename = std::string(name);
+  }
+  const std::span<const ServerRecord> all(records);
+  ColumnarSnapshot::Builder builder;
+  for (const auto& [offset, count] :
+       {std::pair<std::size_t, std::size_t>{0, 100}, {100, 100}, {200, 99},
+        {299, 1}}) {
+    ASSERT_TRUE(builder.append(all.subspan(offset, count)).ok());
+  }
+  const auto snapshot = builder.finish();
+
+  const std::vector<std::string> sorted = {"Abu Dhabi", "Haswell",
+                                           std::string(kUnknown), "Skylake"};
+  EXPECT_EQ(snapshot.codenames(), sorted);
+  ASSERT_EQ(snapshot.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::string& name = records[i].cpu_codename;
+    const auto position =
+        std::find(sorted.begin(), sorted.end(), name) - sorted.begin();
+    ASSERT_EQ(snapshot.codename_id()[i], position) << i;
+    const auto* info = power::find_uarch(name);
+    EXPECT_EQ(snapshot.family_id()[i],
+              info == nullptr ? -1 : static_cast<std::int32_t>(info->family))
+        << i;
+  }
+  EXPECT_EQ(snapshot.family_id()[101], -1);
+  expect_same_snapshot(snapshot, ColumnarSnapshot::build(all));
 }
 
 TEST(ColumnarBuilder, RowCeilingFailsAsNamedErrorAndAppendsNothing) {

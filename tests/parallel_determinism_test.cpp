@@ -187,7 +187,6 @@ class ScopedThreadsEnv {
 /// Everything a built Fleet holds, as bit patterns, plus its build counters.
 struct FleetImage {
   std::map<std::string, std::vector<std::uint64_t>> columns;
-  std::vector<std::string> codenames;
   std::uint64_t digest = 0;
   std::map<std::string, std::uint64_t> counters;
   std::uint64_t pool_tasks = 0;
@@ -215,24 +214,13 @@ FleetImage image_of(const std::function<cluster::Fleet()>& build) {
   telemetry::reset();
 
   FleetImage image;
-  const dataset::ColumnarSnapshot& s = fleet.snapshot();
-  add_column(image, "hw_year", s.hw_year());
-  add_column(image, "pub_year", s.pub_year());
-  add_column(image, "nodes", s.nodes());
-  add_column(image, "chips", s.chips());
-  add_column(image, "total_cores", s.total_cores());
-  add_column(image, "codename_id", s.codename_id());
-  add_column(image, "family_id", s.family_id());
-  add_column(image, "mpc_centi", s.mpc_centi());
-  add_column(image, "memory_per_core", s.memory_per_core());
-  add_column(image, "idle_watts", s.idle_watts());
-  add_column(image, "peak_watts", s.peak_watts());
-  add_column(image, "peak_ops", s.peak_ops());
-  add_column(image, "ep", s.ep());
-  add_column(image, "overall_score", s.overall_score());
-  add_column(image, "idle_fraction", s.idle_fraction());
-  add_column(image, "peak_ee_value", s.peak_ee_value());
-  add_column(image, "peak_ee_utilization", s.peak_ee_utilization());
+  add_column(image, "peak_ops", fleet.peak_ops());
+  add_column(image, "peak_watts", fleet.peak_watts());
+  add_column(image, "idle_watts", fleet.idle_watts());
+  add_column(image, "ep", fleet.ep());
+  add_column(image, "overall_score", fleet.overall_score());
+  add_column(image, "peak_ee_value", fleet.peak_ee_value());
+  add_column(image, "peak_ee_utilization", fleet.peak_ee_utilization());
   add_column(image, "ee_at_full", fleet.ee_at_full());
   const auto grid = fleet.grid_view();
   const std::size_t bins =
@@ -255,7 +243,6 @@ FleetImage image_of(const std::function<cluster::Fleet()>& build) {
   }
   image.columns["capacity_ops"] = {bits(fleet.capacity_ops())};
   image.columns["total_idle_watts"] = {bits(fleet.total_idle_watts())};
-  image.codenames = s.codenames();
   image.digest = fleet.digest();
   for (const char* name : {"fleet.builds", "fleet.servers",
                            "columnar.chunk_builds", "columnar.rows"}) {
@@ -277,7 +264,6 @@ void expect_same_fleet(const FleetImage& expected, const FleetImage& actual) {
       ASSERT_EQ(column[i], other[i]) << name << "[" << i << "]";
     }
   }
-  EXPECT_EQ(expected.codenames, actual.codenames);
   EXPECT_EQ(expected.digest, actual.digest);
 }
 
@@ -344,8 +330,12 @@ TEST(ParallelDeterminism, FleetBuildIsIdenticalAcrossThreadCounts) {
   }
   for (const FleetRoute& route : routes) {
     SCOPED_TRACE(::testing::Message() << "threads=1 route=" << route.name);
-    expect_same_fleet(reference, serial.at(route.name));
-    EXPECT_EQ(serial.at(route.name).pool_tasks, 0u);
+    const FleetImage& image = serial.at(route.name);
+    expect_same_fleet(reference, image);
+    EXPECT_EQ(image.pool_tasks, 0u);
+    // A Fleet builds no analysis snapshot.
+    EXPECT_EQ(image.counters.at("columnar.chunk_builds"), 0u);
+    EXPECT_EQ(image.counters.at("columnar.rows"), 0u);
   }
 
   for (const int threads : {2, 4, 8}) {

@@ -145,7 +145,7 @@ TEST_P(PlanEquivalence, PlaceBatchAndTotalsMatchDenseGreedyFillBitwise) {
 
   // Demand at which optimal-region's stage 1 (every server at its region
   // top) runs out: anything above it spills into stage 2.
-  const std::vector<double> tops = fleet.optimal_region_tops(0.95);
+  const std::vector<double> tops = reference::region_tops(fleet);
   double region_ops = 0.0;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     region_ops += tops[i] * fleet.peak_ops()[i];

@@ -5,8 +5,8 @@
 // (tests/fsum_reference.h). src/cluster now plans and accounts without
 // those vectors (FillPlans, account_batch, range sums over the fill order);
 // these are the independent baseline its bits must match.
-// Everything reads the Fleet's own columns, orders and grid rows, so a
-// mismatch points at the plan path, not at the Fleet.
+// Everything reads the Fleet's own columns, orders, grid rows and curves, so
+// a mismatch points at the plan path, not at the Fleet.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "cluster/idle_model.h"
 #include "cluster/placement.h"
 #include "cluster/trace.h"
+#include "cluster/working_region.h"
 #include "dataset/record.h"
 #include "fsum_reference.h"
 #include "metrics/power_curve.h"
@@ -57,14 +58,25 @@ inline void greedy_fill(const Fleet& fleet, std::span<const std::size_t> order,
   }
 }
 
+/// Top of each server's optimal working region at kDefaultEeThreshold (1.0
+/// for an empty region), one optimal_region() call per server.
+inline std::vector<double> region_tops(const Fleet& fleet) {
+  std::vector<double> tops;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    const Region region = optimal_region(fleet.curve(i), kDefaultEeThreshold);
+    tops.push_back(region.empty() ? 1.0 : region.hi);
+  }
+  return tops;
+}
+
 /// One utilisation vector per demand under the named built-in policy
-/// ("pack-to-full", "balanced", "optimal-region" at threshold 0.95).
+/// ("pack-to-full", "balanced", "optimal-region" at kDefaultEeThreshold).
 inline std::vector<std::vector<double>> place_batch(
     const Fleet& fleet, std::string_view policy,
     std::span<const double> demands) {
   std::vector<std::vector<double>> out;
   const std::vector<double> caps(fleet.size(), 1.0);
-  const std::vector<double> region_top = fleet.optimal_region_tops(0.95);
+  const std::vector<double> region_top = region_tops(fleet);
   for (const double demand : demands) {
     if (policy == "balanced") {
       out.emplace_back(fleet.size(), demand);
