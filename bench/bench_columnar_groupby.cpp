@@ -3,9 +3,10 @@
 // pub year, family, codename, nodes, single-node chips, MPC) and extract the
 // per-group mean EP and mean EE score.
 //
-//   map cold       — repo.by_*() rebuilds each std::map<K, vector<const
-//                    ServerRecord*>> per iteration; ep_values/score_values
-//                    re-derive each metric through per-record indirection.
+//   map cold       — the reference by_*() (tests/analysis_reference.h)
+//                    rebuilds each std::map<K, vector<const ServerRecord*>>
+//                    per iteration; ep_values/score_values re-derive each
+//                    metric through per-record indirection.
 //   map warm       — the six maps are built once before timing (the MPC map
 //                    is still rebuilt per iteration), but extraction still
 //                    chases pointers and re-derives per call.
@@ -68,8 +69,8 @@ template <typename Groups>
 void digest_map_groups(Digest& d, const Groups& groups) {
   for (const auto& [key, view] : groups) {
     d.add(view.size());
-    d.add(stats::mean(dataset::ResultRepository::ep_values(view)));
-    d.add(stats::mean(dataset::ResultRepository::score_values(view)));
+    d.add(stats::mean(analysis::reference::ep_values(view)));
+    d.add(stats::mean(analysis::reference::score_values(view)));
   }
 }
 
@@ -81,12 +82,13 @@ struct MapGroups {
   std::map<int, dataset::RecordView> nodes, chips;
 
   static MapGroups of(const dataset::ResultRepository& repo) {
-    return {repo.by_year(dataset::YearKey::kHardwareAvailability),
-            repo.by_year(dataset::YearKey::kPublished),
-            repo.by_family(),
-            repo.by_codename(),
-            repo.by_nodes(),
-            repo.single_node_by_chips()};
+    namespace reference = analysis::reference;
+    return {reference::by_year(repo, dataset::YearKey::kHardwareAvailability),
+            reference::by_year(repo, dataset::YearKey::kPublished),
+            reference::by_family(repo),
+            reference::by_codename(repo),
+            reference::by_nodes(repo),
+            reference::single_node_by_chips(repo)};
   }
 };
 
@@ -101,7 +103,7 @@ Digest kernel_map(const MapGroups& maps,
   digest_map_groups(d, maps.codename);
   digest_map_groups(d, maps.nodes);
   digest_map_groups(d, maps.chips);
-  digest_map_groups(d, repo.by_memory_per_core());
+  digest_map_groups(d, analysis::reference::by_memory_per_core(repo));
   return d;
 }
 
@@ -121,7 +123,7 @@ void digest_index_groups(Digest& d, const dataset::ColumnarSnapshot& snap,
 Digest kernel_columnar_cold(const dataset::ResultRepository& repo) {
   Digest d;
   d.values.reserve(512);
-  const auto snap = dataset::ColumnarSnapshot::build(repo);
+  const auto snap = dataset::ColumnarSnapshot::build(repo.records());
   std::vector<std::uint8_t> single_node(snap.size());
   for (std::size_t i = 0; i < snap.size(); ++i) {
     single_node[i] = snap.nodes()[i] == 1 ? 1 : 0;

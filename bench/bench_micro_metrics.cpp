@@ -2,6 +2,7 @@
 // overall score, envelope extraction, and the full population analysis.
 #include <benchmark/benchmark.h>
 
+#include "analysis/context.h"
 #include "analysis/envelope.h"
 #include "analysis/report.h"
 #include "dataset/generator.h"
@@ -27,6 +28,11 @@ const dataset::ResultRepository& population() {
     return dataset::ResultRepository(std::move(result).take());
   }();
   return repo;
+}
+
+const analysis::AnalysisContext& context() {
+  static const analysis::AnalysisContext ctx(population());
+  return ctx;
 }
 
 void BM_EnergyProportionality(benchmark::State& state) {
@@ -76,7 +82,7 @@ BENCHMARK(BM_PopulationGeneration)->Unit(benchmark::kMillisecond);
 
 void BM_PowerEnvelope(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::power_envelope(population()));
+    benchmark::DoNotOptimize(analysis::power_envelope(context()));
   }
 }
 BENCHMARK(BM_PowerEnvelope)->Unit(benchmark::kMicrosecond);

@@ -96,13 +96,14 @@ int main(int argc, char** argv) {
     for (const double u : metrics::kLoadLevels) {
       doc.header.push_back("power_" + format_fixed(u * 100.0, 0));
     }
-    for (const auto& r : repo.records()) {
+    const auto& snap = ctx.columnar();
+    for (std::size_t i = 0; i < repo.size(); ++i) {
+      const auto& r = repo.records()[i];
       const auto* uarch = power::find_uarch(r.cpu_codename);
       doc.rows.push_back(
-          {std::to_string(r.id), std::to_string(r.hw_year),
-           num(metrics::energy_proportionality(r.curve)),
-           num(r.curve.idle_fraction()),
-           num(metrics::overall_score(r.curve)), r.cpu_codename,
+          {std::to_string(r.id), std::to_string(r.hw_year), num(snap.ep()[i]),
+           num(snap.idle_fraction()[i]), num(snap.overall_score()[i]),
+           r.cpu_codename,
            uarch != nullptr ? std::string(power::family_name(uarch->family))
                             : ""});
       for (const double p : analysis::normalized_power_points(r)) {
@@ -114,8 +115,8 @@ int main(int argc, char** argv) {
 
   // Fig.9/11: envelopes.
   {
-    const auto power_env = analysis::power_envelope(repo);
-    const auto ee_env = analysis::ee_envelope(repo);
+    const auto power_env = analysis::power_envelope(ctx);
+    const auto ee_env = analysis::ee_envelope(ctx);
     CsvDocument doc;
     doc.header = {"utilization", "power_lower", "power_upper", "ee_lower",
                   "ee_upper"};
@@ -145,7 +146,7 @@ int main(int argc, char** argv) {
     CsvDocument doc;
     doc.header = {"year", "actual_mean_ep", "mix_predicted_ep"};
     for (const auto& row :
-         analysis::composition_decomposition(repo, 2012, 2016)) {
+         analysis::composition_decomposition(ctx, 2012, 2016)) {
       doc.rows.push_back({std::to_string(row.year), num(row.actual_mean_ep),
                           num(row.composition_predicted_ep)});
     }
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
   {
     CsvDocument doc;
     doc.header = {"year", "servers", "at60", "at70", "at80", "at90", "at100"};
-    for (const auto& row : analysis::peak_spot_by_year(repo)) {
+    for (const auto& row : analysis::peak_spot_by_year(ctx)) {
       const auto count = [&](double u) {
         const auto it = row.spots.find(u);
         return std::to_string(it == row.spots.end() ? 0 : it->second);

@@ -1,5 +1,8 @@
 #include "analysis/context.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace epserve::analysis {
 
 // Every accessor funnels through memoize() (context.h): one call_once build,
@@ -21,7 +24,7 @@ const std::vector<metrics::DerivedCurveMetrics>& AnalysisContext::derived()
 
 const dataset::ColumnarSnapshot& AnalysisContext::columnar() const {
   return memoize(columnar_, "ctx.columnar", columnar_builds_, [&] {
-    return dataset::ColumnarSnapshot::build(repo_, derived());
+    return dataset::ColumnarSnapshot::build(repo_.records(), derived());
   });
 }
 
@@ -87,29 +90,42 @@ std::vector<double> AnalysisContext::gather(
 
 namespace {
 
-/// One field of the derived bundle, in record order.
-std::vector<double> field_of(
+/// The ceil(10%) records with the highest `field` of their derived bundle,
+/// ties broken by record id.
+dataset::RecordView top_decile_by(
+    const dataset::ResultRepository& repo,
     const std::vector<metrics::DerivedCurveMetrics>& bundle,
     double metrics::DerivedCurveMetrics::*field) {
-  std::vector<double> out;
-  out.reserve(bundle.size());
-  for (const auto& entry : bundle) out.push_back(entry.*field);
-  return out;
+  const dataset::ServerRecord* base = repo.records().data();
+  dataset::RecordView view = repo.all();
+  const auto cutoff = static_cast<std::size_t>(
+      std::ceil(static_cast<double>(view.size()) * 0.1));
+  const auto value = [&](const dataset::ServerRecord* r) {
+    return bundle[static_cast<std::size_t>(r - base)].*field;
+  };
+  std::sort(view.begin(), view.end(),
+            [&](const dataset::ServerRecord* a, const dataset::ServerRecord* b) {
+              const double fa = value(a);
+              const double fb = value(b);
+              if (fa != fb) return fa > fb;
+              return a->id < b->id;
+            });
+  view.resize(std::min(cutoff, view.size()));
+  return view;
 }
 
 }  // namespace
 
 const dataset::RecordView& AnalysisContext::top_ep_decile() const {
   return memoize(top_ep_, "ctx.top_ep_decile", decile_builds_, [&] {
-    return repo_.top_decile_by(
-        field_of(derived(), &metrics::DerivedCurveMetrics::ep));
+    return top_decile_by(repo_, derived(), &metrics::DerivedCurveMetrics::ep);
   });
 }
 
 const dataset::RecordView& AnalysisContext::top_score_decile() const {
   return memoize(top_score_, "ctx.top_score_decile", decile_builds_, [&] {
-    return repo_.top_decile_by(
-        field_of(derived(), &metrics::DerivedCurveMetrics::overall_score));
+    return top_decile_by(repo_, derived(),
+                         &metrics::DerivedCurveMetrics::overall_score);
   });
 }
 

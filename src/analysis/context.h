@@ -1,10 +1,11 @@
 // AnalysisContext: the shared, memoized view of one population that every
-// analysis pass reads. The paper's ~17 §III/§IV analyses all slice the same
-// repository by year/family/codename/topology and re-derive the same
-// per-record metrics (EP, overall score, idle fraction, peak EE); the
-// context computes each of those intermediates lazily, exactly once, and
-// hands out const references. Each analysis takes the context as its only
-// entry point (`f(const AnalysisContext&)`).
+// analysis reads. The paper's §III/§IV analyses all slice the same record
+// store (dataset::ResultRepository) by year/family/codename/topology and
+// read the same per-record metrics (EP, overall score, idle fraction, peak
+// EE); the context computes each of those intermediates lazily, exactly
+// once, and hands out const references. It is the one query path: each
+// analysis takes the context as its only entry point
+// (`f(const AnalysisContext&)`).
 //
 // Caching rules (docs/ANALYSIS_PASSES.md):
 //  * every cache entry is a pure function of the (immutable) repository, so
@@ -59,8 +60,9 @@ class AnalysisContext {
   /// Span-based groupings over the snapshot's key columns — the path every
   /// analysis iterates. Groups appear in ascending key order and group
   /// members in ascending record-index order, i.e. exactly the iteration
-  /// order of the ResultRepository::by_* maps (pinned by the columnar
-  /// equivalence suite). Each index is built once under std::call_once.
+  /// order of std::map group-bys over the records (pinned against the map
+  /// reference by the columnar equivalence suite). Each index is built once
+  /// under std::call_once.
   [[nodiscard]] const dataset::GroupIndex& groups_by_year(
       dataset::YearKey key) const;
   [[nodiscard]] const dataset::GroupIndex& groups_by_family() const;
@@ -73,14 +75,13 @@ class AnalysisContext {
   static std::vector<double> gather(std::span<const double> column,
                                     std::span<const std::uint32_t> members);
 
-  /// Memoized top-decile sets over the cached EP / overall-score values
-  /// (identical ordering rules to ResultRepository::top_decile).
+  /// Memoized top-decile sets: the ceil(10%) records with the highest cached
+  /// EP / overall score, ties broken by record id.
   [[nodiscard]] const dataset::RecordView& top_ep_decile() const;
   [[nodiscard]] const dataset::RecordView& top_score_decile() const;
 
   /// How many times each lazy initialiser has actually run — the
-  /// exactly-once guarantee bench_report_cache and the memoization tests
-  /// assert on.
+  /// exactly-once guarantee the memoization tests assert on.
   struct CacheStats {
     int derived_builds = 0;     // per-record metric bundle
     int decile_builds = 0;      // top-decile sets

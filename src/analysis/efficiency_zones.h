@@ -6,9 +6,11 @@
 
 #include <vector>
 
-#include "dataset/repository.h"
+#include "dataset/record.h"
 
 namespace epserve::analysis {
+
+class AnalysisContext;
 
 struct ZoneRow {
   int server_id = 0;
@@ -25,10 +27,10 @@ struct ZoneRow {
 ZoneRow efficiency_zone(const dataset::ServerRecord& record);
 
 /// Zones for the whole population, ascending by EP.
-std::vector<ZoneRow> efficiency_zones(const dataset::ResultRepository& repo);
+std::vector<ZoneRow> efficiency_zones(const AnalysisContext& ctx);
 
 /// Pearson correlation between EP and zone width across the population —
 /// the quantified version of the paper's "wider zones at higher EP".
-double zone_width_ep_correlation(const dataset::ResultRepository& repo);
+double zone_width_ep_correlation(const AnalysisContext& ctx);
 
 }  // namespace epserve::analysis

@@ -1,7 +1,9 @@
 #include "analysis/envelope.h"
 
+#include <algorithm>
+
+#include "analysis/context.h"
 #include "metrics/efficiency.h"
-#include "metrics/proportionality.h"
 #include "util/contracts.h"
 
 namespace epserve::analysis {
@@ -26,52 +28,54 @@ std::array<double, metrics::kNumLoadLevels> normalized_ee_points(
   return points;
 }
 
-PowerEnvelope power_envelope(const dataset::ResultRepository& repo) {
-  EPSERVE_EXPECTS(repo.size() > 0);
+PowerEnvelope power_envelope(const AnalysisContext& ctx) {
+  EPSERVE_EXPECTS(ctx.size() > 0);
+  const auto& records = ctx.repo().records();
+  const auto ep = ctx.columnar().ep();
   PowerEnvelope env;
   env.lower.fill(2.0);
   env.upper.fill(0.0);
   env.min_ep = 2.0;
   env.max_ep = 0.0;
-  for (const auto& r : repo.records()) {
-    const auto points = normalized_power_points(r);
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const auto points = normalized_power_points(records[r]);
     for (std::size_t i = 0; i < kEnvelopePoints; ++i) {
       env.lower[i] = std::min(env.lower[i], points[i]);
       env.upper[i] = std::max(env.upper[i], points[i]);
     }
-    const double ep = metrics::energy_proportionality(r.curve);
-    if (ep < env.min_ep) {
-      env.min_ep = ep;
-      env.min_ep_server = &r;
+    if (ep[r] < env.min_ep) {
+      env.min_ep = ep[r];
+      env.min_ep_server = &records[r];
     }
-    if (ep > env.max_ep) {
-      env.max_ep = ep;
-      env.max_ep_server = &r;
+    if (ep[r] > env.max_ep) {
+      env.max_ep = ep[r];
+      env.max_ep_server = &records[r];
     }
   }
   return env;
 }
 
-EeEnvelope ee_envelope(const dataset::ResultRepository& repo) {
-  EPSERVE_EXPECTS(repo.size() > 0);
+EeEnvelope ee_envelope(const AnalysisContext& ctx) {
+  EPSERVE_EXPECTS(ctx.size() > 0);
+  const auto& records = ctx.repo().records();
+  const auto ep = ctx.columnar().ep();
   EeEnvelope env;
   env.lower.fill(1e30);
   env.upper.fill(0.0);
   double min_ep = 2.0, max_ep = 0.0;
-  for (const auto& r : repo.records()) {
-    const auto points = normalized_ee_points(r);
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const auto points = normalized_ee_points(records[r]);
     for (std::size_t i = 0; i < metrics::kNumLoadLevels; ++i) {
       env.lower[i] = std::min(env.lower[i], points[i]);
       env.upper[i] = std::max(env.upper[i], points[i]);
     }
-    const double ep = metrics::energy_proportionality(r.curve);
-    if (ep < min_ep) {
-      min_ep = ep;
-      env.min_ep_server = &r;
+    if (ep[r] < min_ep) {
+      min_ep = ep[r];
+      env.min_ep_server = &records[r];
     }
-    if (ep > max_ep) {
-      max_ep = ep;
-      env.max_ep_server = &r;
+    if (ep[r] > max_ep) {
+      max_ep = ep[r];
+      env.max_ep_server = &records[r];
     }
   }
   return env;

@@ -7,10 +7,12 @@
 #include <array>
 #include <vector>
 
-#include "dataset/repository.h"
+#include "dataset/record.h"
 #include "metrics/load_level.h"
 
 namespace epserve::analysis {
+
+class AnalysisContext;
 
 /// Normalised sample points: index 0 = active idle (utilisation 0), then the
 /// ten load levels ascending.
@@ -29,7 +31,7 @@ struct PowerEnvelope {
 };
 
 /// Fig.9: envelope of normalised power-utilisation curves.
-PowerEnvelope power_envelope(const dataset::ResultRepository& repo);
+PowerEnvelope power_envelope(const AnalysisContext& ctx);
 
 struct EeEnvelope {
   /// Pointwise min/max of EE normalised to EE at 100% load (levels only; EE
@@ -41,7 +43,7 @@ struct EeEnvelope {
 };
 
 /// Fig.11: envelope of normalised EE curves.
-EeEnvelope ee_envelope(const dataset::ResultRepository& repo);
+EeEnvelope ee_envelope(const AnalysisContext& ctx);
 
 /// Normalised power curve of one server at the envelope sample points.
 std::array<double, kEnvelopePoints> normalized_power_points(

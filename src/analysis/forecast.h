@@ -7,10 +7,11 @@
 
 #include <vector>
 
-#include "dataset/repository.h"
 #include "stats/regression.h"
 
 namespace epserve::analysis {
+
+class AnalysisContext;
 
 struct ForecastPoint {
   int year = 0;
@@ -31,7 +32,7 @@ struct PeakShiftForecast {
 
 /// Fits the shift over [fit_from_year, last observed year] and projects
 /// through `project_until`. Utilisations clamp at the lowest measured level.
-PeakShiftForecast forecast_peak_shift(const dataset::ResultRepository& repo,
+PeakShiftForecast forecast_peak_shift(const AnalysisContext& ctx,
                                       int fit_from_year = 2010,
                                       int project_until = 2026);
 
@@ -44,7 +45,7 @@ struct IdleForecast {
   double projected_idle(int year) const;
 };
 
-IdleForecast forecast_idle_fraction(const dataset::ResultRepository& repo,
+IdleForecast forecast_idle_fraction(const AnalysisContext& ctx,
                                     int fit_from_year = 2008);
 
 }  // namespace epserve::analysis

@@ -1,22 +1,30 @@
 #include "analysis/gap_analysis.h"
 
+#include "analysis/context.h"
 #include "metrics/proportionality.h"
 #include "util/contracts.h"
 
 namespace epserve::analysis {
 
-GapProfile gap_profile(const dataset::ResultRepository& repo, int from_year,
+GapProfile gap_profile(const AnalysisContext& ctx, int from_year,
                        int to_year) {
   EPSERVE_EXPECTS(from_year <= to_year);
   GapProfile profile;
   profile.from_year = from_year;
   profile.to_year = to_year;
-  for (const auto& r : repo.records()) {
-    if (r.hw_year < from_year || r.hw_year > to_year) continue;
+  // A row scan in record order: the era sums are floating-point, so their
+  // order is part of the result.
+  const auto& records = ctx.repo().records();
+  const auto& snap = ctx.columnar();
+  const auto hw_year = snap.hw_year();
+  const auto idle_fraction = snap.idle_fraction();
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    if (hw_year[r] < from_year || hw_year[r] > to_year) continue;
     profile.servers += 1;
-    profile.mean_gap[0] += r.curve.idle_fraction();
+    profile.mean_gap[0] += idle_fraction[r];
     for (std::size_t i = 0; i < metrics::kNumLoadLevels; ++i) {
-      profile.mean_gap[i + 1] += metrics::proportionality_gap(r.curve, i);
+      profile.mean_gap[i + 1] +=
+          metrics::proportionality_gap(records[r].curve, i);
     }
   }
   EPSERVE_EXPECTS(profile.servers > 0);

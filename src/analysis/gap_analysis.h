@@ -7,10 +7,11 @@
 #include <array>
 #include <vector>
 
-#include "dataset/repository.h"
 #include "metrics/load_level.h"
 
 namespace epserve::analysis {
+
+class AnalysisContext;
 
 /// Mean signed gap (normalised power minus utilisation) at each measured
 /// level, plus utilisation 0 (== mean idle fraction), for one era.
@@ -22,7 +23,7 @@ struct GapProfile {
   std::array<double, metrics::kNumLoadLevels + 1> mean_gap{};
 };
 
-GapProfile gap_profile(const dataset::ResultRepository& repo, int from_year,
+GapProfile gap_profile(const AnalysisContext& ctx, int from_year,
                        int to_year);
 
 /// The utilisation below which the mean gap exceeds `threshold` for an era

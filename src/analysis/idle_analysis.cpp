@@ -19,12 +19,15 @@ IdleAnalysis analyze_idle_power(const AnalysisContext& ctx) {
   return out;
 }
 
-double mean_idle_fraction(const dataset::ResultRepository& repo, int from_year,
+double mean_idle_fraction(const AnalysisContext& ctx, int from_year,
                           int to_year) {
+  const auto& snap = ctx.columnar();
+  const auto hw_year = snap.hw_year();
+  const auto idle_fraction = snap.idle_fraction();
   std::vector<double> values;
-  for (const auto& r : repo.records()) {
-    if (r.hw_year >= from_year && r.hw_year <= to_year) {
-      values.push_back(r.curve.idle_fraction());
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    if (hw_year[i] >= from_year && hw_year[i] <= to_year) {
+      values.push_back(idle_fraction[i]);
     }
   }
   EPSERVE_EXPECTS(!values.empty());

@@ -4,7 +4,6 @@
 // correlation (0.741) from §I.
 #pragma once
 
-#include "dataset/repository.h"
 #include "stats/regression.h"
 
 namespace epserve::analysis {
@@ -25,7 +24,7 @@ IdleAnalysis analyze_idle_power(const AnalysisContext& ctx);
 
 /// Mean idle-power percentage within a year window — backs the paper's claim
 /// that the idle fraction fell faster in 2006-2012 than in 2012-2016.
-double mean_idle_fraction(const dataset::ResultRepository& repo,
-                          int from_year, int to_year);
+double mean_idle_fraction(const AnalysisContext& ctx, int from_year,
+                          int to_year);
 
 }  // namespace epserve::analysis

@@ -1,20 +1,22 @@
 #include "analysis/metric_comparison.h"
 
 #include <algorithm>
+#include <numeric>
 
-#include "metrics/efficiency.h"
+#include "analysis/context.h"
 #include "metrics/proportionality.h"
 #include "stats/rank.h"
 
 namespace epserve::analysis {
 
-MetricAgreement metric_agreement(const dataset::ResultRepository& repo) {
-  const auto view = repo.all();
-  const auto eps = dataset::ResultRepository::ep_values(view);
+MetricAgreement metric_agreement(const AnalysisContext& ctx) {
+  const auto& records = ctx.repo().records();
+  const auto eps = ctx.columnar().ep();
   const auto metric_of = [&](double (*fn)(const metrics::PowerCurve&)) {
-    return dataset::ResultRepository::metric(
-        view,
-        [fn](const dataset::ServerRecord& r) { return fn(r.curve); });
+    std::vector<double> values;
+    values.reserve(records.size());
+    for (const auto& r : records) values.push_back(fn(r.curve));
+    return values;
   };
 
   MetricAgreement out;
@@ -29,23 +31,24 @@ MetricAgreement metric_agreement(const dataset::ResultRepository& repo) {
 }
 
 std::vector<EpTierPeakRow> peak_location_by_ep_tier(
-    const dataset::ResultRepository& repo) {
+    const AnalysisContext& ctx) {
   // Sort servers by EP and slice into quartiles.
-  auto view = repo.all();
-  std::sort(view.begin(), view.end(),
-            [](const dataset::ServerRecord* a, const dataset::ServerRecord* b) {
-              return metrics::energy_proportionality(a->curve) <
-                     metrics::energy_proportionality(b->curve);
-            });
+  const auto& snap = ctx.columnar();
+  const auto ep = snap.ep();
+  const auto peak_ee_utilization = snap.peak_ee_utilization();
+  std::vector<std::uint32_t> order(snap.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return ep[a] < ep[b]; });
   std::vector<EpTierPeakRow> rows(4);
-  const std::size_t n = view.size();
+  const std::size_t n = order.size();
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t q = std::min<std::size_t>(3, i * 4 / n);
     auto& row = rows[q];
     row.quartile = static_cast<int>(q) + 1;
     row.count += 1;
-    row.mean_ep += metrics::energy_proportionality(view[i]->curve);
-    const double peak_util = metrics::peak_ee_utilization(view[i]->curve);
+    row.mean_ep += ep[order[i]];
+    const double peak_util = peak_ee_utilization[order[i]];
     row.mean_peak_utilization += peak_util;
     if (peak_util == 1.0) row.share_at_full_load += 1.0;
     if (peak_util == 0.6) row.share_at_60 += 1.0;
@@ -61,12 +64,10 @@ std::vector<EpTierPeakRow> peak_location_by_ep_tier(
   return rows;
 }
 
-double share_peaking_at_60(const dataset::ResultRepository& repo) {
-  std::size_t at_60 = 0;
-  for (const auto& r : repo.records()) {
-    if (metrics::peak_ee_utilization(r.curve) == 0.6) ++at_60;
-  }
-  return static_cast<double>(at_60) / static_cast<double>(repo.size());
+double share_peaking_at_60(const AnalysisContext& ctx) {
+  const auto spots = ctx.columnar().peak_ee_utilization();
+  const auto at_60 = std::count(spots.begin(), spots.end(), 0.6);
+  return static_cast<double>(at_60) / static_cast<double>(ctx.size());
 }
 
 }  // namespace epserve::analysis

@@ -10,10 +10,11 @@
 
 #include <vector>
 
-#include "dataset/repository.h"
 #include "stats/descriptive.h"
 
 namespace epserve::analysis {
+
+class AnalysisContext;
 
 /// Rank agreement of each companion metric against Eq.1 EP.
 struct MetricAgreement {
@@ -25,7 +26,7 @@ struct MetricAgreement {
   double gap_vs_ep = 0.0;  // max proportionality gap (lower = higher EP)
 };
 
-MetricAgreement metric_agreement(const dataset::ResultRepository& repo);
+MetricAgreement metric_agreement(const AnalysisContext& ctx);
 
 /// Wong's-claim check: peak-EE utilisation statistics per EP quartile.
 struct EpTierPeakRow {
@@ -38,11 +39,11 @@ struct EpTierPeakRow {
 };
 
 std::vector<EpTierPeakRow> peak_location_by_ep_tier(
-    const dataset::ResultRepository& repo);
+    const AnalysisContext& ctx);
 
 /// Share of all servers peaking at ~60% utilisation (Wong [41] says this is
 /// typical for highly proportional machines; the paper measures 1.88%
 /// (Fig.16), and this population's share is 2.10%).
-double share_peaking_at_60(const dataset::ResultRepository& repo);
+double share_peaking_at_60(const AnalysisContext& ctx);
 
 }  // namespace epserve::analysis

@@ -1,6 +1,7 @@
 #include "analysis/national_energy.h"
 
 #include <cmath>
+#include <vector>
 
 #include "util/contracts.h"
 
@@ -31,8 +32,6 @@ const std::vector<EnergyScenario> kScenarios = {
     {"lbnl-current", 2014, 70.0, 0.090, 0.050, 0.030},
 };
 }  // namespace
-
-std::vector<EnergyScenario> paper_scenarios() { return kScenarios; }
 
 const EnergyScenario* find_scenario(std::string_view name) {
   for (const auto& scenario : kScenarios) {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <string_view>
-#include <vector>
 
 #include "util/result.h"
 
@@ -37,16 +36,14 @@ struct EnergyScenario {
 /// Energy in TWh (billion kWh) at `year` under the scenario.
 double projected_energy_twh(const EnergyScenario& scenario, int year);
 
-/// The paper's §I scenarios, calibrated to reproduce the cited estimates:
+/// One of the paper's §I scenarios by name, calibrated to reproduce the
+/// cited estimates; nullptr when unknown:
 ///  - "epa-2006-trend": efficiency frozen at the 2006 trajectory
 ///    (EPA's 107.4 TWh by 2011 warning);
 ///  - "nrdc-current":   the post-2011 trend NRDC extrapolated to 138 TWh
 ///    by 2020;
 ///  - "lbnl-current":   efficiency + hyperscale shift holding energy near
 ///    70-73 TWh through 2020.
-std::vector<EnergyScenario> paper_scenarios();
-
-/// Lookup by name; nullptr when unknown.
 const EnergyScenario* find_scenario(std::string_view name);
 
 }  // namespace epserve::analysis

@@ -1,39 +1,42 @@
 #include "analysis/peak_shift.h"
 
 #include "analysis/context.h"
-#include "metrics/efficiency.h"
+#include "metrics/load_level.h"
 #include "util/contracts.h"
 
 namespace epserve::analysis {
 
-std::vector<YearSpots> peak_spot_by_year(
-    const dataset::ResultRepository& repo) {
-  std::map<int, YearSpots> by_year;
-  for (const auto& r : repo.records()) {
-    auto& row = by_year[r.hw_year];
-    row.year = r.hw_year;
-    row.servers += 1;
-    for (const auto level : metrics::peak_ee(r.curve).levels) {
-      row.spots[metrics::kLoadLevels[level]] += 1;
-    }
-  }
+std::vector<YearSpots> peak_spot_by_year(const AnalysisContext& ctx) {
+  const auto& derived = ctx.derived();
+  const auto& years =
+      ctx.groups_by_year(dataset::YearKey::kHardwareAvailability);
   std::vector<YearSpots> out;
-  out.reserve(by_year.size());
-  for (auto& [year, row] : by_year) out.push_back(std::move(row));
+  out.reserve(years.group_count());
+  for (std::size_t g = 0; g < years.group_count(); ++g) {
+    const auto members = years.members(g);
+    YearSpots row;
+    row.year = years.key(g);
+    row.servers = members.size();
+    for (const std::uint32_t i : members) {
+      for (const auto level : derived[i].peak_ee.levels) {
+        row.spots[metrics::kLoadLevels[level]] += 1;
+      }
+    }
+    out.push_back(std::move(row));
+  }
   return out;
 }
 
-std::map<double, double> global_spot_shares(
-    const dataset::ResultRepository& repo) {
-  EPSERVE_EXPECTS(repo.size() > 0);
+std::map<double, double> global_spot_shares(const AnalysisContext& ctx) {
+  EPSERVE_EXPECTS(ctx.size() > 0);
   std::map<double, double> shares;
-  for (const auto& r : repo.records()) {
-    for (const auto level : metrics::peak_ee(r.curve).levels) {
+  for (const auto& bundle : ctx.derived()) {
+    for (const auto level : bundle.peak_ee.levels) {
       shares[metrics::kLoadLevels[level]] += 1.0;
     }
   }
   for (auto& [spot, count] : shares) {
-    count /= static_cast<double>(repo.size());
+    count /= static_cast<double>(ctx.size());
   }
   return shares;
 }
@@ -55,10 +58,10 @@ double share_peaking_at_full_load(const AnalysisContext& ctx, int from_year,
   return static_cast<double>(at_full) / static_cast<double>(total);
 }
 
-std::size_t total_spots(const dataset::ResultRepository& repo) {
+std::size_t total_spots(const AnalysisContext& ctx) {
   std::size_t spots = 0;
-  for (const auto& r : repo.records()) {
-    spots += metrics::peak_ee(r.curve).levels.size();
+  for (const auto& bundle : ctx.derived()) {
+    spots += bundle.peak_ee.levels.size();
   }
   return spots;
 }

@@ -5,8 +5,6 @@
 #include <map>
 #include <vector>
 
-#include "dataset/repository.h"
-
 namespace epserve::analysis {
 
 class AnalysisContext;
@@ -20,13 +18,11 @@ struct YearSpots {
   std::map<double, std::size_t> spots;  // utilisation -> spot count
 };
 
-std::vector<YearSpots> peak_spot_by_year(
-    const dataset::ResultRepository& repo);
+std::vector<YearSpots> peak_spot_by_year(const AnalysisContext& ctx);
 
 /// Population-wide spot shares (denominator = server count, matching the
 /// paper's "69.25% of 477 servers" phrasing).
-std::map<double, double> global_spot_shares(
-    const dataset::ResultRepository& repo);
+std::map<double, double> global_spot_shares(const AnalysisContext& ctx);
 
 /// Share of servers peaking at 100% utilisation within [from, to]; the
 /// window must hold at least one server.
@@ -34,6 +30,6 @@ double share_peaking_at_full_load(const AnalysisContext& ctx, int from_year,
                                   int to_year);
 
 /// Total spot count (477 servers -> 478 with the 2011 dual-peak machine).
-std::size_t total_spots(const dataset::ResultRepository& repo);
+std::size_t total_spots(const AnalysisContext& ctx);
 
 }  // namespace epserve::analysis

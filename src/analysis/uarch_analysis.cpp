@@ -45,35 +45,56 @@ std::vector<FamilyCount> family_counts(const AnalysisContext& ctx) {
   return out;
 }
 
+std::vector<double> codename_mean_ep(const AnalysisContext& ctx) {
+  const auto& snap = ctx.columnar();
+  const auto& groups = ctx.groups_by_codename();
+  std::vector<double> means(snap.codenames().size());
+  for (std::size_t g = 0; g < groups.group_count(); ++g) {
+    means[static_cast<std::size_t>(groups.key(g))] =
+        stats::mean(AnalysisContext::gather(snap.ep(), groups.members(g)));
+  }
+  return means;
+}
+
 std::map<int, std::map<std::string, std::size_t>> yearly_codename_mix(
-    const dataset::ResultRepository& repo, int from_year, int to_year) {
+    const AnalysisContext& ctx, int from_year, int to_year) {
+  const auto& snap = ctx.columnar();
+  const auto& years =
+      ctx.groups_by_year(dataset::YearKey::kHardwareAvailability);
   std::map<int, std::map<std::string, std::size_t>> mix;
-  for (const auto& r : repo.records()) {
-    if (r.hw_year < from_year || r.hw_year > to_year) continue;
-    mix[r.hw_year][r.cpu_codename] += 1;
+  for (std::size_t g = 0; g < years.group_count(); ++g) {
+    const int year = years.key(g);
+    if (year < from_year || year > to_year) continue;
+    auto& counts = mix[year];
+    for (const std::uint32_t i : years.members(g)) {
+      counts[std::string(snap.codename_of(snap.codename_id()[i]))] += 1;
+    }
   }
   return mix;
 }
 
-std::vector<MixShift> composition_decomposition(
-    const dataset::ResultRepository& repo, int from_year, int to_year) {
-  // Global per-codename mean EP.
-  std::map<std::string, double> codename_mean;
-  for (const auto& [name, view] : repo.by_codename()) {
-    codename_mean[name] =
-        stats::mean(dataset::ResultRepository::ep_values(view));
-  }
-
+std::vector<MixShift> composition_decomposition(const AnalysisContext& ctx,
+                                               int from_year, int to_year) {
+  const auto& snap = ctx.columnar();
+  const std::vector<double> codename_mean = codename_mean_ep(ctx);
+  const auto& years =
+      ctx.groups_by_year(dataset::YearKey::kHardwareAvailability);
   std::vector<MixShift> out;
-  for (const auto& [year, view] : repo.by_year()) {
+  for (std::size_t g = 0; g < years.group_count(); ++g) {
+    const int year = years.key(g);
     if (year < from_year || year > to_year) continue;
+    const auto members = years.members(g);
     MixShift row;
     row.year = year;
     row.actual_mean_ep =
-        stats::mean(dataset::ResultRepository::ep_values(view));
+        stats::mean(AnalysisContext::gather(snap.ep(), members));
     double predicted = 0.0;
-    for (const auto* r : view) predicted += codename_mean.at(r->cpu_codename);
-    row.composition_predicted_ep = predicted / static_cast<double>(view.size());
+    for (const std::uint32_t i : members) {
+      predicted +=
+          codename_mean[static_cast<std::size_t>(snap.codename_id()[i])];
+    }
+    row.composition_predicted_ep =
+        predicted / static_cast<double>(members.size());
     out.push_back(row);
   }
   return out;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "dataset/repository.h"
 #include "power/uarch.h"
 
 namespace epserve::analysis {
@@ -34,10 +33,13 @@ struct CodenameEp {
 /// Sorted descending by mean EP.
 std::vector<CodenameEp> codename_ep_ranking(const AnalysisContext& ctx);
 
+/// Mean EP of each codename over the whole population, indexed by the
+/// context's interned codename id (ColumnarSnapshot::codename_id).
+std::vector<double> codename_mean_ep(const AnalysisContext& ctx);
+
 /// Fig.8: per-year codename composition for 2012-2016 (counts per codename).
 std::map<int, std::map<std::string, std::size_t>> yearly_codename_mix(
-    const dataset::ResultRepository& repo, int from_year = 2012,
-    int to_year = 2016);
+    const AnalysisContext& ctx, int from_year = 2012, int to_year = 2016);
 
 /// §III.B: the average EP a year would have had, had its servers carried the
 /// previous year's mean codename EPs — the mix-shift decomposition backing
@@ -50,7 +52,7 @@ struct MixShift {
   double composition_predicted_ep = 0.0;
 };
 
-std::vector<MixShift> composition_decomposition(
-    const dataset::ResultRepository& repo, int from_year, int to_year);
+std::vector<MixShift> composition_decomposition(const AnalysisContext& ctx,
+                                               int from_year, int to_year);
 
 }  // namespace epserve::analysis

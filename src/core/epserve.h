@@ -12,11 +12,14 @@
 // Layering (each usable on its own):
 //   util -> stats -> metrics -> power -> specpower -> dataset
 //        -> {analysis, testbed, cluster} -> core
-// Inside analysis, the report stack is itself layered: the individual
-// analysis functions (trends, idle, async, ...) -> AnalysisContext (shared
-// memoized per-record metrics and groupings, analysis/context.h) ->
-// AnalysisPass registry (named, selectable report sections, analysis/pass.h)
-// -> FullReport builders/renderers (analysis/report.h, report_json.h).
+// The population lives in a dataset::ResultRepository, a record store; every
+// analysis queries it through an AnalysisContext. Inside analysis, the
+// report stack is itself layered: the individual analysis functions
+// (trends, idle, async, ..., each f(const AnalysisContext&)) ->
+// AnalysisContext (shared memoized per-record metrics and groupings,
+// analysis/context.h) -> AnalysisPass registry (named, selectable report
+// sections, analysis/pass.h) -> FullReport builders/renderers
+// (analysis/report.h, report_json.h).
 #pragma once
 
 #include <memory>
@@ -40,7 +43,8 @@ namespace epserve {
 /// Library version string (semver).
 std::string version();
 
-/// A generated population together with its full analysis report.
+/// A generated population (its record store) together with its full analysis
+/// report.
 struct PopulationStudy {
   std::shared_ptr<dataset::ResultRepository> repository;
   analysis::FullReport report;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <utility>
 
 #include "power/uarch.h"
@@ -34,18 +35,6 @@ ColumnarSnapshot::Builder::Builder(std::uint64_t max_rows)
 }
 
 epserve::Result<bool> ColumnarSnapshot::Builder::append(
-    std::span<const ServerRecord> records,
-    std::span<const metrics::DerivedCurveMetrics> derived) {
-  EPSERVE_EXPECTS(derived.size() == records.size());
-  return append_rows(records, derived);
-}
-
-epserve::Result<bool> ColumnarSnapshot::Builder::append(
-    std::span<const ServerRecord> records) {
-  return append_rows(records, {});
-}
-
-epserve::Result<bool> ColumnarSnapshot::Builder::append_rows(
     std::span<const ServerRecord> records,
     std::span<const metrics::DerivedCurveMetrics> derived) {
   EPSERVE_EXPECTS(!finished_);
@@ -86,7 +75,8 @@ epserve::Result<bool> ColumnarSnapshot::Builder::append_rows(
     snap_.codename_id_[i] = it->second;
     snap_.family_id_[i] =
         provisional_families_[static_cast<std::size_t>(it->second)];
-    snap_.mpc_centi_[i] = ResultRepository::mpc_centi_key(r);
+    snap_.mpc_centi_[i] =
+        static_cast<std::int32_t>(std::lround(r.memory_per_core() * 100.0));
     snap_.memory_per_core_[i] = r.memory_per_core();
     snap_.idle_watts_[i] = r.curve.idle_watts();
     snap_.peak_watts_[i] = r.curve.peak_watts();
@@ -136,30 +126,12 @@ ColumnarSnapshot ColumnarSnapshot::Builder::finish() {
 ColumnarSnapshot ColumnarSnapshot::build(
     std::span<const ServerRecord> records,
     std::span<const metrics::DerivedCurveMetrics> derived) {
-  EPSERVE_EXPECTS(derived.size() == records.size());
   Builder builder;
   // A span can never exceed the uint32 ceiling in one chunk on supported
   // populations; the contract check keeps the wrapper infallible.
   const auto appended = builder.append(records, derived);
   EPSERVE_EXPECTS(appended.ok());
   return builder.finish();
-}
-
-ColumnarSnapshot ColumnarSnapshot::build(std::span<const ServerRecord> records) {
-  Builder builder;
-  const auto appended = builder.append(records);
-  EPSERVE_EXPECTS(appended.ok());
-  return builder.finish();
-}
-
-ColumnarSnapshot ColumnarSnapshot::build(
-    const ResultRepository& repo,
-    std::span<const metrics::DerivedCurveMetrics> derived) {
-  return build(std::span<const ServerRecord>(repo.records()), derived);
-}
-
-ColumnarSnapshot ColumnarSnapshot::build(const ResultRepository& repo) {
-  return build(std::span<const ServerRecord>(repo.records()));
 }
 
 }  // namespace epserve::dataset

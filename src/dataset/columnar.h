@@ -1,21 +1,19 @@
-// ColumnarSnapshot: structure-of-arrays view of a ResultRepository.
+// ColumnarSnapshot: structure-of-arrays view of a population's records.
 //
-// Every figure/table in the paper is a group-by over the population, and the
-// row-oriented query layer (RecordView = vector<const ServerRecord*>) pays
-// for that with pointer chasing, per-group heap allocation, and std::function
-// indirection on each metric extraction. The snapshot flattens the fields the
-// analyses actually touch into index-aligned columns, built once per
-// repository (AnalysisContext caches one under std::call_once). Group-bys
-// then become permutation sorts over int32 key columns (dataset/group_index.h)
-// and metric extraction becomes a contiguous gather.
+// Every figure/table in the paper is a group-by over the population. The
+// snapshot flattens the fields the analyses touch into index-aligned
+// columns, built once per repository (AnalysisContext caches one under
+// std::call_once). Group-bys are permutation sorts over int32 key columns
+// (dataset/group_index.h) and metric extraction is a contiguous gather, with
+// no pointer chasing, per-group heap vector or per-record re-derivation.
 //
 // Determinism contract: the derived columns are bit-for-bit copies of the
 // DerivedCurveMetrics bundle, and every grouping built on top of the snapshot
 // iterates records in ascending record-index order within a group and
-// ascending key order across groups — exactly the order the std::map-based
-// builders produce. Anything computed from spans + columns is therefore
-// byte-identical to the legacy map-of-views path (pinned by
-// tests/dataset_columnar_test.cpp).
+// ascending key order across groups — exactly the order of std::map
+// group-bys over the records. Anything computed from spans + columns is
+// therefore byte-identical to the map-of-views reference in
+// tests/analysis_reference.h (pinned by tests/dataset_columnar_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dataset/repository.h"
+#include "dataset/record.h"
 #include "metrics/derived.h"
 #include "util/aligned.h"
 #include "util/result.h"
@@ -55,26 +53,15 @@ class ColumnarSnapshot {
   /// enclosing class — it holds the snapshot under construction by value.
   class Builder;
 
-  /// Builds the snapshot from a repository plus its index-aligned derived
-  /// bundle (one DerivedCurveMetrics per record, e.g. AnalysisContext's
-  /// memoized vector). Derived columns are copied bitwise. All build()
-  /// overloads are thin one-chunk wrappers over Builder.
-  static ColumnarSnapshot build(
-      const ResultRepository& repo,
-      std::span<const metrics::DerivedCurveMetrics> derived);
-
-  /// Convenience overload deriving the bundle itself (cold path).
-  static ColumnarSnapshot build(const ResultRepository& repo);
-
-  /// Core build over a bare record span, for record sets that are not
-  /// repositories. Identical to the repository overloads for the same
-  /// records; records with a codename unknown to power::find_uarch() get
-  /// family_id -1 (analysis repositories always resolve, ad-hoc record sets
+  /// One-chunk build over `records` with their index-aligned derived bundle
+  /// (one DerivedCurveMetrics per record, e.g. AnalysisContext's memoized
+  /// vector), whose fields are copied bitwise; an empty bundle is derived
+  /// row by row. Records with a codename unknown to power::find_uarch() get
+  /// family_id -1 (generated populations always resolve, ad-hoc record sets
   /// may not).
   static ColumnarSnapshot build(
       std::span<const ServerRecord> records,
-      std::span<const metrics::DerivedCurveMetrics> derived);
-  static ColumnarSnapshot build(std::span<const ServerRecord> records);
+      std::span<const metrics::DerivedCurveMetrics> derived = {});
 
   [[nodiscard]] std::size_t size() const { return hw_year_.size(); }
 
@@ -99,7 +86,8 @@ class ColumnarSnapshot {
   [[nodiscard]] std::span<const std::int32_t> family_id() const {
     return family_id_;
   }
-  /// ResultRepository::mpc_centi_key per record (150 == 1.50 GB/core).
+  /// Memory per core in integer centi-GB (150 == 1.50 GB/core), rounded to
+  /// nearest, so group keys compare exactly.
   [[nodiscard]] std::span<const std::int32_t> mpc_centi() const {
     return mpc_centi_;
   }
@@ -179,14 +167,15 @@ class ColumnarSnapshot::Builder {
   /// the real kMaxRows ceiling. Must not exceed kMaxRows.
   explicit Builder(std::uint64_t max_rows = kMaxRows);
 
-  /// Appends a chunk with its index-aligned derived slice. Fails with a
-  /// named out-of-range error (nothing appended) when the chunk would push
-  /// the snapshot past the row ceiling.
+  /// Appends a chunk with its index-aligned derived slice; an empty slice
+  /// means each row's bundle is derived in place. Sizes every column for the
+  /// chunk once, then fills it row by row; a codename's provisional id is
+  /// its first-seen position in the whole stream. Fails with a named
+  /// out-of-range error (nothing appended) when the chunk would push the
+  /// snapshot past the row ceiling.
   epserve::Result<bool> append(
       std::span<const ServerRecord> records,
-      std::span<const metrics::DerivedCurveMetrics> derived);
-  /// Convenience overload deriving the bundle for the chunk itself.
-  epserve::Result<bool> append(std::span<const ServerRecord> records);
+      std::span<const metrics::DerivedCurveMetrics> derived = {});
 
   [[nodiscard]] std::uint64_t rows() const { return rows_; }
 
@@ -195,14 +184,6 @@ class ColumnarSnapshot::Builder {
   [[nodiscard]] ColumnarSnapshot finish();
 
  private:
-  /// The one row routine behind both append overloads: sizes every column
-  /// for the chunk once, then fills it row by row. An empty `derived` means
-  /// each row's bundle is derived in place. A codename's provisional id is
-  /// its first-seen position in the whole stream.
-  epserve::Result<bool> append_rows(
-      std::span<const ServerRecord> records,
-      std::span<const metrics::DerivedCurveMetrics> derived);
-
   ColumnarSnapshot snap_;
   std::unordered_map<std::string, std::int32_t> provisional_ids_;
   /// family_id per provisional codename id: power::find_uarch() runs once

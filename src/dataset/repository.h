@@ -1,15 +1,13 @@
-// ResultRepository: query layer over a generated (or imported) population.
-// Provides the slicing/grouping operations the paper's analyses repeat:
-// by hardware-availability year, by published year, by microarchitecture
-// family/codename, by topology, plus metric extraction and top-decile sets.
+// ResultRepository: the record store of a generated (or imported)
+// population. It owns the records and hands out views; every group-by and
+// metric read goes through analysis::AnalysisContext, which caches the
+// columnar snapshot, the group indexes and the derived metrics over one
+// repository.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <vector>
 
 #include "dataset/record.h"
-#include "power/uarch.h"
 
 namespace epserve::dataset {
 
@@ -30,58 +28,6 @@ class ResultRepository {
 
   /// All records as a view.
   [[nodiscard]] RecordView all() const;
-
-  /// Records matching a predicate.
-  [[nodiscard]] RecordView where(
-      const std::function<bool(const ServerRecord&)>& pred) const;
-
-  /// Grouped by year under the chosen key (ascending year order).
-  [[nodiscard]] std::map<int, RecordView> by_year(
-      YearKey key = YearKey::kHardwareAvailability) const;
-
-  /// Grouped by microarchitecture family.
-  [[nodiscard]] std::map<power::UarchFamily, RecordView> by_family() const;
-
-  /// Grouped by codename.
-  [[nodiscard]] std::map<std::string, RecordView> by_codename() const;
-
-  /// Grouped by node count / by chips (single-node only for chips).
-  [[nodiscard]] std::map<int, RecordView> by_nodes() const;
-  [[nodiscard]] std::map<int, RecordView> single_node_by_chips() const;
-
-  /// Grouped by memory-per-core ratio, keyed by integer centi-GB-per-core
-  /// (150 == 1.50 GB/core). The integer key keeps map lookups exact; divide
-  /// by 100.0 to recover the 2-decimal ratio the paper's Table I prints.
-  [[nodiscard]] std::map<int, RecordView> by_memory_per_core() const;
-
-  /// by_memory_per_core's key for one record.
-  static int mpc_centi_key(const ServerRecord& record);
-
-  /// Metric vector over a view (EP, overall score, idle fraction, ...).
-  static std::vector<double> metric(
-      const RecordView& view,
-      const std::function<double(const ServerRecord&)>& fn);
-
-  /// Convenience metric extractors.
-  static std::vector<double> ep_values(const RecordView& view);
-  static std::vector<double> score_values(const RecordView& view);
-  static std::vector<double> idle_fraction_values(const RecordView& view);
-
-  /// The ceil(10%) records with the highest value of `fn` (ties broken by
-  /// record id for determinism).
-  [[nodiscard]] RecordView top_decile(
-      const std::function<double(const ServerRecord&)>& fn) const;
-
-  /// Index of a record inside records(). Views hold pointers into that
-  /// vector, so this is the hook a metric cache (analysis::AnalysisContext)
-  /// uses to keep index-aligned per-record data. `record` must belong to
-  /// this repository.
-  [[nodiscard]] std::size_t index_of(const ServerRecord& record) const;
-
-  /// top_decile over a pre-computed, index-aligned value vector (one value
-  /// per record, same ordering rules as top_decile).
-  [[nodiscard]] RecordView top_decile_by(
-      const std::vector<double>& values) const;
 
  private:
   std::vector<ServerRecord> records_;

@@ -428,7 +428,7 @@ Measured sec6_knightshift(In in) {
 /// Wong [41]'s highly proportional servers: the top EP quartile's shares
 /// peaking at 60% and at 100% load; fewer than half peak at 60%.
 Measured sec6_top_quartile(In in) {
-  const auto tiers = analysis::peak_location_by_ep_tier(in.population);
+  const auto tiers = analysis::peak_location_by_ep_tier(in.context);
   if (tiers.empty()) return shape(false, "missing");
   const auto& top = tiers.back();
   return shape(top.share_at_60 < 0.5,
@@ -444,7 +444,7 @@ std::vector<analysis::GapProfile> gap_eras(In in) {
   for (const auto& [from, to] :
        {std::pair{2004, 2008}, std::pair{2009, 2011}, std::pair{2012, 2013},
         std::pair{2014, 2016}}) {
-    eras.push_back(analysis::gap_profile(in.population, from, to));
+    eras.push_back(analysis::gap_profile(in.context, from, to));
   }
   return eras;
 }
@@ -625,10 +625,10 @@ Measured ablation_jitter(In) {
     auto population = dataset::generate_population({.curve_jitter_sd = sd});
     if (!population.ok()) return shape(false, population.error().message);
     const dataset::ResultRepository repo(std::move(population).take());
-    mean_ep.push_back(
-        stats::mean(dataset::ResultRepository::ep_values(repo.all())));
-    share.push_back(analysis::global_spot_shares(repo).at(1.0));
-    spots.push_back(static_cast<double>(analysis::total_spots(repo)));
+    const analysis::AnalysisContext ctx(repo);
+    mean_ep.push_back(stats::mean(ctx.columnar().ep()));
+    share.push_back(analysis::global_spot_shares(ctx).at(1.0));
+    spots.push_back(static_cast<double>(analysis::total_spots(ctx)));
   }
   const auto same = [](const List& v) {
     return std::count(v.begin(), v.end(), v[0]) == std::ssize(v);
@@ -653,13 +653,12 @@ std::vector<stats::Summary> seed_summaries() {
   std::array<List, 4> values;
   for (auto& member : ensemble.value()) {
     const dataset::ResultRepository repo(std::move(member));
-    const auto idle =
-        analysis::analyze_idle_power(analysis::AnalysisContext(repo));
-    values[0].push_back(
-        stats::mean(dataset::ResultRepository::ep_values(repo.all())));
+    const analysis::AnalysisContext ctx(repo);
+    const auto idle = analysis::analyze_idle_power(ctx);
+    values[0].push_back(stats::mean(ctx.columnar().ep()));
     values[1].push_back(idle.ep_idle_correlation);
     values[2].push_back(idle.eq2.alpha);
-    values[3].push_back(analysis::global_spot_shares(repo).at(1.0));
+    values[3].push_back(analysis::global_spot_shares(ctx).at(1.0));
   }
   std::vector<stats::Summary> out;
   for (const auto& v : values) out.push_back(stats::summarize(v));
@@ -754,7 +753,7 @@ std::vector<Claim> build_registry() {
       "global minimum / maximum EP (year): the pencil-head envelope servers",
       ep_years({{low.ep, low.hw_year}, {high.ep, high.hw_year}}),
       [](In in) {
-        const auto env = analysis::power_envelope(in.population);
+        const auto env = analysis::power_envelope(in.context);
         if (env.min_ep_server == nullptr) return printed("missing");
         return printed(ep_years({{env.min_ep, env.min_ep_server->hw_year},
                                  {env.max_ep, env.max_ep_server->hw_year}}));
@@ -777,9 +776,7 @@ std::vector<Claim> build_registry() {
 
   const auto ep_share = [](double lo, double hi) {
     return print([lo, hi](In in) {
-      const auto& all = in.population.all();
-      return List{stats::share_in(
-          dataset::ResultRepository::ep_values(all), lo, hi)};
+      return List{stats::share_in(in.context.columnar().ep(), lo, hi)};
     }, 2, true);
   };
   add("fig5.share_0.6_0.7", "Fig.5", "share with EP in [0.6, 0.7)", "25.21%",
@@ -847,7 +844,7 @@ std::vector<Claim> build_registry() {
       [](In in) {
         double gap = 0.0;
         for (const auto& row :
-             analysis::composition_decomposition(in.population, 2012, 2016)) {
+             analysis::composition_decomposition(in.context, 2012, 2016)) {
           gap = std::max(gap, std::abs(row.actual_mean_ep -
                                        row.composition_predicted_ep));
         }
@@ -878,7 +875,7 @@ std::vector<Claim> build_registry() {
   add("fig11.edge_eps", "Fig.11", "almond upper / lower edge server EP",
       list({high.ep, low.ep}, 2),
       print([](In in) {
-        const auto env = analysis::ee_envelope(in.population);
+        const auto env = analysis::ee_envelope(in.context);
         if (env.max_ep_server == nullptr) return List{};
         return List{ep(*env.max_ep_server), ep(*env.min_ep_server)};
       }, 2),
@@ -886,7 +883,7 @@ std::vector<Claim> build_registry() {
   add("fig11.upper_edge_above_1", "Fig.11",
       "almond upper edge at 30% / 40% / 50% load", "above 1.0",
       print([](In in) {
-        const auto env = analysis::ee_envelope(in.population);
+        const auto env = analysis::ee_envelope(in.context);
         return List{env.upper[2], env.upper[3], env.upper[4]};
       }, 3),
       band(1, 2), "the paper gives no upper bound; 2.0 is this table's");
@@ -896,7 +893,7 @@ std::vector<Claim> build_registry() {
   add("fig12.zone_width_corr", "Fig.12", "corr(EP, 1.0x-zone width)",
       "wider at higher EP",
       print([](In in) {
-        return List{analysis::zone_width_ep_correlation(in.population)};
+        return List{analysis::zone_width_ep_correlation(in.context)};
       }, 3),
       band(0.5, 1), "a trend the paper states only; 0.5 is this table's bar");
 
@@ -929,7 +926,7 @@ std::vector<Claim> build_registry() {
       "idle share drop 2006/07 to 2011/12, then 2011/12 to 2015/16", "falls",
       print([](In in) {
         const auto at = [&in](int from) {
-          return analysis::mean_idle_fraction(in.population, from, from + 1);
+          return analysis::mean_idle_fraction(in.context, from, from + 1);
         };
         return List{at(2006) - at(2011), at(2011) - at(2015)};
       }, 1, true),
@@ -987,7 +984,7 @@ std::vector<Claim> build_registry() {
       "share of peak-EE spots at 100% / 90% / 80% / 70% / 60%",
       "69.25% / 3.35% / 11.72% / 13.81% / 1.88%",
       print([](In in) {
-        auto shares = analysis::global_spot_shares(in.population);
+        auto shares = analysis::global_spot_shares(in.context);
         return List{shares[1.0], shares[0.9], shares[0.8], shares[0.7],
                     shares[0.6]};
       }, 2, true),
@@ -997,7 +994,7 @@ std::vector<Claim> build_registry() {
   add("fig16.total_spots", "Fig.16",
       "peak-EE spots (one 2011 server ties at 80% and 90%)", "478",
       print([](In in) {
-        return List{static_cast<double>(analysis::total_spots(in.population))};
+        return List{static_cast<double>(analysis::total_spots(in.context))};
       }, 0),
       paper);
   add("fig16.full_load_2004_2012", "Fig.16",
@@ -1016,7 +1013,7 @@ std::vector<Claim> build_registry() {
       "3 / 10 / 5",
       print([](In in) {
         List counts;
-        for (auto row : analysis::peak_spot_by_year(in.population)) {
+        for (auto row : analysis::peak_spot_by_year(in.context)) {
           for (const double u : {1.0, 0.8, 0.7}) {
             if (row.year != 2016) continue;
             counts.push_back(static_cast<double>(row.spots[u]));
@@ -1198,7 +1195,7 @@ std::vector<Claim> build_registry() {
       "EP-class silicon, no year of 10+ results dips 0.01 below 2012",
       "the 2013/2014 dip is mainly the microarchitecture mix",
       [](In in) {
-        const auto result = analysis::frozen_mix_counterfactual(in.population);
+        const auto result = analysis::frozen_mix_counterfactual(in.context);
         if (!result.ok()) return shape(false, result.error().message);
         List actual;
         List frozen;
@@ -1219,7 +1216,7 @@ std::vector<Claim> build_registry() {
       "near future",
       print([](In in) {
         const int year =
-            analysis::forecast_peak_shift(in.population).year_reaching_50;
+            analysis::forecast_peak_shift(in.context).year_reaching_50;
         return List{year == 0 ? kNaN : static_cast<double>(year)};
       }, 0),
       band(2017, 2026),
@@ -1229,7 +1226,7 @@ std::vector<Claim> build_registry() {
       "Eq.2-implied EP at the projected mean idle share, 2018 / 2020 / 2022",
       "rises",
       print([](In in) {
-        const auto trend = analysis::forecast_idle_fraction(in.population);
+        const auto trend = analysis::forecast_idle_fraction(in.context);
         const auto eq2 = analysis::analyze_idle_power(in.context).eq2;
         List eps;
         for (const int year : {2018, 2020, 2022}) {
@@ -1246,11 +1243,10 @@ std::vector<Claim> build_registry() {
       "300 resamples",
       "-0.92 / 0.741",
       [](In in) {
-        const auto view = in.population.all();
-        const auto eps = dataset::ResultRepository::ep_values(view);
-        const auto idles =
-            dataset::ResultRepository::idle_fraction_values(view);
-        const auto scores = dataset::ResultRepository::score_values(view);
+        const auto& snap = in.context.columnar();
+        const auto eps = snap.ep();
+        const auto idles = snap.idle_fraction();
+        const auto scores = snap.overall_score();
         Rng rng(4242);  // one stream, drawn in this order
         const auto by_idle =
             stats::bootstrap_paired(eps, idles, stats::pearson, rng, 1000);
@@ -1315,7 +1311,7 @@ std::vector<Claim> build_registry() {
       "ratio / dynamic range / largest proportionality gap",
       "consistent, none perfect",
       print([](In in) {
-        const auto a = analysis::metric_agreement(in.population);
+        const auto a = analysis::metric_agreement(in.context);
         return List{a.ld_vs_ep, a.ipr_vs_ep, a.dr_vs_ep, a.gap_vs_ep};
       }, 3),
       band(0.4, 0.99),
@@ -1326,7 +1322,7 @@ std::vector<Claim> build_registry() {
       "highly proportional ones)",
       "1.88%",
       percent_of([](In in) {
-        return analysis::share_peaking_at_60(in.population);
+        return analysis::share_peaking_at_60(in.context);
       }),
       within(0.25),
       "the paper's Fig.16 value (fig16.spot_shares); 2.10% is this "

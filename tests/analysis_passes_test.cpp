@@ -180,6 +180,17 @@ TEST(ContextEquivalence, FullSelectionRendersMatchLegacyEntryPoints) {
             render_report_json(report));
 }
 
+TEST(ContextEquivalence, ReferenceReportRendersByteIdenticalToRunPasses) {
+  const auto& passes = all_passes();
+  const AnalysisContext ctx(repo());
+  const auto report = run_passes(ctx, passes);
+  const auto ref_report = reference::full_report(repo());
+  EXPECT_EQ(render_passes_text(report, passes),
+            render_passes_text(ref_report, passes));
+  EXPECT_EQ(render_passes_json(report, passes),
+            render_passes_json(ref_report, passes));
+}
+
 // --- subset runs ------------------------------------------------------------
 
 TEST(Subset, OnlySelectedFieldsArePopulated) {
@@ -247,17 +258,23 @@ TEST(Context, FullPassRunBuildsDerivedMetricsOnce) {
   AnalysisContext ctx(repo());
   (void)run_passes(ctx, all_passes());
   (void)run_passes(ctx, all_passes());
-  EXPECT_EQ(ctx.cache_stats().derived_builds, 1);
+  // A full pass run uses the derived bundle, the columnar snapshot, three
+  // group indexes (hw year, pub year, codename) and both deciles.
+  const auto stats = ctx.cache_stats();
+  EXPECT_EQ(stats.derived_builds, 1);
+  EXPECT_EQ(stats.columnar_builds, 1);
+  EXPECT_EQ(stats.group_index_builds, 3);
+  EXPECT_EQ(stats.decile_builds, 2);
 }
 
 TEST(Context, DecileMatchesRepositoryOrdering) {
   AnalysisContext ctx(repo());
   EXPECT_EQ(ctx.top_ep_decile(),
-            repo().top_decile([](const dataset::ServerRecord& r) {
+            reference::top_decile(repo(), [](const dataset::ServerRecord& r) {
               return metrics::energy_proportionality(r.curve);
             }));
   EXPECT_EQ(ctx.top_score_decile(),
-            repo().top_decile([](const dataset::ServerRecord& r) {
+            reference::top_decile(repo(), [](const dataset::ServerRecord& r) {
               return metrics::overall_score(r.curve);
             }));
 }

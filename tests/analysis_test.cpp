@@ -83,7 +83,7 @@ TEST(Trends, PeakEeSummaryAtLeastOverallScore) {
 // --- Envelope (Fig.9/11) --------------------------------------------------------
 
 TEST(Envelope, ExtremesAreThePinnedExemplars) {
-  const auto env = power_envelope(repo());
+  const auto env = power_envelope(ctx());
   EXPECT_NEAR(env.min_ep, 0.18, 0.01);
   EXPECT_NEAR(env.max_ep, 1.05, 0.01);
   ASSERT_NE(env.min_ep_server, nullptr);
@@ -93,7 +93,7 @@ TEST(Envelope, ExtremesAreThePinnedExemplars) {
 }
 
 TEST(Envelope, AllCurvesInsidePowerEnvelope) {
-  const auto env = power_envelope(repo());
+  const auto env = power_envelope(ctx());
   for (const auto& r : repo().records()) {
     const auto points = normalized_power_points(r);
     for (std::size_t i = 0; i < kEnvelopePoints; ++i) {
@@ -109,7 +109,7 @@ TEST(Envelope, ExtremeServersTraceTheEnvelopeEdges) {
   // 10% utilization". In the synthetic population the identification is
   // approximate at high load (interior-peak curves converge there), so the
   // upper edge is checked everywhere and the lower edge through 60% load.
-  const auto env = power_envelope(repo());
+  const auto env = power_envelope(ctx());
   const auto upper = normalized_power_points(*env.min_ep_server);
   const auto lower = normalized_power_points(*env.max_ep_server);
   for (std::size_t i = 1; i < kEnvelopePoints; ++i) {
@@ -121,14 +121,14 @@ TEST(Envelope, ExtremeServersTraceTheEnvelopeEdges) {
 }
 
 TEST(Envelope, PowerEnvelopeEndsAtUnity) {
-  const auto env = power_envelope(repo());
+  const auto env = power_envelope(ctx());
   EXPECT_NEAR(env.lower.back(), 1.0, 1e-9);
   EXPECT_NEAR(env.upper.back(), 1.0, 1e-9);
 }
 
 TEST(Envelope, EeEnvelopeUpperExceedsOneForHighEpServers) {
   // Fig.11: the almond's upper edge rises above 1.0 before full load.
-  const auto env = ee_envelope(repo());
+  const auto env = ee_envelope(ctx());
   bool above_one = false;
   for (std::size_t i = 0; i + 1 < metrics::kNumLoadLevels; ++i) {
     if (env.upper[i] > 1.0) above_one = true;
@@ -212,7 +212,7 @@ TEST(Uarch, IvyBridgeBelowSandyBridgeDespiteFinerProcess) {
 }
 
 TEST(Uarch, YearlyMixShowsIvyBridgeTakeoverIn2013) {
-  const auto mix = yearly_codename_mix(repo());
+  const auto mix = yearly_codename_mix(ctx());
   ASSERT_TRUE(mix.contains(2013));
   std::size_t ivy = 0, total = 0;
   for (const auto& [name, count] : mix.at(2013)) {
@@ -225,7 +225,7 @@ TEST(Uarch, YearlyMixShowsIvyBridgeTakeoverIn2013) {
 TEST(Uarch, CompositionExplainsThe2013Dip) {
   // The mix-predicted EP for 2013 must itself be below the 2012 level:
   // the dip is a composition effect, not a per-codename regression.
-  const auto rows = composition_decomposition(repo(), 2012, 2014);
+  const auto rows = composition_decomposition(ctx(), 2012, 2014);
   ASSERT_EQ(rows.size(), 3u);
   const auto& y2012 = rows[0];
   const auto& y2013 = rows[1];
@@ -237,11 +237,11 @@ TEST(Uarch, CompositionExplainsThe2013Dip) {
 // --- Peak shift (Fig.16) -----------------------------------------------------------
 
 TEST(PeakShiftAnalysis, TotalSpots478) {
-  EXPECT_EQ(total_spots(repo()), 478u);
+  EXPECT_EQ(total_spots(ctx()), 478u);
 }
 
 TEST(PeakShiftAnalysis, GlobalSharesMatchPaper) {
-  const auto shares = global_spot_shares(repo());
+  const auto shares = global_spot_shares(ctx());
   EXPECT_NEAR(shares.at(1.0), 0.6925, 0.02);
   EXPECT_NEAR(shares.at(0.7), 0.1381, 0.02);
   EXPECT_NEAR(shares.at(0.8), 0.1172, 0.02);
@@ -253,7 +253,7 @@ TEST(PeakShiftAnalysis, IntervalContrast) {
 }
 
 TEST(PeakShiftAnalysis, PerYearRowsConsistent) {
-  for (const auto& row : peak_spot_by_year(repo())) {
+  for (const auto& row : peak_spot_by_year(ctx())) {
     std::size_t spot_total = 0;
     for (const auto& [spot, count] : row.spots) spot_total += count;
     EXPECT_GE(spot_total, row.servers);      // ties add spots
@@ -365,10 +365,10 @@ TEST(Idle, HeadlineNumbersNearPaper) {
 
 TEST(Idle, IdleFractionFellFasterBefore2012) {
   // Paper §III.D: the idle percentage dropped more 2006-2012 than 2012-2016.
-  const double drop_early = mean_idle_fraction(repo(), 2006, 2007) -
-                            mean_idle_fraction(repo(), 2011, 2012);
-  const double drop_late = mean_idle_fraction(repo(), 2011, 2012) -
-                           mean_idle_fraction(repo(), 2015, 2016);
+  const double drop_early = mean_idle_fraction(ctx(), 2006, 2007) -
+                            mean_idle_fraction(ctx(), 2011, 2012);
+  const double drop_late = mean_idle_fraction(ctx(), 2011, 2012) -
+                           mean_idle_fraction(ctx(), 2015, 2016);
   EXPECT_GT(drop_early, drop_late);
 }
 

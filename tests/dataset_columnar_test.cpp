@@ -1,10 +1,9 @@
 // Equivalence contract of the columnar engine (docs/COLUMNAR.md): every
 // GroupIndex built over a ColumnarSnapshot key column must expose exactly the
-// groups the legacy std::map builders produce — same keys in the same order,
-// same members in the same order — across population sizes, every context
-// analysis must equal its map-based reference (tests/analysis_reference.h)
-// field for field, and a batched placement must equal its per-slot
-// evaluations. Runs under the `columnar` ctest label, i.e. also under
+// groups the map group-bys of tests/analysis_reference.h produce — same keys
+// in the same order, same members in the same order — across population
+// sizes, every context analysis must equal its map-based reference field for
+// field, and a batched placement must equal its per-slot evaluations. Runs under the `columnar` ctest label, i.e. also under
 // -DEPSERVE_SANITIZE=thread.
 #include "dataset/columnar.h"
 
@@ -83,24 +82,26 @@ void expect_equivalent(const ResultRepository& repo, const GroupIndex& groups,
 class GroupingEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GroupingEquivalence, MatchesLegacyMapBuildersOnEveryKey) {
+  namespace reference = analysis::reference;
   const ResultRepository repo = repo_of_size(GetParam());
-  const ColumnarSnapshot snap = ColumnarSnapshot::build(repo);
+  const ColumnarSnapshot snap = ColumnarSnapshot::build(repo.records());
   ASSERT_EQ(snap.size(), repo.size());
 
   {
-    const auto legacy = repo.by_year(YearKey::kHardwareAvailability);
+    const auto legacy =
+        reference::by_year(repo, YearKey::kHardwareAvailability);
     LegacyGroups flat;
     for (const auto& [year, view] : legacy) flat.emplace_back(year, &view);
     expect_equivalent(repo, GroupIndex::over(snap.hw_year()), flat);
   }
   {
-    const auto legacy = repo.by_year(YearKey::kPublished);
+    const auto legacy = reference::by_year(repo, YearKey::kPublished);
     LegacyGroups flat;
     for (const auto& [year, view] : legacy) flat.emplace_back(year, &view);
     expect_equivalent(repo, GroupIndex::over(snap.pub_year()), flat);
   }
   {
-    const auto legacy = repo.by_family();
+    const auto legacy = reference::by_family(repo);
     LegacyGroups flat;
     for (const auto& [family, view] : legacy) {
       flat.emplace_back(static_cast<std::int32_t>(family), &view);
@@ -110,7 +111,7 @@ TEST_P(GroupingEquivalence, MatchesLegacyMapBuildersOnEveryKey) {
   {
     // Codename ids are interned sorted-ascending, so ascending-id group
     // order must equal the std::map<std::string> key order.
-    const auto legacy = repo.by_codename();
+    const auto legacy = reference::by_codename(repo);
     const GroupIndex groups = GroupIndex::over(snap.codename_id());
     LegacyGroups flat;
     std::size_t g = 0;
@@ -123,19 +124,19 @@ TEST_P(GroupingEquivalence, MatchesLegacyMapBuildersOnEveryKey) {
     expect_equivalent(repo, groups, flat);
   }
   {
-    const auto legacy = repo.by_nodes();
+    const auto legacy = reference::by_nodes(repo);
     LegacyGroups flat;
     for (const auto& [nodes, view] : legacy) flat.emplace_back(nodes, &view);
     expect_equivalent(repo, GroupIndex::over(snap.nodes()), flat);
   }
   {
-    const auto legacy = repo.by_memory_per_core();
+    const auto legacy = reference::by_memory_per_core(repo);
     LegacyGroups flat;
     for (const auto& [centi, view] : legacy) flat.emplace_back(centi, &view);
     expect_equivalent(repo, GroupIndex::over(snap.mpc_centi()), flat);
   }
   {
-    const auto legacy = repo.single_node_by_chips();
+    const auto legacy = reference::single_node_by_chips(repo);
     std::vector<std::uint8_t> mask(snap.size());
     for (std::size_t i = 0; i < snap.size(); ++i) {
       mask[i] = snap.nodes()[i] == 1 ? 1 : 0;
@@ -316,6 +317,197 @@ INSTANTIATE_TEST_SUITE_P(Populations, ContextAnalyses,
                          ::testing::Values(std::size_t{477},
                                            std::size_t{5000}));
 
+// --- the analyses outside the report passes vs the map reference ------------
+
+void expect_same(const std::vector<analysis::ForecastPoint>& a,
+                 const std::vector<analysis::ForecastPoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].year, b[i].year);
+    EXPECT_EQ(a[i].value, b[i].value);
+  }
+}
+
+void expect_same(const stats::LinearFit& a, const stats::LinearFit& b) {
+  EXPECT_EQ(a.slope, b.slope);
+  EXPECT_EQ(a.intercept, b.intercept);
+  EXPECT_EQ(a.r_squared, b.r_squared);
+}
+
+void expect_same(const Result<analysis::CounterfactualResult>& a,
+                 const Result<analysis::CounterfactualResult>& b) {
+  ASSERT_EQ(a.ok(), b.ok());
+  if (!a.ok()) {
+    EXPECT_EQ(a.error().code, b.error().code);
+    EXPECT_EQ(a.error().message, b.error().message);
+    return;
+  }
+  EXPECT_EQ(a.value().reference_codename, b.value().reference_codename);
+  EXPECT_EQ(a.value().dip_removed, b.value().dip_removed);
+  ASSERT_EQ(a.value().rows.size(), b.value().rows.size());
+  for (std::size_t i = 0; i < a.value().rows.size(); ++i) {
+    const auto& row = a.value().rows[i];
+    const auto& ref_row = b.value().rows[i];
+    EXPECT_EQ(row.year, ref_row.year);
+    EXPECT_EQ(row.count, ref_row.count);
+    EXPECT_EQ(row.actual_mean_ep, ref_row.actual_mean_ep);
+    EXPECT_EQ(row.counterfactual_mean_ep, ref_row.counterfactual_mean_ep);
+  }
+}
+
+class ContextEquivalence : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ContextEquivalence, ConvertedAnalysesMatchMapReferenceFieldForField) {
+  namespace reference = analysis::reference;
+  const ResultRepository repo = repo_of_size(GetParam());
+  const analysis::AnalysisContext ctx(repo);
+
+  {
+    SCOPED_TRACE("frozen_mix_counterfactual");
+    expect_same(analysis::frozen_mix_counterfactual(ctx),
+                reference::frozen_mix_counterfactual(repo));
+    expect_same(analysis::frozen_mix_counterfactual(ctx, "Sandy Bridge EN",
+                                                    2008, 2016),
+                reference::frozen_mix_counterfactual(repo, "Sandy Bridge EN",
+                                                     2008, 2016));
+    expect_same(analysis::frozen_mix_counterfactual(ctx, "Zen 7"),
+                reference::frozen_mix_counterfactual(repo, "Zen 7"));
+    expect_same(
+        analysis::frozen_mix_counterfactual(ctx, "Sandy Bridge EP", 2030, 2031),
+        reference::frozen_mix_counterfactual(repo, "Sandy Bridge EP", 2030,
+                                             2031));
+  }
+
+  {
+    SCOPED_TRACE("efficiency_zones");
+    const auto zones = analysis::efficiency_zones(ctx);
+    const auto ref_zones = reference::efficiency_zones(repo);
+    ASSERT_EQ(zones.size(), ref_zones.size());
+    for (std::size_t i = 0; i < zones.size(); ++i) {
+      EXPECT_EQ(zones[i].server_id, ref_zones[i].server_id);
+      EXPECT_EQ(zones[i].ep, ref_zones[i].ep);
+      EXPECT_EQ(zones[i].zone_start, ref_zones[i].zone_start);
+      EXPECT_EQ(zones[i].zone_width, ref_zones[i].zone_width);
+    }
+    EXPECT_EQ(analysis::zone_width_ep_correlation(ctx),
+              reference::zone_width_ep_correlation(repo));
+  }
+
+  {
+    SCOPED_TRACE("envelopes");
+    const auto power = analysis::power_envelope(ctx);
+    const auto ref_power = reference::power_envelope(repo);
+    EXPECT_EQ(power.lower, ref_power.lower);
+    EXPECT_EQ(power.upper, ref_power.upper);
+    EXPECT_EQ(power.min_ep_server, ref_power.min_ep_server);
+    EXPECT_EQ(power.max_ep_server, ref_power.max_ep_server);
+    EXPECT_EQ(power.min_ep, ref_power.min_ep);
+    EXPECT_EQ(power.max_ep, ref_power.max_ep);
+    const auto ee = analysis::ee_envelope(ctx);
+    const auto ref_ee = reference::ee_envelope(repo);
+    EXPECT_EQ(ee.lower, ref_ee.lower);
+    EXPECT_EQ(ee.upper, ref_ee.upper);
+    EXPECT_EQ(ee.min_ep_server, ref_ee.min_ep_server);
+    EXPECT_EQ(ee.max_ep_server, ref_ee.max_ep_server);
+  }
+
+  {
+    SCOPED_TRACE("forecasts");
+    for (const auto& [from, until] : {std::pair{2010, 2026}, std::pair{2004, 2060}}) {
+      const auto shift = analysis::forecast_peak_shift(ctx, from, until);
+      const auto ref_shift = reference::forecast_peak_shift(repo, from, until);
+      expect_same(shift.observed, ref_shift.observed);
+      expect_same(shift.trend, ref_shift.trend);
+      expect_same(shift.projected, ref_shift.projected);
+      EXPECT_EQ(shift.year_reaching_50, ref_shift.year_reaching_50);
+      EXPECT_EQ(shift.year_reaching_40, ref_shift.year_reaching_40);
+    }
+    for (const int from : {2004, 2008}) {
+      const auto idle = analysis::forecast_idle_fraction(ctx, from);
+      const auto ref_idle = reference::forecast_idle_fraction(repo, from);
+      expect_same(idle.observed, ref_idle.observed);
+      expect_same(idle.trend, ref_idle.trend);
+    }
+  }
+
+  {
+    SCOPED_TRACE("gap_profile and mean_idle_fraction");
+    for (const auto& [from, to] :
+         {std::pair{2004, 2008}, std::pair{2009, 2011}, std::pair{2012, 2013},
+          std::pair{2014, 2016}, std::pair{2004, 2016}}) {
+      const auto gap = analysis::gap_profile(ctx, from, to);
+      const auto ref_gap = reference::gap_profile(repo, from, to);
+      EXPECT_EQ(gap.from_year, ref_gap.from_year);
+      EXPECT_EQ(gap.to_year, ref_gap.to_year);
+      EXPECT_EQ(gap.servers, ref_gap.servers);
+      EXPECT_EQ(gap.mean_gap, ref_gap.mean_gap);
+      EXPECT_EQ(analysis::mean_idle_fraction(ctx, from, to),
+                reference::mean_idle_fraction(repo, from, to));
+    }
+  }
+
+  {
+    SCOPED_TRACE("metric comparison");
+    const auto agreement = analysis::metric_agreement(ctx);
+    const auto ref_agreement = reference::metric_agreement(repo);
+    EXPECT_EQ(agreement.ld_vs_ep, ref_agreement.ld_vs_ep);
+    EXPECT_EQ(agreement.ipr_vs_ep, ref_agreement.ipr_vs_ep);
+    EXPECT_EQ(agreement.dr_vs_ep, ref_agreement.dr_vs_ep);
+    EXPECT_EQ(agreement.gap_vs_ep, ref_agreement.gap_vs_ep);
+    const auto tiers = analysis::peak_location_by_ep_tier(ctx);
+    const auto ref_tiers = reference::peak_location_by_ep_tier(repo);
+    ASSERT_EQ(tiers.size(), ref_tiers.size());
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      EXPECT_EQ(tiers[i].quartile, ref_tiers[i].quartile);
+      EXPECT_EQ(tiers[i].count, ref_tiers[i].count);
+      EXPECT_EQ(tiers[i].mean_ep, ref_tiers[i].mean_ep);
+      EXPECT_EQ(tiers[i].mean_peak_utilization,
+                ref_tiers[i].mean_peak_utilization);
+      EXPECT_EQ(tiers[i].share_at_full_load, ref_tiers[i].share_at_full_load);
+      EXPECT_EQ(tiers[i].share_at_60, ref_tiers[i].share_at_60);
+    }
+    EXPECT_EQ(analysis::share_peaking_at_60(ctx),
+              reference::share_peaking_at_60(repo));
+  }
+
+  {
+    SCOPED_TRACE("peak spots");
+    const auto spots = analysis::peak_spot_by_year(ctx);
+    const auto ref_spots = reference::peak_spot_by_year(repo);
+    ASSERT_EQ(spots.size(), ref_spots.size());
+    for (std::size_t i = 0; i < spots.size(); ++i) {
+      EXPECT_EQ(spots[i].year, ref_spots[i].year);
+      EXPECT_EQ(spots[i].servers, ref_spots[i].servers);
+      EXPECT_EQ(spots[i].spots, ref_spots[i].spots);
+    }
+    EXPECT_EQ(analysis::global_spot_shares(ctx),
+              reference::global_spot_shares(repo));
+    EXPECT_EQ(analysis::total_spots(ctx), reference::total_spots(repo));
+  }
+
+  {
+    SCOPED_TRACE("codename mix");
+    for (const auto& [from, to] :
+         {std::pair{2012, 2016}, std::pair{2004, 2016}}) {
+      EXPECT_EQ(analysis::yearly_codename_mix(ctx, from, to),
+                reference::yearly_codename_mix(repo, from, to));
+      const auto mix = analysis::composition_decomposition(ctx, from, to);
+      const auto ref_mix = reference::composition_decomposition(repo, from, to);
+      ASSERT_EQ(mix.size(), ref_mix.size());
+      for (std::size_t i = 0; i < mix.size(); ++i) {
+        EXPECT_EQ(mix[i].year, ref_mix[i].year);
+        EXPECT_EQ(mix[i].actual_mean_ep, ref_mix[i].actual_mean_ep);
+        EXPECT_EQ(mix[i].composition_predicted_ep,
+                  ref_mix[i].composition_predicted_ep);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Populations, ContextEquivalence,
+                         ::testing::Values(std::size_t{477},
+                                           std::size_t{5000}));
+
 TEST(ColumnarSnapshot, DerivedColumnsAreBitwiseCopiesOfTheBundle) {
   const ResultRepository repo = repo_of_size(477);
   std::vector<metrics::DerivedCurveMetrics> derived;
@@ -323,7 +515,7 @@ TEST(ColumnarSnapshot, DerivedColumnsAreBitwiseCopiesOfTheBundle) {
   for (const auto& r : repo.records()) {
     derived.push_back(metrics::derive_curve_metrics(r.curve));
   }
-  const ColumnarSnapshot snap = ColumnarSnapshot::build(repo, derived);
+  const ColumnarSnapshot snap = ColumnarSnapshot::build(repo.records(), derived);
   ASSERT_EQ(snap.size(), derived.size());
   for (std::size_t i = 0; i < derived.size(); ++i) {
     EXPECT_EQ(snap.ep()[i], derived[i].ep);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 
+#include "analysis_reference.h"
 #include "dataset/calibration.h"
 #include "dataset/repository.h"
 #include "metrics/efficiency.h"
@@ -17,6 +18,8 @@
 
 namespace epserve::dataset {
 namespace {
+
+namespace reference = analysis::reference;
 
 /// Generates once and shares across all tests in this file.
 const ResultRepository& repo() {
@@ -83,7 +86,7 @@ TEST(Population, DifferentSeedDiffers) {
 // --- Per-year structure (paper §I / Fig.2) -----------------------------------
 
 TEST(Population, YearCountsMatchPlan) {
-  const auto groups = repo().by_year();
+  const auto groups = reference::by_year(repo());
   int total = 0;
   for (const auto& plan : year_plans()) {
     ASSERT_TRUE(groups.contains(plan.year)) << plan.year;
@@ -96,7 +99,7 @@ TEST(Population, YearCountsMatchPlan) {
 }
 
 TEST(Population, Year2012Share27Percent) {
-  const auto groups = repo().by_year();
+  const auto groups = reference::by_year(repo());
   const double share =
       static_cast<double>(groups.at(2012).size()) / kTotalServers;
   EXPECT_NEAR(share, 0.274, 0.01);  // paper §IV.B: 27.4%
@@ -114,8 +117,8 @@ class EpTrendByYear : public ::testing::TestWithParam<YearEpTarget> {};
 
 TEST_P(EpTrendByYear, AverageEpNearPaperValue) {
   const auto [year, avg, tolerance] = GetParam();
-  const auto groups = repo().by_year();
-  const auto eps = ResultRepository::ep_values(groups.at(year));
+  const auto groups = reference::by_year(repo());
+  const auto eps = reference::ep_values(groups.at(year));
   EXPECT_NEAR(stats::mean(eps), avg, tolerance) << "year " << year;
 }
 
@@ -133,29 +136,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EpTrend, TwoStepJumps20082009And20112012) {
   // Paper §III.A: the two microarchitecture "tock" jumps.
-  const auto groups = repo().by_year();
+  const auto groups = reference::by_year(repo());
   const double avg2008 =
-      stats::mean(ResultRepository::ep_values(groups.at(2008)));
+      stats::mean(reference::ep_values(groups.at(2008)));
   const double avg2009 =
-      stats::mean(ResultRepository::ep_values(groups.at(2009)));
+      stats::mean(reference::ep_values(groups.at(2009)));
   const double avg2011 =
-      stats::mean(ResultRepository::ep_values(groups.at(2011)));
+      stats::mean(reference::ep_values(groups.at(2011)));
   const double avg2012 =
-      stats::mean(ResultRepository::ep_values(groups.at(2012)));
+      stats::mean(reference::ep_values(groups.at(2012)));
   EXPECT_GT((avg2009 - avg2008) / avg2008, 0.35);  // paper: +48.65%
   EXPECT_GT((avg2012 - avg2011) / avg2011, 0.18);  // paper: +24.24%
 }
 
 TEST(EpTrend, DipIn2013And2014ThenRecovery) {
-  const auto groups = repo().by_year();
+  const auto groups = reference::by_year(repo());
   const double avg2012 =
-      stats::mean(ResultRepository::ep_values(groups.at(2012)));
+      stats::mean(reference::ep_values(groups.at(2012)));
   const double avg2013 =
-      stats::mean(ResultRepository::ep_values(groups.at(2013)));
+      stats::mean(reference::ep_values(groups.at(2013)));
   const double avg2014 =
-      stats::mean(ResultRepository::ep_values(groups.at(2014)));
+      stats::mean(reference::ep_values(groups.at(2014)));
   const double avg2016 =
-      stats::mean(ResultRepository::ep_values(groups.at(2016)));
+      stats::mean(reference::ep_values(groups.at(2016)));
   EXPECT_LT(avg2013, avg2012);
   EXPECT_LT(avg2014, avg2012);
   EXPECT_GT(avg2016, avg2013);
@@ -163,11 +166,11 @@ TEST(EpTrend, DipIn2013And2014ThenRecovery) {
 
 TEST(EpTrend, Median2014AboveMedian2013) {
   // Paper §III.A: despite the outlier, the 2014 median still rises.
-  const auto groups = repo().by_year();
+  const auto groups = reference::by_year(repo());
   const double med2013 =
-      stats::median(ResultRepository::ep_values(groups.at(2013)));
+      stats::median(reference::ep_values(groups.at(2013)));
   const double med2014 =
-      stats::median(ResultRepository::ep_values(groups.at(2014)));
+      stats::median(reference::ep_values(groups.at(2014)));
   EXPECT_GT(med2014, med2013);
 }
 
@@ -192,19 +195,19 @@ TEST(EpTrend, GlobalExtremaMatchPaper) {
 }
 
 TEST(EpTrend, Minimum2016EpIs073) {
-  const auto groups = repo().by_year();
-  const auto eps = ResultRepository::ep_values(groups.at(2016));
+  const auto groups = reference::by_year(repo());
+  const auto eps = reference::ep_values(groups.at(2016));
   EXPECT_NEAR(*std::min_element(eps.begin(), eps.end()), 0.73, 0.01);
 }
 
 // --- EE trend (Fig.4) ---------------------------------------------------------
 
 TEST(EeTrend, OverallScoreRisesMonotonicallyInYearAverages) {
-  const auto groups = repo().by_year();
+  const auto groups = reference::by_year(repo());
   double prev = 0.0;
   for (const auto& [year, view] : groups) {
     if (year == 2014) continue;  // the paper's outlier year dents the average
-    const double avg = stats::mean(ResultRepository::score_values(view));
+    const double avg = stats::mean(reference::score_values(view));
     EXPECT_GT(avg, prev) << "year " << year;
     prev = avg;
   }
@@ -239,7 +242,7 @@ TEST(EeTrend, OutlierOf2014Present) {
 // --- EP CDF (Fig.5) -----------------------------------------------------------
 
 TEST(EpCdf, BucketSharesNearPaper) {
-  const auto eps = ResultRepository::ep_values(repo().all());
+  const auto eps = reference::ep_values(repo().all());
   // Paper: 25.21% in [0.6, 0.7), 17.44% in [0.8, 0.9), 99.58% < 1.0.
   EXPECT_NEAR(stats::share_in(eps, 0.6, 0.7), 0.2521, 0.07);
   EXPECT_NEAR(stats::share_in(eps, 0.8, 0.9), 0.1744, 0.07);
@@ -251,7 +254,7 @@ TEST(EpCdf, BucketSharesNearPaper) {
 }
 
 TEST(EpCdf, ExactlyTwoServersReachEpOne) {
-  const auto eps = ResultRepository::ep_values(repo().all());
+  const auto eps = reference::ep_values(repo().all());
   const auto count =
       std::count_if(eps.begin(), eps.end(), [](double e) { return e >= 1.0; });
   EXPECT_EQ(count, 2);
@@ -261,8 +264,8 @@ TEST(EpCdf, ExactlyTwoServersReachEpOne) {
 
 TEST(Correlations, EpVsIdleStronglyNegative) {
   const auto view = repo().all();
-  const auto eps = ResultRepository::ep_values(view);
-  const auto idles = ResultRepository::idle_fraction_values(view);
+  const auto eps = reference::ep_values(view);
+  const auto idles = reference::idle_fraction_values(view);
   const double r = stats::pearson(eps, idles);
   // Paper: -0.92.
   EXPECT_LT(r, -0.85);
@@ -271,8 +274,8 @@ TEST(Correlations, EpVsIdleStronglyNegative) {
 
 TEST(Correlations, EpVsOverallScoreModeratelyPositive) {
   const auto view = repo().all();
-  const auto eps = ResultRepository::ep_values(view);
-  const auto scores = ResultRepository::score_values(view);
+  const auto eps = reference::ep_values(view);
+  const auto scores = reference::score_values(view);
   const double r = stats::pearson(eps, scores);
   // Paper: 0.741 over the 477 valid results.
   EXPECT_GT(r, 0.55);
@@ -281,8 +284,8 @@ TEST(Correlations, EpVsOverallScoreModeratelyPositive) {
 
 TEST(Correlations, Eq2ExponentialFitRecovered) {
   const auto view = repo().all();
-  const auto eps = ResultRepository::ep_values(view);
-  const auto idles = ResultRepository::idle_fraction_values(view);
+  const auto eps = reference::ep_values(view);
+  const auto idles = reference::idle_fraction_values(view);
   const auto fit = stats::fit_exponential(idles, eps);
   // Paper Eq.2: EP = 1.2969 * exp(beta * idle), R^2 = 0.892.
   EXPECT_NEAR(fit.alpha, 1.2969, 0.25);
@@ -367,7 +370,7 @@ TEST(PeakShift, DualPeakServerExistsIn2011) {
 // --- Topology (Fig.13/14) -------------------------------------------------------
 
 TEST(Topology, NodeCountsMatchPlan) {
-  const auto groups = repo().by_nodes();
+  const auto groups = reference::by_nodes(repo());
   EXPECT_EQ(groups.at(1).size(), 403u);
   EXPECT_EQ(groups.at(2).size(), 40u);
   EXPECT_EQ(groups.at(4).size(), 24u);
@@ -376,7 +379,7 @@ TEST(Topology, NodeCountsMatchPlan) {
 }
 
 TEST(Topology, SingleNodeChipCountsMatchFig14) {
-  const auto groups = repo().single_node_by_chips();
+  const auto groups = reference::single_node_by_chips(repo());
   EXPECT_EQ(groups.at(1).size(), 77u);
   EXPECT_EQ(groups.at(2).size(), 284u);
   EXPECT_EQ(groups.at(4).size(), 36u);
@@ -384,23 +387,23 @@ TEST(Topology, SingleNodeChipCountsMatchFig14) {
 }
 
 TEST(Topology, MedianEpRisesWithNodeCount) {
-  const auto groups = repo().by_nodes();
+  const auto groups = reference::by_nodes(repo());
   const double med2 =
-      stats::median(ResultRepository::ep_values(groups.at(2)));
+      stats::median(reference::ep_values(groups.at(2)));
   const double med4 =
-      stats::median(ResultRepository::ep_values(groups.at(4)));
+      stats::median(reference::ep_values(groups.at(4)));
   const double med16 =
-      stats::median(ResultRepository::ep_values(groups.at(16)));
+      stats::median(reference::ep_values(groups.at(16)));
   EXPECT_LT(med2, med4);
   EXPECT_LT(med4, med16);
 }
 
 TEST(Topology, TwoChipSingleNodeServersLeadOnAverageEp) {
-  const auto groups = repo().single_node_by_chips();
-  const double avg1 = stats::mean(ResultRepository::ep_values(groups.at(1)));
-  const double avg2 = stats::mean(ResultRepository::ep_values(groups.at(2)));
-  const double avg4 = stats::mean(ResultRepository::ep_values(groups.at(4)));
-  const double avg8 = stats::mean(ResultRepository::ep_values(groups.at(8)));
+  const auto groups = reference::single_node_by_chips(repo());
+  const double avg1 = stats::mean(reference::ep_values(groups.at(1)));
+  const double avg2 = stats::mean(reference::ep_values(groups.at(2)));
+  const double avg4 = stats::mean(reference::ep_values(groups.at(4)));
+  const double avg8 = stats::mean(reference::ep_values(groups.at(8)));
   EXPECT_GT(avg2, avg1);
   EXPECT_GT(avg2, avg4);
   EXPECT_GT(avg4, avg8);  // monotone decline beyond 2 chips (paper §III.E)
@@ -410,7 +413,7 @@ TEST(Topology, TwoChipSingleNodeServersLeadOnAverageEp) {
 
 TEST(MemoryPerCore, TableIQuotasReproduced) {
   // Keys are integer centi-GB-per-core: 67 == 0.67 GB/core.
-  const auto groups = repo().by_memory_per_core();
+  const auto groups = reference::by_memory_per_core(repo());
   EXPECT_EQ(groups.at(67).size(), 15u);
   EXPECT_EQ(groups.at(100).size(), 153u);
   EXPECT_EQ(groups.at(133).size(), 32u);
@@ -421,7 +424,7 @@ TEST(MemoryPerCore, TableIQuotasReproduced) {
 }
 
 TEST(MemoryPerCore, TableICoversAtLeast430Servers) {
-  const auto groups = repo().by_memory_per_core();
+  const auto groups = reference::by_memory_per_core(repo());
   std::size_t covered = 0;
   for (const int mpc_centi : {67, 100, 133, 150, 178, 200, 400}) {
     covered += groups.at(mpc_centi).size();

@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "analysis_reference.h"
 #include "dataset/calibration.h"
 #include "dataset/generator.h"
 #include "dataset/repository.h"
@@ -13,6 +14,8 @@
 
 namespace epserve::dataset {
 namespace {
+
+namespace reference = analysis::reference;
 
 class MultiSeedQuotas : public ::testing::TestWithParam<std::uint64_t> {
  protected:
@@ -34,7 +37,7 @@ class MultiSeedQuotas : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(MultiSeedQuotas, TotalAndYearCounts) {
   const auto& repo = repo_for(GetParam());
   EXPECT_EQ(repo.size(), static_cast<std::size_t>(kTotalServers));
-  const auto by_year = repo.by_year();
+  const auto by_year = reference::by_year(repo);
   for (const auto& plan : year_plans()) {
     EXPECT_EQ(by_year.at(plan.year).size(),
               static_cast<std::size_t>(plan.count));
@@ -43,13 +46,13 @@ TEST_P(MultiSeedQuotas, TotalAndYearCounts) {
 
 TEST_P(MultiSeedQuotas, TopologyQuotas) {
   const auto& repo = repo_for(GetParam());
-  const auto nodes = repo.by_nodes();
+  const auto nodes = reference::by_nodes(repo);
   EXPECT_EQ(nodes.at(1).size(), 403u);
   EXPECT_EQ(nodes.at(2).size(), 40u);
   EXPECT_EQ(nodes.at(4).size(), 24u);
   EXPECT_EQ(nodes.at(8).size(), 4u);
   EXPECT_EQ(nodes.at(16).size(), 6u);
-  const auto chips = repo.single_node_by_chips();
+  const auto chips = reference::single_node_by_chips(repo);
   EXPECT_EQ(chips.at(1).size(), 77u);
   EXPECT_EQ(chips.at(2).size(), 284u);
   EXPECT_EQ(chips.at(4).size(), 36u);
@@ -58,7 +61,7 @@ TEST_P(MultiSeedQuotas, TopologyQuotas) {
 
 TEST_P(MultiSeedQuotas, TableIQuotas) {
   const auto& repo = repo_for(GetParam());
-  const auto mpc = repo.by_memory_per_core();
+  const auto mpc = reference::by_memory_per_core(repo);
   EXPECT_EQ(mpc.at(100).size(), 153u);
   EXPECT_EQ(mpc.at(150).size(), 68u);
   EXPECT_EQ(mpc.at(200).size(), 123u);

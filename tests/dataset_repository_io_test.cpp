@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 
+#include "analysis/context.h"
 #include "dataset/generator.h"
 #include "dataset/io.h"
 #include "dataset/repository.h"
@@ -21,48 +24,67 @@ const ResultRepository& repo() {
   return instance;
 }
 
+const analysis::AnalysisContext& ctx() {
+  static const analysis::AnalysisContext instance(repo());
+  return instance;
+}
+
 TEST(Repository, AllReturnsEverything) {
   EXPECT_EQ(repo().all().size(), repo().size());
 }
 
 TEST(Repository, WhereFilters) {
-  const auto multi =
-      repo().where([](const ServerRecord& r) { return r.is_multi_node(); });
-  EXPECT_EQ(multi.size(), 74u);
-  for (const auto* r : multi) EXPECT_GT(r->nodes, 1);
+  const auto nodes = ctx().columnar().nodes();
+  EXPECT_EQ(std::count_if(nodes.begin(), nodes.end(),
+                          [](std::int32_t n) { return n > 1; }),
+            74);
 }
 
 TEST(Repository, ByYearKeysDiffer) {
-  const auto by_hw = repo().by_year(YearKey::kHardwareAvailability);
-  const auto by_pub = repo().by_year(YearKey::kPublished);
+  const auto& by_hw = ctx().groups_by_year(YearKey::kHardwareAvailability);
+  const auto& by_pub = ctx().groups_by_year(YearKey::kPublished);
   // Published-year grouping must not contain pre-2007 keys.
-  EXPECT_TRUE(by_hw.contains(2004));
-  EXPECT_FALSE(by_pub.contains(2004));
+  EXPECT_TRUE(by_hw.find(2004).has_value());
+  EXPECT_FALSE(by_pub.find(2004).has_value());
 }
 
 TEST(Repository, ByFamilyCoversAllRecords) {
+  const auto& groups = ctx().groups_by_family();
   std::size_t total = 0;
-  for (const auto& [family, view] : repo().by_family()) total += view.size();
+  for (std::size_t g = 0; g < groups.group_count(); ++g) {
+    total += groups.members(g).size();
+  }
   EXPECT_EQ(total, repo().size());
 }
 
 TEST(Repository, ByCodenameGroupsAreDisjointAndComplete) {
+  const auto& snap = ctx().columnar();
+  const auto& groups = ctx().groups_by_codename();
   std::size_t total = 0;
-  for (const auto& [name, view] : repo().by_codename()) {
-    for (const auto* r : view) EXPECT_EQ(r->cpu_codename, name);
-    total += view.size();
+  for (std::size_t g = 0; g < groups.group_count(); ++g) {
+    for (const std::uint32_t i : groups.members(g)) {
+      EXPECT_EQ(repo().records()[i].cpu_codename,
+                snap.codename_of(groups.key(g)));
+    }
+    total += groups.members(g).size();
   }
   EXPECT_EQ(total, repo().size());
 }
 
 TEST(Repository, SandyBridgeEnHas22Servers) {
-  const auto groups = repo().by_codename();
+  const auto& snap = ctx().columnar();
+  const auto& groups = ctx().groups_by_codename();
+  const auto& names = snap.codenames();
+  const auto name = std::find(names.begin(), names.end(), "Sandy Bridge EN");
+  ASSERT_NE(name, names.end());
+  const auto group = groups.find(static_cast<std::int32_t>(name - names.begin()));
+  ASSERT_TRUE(group.has_value());
   // Paper §III.B: "the 22 servers of Sandy Bridge EN microarchitecture".
-  EXPECT_EQ(groups.at("Sandy Bridge EN").size(), 22u);
+  EXPECT_EQ(groups.members(*group).size(), 22u);
 }
 
 TEST(Repository, MetricExtraction) {
-  const auto eps = ResultRepository::ep_values(repo().all());
+  const auto eps = ctx().columnar().ep();
   EXPECT_EQ(eps.size(), repo().size());
   for (const double ep : eps) {
     EXPECT_GE(ep, 0.0);
@@ -71,9 +93,7 @@ TEST(Repository, MetricExtraction) {
 }
 
 TEST(Repository, TopDecileSizeAndOrdering) {
-  const auto top = repo().top_decile([](const ServerRecord& r) {
-    return metrics::energy_proportionality(r.curve);
-  });
+  const auto& top = ctx().top_ep_decile();
   EXPECT_EQ(top.size(), 48u);  // ceil(477 * 0.1)
   const double boundary = metrics::energy_proportionality(top.back()->curve);
   // Everyone outside the decile must not exceed the boundary value.

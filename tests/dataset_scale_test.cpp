@@ -208,8 +208,7 @@ TEST(ColumnarBuilder, ChunkedSnapshotBitwiseEqualsOneShotBuild) {
   const auto config = small_config(1000);
   auto reference_records = generate_scaled_population(config);
   ASSERT_TRUE(reference_records.ok());
-  const auto reference = ColumnarSnapshot::build(
-      std::span<const ServerRecord>(reference_records.value()));
+  const auto reference = ColumnarSnapshot::build(reference_records.value());
   for (const std::size_t chunk_size : {std::size_t{1}, std::size_t{97},
                                        std::size_t{4096}, std::size_t{1000}}) {
     ColumnarSnapshot::Builder builder;
@@ -349,8 +348,7 @@ TEST(GroupIndexRadix, AutoFallsBackToComparisonOnWideRanges) {
 
 TEST(GroupIndexRadix, EqualsComparisonOnAScaledYearColumn) {
   const auto records = collect_chunked(small_config(3000), 512);
-  const auto snapshot =
-      ColumnarSnapshot::build(std::span<const ServerRecord>(records));
+  const auto snapshot = ColumnarSnapshot::build(records);
   const auto radix =
       GroupIndex::over(snapshot.hw_year(), GroupIndex::Strategy::kRadix);
   const auto comparison =

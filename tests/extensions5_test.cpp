@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/context.h"
 #include "analysis/efficiency_zones.h"
 #include "dataset/generator.h"
 #include "metrics/curve_models.h"
@@ -15,6 +16,11 @@ const dataset::ResultRepository& repo() {
     EXPECT_TRUE(result.ok());
     return dataset::ResultRepository(std::move(result).take());
   }();
+  return instance;
+}
+
+const analysis::AnalysisContext& ctx() {
+  static const analysis::AnalysisContext instance(repo());
   return instance;
 }
 
@@ -43,7 +49,7 @@ TEST(EfficiencyZones, HighEpServerHasWideZone) {
 }
 
 TEST(EfficiencyZones, PopulationZonesSortedByEp) {
-  const auto rows = analysis::efficiency_zones(repo());
+  const auto rows = analysis::efficiency_zones(ctx());
   ASSERT_EQ(rows.size(), repo().size());
   for (std::size_t i = 1; i < rows.size(); ++i) {
     EXPECT_GE(rows[i].ep, rows[i - 1].ep);
@@ -52,7 +58,7 @@ TEST(EfficiencyZones, PopulationZonesSortedByEp) {
 
 TEST(EfficiencyZones, WidthCorrelatesWithEp) {
   // The paper's Fig.12 claim, quantified: wider 1.0x zones at higher EP.
-  EXPECT_GT(analysis::zone_width_ep_correlation(repo()), 0.5);
+  EXPECT_GT(analysis::zone_width_ep_correlation(ctx()), 0.5);
 }
 
 // --- Sheet renderer ------------------------------------------------------------
