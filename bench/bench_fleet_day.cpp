@@ -248,7 +248,7 @@ int main() {
       "fleet day simulation — batch-first Fleet vs pre-refactor scalar path",
       "3 policies x 24 diurnal slots x 5000 servers, identical outputs");
   const auto records = make_fleet(kFleetSize);
-  const auto trace = cluster::DemandTrace::diurnal();
+  const auto trace = cluster::make_trace("diurnal").value();
   const auto built = cluster::Fleet::build(records);
   if (!built.ok()) {
     std::fprintf(stderr, "Fleet::build failed: %s\n",

@@ -141,7 +141,7 @@ int main() {
   gate.floor("radix grouping speedup (x)", radix_speedup, 2.0);
 
   // --- one whole-day placement run on the million-server fleet --------------
-  const auto trace = cluster::DemandTrace::diurnal();
+  const auto trace = cluster::make_trace("diurnal").value();
   const cluster::PackToFullPolicy policy;
   const auto day_start = std::chrono::steady_clock::now();
   const auto day = cluster::simulate_day(policy, fleet.value(), trace);

@@ -6,7 +6,7 @@
 //   epserve_cli report  --scale N [seed] [--chunk C]
 //                                           per-year cohort table over an
 //                                           N-server scaled (2007-2023)
-//                                           population, built chunk by chunk
+//                                           population, summed chunk by chunk
 //   epserve_cli export  <out.csv> [seed]    generate + export the population
 //   epserve_cli generate <out.csv> <servers> [seed] [--chunk C]
 //                                           stream a scaled population to CSV
@@ -47,7 +47,7 @@
 #include <fstream>
 #include <limits>
 #include <iostream>
-#include <optional>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,13 +59,12 @@
 #include "analysis/report_json.h"
 #include "serve/server.h"
 #include "core/epserve.h"
-#include "dataset/columnar.h"
 #include "dataset/generator.h"
-#include "dataset/group_index.h"
 #include "dataset/io.h"
 #include "dataset/validation.h"
 #include "exp/runner.h"
 #include "exp/spec.h"
+#include "metrics/derived.h"
 #include "metrics/model_fit.h"
 #include "util/args.h"
 #include "util/json_writer.h"
@@ -122,57 +121,44 @@ int parse_failure(const ArgParser& parser, const Error& error) {
 }
 
 /// The --scale report: per-hardware-year cohort statistics over a scaled
-/// population that is never materialized — chunks stream straight into a
-/// ColumnarSnapshot::Builder, and the cohort split is a radix GroupIndex
-/// over the interned hw_year column.
+/// population that is never materialized. Each generator chunk adds its
+/// servers' EP, idle fraction and interior-peak flag to their hardware
+/// year's sums in record-index order, so peak memory is one chunk.
 int run_scaled_report(const dataset::ScaledConfig& config, std::size_t chunk) {
-  dataset::ColumnarSnapshot::Builder builder;
-  std::optional<Error> append_error;
+  struct CohortSums {
+    std::size_t servers = 0;
+    double ep = 0.0;
+    double idle_fraction = 0.0;
+    std::size_t interior = 0;
+  };
+  std::map<int, CohortSums> cohorts;
   auto emitted = dataset::generate_population_chunked(
       config, chunk,
       [&](std::span<const dataset::ServerRecord> rows, std::uint64_t) {
-        if (append_error) return;
-        if (auto appended = builder.append(rows); !appended.ok()) {
-          append_error = appended.error();
+        for (const auto& r : rows) {
+          const auto derived = metrics::derive_curve_metrics(r.curve);
+          CohortSums& sums = cohorts[r.hw_year];
+          ++sums.servers;
+          sums.ep += derived.ep;
+          sums.idle_fraction += derived.idle_fraction;
+          if (derived.peak_ee_utilization < 1.0) ++sums.interior;
         }
       });
   if (!emitted.ok()) {
     std::fprintf(stderr, "%s\n", emitted.error().message.c_str());
     return 1;
   }
-  if (append_error) {
-    std::fprintf(stderr, "%s\n", append_error->message.c_str());
-    return 1;
-  }
-  const auto snapshot = builder.finish();
-  auto groups = dataset::GroupIndex::over_checked(snapshot.hw_year());
-  if (!groups.ok()) {
-    std::fprintf(stderr, "%s\n", groups.error().message.c_str());
-    return 1;
-  }
-  const auto ep = snapshot.ep();
-  const auto idle_fraction = snapshot.idle_fraction();
-  const auto peak_ee_utilization = snapshot.peak_ee_utilization();
   TextTable table;
   table.columns({"year", "servers", "mean EP", "mean idle", "peak<100%"});
-  for (std::size_t g = 0; g < groups.value().group_count(); ++g) {
-    const auto members = groups.value().members(g);
-    double ep_sum = 0.0;
-    double idle_sum = 0.0;
-    std::size_t interior = 0;
-    for (const std::uint32_t i : members) {
-      ep_sum += ep[i];
-      idle_sum += idle_fraction[i];
-      if (peak_ee_utilization[i] < 1.0) ++interior;
-    }
-    const double n = static_cast<double>(members.size());
-    table.row({std::to_string(groups.value().key(g)),
-               std::to_string(members.size()), format_fixed(ep_sum / n, 3),
-               format_percent(idle_sum / n, 1),
-               format_percent(static_cast<double>(interior) / n, 1)});
+  for (const auto& [year, sums] : cohorts) {
+    const double n = static_cast<double>(sums.servers);
+    table.row({std::to_string(year), std::to_string(sums.servers),
+               format_fixed(sums.ep / n, 3),
+               format_percent(sums.idle_fraction / n, 1),
+               format_percent(static_cast<double>(sums.interior) / n, 1)});
   }
-  std::cout << emitted.value() << " servers across "
-            << groups.value().group_count() << " hardware-year cohorts\n"
+  std::cout << emitted.value() << " servers across " << cohorts.size()
+            << " hardware-year cohorts\n"
             << table.render();
   return 0;
 }

@@ -94,13 +94,6 @@ std::vector<std::vector<double>> PlacementPolicy::place_batch(
   return out;
 }
 
-std::vector<double> PlacementPolicy::place(const Fleet& fleet,
-                                           double demand) const {
-  auto placed = place_batch(fleet, std::span<const double>(&demand, 1));
-  EPSERVE_ENSURES(placed.size() == 1);
-  return std::move(placed.front());
-}
-
 Stages stages_of(const Fleet& fleet, Fleet::StagedPolicy policy) {
   if (policy == Fleet::StagedPolicy::kPackToFull) {
     return {fleet.order_by_ee_at_full(), {{}}};

@@ -167,10 +167,6 @@ class PlacementPolicy {
   [[nodiscard]] std::vector<std::vector<double>> place_batch(
       const Fleet& fleet, std::span<const double> demands) const;
 
-  /// Single-demand convenience over place_batch.
-  [[nodiscard]] std::vector<double> place(const Fleet& fleet,
-                                          double demand) const;
-
  private:
   friend class PackToFullPolicy;
   friend class BalancedPolicy;

@@ -7,8 +7,8 @@
 // scale-out services forbid deep idle states and invert which policy wins,
 // so the library carries four shapes spanning that space:
 //
-//   diurnal      24 x 1h    trough-at-night / evening-peak sine (the legacy
-//                           default, byte-identical to DemandTrace::diurnal)
+//   diurnal      24 x 1h    trough-at-night / evening-peak sine (the
+//                           default trace)
 //   flash_crowd  48 x 0.5h  flat baseline with a sudden sustained burst —
 //                           parked servers must wake mid-day
 //   weekly       168 x 1h   seven chained diurnal days with damped weekends
@@ -16,10 +16,9 @@
 //                           swing, and a per-slot cap on how deep parked
 //                           servers may sleep (max_idle_state)
 //
-// Registry construction is *checked*: out-of-range base/amplitude
-// combinations return an Error instead of being silently clamped the way
-// the legacy DemandTrace::diurnal still does (kept, deprecated, for
-// byte-compatibility).
+// Registry construction is *checked*: a base/amplitude combination that
+// would push any slot's demand outside [0, 1] returns an Error; no demand
+// is clamped.
 #pragma once
 
 #include <limits>
@@ -41,16 +40,6 @@ struct DemandTrace {
   /// as an index into IdleModel::states (0 = active idle only). Empty =
   /// unconstrained. Populated only by latency-critical traces (scale_out).
   std::vector<int> max_idle_state;
-
-  /// Classic diurnal shape: trough at night, peak in the evening.
-  /// demand(t) = base + amplitude * sin-shaped day profile, 24 slots,
-  /// clamped into [0, 1].
-  ///
-  /// Deprecated: the clamp silently swallows out-of-range base/amplitude
-  /// combinations. Prefer make_trace({"diurnal", base, amplitude}), which
-  /// returns an Error instead (and is byte-identical when no clamping
-  /// occurs — pinned by tests/cluster_trace_test.cpp).
-  static DemandTrace diurnal(double base = 0.25, double amplitude = 0.45);
 
   /// True when the trace restricts idle-state depth (scale-out class);
   /// such traces are incompatible with power-off policies (autoscaler).
@@ -97,8 +86,8 @@ std::vector<std::string_view> trace_names();
 
 /// Builds a trace from the registry. Unknown names fail with kNotFound
 /// listing the known names; base/amplitude combinations that would push
-/// any slot's demand outside [0, 1] fail with kInvalidArgument (no silent
-/// clamping on this path).
+/// any slot's demand outside [0, 1] fail with kInvalidArgument (nothing is
+/// clamped).
 epserve::Result<DemandTrace> make_trace(const TraceSpec& spec);
 
 /// Catalog-default parameters for `name`.

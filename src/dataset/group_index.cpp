@@ -1,7 +1,6 @@
 #include "dataset/group_index.h"
 
 #include <algorithm>
-#include <string>
 
 #include "util/contracts.h"
 #include "util/telemetry.h"
@@ -39,31 +38,6 @@ GroupIndex GroupIndex::over_masked(std::span<const std::int32_t> keys,
     if (mask[i] != 0) perm.push_back(i);
   }
   return build_dispatch(std::move(perm), keys, strategy);
-}
-
-epserve::Result<GroupIndex> GroupIndex::over_checked(
-    std::span<const std::int32_t> keys, Strategy strategy) {
-  if (keys.size() > kMaxRows) {
-    return Error::out_of_range(
-        "group index over " + std::to_string(keys.size()) +
-        " rows exceeds the uint32 index ceiling");
-  }
-  return over(keys, strategy);
-}
-
-epserve::Result<GroupIndex> GroupIndex::over_masked_checked(
-    std::span<const std::int32_t> keys, std::span<const std::uint8_t> mask,
-    Strategy strategy) {
-  if (mask.size() != keys.size()) {
-    return Error::invalid_argument(
-        "group index mask is misaligned with its key column");
-  }
-  if (keys.size() > kMaxRows) {
-    return Error::out_of_range(
-        "group index over " + std::to_string(keys.size()) +
-        " rows exceeds the uint32 index ceiling");
-  }
-  return over_masked(keys, mask, strategy);
 }
 
 std::optional<std::size_t> GroupIndex::find(std::int32_t key) const {

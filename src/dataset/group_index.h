@@ -29,8 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "util/result.h"
-
 namespace epserve::dataset {
 
 class GroupIndex {
@@ -48,8 +46,7 @@ class GroupIndex {
   };
 
   /// Groups all rows of `keys` (one key per record index). Populations past
-  /// the uint32 ceiling are a contract violation here — use over_checked()
-  /// where the size is data-driven.
+  /// the uint32 ceiling are a contract violation.
   static GroupIndex over(std::span<const std::int32_t> keys,
                          Strategy strategy = Strategy::kAuto);
 
@@ -58,14 +55,6 @@ class GroupIndex {
   static GroupIndex over_masked(std::span<const std::int32_t> keys,
                                 std::span<const std::uint8_t> mask,
                                 Strategy strategy = Strategy::kAuto);
-
-  /// Checked variants: return a named out-of-range error (instead of index
-  /// truncation) when `keys` exceeds the uint32 row ceiling.
-  static epserve::Result<GroupIndex> over_checked(
-      std::span<const std::int32_t> keys, Strategy strategy = Strategy::kAuto);
-  static epserve::Result<GroupIndex> over_masked_checked(
-      std::span<const std::int32_t> keys, std::span<const std::uint8_t> mask,
-      Strategy strategy = Strategy::kAuto);
 
   [[nodiscard]] std::size_t group_count() const { return bounds_.size(); }
 

@@ -181,8 +181,8 @@ bool Gate::record(std::string_view check, bool ok, std::string detail) {
 std::span<const std::string_view> gating_benches() {
   static constexpr std::string_view kBenches[] = {
       "bench_columnar_groupby", "bench_telemetry_overhead",
-      "bench_fleet_day",        "bench_policy_matrix",
-      "bench_serve_qps",        "bench_population_scale",
+      "bench_fleet_day",        "bench_serve_qps",
+      "bench_population_scale",
   };
   return kBenches;
 }

@@ -1,7 +1,7 @@
 // exp::Gate — the self-verification pattern shared by the perf-gating
 // benches, extracted from the open-coded `bool ok` / fprintf blocks that
-// were copy-pasted across bench_fleet_day, bench_policy_matrix,
-// bench_population_scale and friends.
+// were copy-pasted across bench_fleet_day, bench_population_scale and
+// friends.
 //
 // A bench declares its gates (speedup floors, byte-compares, RSS/wall
 // ceilings) against measured values; each check records a pass/fail row,

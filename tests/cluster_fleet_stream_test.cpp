@@ -94,7 +94,7 @@ TEST(FleetStream, DayStudyMatchesMonolithic) {
   ASSERT_TRUE(monolithic.ok());
   const auto streamed = Fleet::generate(small_config(200), 64);
   ASSERT_TRUE(streamed.ok());
-  const auto trace = DemandTrace::diurnal();
+  const auto trace = make_trace("diurnal").value();
 
   auto days_streamed = compare_policies_over_day(streamed.value(), trace);
   auto days_monolithic = compare_policies_over_day(monolithic.value(), trace);

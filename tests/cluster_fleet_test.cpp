@@ -510,7 +510,7 @@ TEST_P(FleetEquivalence, FromRecordsAdapterMatchesValidatedBuild) {
   const auto records = make_fleet(GetParam());
   const auto built = Fleet::build(records);
   ASSERT_TRUE(built.ok()) << built.error().message;
-  const auto trace = DemandTrace::diurnal();
+  const auto trace = make_trace("diurnal").value();
 
   const auto day_fleet =
       compare_policies_over_day(built.value(), trace);
@@ -736,7 +736,7 @@ TEST(FleetOrder, ShuffledRecordsGiveBitIdenticalDaysAndAutoscaling) {
 
 TEST(FleetConcurrency, EightThreadsShareOneFleetWithIdenticalResults) {
   const auto records = make_fleet(100);
-  const auto trace = DemandTrace::diurnal();
+  const auto trace = make_trace("diurnal").value();
 
   // Single-threaded baseline through its own fleet.
   const auto baseline =
@@ -919,7 +919,7 @@ TEST(FleetConcurrency, StagedStateBuildsOnceForAllThreadsAndSurvivesAMove) {
   // policy's is built once, every thread reads the same one, and it moves
   // with the Fleet.
   const auto records = make_fleet(1200);
-  const auto trace = DemandTrace::diurnal();
+  const auto trace = make_trace("diurnal").value();
   const PackToFullPolicy pack;
   const OptimalRegionPolicy region;
   const std::array<const PlacementPolicy*, 2> policies{&pack, &region};

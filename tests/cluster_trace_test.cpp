@@ -1,6 +1,7 @@
 // Trace library + idle model + the one policy-day evaluator: registry
-// invariants, checked-vs-clamped construction, idle-state energy
-// conservation, and simulate_policy_day's dispatch and eligibility rule.
+// invariants, checked construction (out-of-range shapes are rejected),
+// idle-state energy conservation, and simulate_policy_day's dispatch and
+// eligibility rule.
 #include "cluster/trace.h"
 
 #include <gtest/gtest.h>
@@ -95,28 +96,11 @@ TEST(TraceRegistry, UnknownNameListsTheKnownNames) {
             std::string::npos);
 }
 
-TEST(TraceRegistry, DefaultDiurnalIsBitIdenticalToTheLegacyConstructor) {
-  const auto legacy = DemandTrace::diurnal();
-  const auto checked = make_trace("diurnal");
-  ASSERT_TRUE(checked.ok());
-  ASSERT_EQ(checked.value().demand.size(), legacy.demand.size());
-  EXPECT_EQ(checked.value().slot_hours, legacy.slot_hours);
-  for (std::size_t s = 0; s < legacy.demand.size(); ++s) {
-    EXPECT_EQ(checked.value().demand[s], legacy.demand[s]) << "slot " << s;
-  }
-}
-
 TEST(TraceRegistry, CheckedPathRejectsWhatTheLegacyPathClamps) {
-  // Regression for the silent-clamp fix: DemandTrace::diurnal swallows
-  // out-of-range shapes by clamping into [0, 1]; the registry path reports
-  // them instead.
+  // Shapes that push some slot's demand outside [0, 1] are reported, not
+  // clamped into range.
   for (const auto& [base, amplitude] :
        {std::pair{0.9, 0.9}, std::pair{-0.5, 0.3}, std::pair{0.5, 5.0}}) {
-    const auto clamped = DemandTrace::diurnal(base, amplitude);
-    for (const double d : clamped.demand) {
-      EXPECT_GE(d, 0.0);
-      EXPECT_LE(d, 1.0);
-    }
     TraceSpec spec;
     spec.name = "diurnal";
     spec.base = base;
@@ -124,17 +108,6 @@ TEST(TraceRegistry, CheckedPathRejectsWhatTheLegacyPathClamps) {
     const auto checked = make_trace(spec);
     ASSERT_FALSE(checked.ok()) << base << "/" << amplitude;
     EXPECT_EQ(checked.error().code, Error::Code::kInvalidArgument);
-  }
-  // In-range custom parameters: the two paths agree bit for bit.
-  TraceSpec mild;
-  mild.name = "diurnal";
-  mild.base = 0.1;
-  mild.amplitude = 0.3;
-  const auto checked = make_trace(mild);
-  ASSERT_TRUE(checked.ok());
-  const auto legacy = DemandTrace::diurnal(0.1, 0.3);
-  for (std::size_t s = 0; s < legacy.demand.size(); ++s) {
-    EXPECT_EQ(checked.value().demand[s], legacy.demand[s]) << "slot " << s;
   }
 }
 

@@ -530,7 +530,7 @@ TEST(EvaluateBatch, BitIdenticalToPerSlotEvaluate) {
   const auto& base = base_population();
   const std::vector<ServerRecord> fleet(base.begin(), base.begin() + 32);
   const cluster::OptimalRegionPolicy policy;
-  const auto trace = cluster::DemandTrace::diurnal();
+  const auto trace = cluster::make_trace("diurnal").value();
   auto batched = cluster::evaluate_batch(policy, cluster::Fleet::from_records(fleet), trace.demand);
   ASSERT_TRUE(batched.ok());
   ASSERT_EQ(batched.value().size(), trace.demand.size());

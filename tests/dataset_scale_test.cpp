@@ -1,17 +1,12 @@
 // Streaming-pipeline contracts (docs/COLUMNAR.md "Streaming"):
 //   - the scaled generator emits byte-identical records for every chunk size
 //     and thread count (each record is a pure function of seed and index),
-//   - ColumnarSnapshot::Builder produces bitwise-identical columns to the
-//     one-shot build() whatever the chunk boundaries, and interns codenames
-//     onto their sorted positions (family_id -1 for a codename the uarch
-//     catalog does not know),
+//   - ColumnarSnapshot::build interns codenames onto their sorted positions
+//     (family_id -1 for a codename the uarch catalog does not know),
 //   - the radix GroupIndex build equals the comparison reference on every
 //     key-shape that matters (duplicates, single group, empty, all-distinct,
 //     masked),
-//   - the uint32 index ceilings fail as named Result errors, not silent
-//     truncation,
-//   - the Builder's telemetry (columnar.chunk_builds / columnar.rows /
-//     columnar.peak_rows) is exact.
+//   - the snapshot's telemetry (columnar.builds / columnar.rows) is exact.
 // Runs under the `scale` ctest label.
 #include <gtest/gtest.h>
 
@@ -24,7 +19,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "dataset/calibration.h"
@@ -32,6 +26,7 @@
 #include "dataset/generator.h"
 #include "dataset/group_index.h"
 #include "dataset/io.h"
+#include "metrics/derived.h"
 #include "metrics/power_curve.h"
 #include "power/uarch.h"
 #include "util/csv.h"
@@ -62,21 +57,12 @@ void expect_same_snapshot(const ColumnarSnapshot& snapshot,
   expect_bitwise_equal(snapshot.pub_year(), reference.pub_year(), "pub_year");
   expect_bitwise_equal(snapshot.nodes(), reference.nodes(), "nodes");
   expect_bitwise_equal(snapshot.chips(), reference.chips(), "chips");
-  expect_bitwise_equal(snapshot.total_cores(), reference.total_cores(),
-                       "total_cores");
   expect_bitwise_equal(snapshot.codename_id(), reference.codename_id(),
                        "codename_id");
   expect_bitwise_equal(snapshot.family_id(), reference.family_id(),
                        "family_id");
   expect_bitwise_equal(snapshot.mpc_centi(), reference.mpc_centi(),
                        "mpc_centi");
-  expect_bitwise_equal(snapshot.memory_per_core(), reference.memory_per_core(),
-                       "memory_per_core");
-  expect_bitwise_equal(snapshot.idle_watts(), reference.idle_watts(),
-                       "idle_watts");
-  expect_bitwise_equal(snapshot.peak_watts(), reference.peak_watts(),
-                       "peak_watts");
-  expect_bitwise_equal(snapshot.peak_ops(), reference.peak_ops(), "peak_ops");
   expect_bitwise_equal(snapshot.ep(), reference.ep(), "ep");
   expect_bitwise_equal(snapshot.overall_score(), reference.overall_score(),
                        "overall_score");
@@ -202,33 +188,12 @@ TEST(ScaledGenerator, RejectsPopulationsPastTheRecordIdSpace) {
   EXPECT_EQ(result.error().code, Error::Code::kOutOfRange);
 }
 
-// --- chunked snapshot build ---------------------------------------------------
-
-TEST(ColumnarBuilder, ChunkedSnapshotBitwiseEqualsOneShotBuild) {
-  const auto config = small_config(1000);
-  auto reference_records = generate_scaled_population(config);
-  ASSERT_TRUE(reference_records.ok());
-  const auto reference = ColumnarSnapshot::build(reference_records.value());
-  for (const std::size_t chunk_size : {std::size_t{1}, std::size_t{97},
-                                       std::size_t{4096}, std::size_t{1000}}) {
-    ColumnarSnapshot::Builder builder;
-    auto emitted = generate_population_chunked(
-        config, chunk_size,
-        [&](std::span<const ServerRecord> chunk, std::uint64_t) {
-          auto appended = builder.append(chunk);
-          EXPECT_TRUE(appended.ok());
-        });
-    ASSERT_TRUE(emitted.ok());
-    const auto snapshot = builder.finish();
-    ASSERT_EQ(snapshot.size(), reference.size()) << "chunk=" << chunk_size;
-    expect_same_snapshot(snapshot, reference);
-  }
-}
+// --- snapshot build ----------------------------------------------------------
 
 TEST(ColumnarBuilder, InternsCodenamesInSortedOrderAcrossChunks) {
-  // Four chunks (100, 100, 99 and 1 rows). The first names one codename;
-  // the second adds one power::find_uarch does not know; the third adds two
-  // more, so first-seen order is the reverse of sorted order.
+  // Rows 0-99 name one codename; rows 100-199 add one power::find_uarch
+  // does not know; rows 200-298 add two more, so first-seen order is the
+  // reverse of sorted order.
   constexpr std::string_view kUnknown = "Mystery Lake";
   ASSERT_EQ(power::find_uarch(kUnknown), nullptr);
   auto records = collect_chunked(small_config(300), 300);
@@ -242,14 +207,7 @@ TEST(ColumnarBuilder, InternsCodenamesInSortedOrderAcrossChunks) {
     }
     records[i].cpu_codename = std::string(name);
   }
-  const std::span<const ServerRecord> all(records);
-  ColumnarSnapshot::Builder builder;
-  for (const auto& [offset, count] :
-       {std::pair<std::size_t, std::size_t>{0, 100}, {100, 100}, {200, 99},
-        {299, 1}}) {
-    ASSERT_TRUE(builder.append(all.subspan(offset, count)).ok());
-  }
-  const auto snapshot = builder.finish();
+  const auto snapshot = ColumnarSnapshot::build(records);
 
   const std::vector<std::string> sorted = {"Abu Dhabi", "Haswell",
                                            std::string(kUnknown), "Skylake"};
@@ -266,27 +224,13 @@ TEST(ColumnarBuilder, InternsCodenamesInSortedOrderAcrossChunks) {
         << i;
   }
   EXPECT_EQ(snapshot.family_id()[101], -1);
-  expect_same_snapshot(snapshot, ColumnarSnapshot::build(all));
-}
-
-TEST(ColumnarBuilder, RowCeilingFailsAsNamedErrorAndAppendsNothing) {
-  const auto records = collect_chunked(small_config(200), 200);
-  ColumnarSnapshot::Builder builder(/*max_rows=*/100);
-  auto rejected = builder.append(std::span<const ServerRecord>(records));
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.error().code, Error::Code::kOutOfRange);
-  EXPECT_NE(rejected.error().message.find("uint32"), std::string::npos);
-  EXPECT_EQ(builder.rows(), 0u);
-  // The ceiling is about cumulative rows: a fitting chunk still appends.
-  auto accepted = builder.append(
-      std::span<const ServerRecord>(records.data(), 100));
-  ASSERT_TRUE(accepted.ok());
-  EXPECT_EQ(builder.rows(), 100u);
-  // ...and the next append is rejected once the ceiling would be crossed.
-  auto overflow = builder.append(
-      std::span<const ServerRecord>(records.data(), 1));
-  EXPECT_FALSE(overflow.ok());
-  EXPECT_EQ(builder.rows(), 100u);
+  // Deriving each row in place and copying a caller's bundle give the same
+  // snapshot, bit for bit.
+  std::vector<metrics::DerivedCurveMetrics> derived;
+  for (const auto& r : records) {
+    derived.push_back(metrics::derive_curve_metrics(r.curve));
+  }
+  expect_same_snapshot(snapshot, ColumnarSnapshot::build(records, derived));
 }
 
 // --- radix vs comparison grouping --------------------------------------------
@@ -357,25 +301,6 @@ TEST(GroupIndexRadix, EqualsComparisonOnAScaledYearColumn) {
   EXPECT_EQ(radix.total_members(), records.size());
 }
 
-TEST(GroupIndexChecked, AcceptsNormalSizes) {
-  const std::vector<std::int32_t> keys = {1, 2, 1};
-  auto checked = GroupIndex::over_checked(keys);
-  ASSERT_TRUE(checked.ok());
-  EXPECT_EQ(checked.value().group_count(), 2u);
-  const std::vector<std::uint8_t> mask = {1, 1, 0};
-  auto masked = GroupIndex::over_masked_checked(keys, mask);
-  ASSERT_TRUE(masked.ok());
-  EXPECT_EQ(masked.value().total_members(), 2u);
-}
-
-TEST(GroupIndexChecked, RejectsMisalignedMask) {
-  const std::vector<std::int32_t> keys = {1, 2, 1};
-  const std::vector<std::uint8_t> mask = {1, 1};
-  auto masked = GroupIndex::over_masked_checked(keys, mask);
-  ASSERT_FALSE(masked.ok());
-  EXPECT_EQ(masked.error().code, Error::Code::kInvalidArgument);
-}
-
 // --- streaming CSV ------------------------------------------------------------
 
 TEST(StreamingCsv, RowStreamMatchesDocumentBytes) {
@@ -389,29 +314,23 @@ TEST(StreamingCsv, RowStreamMatchesDocumentBytes) {
 // --- telemetry ----------------------------------------------------------------
 
 TEST(ColumnarTelemetry, BuilderEmitsExactCountsAndPeakGauge) {
-  const auto records = collect_chunked(small_config(100), 100);
+  const auto chunk = collect_chunked(small_config(100), 100);
+  std::vector<ServerRecord> records;
+  for (int i = 0; i < 60; ++i) {
+    records.insert(records.end(), chunk.begin(), chunk.end());
+  }
   telemetry::set_enabled(false);
   telemetry::reset();
   telemetry::set_enabled(true);
-  // 60 appends x 100 rows: 6000 rows in one builder — more than any other
-  // builder in this binary, so the process-wide peak gauge lands exactly
-  // here.
-  ColumnarSnapshot::Builder builder;
-  for (int i = 0; i < 60; ++i) {
-    auto appended = builder.append(std::span<const ServerRecord>(records));
-    ASSERT_TRUE(appended.ok());
-  }
-  const auto snapshot_cols = builder.finish();
-  EXPECT_EQ(snapshot_cols.size(), 6000u);
+  const auto snapshot = ColumnarSnapshot::build(records);
+  EXPECT_EQ(snapshot.size(), 6000u);
   const auto snap = telemetry::snapshot();
   telemetry::set_enabled(false);
   telemetry::reset();
-  ASSERT_NE(snap.find_counter("columnar.chunk_builds"), nullptr);
-  EXPECT_EQ(snap.find_counter("columnar.chunk_builds")->value, 60u);
+  ASSERT_NE(snap.find_counter("columnar.builds"), nullptr);
+  EXPECT_EQ(snap.find_counter("columnar.builds")->value, 1u);
   ASSERT_NE(snap.find_counter("columnar.rows"), nullptr);
   EXPECT_EQ(snap.find_counter("columnar.rows")->value, 6000u);
-  ASSERT_NE(snap.find_gauge("columnar.peak_rows"), nullptr);
-  EXPECT_EQ(snap.find_gauge("columnar.peak_rows")->value, 6000u);
 }
 
 }  // namespace

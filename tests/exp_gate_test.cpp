@@ -84,7 +84,7 @@ TEST(ExpGate, TelemetryCountersAreExact) {
 
 TEST(ExpGateSuite, GatingBenchRosterIsStable) {
   const auto benches = exp::gating_benches();
-  ASSERT_EQ(benches.size(), 6u);
+  ASSERT_EQ(benches.size(), 5u);
   EXPECT_EQ(benches.front(), "bench_columnar_groupby");
   EXPECT_EQ(benches.back(), "bench_population_scale");
 }

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <chrono>
 #include <span>
 #include <vector>
 
 #include "cluster/trace.h"
 #include "dataset/generator.h"
 #include "exp/spec.h"
+#include "metrics/curve_models.h"
 #include "util/telemetry.h"
 
 namespace {
@@ -42,6 +45,29 @@ cluster::Fleet day_matrix_fleet() {
   auto fleet = cluster::Fleet::generate(config, 16);
   EXPECT_TRUE(fleet.ok());
   return std::move(fleet).take();
+}
+
+/// A heterogeneous synthetic fleet (the one bench_fleet_day builds): each
+/// server's EP is derived from its idle fraction and knee so every record is
+/// feasible.
+cluster::Fleet synthetic_fleet(std::size_t size) {
+  std::vector<dataset::ServerRecord> records;
+  records.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    const double idle = 0.20 + 0.05 * static_cast<double>(i % 7);
+    const double tau = 0.5 + 0.1 * static_cast<double>(i % 4);
+    const double ep =
+        (1.0 - idle) * (tau + 0.25 + 0.1 * static_cast<double>(i % 6));
+    auto model = metrics::TwoSegmentPowerModel::solve(ep, idle, tau);
+    EXPECT_TRUE(model.ok()) << model.error().message;
+    dataset::ServerRecord r;
+    r.id = static_cast<int>(i) + 1;
+    r.curve = metrics::to_power_curve(model.value(),
+                                      250.0 + 10.0 * static_cast<double>(i % 9),
+                                      1e6 + 1e5 * static_cast<double>(i % 11));
+    records.push_back(std::move(r));
+  }
+  return cluster::Fleet::from_records(records);
 }
 
 TEST(ExpRunner, ResultIsByteIdenticalAcrossThreadCounts) {
@@ -186,34 +212,51 @@ TEST(PolicyTraceMatrix, CoversEveryTracePolicyCellOffOneFleet) {
 }
 
 TEST(PolicyTraceMatrix, ByteIdenticalAtOneAndEightThreads) {
-  const auto spec = exp::day_matrix_spec(48, "acpi");
-  const auto fleet = day_matrix_fleet();
-  exp::RunnerOptions serial;
-  serial.threads = 1;
-  exp::RunnerOptions parallel;
-  parallel.threads = 8;
-  auto one = exp::run_experiment(spec, std::span(&fleet, 1), serial);
-  auto eight = exp::run_experiment(spec, std::span(&fleet, 1), parallel);
-  ASSERT_TRUE(one.ok()) << one.error().message;
-  ASSERT_TRUE(eight.ok()) << eight.error().message;
-  // Every cell's raw doubles, not only their %.10g renders.
-  const auto& a = one.value().cells;
-  const auto& b = eight.value().cells;
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].cell.trace, b[i].cell.trace);
-    EXPECT_EQ(a[i].cell.policy, b[i].cell.policy);
-    EXPECT_EQ(a[i].eligible, b[i].eligible);
-    EXPECT_EQ(a[i].day.energy_kwh, b[i].day.energy_kwh);
-    EXPECT_EQ(a[i].day.served_gops, b[i].day.served_gops);
-    EXPECT_EQ(a[i].day.avg_efficiency, b[i].day.avg_efficiency);
-    EXPECT_EQ(a[i].day.idle_energy_kwh, b[i].day.idle_energy_kwh);
-    EXPECT_EQ(a[i].day.wake_energy_kwh, b[i].day.wake_energy_kwh);
-    EXPECT_EQ(a[i].day.wake_count, b[i].day.wake_count);
+  // The 48-server scaled fleet, and a 5000-server synthetic one whose days
+  // run past the 512-row staged-state stride and the 256-row lane block.
+  const std::array<cluster::Fleet, 2> fleets = {day_matrix_fleet(),
+                                                synthetic_fleet(5000)};
+  for (const cluster::Fleet& fleet : fleets) {
+    SCOPED_TRACE(::testing::Message() << fleet.size() << " servers");
+    const auto spec = exp::day_matrix_spec(fleet.size(), "acpi");
+    const auto run = [&](int threads) {
+      exp::RunnerOptions options;
+      options.threads = threads;
+      const auto start = std::chrono::steady_clock::now();
+      auto result = exp::run_experiment(spec, std::span(&fleet, 1), options);
+      // A ceiling far above any observed time (milliseconds at 5000
+      // servers): it catches a pathological regression, such as a per-cell
+      // Fleet rebuild, without failing on a slow machine.
+      EXPECT_LT(std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count(),
+                30.0)
+          << threads << " threads";
+      return result;
+    };
+    auto one = run(1);
+    auto eight = run(8);
+    ASSERT_TRUE(one.ok()) << one.error().message;
+    ASSERT_TRUE(eight.ok()) << eight.error().message;
+    // Every cell's raw doubles, not only their %.10g renders.
+    const auto& a = one.value().cells;
+    const auto& b = eight.value().cells;
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].cell.trace, b[i].cell.trace);
+      EXPECT_EQ(a[i].cell.policy, b[i].cell.policy);
+      EXPECT_EQ(a[i].eligible, b[i].eligible);
+      EXPECT_EQ(a[i].day.energy_kwh, b[i].day.energy_kwh);
+      EXPECT_EQ(a[i].day.served_gops, b[i].day.served_gops);
+      EXPECT_EQ(a[i].day.avg_efficiency, b[i].day.avg_efficiency);
+      EXPECT_EQ(a[i].day.idle_energy_kwh, b[i].day.idle_energy_kwh);
+      EXPECT_EQ(a[i].day.wake_energy_kwh, b[i].day.wake_energy_kwh);
+      EXPECT_EQ(a[i].day.wake_count, b[i].day.wake_count);
+    }
+    // The result JSON carries every cell field the matrix renders print.
+    EXPECT_EQ(exp::render_result_json(one.value()),
+              exp::render_result_json(eight.value()));
   }
-  // The result JSON carries every cell field the matrix renders print.
-  EXPECT_EQ(exp::render_result_json(one.value()),
-            exp::render_result_json(eight.value()));
 }
 
 TEST(PolicyTraceMatrix, RejectsEmptyFleetAndUnknownTrace) {

@@ -245,7 +245,7 @@ FleetImage image_of(const std::function<cluster::Fleet()>& build) {
   image.columns["total_idle_watts"] = {bits(fleet.total_idle_watts())};
   image.digest = fleet.digest();
   for (const char* name : {"fleet.builds", "fleet.servers",
-                           "columnar.chunk_builds", "columnar.rows"}) {
+                           "columnar.builds", "columnar.rows"}) {
     const auto* counter = snap.find_counter(name);
     image.counters[name] = counter == nullptr ? 0 : counter->value;
   }
@@ -334,7 +334,7 @@ TEST(ParallelDeterminism, FleetBuildIsIdenticalAcrossThreadCounts) {
     expect_same_fleet(reference, image);
     EXPECT_EQ(image.pool_tasks, 0u);
     // A Fleet builds no analysis snapshot.
-    EXPECT_EQ(image.counters.at("columnar.chunk_builds"), 0u);
+    EXPECT_EQ(image.counters.at("columnar.builds"), 0u);
     EXPECT_EQ(image.counters.at("columnar.rows"), 0u);
   }
 
