@@ -23,10 +23,10 @@
 //                                           shared Fleet, ACPI idle ladder;
 //                                           winner per trace class (one
 //                                           exp::run_experiment sweep)
-//   epserve_cli day     --scale N [seed] [--chunk C]
-//                                           same study on a streamed Fleet of
-//                                           N scaled servers (Fleet::Builder;
-//                                           no full record vector)
+//   epserve_cli day     --scale N [seed]    same study on a Fleet of N scaled
+//                                           servers generated straight into
+//                                           its columns (Fleet::generate; no
+//                                           record is built)
 //   epserve_cli fit     <in.csv> <id>       fit the two-segment model to one
 //                                           server's measured curve
 //   epserve_cli serve   [fleet_size] [seed] run the fleet-advisory daemon
@@ -476,8 +476,6 @@ int cmd_day(int argc, const char* const* argv) {
   std::uint64_t seed = kSeedAbsent;
   std::string scale_text;
   bool scale_given = false;
-  std::string chunk_text;
-  bool chunk_given = false;
   std::string trace_name;
   bool trace_given = false;
   std::string idle_name;
@@ -489,9 +487,7 @@ int cmd_day(int argc, const char* const* argv) {
   parser.optional_u64("fleet_size", &fleet_size, "servers in the fleet")
       .optional_u64("seed", &seed, "population seed")
       .value_flag("--scale", &scale_text, &scale_given,
-                  "run on a streamed fleet of N scaled servers")
-      .value_flag("--chunk", &chunk_text, &chunk_given,
-                  "rows per streamed chunk (default 65536)")
+                  "run on a fleet of N scaled servers")
       .value_flag("--trace", &trace_name, &trace_given,
                   "registry trace to simulate (--trace=<name>; bare --trace "
                   "is the global telemetry flag)")
@@ -519,10 +515,6 @@ int cmd_day(int argc, const char* const* argv) {
     }
     std::cout << table.render();
     return 0;
-  }
-  if (chunk_given && !scale_given) {
-    std::fprintf(stderr, "--chunk requires --scale\n");
-    return 2;
   }
   if (json && !matrix) {
     std::fprintf(stderr, "--json requires --matrix\n");
@@ -555,20 +547,16 @@ int cmd_day(int argc, const char* const* argv) {
   }
   if (seed != kSeedAbsent && !scale_given) config.seed = seed;
   dataset::ScaledConfig scaled_config;
-  std::size_t chunk = 0;
   if (scale_given) {
     auto servers = parse_u64(scale_text);
     if (!servers.ok()) return parse_failure(parser, servers.error());
-    auto parsed_chunk = parse_chunk(chunk_given, chunk_text);
-    if (!parsed_chunk.ok()) return parse_failure(parser, parsed_chunk.error());
     scaled_config.servers = servers.value();
     if (seed != kSeedAbsent) scaled_config.seed = seed;
-    chunk = parsed_chunk.value();
   }
   // One Fleet shared by all four subsystems below — the placement policies
   // and the autoscaler evaluate the same cached columns and grid rows.
   const auto handle = [&]() -> Result<cluster::Fleet> {
-    if (scale_given) return cluster::Fleet::generate(scaled_config, chunk);
+    if (scale_given) return cluster::Fleet::generate(scaled_config);
     auto population = dataset::generate_population(config);
     if (!population.ok()) return population.error();
     return cluster::Fleet::build(modern_fleet(population.value(), fleet_size));

@@ -4,7 +4,7 @@
 //   epserve_exp list                        the built-in spec registry
 //   epserve_exp run <spec.json|name>        expand + execute an experiment
 //               [--out result.json]         matrix; the result document is
-//               [--threads N] [--chunk C]   byte-identical at any --threads
+//               [--threads N]               byte-identical at any --threads
 //   epserve_exp render <result.json>        regenerate the sweep report
 //               [--out EXPERIMENTS_SWEEPS.md]  (byte-for-byte reproducible)
 //   epserve_exp gate [--build-dir D]        run the perf-gating bench suite,
@@ -111,17 +111,13 @@ int cmd_run(int argc, const char* const* argv) {
   bool out_given = false;
   std::string threads_text;
   bool threads_given = false;
-  std::string chunk_text;
-  bool chunk_given = false;
   ArgParser parser("run");
   parser.positional("spec", &spec_arg, "spec.json path or registry name")
       .value_flag("--out", &out_path, &out_given,
                   "result document destination (default: stdout)")
       .value_flag("--threads", &threads_text, &threads_given,
                   "cell-sweep worker threads (0 = auto); the result is "
-                  "byte-identical at any value")
-      .value_flag("--chunk", &chunk_text, &chunk_given,
-                  "rows per streamed generator chunk (default 65536)");
+                  "byte-identical at any value");
   if (auto parsed = parser.parse(argc, argv); !parsed.ok()) {
     return parse_failure(parser, parsed.error());
   }
@@ -130,15 +126,6 @@ int cmd_run(int argc, const char* const* argv) {
     auto threads = parse_u64(threads_text);
     if (!threads.ok()) return parse_failure(parser, threads.error());
     options.threads = static_cast<int>(threads.value());
-  }
-  if (chunk_given) {
-    auto chunk = parse_u64(chunk_text);
-    if (!chunk.ok()) return parse_failure(parser, chunk.error());
-    if (chunk.value() == 0) {
-      std::fprintf(stderr, "--chunk must be positive\n");
-      return 2;
-    }
-    options.chunk_rows = static_cast<std::size_t>(chunk.value());
   }
   auto spec = resolve_spec(spec_arg);
   if (!spec.ok()) {

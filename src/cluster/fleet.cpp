@@ -34,6 +34,14 @@ static_assert(kRowBins == metrics::kNumLoadLevels,
 /// Rows per fill block: the unit of work one lane takes at a time.
 constexpr std::size_t kBlockRows = 2048;
 
+/// The error a row whose curve fails PowerCurve::validate() reports.
+Error bad_curve(std::int32_t id, const Error& invalid) {
+  return Error{invalid.code, std::string("server ")
+                                 .append(std::to_string(id))
+                                 .append(": ")
+                                 .append(invalid.message)};
+}
+
 /// Server indices by score descending, record id ascending. Each server is
 /// one word: the high bits a prefix of a key that falls as the score rises
 /// (-0.0 keyed as +0.0, which it equals), the low bits its index. A stable
@@ -126,11 +134,48 @@ epserve::Result<bool> Fleet::Builder::append(
   return append_rows(chunk, /*validate=*/true);
 }
 
-void Fleet::Builder::reserve(std::uint64_t rows) {
-  const auto n = static_cast<std::size_t>(rows);
-  fleet_.for_each_column([n](auto& column, std::size_t width) {
-    column.reserve(n * width);
+void Fleet::Builder::resize(std::size_t rows) {
+  fleet_.for_each_column([rows](auto& column, std::size_t width) {
+    column.resize(rows * width);
   });
+}
+
+void Fleet::Builder::write_row(std::size_t i, std::int32_t id,
+                               const metrics::PowerCurve& curve,
+                               Totals& totals) {
+  Fleet& f = fleet_;
+  f.ids_[i] = id;
+  f.peak_ops_[i] = curve.peak_ops();
+  f.peak_watts_[i] = curve.peak_watts();
+  f.idle_watts_[i] = curve.idle_watts();
+  const metrics::DerivedCurveMetrics derived =
+      metrics::derive_curve_metrics(curve);
+  f.ep_[i] = derived.ep;
+  f.overall_score_[i] = derived.overall_score;
+  f.peak_ee_value_[i] = derived.peak_ee.value;
+  f.peak_ee_utilization_[i] = derived.peak_ee_utilization;
+  // The grid row is the interpolation table's own knot watts and slopes,
+  // copied bit for bit, so grid evaluation and the knot walk run the
+  // identical expression on identical inputs.
+  const auto table = curve.interpolation_table();
+  for (std::size_t seg = 0; seg < kRowBins; ++seg) {
+    f.grid_w0_[i * kRowBins + seg] = table.knot_watts[seg];
+    f.grid_m_[i * kRowBins + seg] = table.slope[seg];
+  }
+  f.grid_inv_peak_[i] = table.inv_peak;
+  for (std::size_t level = 0; level < metrics::kNumLoadLevels; ++level) {
+    f.ops_[i * metrics::kNumLoadLevels + level] = curve.ops_at_level(level);
+  }
+  f.ee_at_full_[i] = metrics::ee_at_level(curve, metrics::kNumLoadLevels - 1);
+  totals.capacity_ops.add(curve.peak_ops());
+  totals.idle_watts.add(curve.idle_watts());
+}
+
+void Fleet::Builder::merge(std::span<const Totals> totals) {
+  for (const Totals& block : totals) {
+    capacity_ops_.merge(block.capacity_ops);
+    idle_watts_.merge(block.idle_watts);
+  }
 }
 
 epserve::Result<bool> Fleet::Builder::append_rows(
@@ -145,19 +190,17 @@ epserve::Result<bool> Fleet::Builder::append_rows(
                          ? make_worker_pool(resolve_thread_count(0))
                          : nullptr;
   ThreadPool* const pool = lanes.get();
+  const std::size_t blocks = block_count(chunk.size(), kBlockRows);
 
   if (validate) {
     // Each block stops at its own first bad curve; the lowest block with
     // one names the lowest bad server, whichever lane found it first.
-    std::vector<std::optional<Error>> errors(
-        block_count(chunk.size(), kBlockRows));
+    std::vector<std::optional<Error>> errors(blocks);
     parallel_for_blocks(pool, chunk.size(), kBlockRows,
                         [&](std::size_t b, std::size_t lo, std::size_t hi) {
       for (std::size_t k = lo; k < hi; ++k) {
         if (auto valid = chunk[k].curve.validate(); !valid.ok()) {
-          errors[b] = Error{valid.error().code,
-                            "server " + std::to_string(chunk[k].id) + ": " +
-                                valid.error().message};
+          errors[b] = bad_curve(chunk[k].id, valid.error());
           return;
         }
       }
@@ -167,47 +210,16 @@ epserve::Result<bool> Fleet::Builder::append_rows(
     }
   }
 
-  Fleet& f = fleet_;
-  const std::size_t first = f.ids_.size();
-  const std::size_t rows = first + chunk.size();
-  f.for_each_column([rows](auto& column, std::size_t width) {
-    column.resize(rows * width);
-  });
+  const std::size_t first = fleet_.size();
+  resize(first + chunk.size());
+  std::vector<Totals> totals(blocks);
   parallel_for_blocks(pool, chunk.size(), kBlockRows,
-                      [&](std::size_t, std::size_t lo, std::size_t hi) {
+                      [&](std::size_t b, std::size_t lo, std::size_t hi) {
     for (std::size_t k = lo; k < hi; ++k) {
-      const metrics::PowerCurve& curve = chunk[k].curve;
-      const std::size_t i = first + k;
-      f.ids_[i] = chunk[k].id;
-      f.peak_ops_[i] = curve.peak_ops();
-      f.peak_watts_[i] = curve.peak_watts();
-      f.idle_watts_[i] = curve.idle_watts();
-      const metrics::DerivedCurveMetrics derived =
-          metrics::derive_curve_metrics(curve);
-      f.ep_[i] = derived.ep;
-      f.overall_score_[i] = derived.overall_score;
-      f.peak_ee_value_[i] = derived.peak_ee.value;
-      f.peak_ee_utilization_[i] = derived.peak_ee_utilization;
-      // The grid row is the interpolation table's own knot watts and
-      // slopes, copied bit for bit, so grid evaluation and the knot walk
-      // run the identical expression on identical inputs.
-      const auto table = curve.interpolation_table();
-      for (std::size_t seg = 0; seg < kRowBins; ++seg) {
-        f.grid_w0_[i * kRowBins + seg] = table.knot_watts[seg];
-        f.grid_m_[i * kRowBins + seg] = table.slope[seg];
-      }
-      f.grid_inv_peak_[i] = table.inv_peak;
-      for (std::size_t level = 0; level < metrics::kNumLoadLevels; ++level) {
-        f.ops_[i * metrics::kNumLoadLevels + level] = curve.ops_at_level(level);
-      }
-      f.ee_at_full_[i] =
-          metrics::ee_at_level(curve, metrics::kNumLoadLevels - 1);
+      write_row(first + k, chunk[k].id, chunk[k].curve, totals[b]);
     }
   });
-  for (const auto& server : chunk) {
-    capacity_ops_.add(server.curve.peak_ops());
-    idle_watts_.add(server.curve.idle_watts());
-  }
+  merge(totals);
   return true;
 }
 
@@ -227,24 +239,46 @@ epserve::Result<Fleet> Fleet::Builder::finish() {
   return take();
 }
 
-epserve::Result<Fleet> Fleet::generate(const dataset::ScaledConfig& config,
-                                       std::size_t chunk_rows) {
+epserve::Result<Fleet> Fleet::generate(const dataset::ScaledConfig& config) {
+  auto sampler = dataset::ScaledSampler::create(config);
+  if (!sampler.ok()) return sampler.error();
+  if (config.servers == 0) {
+    return Error::invalid_argument("fleet is empty");
+  }
+  const telemetry::Span span("fleet.generate");
+  telemetry::count("generate.scaled_records", config.servers);
+  const auto rows = static_cast<std::size_t>(config.servers);
+  const std::size_t blocks = block_count(rows, kBlockRows);
   Builder builder;
-  std::optional<Error> append_error;
-  auto emitted = dataset::generate_population_chunked(
-      config, chunk_rows,
-      [&](std::span<const dataset::ServerRecord> chunk,
-          std::uint64_t first_index) {
-        // The generator has accepted config.servers by its first chunk.
-        if (first_index == 0) builder.reserve(config.servers);
-        if (append_error) return;
-        if (auto appended = builder.append(chunk); !appended.ok()) {
-          append_error = appended.error();
-        }
-      });
-  if (!emitted.ok()) return emitted.error();
-  if (append_error) return *append_error;
-  return builder.finish();
+  builder.resize(rows);
+  std::vector<Builder::Totals> totals(blocks);
+  // Each block stops at its own first failure, so the lowest block with
+  // one names the lowest failing server.
+  std::vector<std::optional<Error>> errors(blocks);
+  // A lane past the block count would have nothing to fill.
+  const auto lanes = make_worker_pool(
+      std::min(resolve_thread_count(config.threads), blocks));
+  parallel_for_blocks(lanes.get(), rows, kBlockRows,
+                      [&](std::size_t b, std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      auto curve = sampler.value().curve(i);
+      if (!curve.ok()) {
+        errors[b] = curve.error();
+        return;
+      }
+      const auto id = static_cast<std::int32_t>(i + 1);
+      if (auto valid = curve.value().validate(); !valid.ok()) {
+        errors[b] = bad_curve(id, valid.error());
+        return;
+      }
+      builder.write_row(i, id, curve.value(), totals[b]);
+    }
+  });
+  for (auto& error : errors) {
+    if (error) return *std::move(error);
+  }
+  builder.merge(totals);
+  return builder.take();
 }
 
 epserve::Result<Fleet> Fleet::build(

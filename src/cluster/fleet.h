@@ -18,12 +18,13 @@
 // under std::call_once.
 //
 // Every Fleet owns its columns, whichever factory built it: build(),
-// from_records() and generate() all append rows through Fleet::Builder, so
-// a Fleet may outlive the records it was built from. A chunk of at least
-// Builder::kParallelRows rows is filled in index blocks on a pool of
-// resolve_thread_count(0) lanes; every row is written once, by one lane,
-// so the columns do not depend on the thread count. Each power sheet is
-// stored once: curve(i) is rebuilt from the grid row, the peak-watts
+// from_records(), generate() and Fleet::Builder all write each row through
+// the Builder's one row routine, so a Fleet may outlive the records it was
+// built from. A chunk of at least Builder::kParallelRows rows is filled in
+// index blocks on a pool of resolve_thread_count(0) lanes, and generate()
+// fills every row in one such pass; every row is written once, by one
+// lane, so the columns do not depend on the thread count. Each power sheet
+// is stored once: curve(i) is rebuilt from the grid row, the peak-watts
 // column and a per-server ops row.
 //
 // Determinism contract (docs/CLUSTER.md): every column is a bitwise copy of
@@ -79,17 +80,23 @@ class Fleet {
 
   /// Chunked fleet assembly, for chunk-emitting generators
   /// (dataset::generate_population_chunked) that never materialize a full
-  /// vector<ServerRecord>: append record chunks, then finish(). The one row
-  /// routine behind every factory, so digest() is byte-identical to a
-  /// one-chunk build() of the same records at any chunk size (pinned by
-  /// tests/cluster_fleet_stream_test.cpp).
+  /// vector<ServerRecord>: append record chunks, then finish(). Its row
+  /// routine is the one behind every factory, so every column is
+  /// byte-identical to a one-chunk build() of the same records at any chunk
+  /// size (pinned by tests/cluster_fleet_stream_test.cpp).
   class Builder;
 
-  /// The scaled population of `config` streamed through a Builder,
-  /// `chunk_rows` generator records at a time (bounded memory at any size).
-  /// Fails as the generator or the first bad chunk fails.
-  static epserve::Result<Fleet> generate(const dataset::ScaledConfig& config,
-                                         std::size_t chunk_rows);
+  /// The scaled population of `config` generated straight into the
+  /// columns: one dataset::ScaledSampler, every row's curve drawn, checked
+  /// by PowerCurve::validate() and written in one pass of 2048-row blocks
+  /// on resolve_thread_count(config.threads) lanes, with no ServerRecord
+  /// built. Every column equals build() of
+  /// dataset::generate_scaled_population(config) bit for bit. Fails before
+  /// any column is sized as ScaledSampler::create() fails, with "fleet is
+  /// empty" at zero servers, and otherwise as the lowest-indexed server
+  /// whose curve fails to synthesize or to validate ("server N: ...").
+  /// Opens one `fleet.generate` span.
+  static epserve::Result<Fleet> generate(const dataset::ScaledConfig& config);
 
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
   [[nodiscard]] bool empty() const { return ids_.empty(); }
@@ -240,7 +247,8 @@ class Fleet {
   template <typename Fn>
   void for_each_column(Fn&& fn);
 
-  // Sized once per chunk, each row written by the lane that fills it.
+  // Sized once per chunk (once for generate()), each row written by the
+  // lane that fills it.
   util::AlignedVector<std::int32_t> ids_;
   util::AlignedVector<double> ops_;  // [size * kNumLoadLevels]
   util::AlignedVector<double> peak_ops_;
@@ -288,15 +296,27 @@ class Fleet::Builder {
   /// thread, where starting lanes would cost more than they save.
   static constexpr std::size_t kParallelRows = 8192;
 
-  /// Capacity for `rows` rows in total (generate() knows its fleet size),
-  /// so no later chunk reallocates and copies the rows before it.
-  void reserve(std::uint64_t rows);
-  /// The one row routine, under one `fleet.append` span: validates `chunk`
-  /// when asked (the lowest bad index wins, nothing is appended), then
-  /// sizes every column once and fills the chunk in index blocks, on lanes
-  /// when it is large enough. The chunk's terms join the exact aggregates.
+  /// One fill block's terms of the fleet aggregates, merged into the
+  /// builder's exact sums after the pass (exact, so in any order).
+  struct Totals {
+    util::ExactSum capacity_ops;
+    util::ExactSum idle_watts;
+  };
+
+  /// Under one `fleet.append` span: validates `chunk` when asked (the
+  /// lowest bad index wins, nothing is appended), then sizes every column
+  /// once and fills the chunk in index blocks through write_row(), on lanes
+  /// when it is large enough.
   epserve::Result<bool> append_rows(
       std::span<const dataset::ServerRecord> chunk, bool validate);
+  /// Sizes every column for `rows` rows in all.
+  void resize(std::size_t rows);
+  /// The one row routine: writes row `i` of every column from `curve` and
+  /// adds its aggregate terms to its block's `totals`.
+  void write_row(std::size_t i, std::int32_t id,
+                 const metrics::PowerCurve& curve, Totals& totals);
+  /// Merges the blocks' totals into the builder's exact sums.
+  void merge(std::span<const Totals> totals);
   /// Moves the finished fleet out and counts it; no checks, no span.
   Fleet take();
 

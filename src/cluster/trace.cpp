@@ -86,7 +86,7 @@ constexpr std::size_t kTraceCount = 4;
 
 const std::array<TraceEntry, kTraceCount>& registry() {
   static const std::array<TraceEntry, kTraceCount> entries = {{
-      {{"diurnal", "trough-at-night / evening-peak sine (legacy default)",
+      {{"diurnal", "trough-at-night / evening-peak sine",
         24, 1.0, 0.25, 0.45, false},
        &gen_diurnal},
       {{"flash_crowd", "flat baseline with a sudden sustained midday burst",

@@ -10,7 +10,6 @@
 #include "dataset/calibration.h"
 #include "metrics/curve_models.h"
 #include "metrics/efficiency.h"
-#include "metrics/proportionality.h"
 #include "power/uarch.h"
 #include "util/contracts.h"
 #include "util/parallel.h"
@@ -145,17 +144,12 @@ double min_ep_for_interior_peak(double spot) {
   return hi;
 }
 
-/// One synthesized measurement sheet.
-struct CurveBuild {
-  metrics::PowerCurve curve;
-  double measured_ep = 0.0;
-};
-
 /// Discretises the model, applies jitter while preserving monotonicity and
 /// the peak-EE spot, and scales to absolute watts/ops.
-CurveBuild build_curve(const metrics::TwoSegmentPowerModel& model,
-                       double target_spot, bool dual_peak, double peak_watts,
-                       double overall_score, double jitter_sd, Rng& rng) {
+metrics::PowerCurve build_curve(const metrics::TwoSegmentPowerModel& model,
+                                double target_spot, bool dual_peak,
+                                double peak_watts, double overall_score,
+                                double jitter_sd, Rng& rng) {
   std::array<double, kNumLoadLevels> norm{};
   const auto spot_level_result =
       metrics::level_of_utilization(std::min(target_spot, 1.0));
@@ -222,43 +216,48 @@ CurveBuild build_curve(const metrics::TwoSegmentPowerModel& model,
     for (std::size_t i = 0; i < kNumLoadLevels; ++i) {
       ops[i] = peak_ops * kLoadLevels[i];
     }
-    CurveBuild out{metrics::PowerCurve(watts, ops, idle_norm * peak_watts),
-                   0.0};
-    out.measured_ep = metrics::energy_proportionality(out.curve);
-    return out;
+    return metrics::PowerCurve(watts, ops, idle_norm * peak_watts);
   }
 }
 
-/// Phase-4 curve synthesis shared by the quota (477) and scaled paths: turns
-/// a finished Draft into a ServerRecord (pub_year left equal to hw_year).
-/// All randomness comes from `rng` — the caller hands the server's private
-/// substream — and the draw order in here is a frozen part of the
-/// byte-identity contract for both populations.
-Result<ServerRecord> synthesize_record(Draft d, std::uint64_t server_index,
-                                       double curve_jitter_sd,
-                                       double power_spread, Rng& rng) {
+/// A finished Draft's measurement sheet, and the memory size its absolute
+/// power was scaled by (the record keeps it).
+struct SynthesizedCurve {
+  metrics::PowerCurve curve;
+  double memory_gb = 0.0;
+};
+
+/// Phase-4 curve synthesis shared by the quota (477) and scaled paths. All
+/// randomness comes from `rng` — the caller hands the server's private
+/// substream — and the draw order in here, then in identify_record(), is a
+/// frozen part of the byte-identity contract for both populations: every
+/// curve draw comes before the first identity draw.
+Result<SynthesizedCurve> synthesize_curve(const Draft& d,
+                                          double curve_jitter_sd,
+                                          double power_spread, Rng& rng) {
   EPSERVE_ENSURES(d.uarch != nullptr);
 
   // Per-year floor keeps pinned minima (e.g. 2016's 0.73 exemplar) the
   // actual minima after the chip/MPC shifts.
+  double ep_target = d.ep_target;
   if (!d.is_exemplar) {
-    d.ep_target = std::max(d.ep_target, d.ep_floor);
+    ep_target = std::max(ep_target, d.ep_floor);
   }
 
   // Idle fraction inside the feasibility window, near the codename's
   // typical value.
-  IdleWindow window = idle_window_for(d.ep_target, d.peak_spot);
+  IdleWindow window = idle_window_for(ep_target, d.peak_spot);
   if (!window.valid()) {
     // EP target slightly out of range for the requested spot; nudge EP.
-    d.ep_target = min_ep_for_interior_peak(d.peak_spot) + 0.02;
-    window = idle_window_for(d.ep_target, d.peak_spot);
+    ep_target = min_ep_for_interior_peak(d.peak_spot) + 0.02;
+    window = idle_window_for(ep_target, d.peak_spot);
   }
   EPSERVE_ENSURES(window.valid());
   const double idle = rng.truncated_normal(
       d.uarch->typical_idle_fraction, 0.04, window.lo, window.hi);
 
-  auto model = metrics::TwoSegmentPowerModel::solve(d.ep_target, idle,
-                                                    window.shape_tau);
+  auto model =
+      metrics::TwoSegmentPowerModel::solve(ep_target, idle, window.shape_tau);
   if (!model.ok()) {
     return model.error();
   }
@@ -282,10 +281,17 @@ Result<ServerRecord> synthesize_record(Draft d, std::uint64_t server_index,
     score = std::max(score, d.score_mean * 0.3);
   }
 
-  const CurveBuild build =
+  return SynthesizedCurve{
       build_curve(model.value(), d.peak_spot, d.dual_peak, peak_watts, score,
-                  d.is_exemplar ? 0.0 : curve_jitter_sd, rng);
+                  d.is_exemplar ? 0.0 : curve_jitter_sd, rng),
+      memory_gb};
+}
 
+/// The identity draws that follow a server's curve synthesis on the same
+/// stream (vendor, model number, form factor), assembled with the curve
+/// into its record; pub_year is left equal to hw_year.
+ServerRecord identify_record(const Draft& d, std::uint64_t server_index,
+                             const SynthesizedCurve& synthesized, Rng& rng) {
   ServerRecord rec;
   rec.id = static_cast<int>(server_index) + 1;
   rec.vendor = std::string(kVendors[rng.uniform_index(kVendors.size())]);
@@ -307,10 +313,10 @@ Result<ServerRecord> synthesize_record(Draft d, std::uint64_t server_index,
   rec.chips = d.chips;
   rec.cores_per_chip = d.cores_per_chip;
   rec.cpu_codename = std::string(d.uarch->codename);
-  rec.memory_gb = memory_gb;
+  rec.memory_gb = synthesized.memory_gb;
   rec.hw_year = d.hw_year;
   rec.pub_year = d.hw_year;  // the caller introduces any mismatch
-  rec.curve = build.curve;
+  rec.curve = synthesized.curve;
   return rec;
 }
 
@@ -518,17 +524,18 @@ Result<std::vector<ServerRecord>> generate_population(
   std::vector<std::optional<Error>> solve_errors(drafts.size());
 
   parallel_for(pool.get(), drafts.size(), [&](std::size_t server_index) {
-    // synthesize_record takes the draft by value: the feasibility nudges in
-    // there must not leak across tasks (and phase 5 never re-reads drafts).
+    // The feasibility nudges in synthesize_curve stay local to it, so no
+    // task writes a draft (and phase 5 never re-reads drafts).
     Rng rng = rng_base.substream(server_index + kCurveSynthesisSalt);
-    auto rec = synthesize_record(drafts[server_index], server_index,
-                                 config.curve_jitter_sd, config.power_spread,
-                                 rng);
-    if (!rec.ok()) {
-      solve_errors[server_index] = rec.error();
+    const Draft& draft = drafts[server_index];
+    auto synthesized = synthesize_curve(draft, config.curve_jitter_sd,
+                                        config.power_spread, rng);
+    if (!synthesized.ok()) {
+      solve_errors[server_index] = synthesized.error();
       return;
     }
-    records[server_index] = std::move(rec).take();
+    records[server_index] =
+        identify_record(draft, server_index, synthesized.value(), rng);
   });
 
   for (const auto& error : solve_errors) {
@@ -632,8 +639,8 @@ Result<std::vector<std::vector<ServerRecord>>> generate_ensemble(
 namespace {
 
 /// Precomputed categorical weight tables for the scaled population: one
-/// read-only bundle built per generate call from calibration's scaled plan,
-/// shared by every worker (the per-server sampler only reads it).
+/// read-only bundle built per ScaledSampler from calibration's scaled plan,
+/// shared by every lane (the per-server draws only read it).
 struct ScaledTables {
   std::span<const YearPlan> plans;
   std::vector<double> year_weights;
@@ -708,14 +715,10 @@ ScaledTables build_scaled_tables() {
   return t;
 }
 
-/// One scaled server: a pure function of (seed, index). Draws its whole
-/// cohort (year, codename, EP, spot, nodes/chips, MPC) from the weight
-/// tables on a private substream, then reuses the shared phase-4 synthesis.
-/// The draw order is a frozen part of the byte-identity contract.
-Result<ServerRecord> scaled_server(const ScaledTables& t,
-                                   const ScaledConfig& config,
-                                   const Rng& rng_base, std::uint64_t index) {
-  Rng rng = rng_base.substream(index);
+/// One scaled server's cohort draft (year, codename, EP, spot, nodes/chips,
+/// MPC), drawn from the weight tables on its private substream. The draw
+/// order is a frozen part of the byte-identity contract.
+Draft scaled_draft(const ScaledTables& t, Rng& rng) {
   const std::size_t y = rng.categorical(t.year_weights);
   const YearPlan& plan = t.plans[y];
   const CodenameQuota& quota =
@@ -758,32 +761,15 @@ Result<ServerRecord> scaled_server(const ScaledTables& t,
   d.mpc = mpc.gb_per_core;
   d.ee_multiplier *= mpc.ee_multiplier;
   d.ep_target = std::clamp(d.ep_target + mpc.ep_shift, 0.06, 0.99);
-
-  auto rec = synthesize_record(d, index, config.curve_jitter_sd,
-                               config.power_spread, rng);
-  if (!rec.ok()) return rec.error();
-  ServerRecord out = std::move(rec).take();
-
-  // Published-year mismatch at the 477 plan's rate (74/477), offsets drawn
-  // with the plan's frequencies and clamped to the 2007-2023 window.
-  if (rng.uniform_index(477) < 74) {
-    const int off = t.mismatch_offsets[rng.categorical(t.mismatch_weights)];
-    out.pub_year = std::clamp(out.hw_year + off, 2007, 2023);
-  }
-  return out;
+  return d;
 }
 
 }  // namespace
 
-Result<std::uint64_t> generate_population_chunked(const ScaledConfig& config,
-                                                  std::size_t chunk_size,
-                                                  const ChunkSink& sink) {
-  if (chunk_size == 0) {
-    return Error::invalid_argument("chunk_size must be positive");
-  }
-  if (!sink) {
-    return Error::invalid_argument("chunk sink must be callable");
-  }
+// The header's opaque table type is the bundle above.
+struct ScaledSampler::Tables : ScaledTables {};
+
+Result<ScaledSampler> ScaledSampler::create(const ScaledConfig& config) {
   if (!scaled_plan_is_consistent()) {
     return Error::failed_precondition(
         "scaled cohort plan is internally inconsistent");
@@ -795,11 +781,61 @@ Result<std::uint64_t> generate_population_chunked(const ScaledConfig& config,
         "scaled population of " + std::to_string(config.servers) +
         " servers exceeds the int32 record-id space");
   }
+  return ScaledSampler(config,
+                       std::make_unique<const Tables>(build_scaled_tables()));
+}
+
+ScaledSampler::ScaledSampler(const ScaledConfig& config,
+                             std::unique_ptr<const Tables> tables)
+    : tables_(std::move(tables)),
+      base_(config.seed),
+      curve_jitter_sd_(config.curve_jitter_sd),
+      power_spread_(config.power_spread) {}
+
+ScaledSampler::ScaledSampler(ScaledSampler&&) noexcept = default;
+ScaledSampler::~ScaledSampler() = default;
+
+Result<metrics::PowerCurve> ScaledSampler::curve(std::uint64_t index) const {
+  Rng rng = base_.substream(index);
+  const Draft draft = scaled_draft(*tables_, rng);
+  auto synthesized =
+      synthesize_curve(draft, curve_jitter_sd_, power_spread_, rng);
+  if (!synthesized.ok()) return synthesized.error();
+  return synthesized.value().curve;
+}
+
+Result<ServerRecord> ScaledSampler::record(std::uint64_t index) const {
+  Rng rng = base_.substream(index);
+  const Draft draft = scaled_draft(*tables_, rng);
+  auto synthesized =
+      synthesize_curve(draft, curve_jitter_sd_, power_spread_, rng);
+  if (!synthesized.ok()) return synthesized.error();
+  ServerRecord out = identify_record(draft, index, synthesized.value(), rng);
+
+  // Published-year mismatch at the 477 plan's rate (74/477), offsets drawn
+  // with the plan's frequencies and clamped to the 2007-2023 window.
+  const ScaledTables& t = *tables_;
+  if (rng.uniform_index(477) < 74) {
+    const int off = t.mismatch_offsets[rng.categorical(t.mismatch_weights)];
+    out.pub_year = std::clamp(out.hw_year + off, 2007, 2023);
+  }
+  return out;
+}
+
+Result<std::uint64_t> generate_population_chunked(const ScaledConfig& config,
+                                                  std::size_t chunk_size,
+                                                  const ChunkSink& sink) {
+  if (chunk_size == 0) {
+    return Error::invalid_argument("chunk_size must be positive");
+  }
+  if (!sink) {
+    return Error::invalid_argument("chunk sink must be callable");
+  }
+  auto sampler = ScaledSampler::create(config);
+  if (!sampler.ok()) return sampler.error();
 
   const telemetry::Span generate_span("generate_scaled");
   telemetry::count("generate.scaled_records", config.servers);
-  const ScaledTables tables = build_scaled_tables();
-  const Rng rng_base(config.seed);
   const std::size_t thread_count = resolve_thread_count(config.threads);
   const auto pool = make_worker_pool(thread_count);
 
@@ -814,7 +850,7 @@ Result<std::uint64_t> generate_population_chunked(const ScaledConfig& config,
     chunk.resize(n);
     chunk_errors.assign(n, std::nullopt);
     parallel_for(pool.get(), n, [&](std::size_t i) {
-      auto rec = scaled_server(tables, config, rng_base, first + i);
+      auto rec = sampler.value().record(first + i);
       if (!rec.ok()) {
         chunk_errors[i] = rec.error();
         return;

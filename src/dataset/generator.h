@@ -27,11 +27,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "dataset/record.h"
+#include "metrics/power_curve.h"
 #include "util/result.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace epserve::dataset {
@@ -73,7 +76,9 @@ epserve::Result<std::vector<std::vector<ServerRecord>>> generate_ensemble(
 // weights independently (calibration.h scaled_year_plans()): every record is
 // a pure function of (seed, index) via Rng::substream, so generation chunks
 // and shards freely and the output is byte-identical for every chunk size
-// and thread count.
+// and thread count. On its substream a server draws its cohort draft, then
+// its curve, then its identity (vendor, model number, form factor,
+// published-year offset), so its curve is known before any identity draw.
 
 struct ScaledConfig {
   std::uint64_t seed = 20230930;  // scaled dataset cut: 2023Q3
@@ -81,9 +86,45 @@ struct ScaledConfig {
   std::uint64_t servers = 1'000'000;
   double curve_jitter_sd = 0.004;
   double power_spread = 0.08;
-  /// Threads for in-chunk curve synthesis; same contract as
+  /// Threads for in-chunk record synthesis, and the lanes of
+  /// cluster::Fleet::generate's one pass; same contract as
   /// GeneratorConfig::threads (0 = auto, 1 = plain serial loop).
   int threads = 0;
+};
+
+/// The scaled population's per-server sampler, built once per config: it
+/// holds the calibration's weight tables and the seed's base stream, and
+/// only reads them, so any lane may call curve() and record() on one
+/// sampler at once.
+class ScaledSampler {
+ public:
+  /// Fails when the scaled cohort plan is internally inconsistent
+  /// (kFailedPrecondition) or when config.servers reaches past the int32
+  /// record-id space (kOutOfRange; record ids are index + 1).
+  static epserve::Result<ScaledSampler> create(const ScaledConfig& config);
+
+  ScaledSampler(ScaledSampler&&) noexcept;
+  ~ScaledSampler();
+
+  /// Server `index`'s measurement sheet: its cohort draft and curve
+  /// synthesis, without the identity draws that follow them. Bitwise equal
+  /// to record(index).curve.
+  [[nodiscard]] epserve::Result<metrics::PowerCurve> curve(
+      std::uint64_t index) const;
+
+  /// Server `index`'s whole record (id index + 1).
+  [[nodiscard]] epserve::Result<ServerRecord> record(
+      std::uint64_t index) const;
+
+ private:
+  struct Tables;  // the weight tables (generator.cpp)
+  ScaledSampler(const ScaledConfig& config,
+                std::unique_ptr<const Tables> tables);
+
+  std::unique_ptr<const Tables> tables_;
+  Rng base_;
+  double curve_jitter_sd_;
+  double power_spread_;
 };
 
 /// Receives consecutive record chunks in ascending index order.
@@ -94,8 +135,9 @@ using ChunkSink =
                        std::uint64_t first_index)>;
 
 /// Streams the scaled population through `sink` in `chunk_size`-row chunks
-/// (the last chunk may be short). Peak memory is one chunk of records.
-/// Returns the number of records emitted.
+/// (the last chunk may be short), each filled from one ScaledSampler on
+/// config.threads lanes. Peak memory is one chunk of records. Returns the
+/// number of records emitted; fails as ScaledSampler::create() fails.
 epserve::Result<std::uint64_t> generate_population_chunked(
     const ScaledConfig& config, std::size_t chunk_size, const ChunkSink& sink);
 

@@ -185,13 +185,10 @@ void write_cell(JsonWriter& json, const CellResult& result) {
 Result<RunResult> run_experiment(const Spec& spec,
                                  const RunnerOptions& options) {
   if (auto valid = validate_spec(spec); !valid.ok()) return valid.error();
-  if (options.chunk_rows == 0) {
-    return Error::invalid_argument("chunk_rows must be positive");
-  }
   const telemetry::Span run_span("exp/run", telemetry::Span::Scope::kRoot);
-  // One fleet per (fleet_size, seed, gen_threads) coordinate, built
-  // serially through the streamed pipeline and shared read-only by every
-  // cell addressing it.
+  // One fleet per (fleet_size, seed, gen_threads) coordinate, each
+  // generated straight into its columns on gen_threads lanes and shared
+  // read-only by every cell addressing it.
   std::vector<cluster::Fleet> fleets;
   for (const auto& coords : fleet_coordinates(spec)) {
     const telemetry::Span fleet_span("fleet");
@@ -199,7 +196,7 @@ Result<RunResult> run_experiment(const Spec& spec,
     config.seed = coords.seed;
     config.servers = coords.fleet_size;
     config.threads = coords.gen_threads;
-    auto fleet = cluster::Fleet::generate(config, options.chunk_rows);
+    auto fleet = cluster::Fleet::generate(config);
     if (!fleet.ok()) return fleet.error();
     fleets.push_back(std::move(fleet).take());
   }

@@ -7,9 +7,9 @@
 // cluster::simulate_policy_day.
 //
 // Fleets come from one of two places: the runner builds one per
-// (fleet_size, seed, gen_threads) coordinate through the streamed
-// Fleet::generate path (bounded memory at any size), or the caller hands
-// over fleets it built itself. Either way each fleet is shared read-only
+// (fleet_size, seed, gen_threads) coordinate through Fleet::generate (the
+// scaled population drawn straight into the columns, on gen_threads
+// lanes), or the caller hands over fleets it built itself. Either way each fleet is shared read-only
 // across every cell that addresses it, and its Fleet::digest() is stamped
 // into the result so a rendered report can always be traced back to the
 // exact population it measured.
@@ -86,8 +86,6 @@ struct RunnerOptions {
   /// byte-identical at any value — `epserve_exp run --threads` exists to
   /// *verify* that, not to change the answer.
   int threads = 0;
-  /// Chunk size for the streamed fleet builds (generator rows per append).
-  std::size_t chunk_rows = 65536;
 };
 
 /// Validates and runs the spec, building its fleets. Fails before any cell
@@ -100,7 +98,7 @@ epserve::Result<RunResult> run_experiment(const Spec& spec,
 /// gen_threads) coordinate in expansion order; the seed and gen_threads
 /// axes then only label them. Fails before any cell executes when the
 /// fleet count or any fleet's size differs from its coordinate (so an
-/// empty fleet is rejected). `options.chunk_rows` is unused.
+/// empty fleet is rejected).
 epserve::Result<RunResult> run_experiment(
     const Spec& spec, std::span<const cluster::Fleet> fleets,
     const RunnerOptions& options = {});

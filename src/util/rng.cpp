@@ -66,6 +66,10 @@ double Rng::normal() {
   // Box-Muller; u1 in (0,1] to keep log finite.
   const double u1 = 1.0 - uniform();
   const double u2 = uniform();
+  return box_muller(u1, u2);
+}
+
+double Rng::box_muller(double u1, double u2) {
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * std::numbers::pi * u2;
   cached_normal_ = r * std::sin(theta);
@@ -83,9 +87,40 @@ double Rng::truncated_normal(double mean, double sd, double lo, double hi) {
   if (sd == 0.0) {
     return mean < lo ? lo : (mean > hi ? hi : mean);
   }
+  EPSERVE_EXPECTS(sd >= 0.0);
   constexpr int kMaxRejections = 256;
-  for (int i = 0; i < kMaxRejections; ++i) {
-    const double x = normal(mean, sd);
+  // A fresh pair's draws are r cos(theta) and r sin(theta) with
+  // r = sqrt(-2 log u1), so both lie within r of zero. With the window at
+  // least d sd from the mean on one side, u1 > exp(-(d (1 - eps))^2 / 2)
+  // means r < d (1 - eps): both draws miss it, and the pair is rejected
+  // from its uniforms. The relative margin eps = 2^-20 outweighs the
+  // rounding of the log, the sqrt, d itself and mean + sd * z; the gap
+  // bounds keep it above the spacing of doubles near the window's edge.
+  // u1 never exceeds 1.0, so a threshold of 1.0 dooms no pair.
+  double doomed_above = 1.0;
+  const double gap = lo > mean ? lo - mean : mean - hi;
+  const double edge = lo > mean ? lo : hi;
+  const double d = gap / sd;
+  if (d >= 0.5 && gap > 0x1p-28 * std::abs(edge) && gap > 0x1p-960) {
+    const double margin = d * (1.0 - 0x1p-20);
+    doomed_above = std::exp(-0.5 * margin * margin);
+  }
+  for (int draws = 0; draws < kMaxRejections;) {
+    double x = 0.0;
+    // A pending cached variate, or a single remaining draw, is one draw:
+    // the plain path.
+    if (has_cached_normal_ || draws + 1 == kMaxRejections) {
+      x = normal(mean, sd);
+    } else {
+      const double u1 = 1.0 - uniform();
+      const double u2 = uniform();
+      if (u1 > doomed_above) {
+        draws += 2;
+        continue;
+      }
+      x = mean + sd * box_muller(u1, u2);
+    }
+    ++draws;
     if (x >= lo && x <= hi) return x;
   }
   // Distribution barely overlaps the window; clamp rather than spin.

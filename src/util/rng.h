@@ -52,7 +52,12 @@ class Rng {
 
   /// Normal truncated by rejection to [lo, hi]; requires lo < hi and a
   /// non-degenerate overlap (falls back to clamping after many rejections so
-  /// pathological inputs cannot loop forever).
+  /// pathological inputs cannot loop forever). When the window lies wholly
+  /// on one side of the mean, at least half an sd away, a fresh Box-Muller
+  /// pair whose radius already puts both draws outside it is rejected from
+  /// its uniforms alone, without the log, sqrt, sin and cos: every returned
+  /// value and the generator state afterwards are those of the plain
+  /// rejection loop.
   double truncated_normal(double mean, double sd, double lo, double hi);
 
   /// Samples an index proportionally to `weights` (non-negative, not all 0).
@@ -86,6 +91,10 @@ class Rng {
   [[nodiscard]] Rng substream(std::uint64_t task_index) const;
 
  private:
+  /// Box-Muller on one fresh pair of uniforms (u1 in (0, 1]): returns the
+  /// cosine variate and caches the sine one, as normal() does.
+  double box_muller(double u1, double u2);
+
   std::uint64_t s_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -1,10 +1,11 @@
-// Streamed Fleet contracts (docs/CLUSTER.md, docs/COLUMNAR.md "Streaming"):
-// Fleet::generate — generator chunks streamed through a Fleet::Builder —
-// must be indistinguishable (digest, columns, aggregates, whole-day policy
-// results, logical clusters and the operating guide) from a monolithic
-// Fleet::build() over the same records, at every chunk size, and every day
-// must keep its bits whatever number of threads runs the days. Runs under
-// the `scale` and `cluster` ctest labels.
+// Generated and streamed Fleet contracts (docs/CLUSTER.md): Fleet::generate
+// — the scaled population drawn straight into the columns — and record
+// chunks streamed through a Fleet::Builder must be indistinguishable
+// (every column, the aggregates, whole-day policy results, logical
+// clusters and the operating guide) from a monolithic Fleet::build() over
+// the same records, at every size, lane count and chunk size, and every
+// day must keep its bits whatever number of threads runs the days. Runs
+// under the `scale` and `cluster` ctest labels.
 #include "cluster/fleet.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -24,7 +26,9 @@
 #include "cluster/working_region.h"
 #include "dataset/generator.h"
 #include "metrics/load_level.h"
+#include "fleet_image.h"
 #include "util/parallel.h"
+#include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace epserve::cluster {
@@ -46,24 +50,53 @@ std::vector<ServerRecord> scaled_records(std::uint64_t servers) {
   return std::move(result).take();
 }
 
-TEST(FleetStream, DigestMatchesMonolithicAtEveryChunkSize) {
-  const auto records = scaled_records(600);
-  const auto monolithic = Fleet::build(records);
-  ASSERT_TRUE(monolithic.ok());
-  for (const std::size_t chunk_size : {std::size_t{1}, std::size_t{97},
-                                       std::size_t{4096}, std::size_t{600}}) {
-    const auto streamed = Fleet::generate(small_config(600), chunk_size);
-    ASSERT_TRUE(streamed.ok()) << "chunk=" << chunk_size;
-    EXPECT_EQ(streamed.value().digest(), monolithic.value().digest())
-        << "chunk=" << chunk_size;
+TEST(FleetStream, EveryColumnMatchesMonolithicAtEverySizeAndLaneCount) {
+  // Sizes around Fleet::generate's 2048-row fill block: one row, a block
+  // less one, one block, one more, and many blocks with a short last one.
+  for (const std::uint64_t servers :
+       {std::uint64_t{1}, std::uint64_t{2047}, std::uint64_t{2048},
+        std::uint64_t{2049}, std::uint64_t{10'007}}) {
+    const auto monolithic = Fleet::build(scaled_records(servers));
+    ASSERT_TRUE(monolithic.ok());
+    const auto want = fleet_check::fleet_image(monolithic.value());
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "servers=" << servers << " threads=" << threads);
+      ScaledConfig config = small_config(servers);
+      config.threads = threads;
+      const auto generated = Fleet::generate(config);
+      ASSERT_TRUE(generated.ok()) << generated.error().message;
+      fleet_check::expect_same_fleet(
+          want, fleet_check::fleet_image(generated.value()));
+    }
   }
+}
+
+TEST(FleetStream, GenerateRejectsPopulationsPastTheRecordIdSpace) {
+  ScaledConfig config = small_config(std::numeric_limits<std::int32_t>::max());
+  telemetry::reset();
+  telemetry::set_enabled(true);
+  const auto generated = Fleet::generate(config);
+  const telemetry::Snapshot snap = telemetry::snapshot();
+  telemetry::set_enabled(false);
+  telemetry::reset();
+  ASSERT_FALSE(generated.ok());
+  EXPECT_EQ(generated.error().code, Error::Code::kOutOfRange);
+  // Refused before the pass that sizes the columns opens its span.
+  EXPECT_EQ(snap.find_span("fleet.generate"), nullptr);
+}
+
+TEST(FleetStream, GenerateOfNoServersFailsLikeEmptyBuild) {
+  const auto generated = Fleet::generate(small_config(0));
+  ASSERT_FALSE(generated.ok());
+  EXPECT_EQ(generated.error().message, "fleet is empty");
 }
 
 TEST(FleetStream, ColumnsAndAggregatesMatchMonolithic) {
   const auto records = scaled_records(300);
   const auto monolithic = Fleet::build(records);
   ASSERT_TRUE(monolithic.ok());
-  const auto streamed = Fleet::generate(small_config(300), 97);
+  const auto streamed = Fleet::generate(small_config(300));
   ASSERT_TRUE(streamed.ok());
   const Fleet& a = streamed.value();
   const Fleet& b = monolithic.value();
@@ -92,7 +125,7 @@ TEST(FleetStream, DayStudyMatchesMonolithic) {
   const auto records = scaled_records(200);
   const auto monolithic = Fleet::build(records);
   ASSERT_TRUE(monolithic.ok());
-  const auto streamed = Fleet::generate(small_config(200), 64);
+  const auto streamed = Fleet::generate(small_config(200));
   ASSERT_TRUE(streamed.ok());
   const auto trace = make_trace("diurnal").value();
 
@@ -163,7 +196,8 @@ std::vector<std::uint64_t> day_bits(const Fleet& fleet, std::size_t threads) {
 }
 
 TEST(FleetStream, ChunkingAndThreadCountsLeaveEveryDayBitIdentical) {
-  // Past Builder::kParallelRows, so the larger chunks fill on lanes.
+  // Past Builder::kParallelRows, so the larger chunks fill on lanes; the
+  // generated fleets fill on one lane and on four.
   const auto records = scaled_records(20000);
   const auto one_shot = Fleet::build(records);
   ASSERT_TRUE(one_shot.ok());
@@ -186,6 +220,13 @@ TEST(FleetStream, ChunkingAndThreadCountsLeaveEveryDayBitIdentical) {
         << "chunk=" << chunk;
     EXPECT_EQ(day_bits(chunked.value(), 1), want) << "chunk=" << chunk;
   }
+  for (const int lanes : {1, 4}) {
+    ScaledConfig config = small_config(records.size());
+    config.threads = lanes;
+    const auto generated = Fleet::generate(config);
+    ASSERT_TRUE(generated.ok());
+    EXPECT_EQ(day_bits(generated.value(), 1), want) << "lanes=" << lanes;
+  }
   for (const std::size_t threads :
        {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     EXPECT_EQ(day_bits(one_shot.value(), threads), want)
@@ -200,18 +241,19 @@ TEST(FleetStream, OperatingGuideMatchesMonolithic) {
   const auto guide_monolithic = build_operating_guide(monolithic.value());
   ASSERT_TRUE(guide_monolithic.ok());
   const auto clusters_monolithic = build_logical_clusters(monolithic.value());
-  for (const std::size_t chunk_size :
-       {std::size_t{1}, std::size_t{97}, std::size_t{300}}) {
-    const auto streamed = Fleet::generate(small_config(300), chunk_size);
-    ASSERT_TRUE(streamed.ok()) << "chunk=" << chunk_size;
+  for (const int lanes : {1, 2, 4, 8}) {
+    ScaledConfig config = small_config(300);
+    config.threads = lanes;
+    const auto streamed = Fleet::generate(config);
+    ASSERT_TRUE(streamed.ok()) << "lanes=" << lanes;
     ASSERT_EQ(streamed.value().digest(), monolithic.value().digest());
 
     const auto guide = build_operating_guide(streamed.value());
-    ASSERT_TRUE(guide.ok()) << "chunk=" << chunk_size;
+    ASSERT_TRUE(guide.ok()) << "lanes=" << lanes;
     const auto& s = guide.value();
     const auto& m = guide_monolithic.value();
     EXPECT_EQ(s.efficient_capacity_fraction, m.efficient_capacity_fraction);
-    ASSERT_EQ(s.entries.size(), m.entries.size()) << "chunk=" << chunk_size;
+    ASSERT_EQ(s.entries.size(), m.entries.size()) << "lanes=" << lanes;
     for (std::size_t e = 0; e < s.entries.size(); ++e) {
       EXPECT_EQ(s.entries[e].ep_bucket_lo, m.entries[e].ep_bucket_lo);
       EXPECT_EQ(s.entries[e].servers, m.entries[e].servers);
@@ -227,7 +269,7 @@ TEST(FleetStream, OperatingGuideMatchesMonolithic) {
     ASSERT_EQ(clusters.size(), clusters_monolithic.size());
     for (std::size_t c = 0; c < clusters.size(); ++c) {
       EXPECT_EQ(clusters[c].members, clusters_monolithic[c].members)
-          << "chunk=" << chunk_size << " cluster " << c;
+          << "lanes=" << lanes << " cluster " << c;
     }
   }
 }

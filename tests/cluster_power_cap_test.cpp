@@ -66,7 +66,7 @@ TEST(PowerCap, ToleranceBelowDoubleSpacingStopsAtAdjacentDemands) {
   config.seed = 5;
   config.servers = 200;
   config.threads = 1;
-  auto built = Fleet::generate(config, 64);
+  auto built = Fleet::generate(config);
   ASSERT_TRUE(built.ok()) << built.error().message;
   const Fleet& scaled = built.value();
   const PackToFullPolicy policy;

@@ -96,7 +96,7 @@ TEST(TraceRegistry, UnknownNameListsTheKnownNames) {
             std::string::npos);
 }
 
-TEST(TraceRegistry, CheckedPathRejectsWhatTheLegacyPathClamps) {
+TEST(TraceRegistry, RejectsOutOfRangeShapes) {
   // Shapes that push some slot's demand outside [0, 1] are reported, not
   // clamped into range.
   for (const auto& [base, amplitude] :

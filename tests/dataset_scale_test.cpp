@@ -190,7 +190,7 @@ TEST(ScaledGenerator, RejectsPopulationsPastTheRecordIdSpace) {
 
 // --- snapshot build ----------------------------------------------------------
 
-TEST(ColumnarBuilder, InternsCodenamesInSortedOrderAcrossChunks) {
+TEST(ColumnarSnapshot, InternsCodenamesInSortedOrder) {
   // Rows 0-99 name one codename; rows 100-199 add one power::find_uarch
   // does not know; rows 200-298 add two more, so first-seen order is the
   // reverse of sorted order.
@@ -313,7 +313,7 @@ TEST(StreamingCsv, RowStreamMatchesDocumentBytes) {
 
 // --- telemetry ----------------------------------------------------------------
 
-TEST(ColumnarTelemetry, BuilderEmitsExactCountsAndPeakGauge) {
+TEST(ColumnarTelemetry, BuildEmitsExactCounts) {
   const auto chunk = collect_chunked(small_config(100), 100);
   std::vector<ServerRecord> records;
   for (int i = 0; i < 60; ++i) {

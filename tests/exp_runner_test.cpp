@@ -42,7 +42,7 @@ cluster::Fleet day_matrix_fleet() {
   config.servers = 48;
   config.seed = 7;
   config.threads = 0;
-  auto fleet = cluster::Fleet::generate(config, 16);
+  auto fleet = cluster::Fleet::generate(config);
   EXPECT_TRUE(fleet.ok());
   return std::move(fleet).take();
 }
@@ -177,10 +177,6 @@ TEST(ExpRunner, InvalidInputFailsBeforeAnyCellRuns) {
   auto spec = runner_spec();
   spec.traces = {"bogus"};
   EXPECT_FALSE(exp::run_experiment(spec).ok());
-
-  exp::RunnerOptions options;
-  options.chunk_rows = 0;
-  EXPECT_FALSE(exp::run_experiment(runner_spec(), options).ok());
 }
 
 // --- Policy x trace matrix on a caller-built fleet --------------------------

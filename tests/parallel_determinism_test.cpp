@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "fleet_image.h"
+
 namespace epserve {
 namespace {
 
@@ -163,7 +165,8 @@ TEST(ParallelDeterminism, EnsembleMembersMatchStandaloneRuns) {
 constexpr std::uint64_t kFleetServers = 10'007;
 
 /// Sets EPSERVE_THREADS for the scope (the Builder resolves it for each
-/// large chunk) and restores the caller's value afterwards.
+/// large chunk, and Fleet::generate at config.threads = 0) and restores the
+/// caller's value afterwards.
 class ScopedThreadsEnv {
  public:
   explicit ScopedThreadsEnv(int threads) {
@@ -186,23 +189,10 @@ class ScopedThreadsEnv {
 
 /// Everything a built Fleet holds, as bit patterns, plus its build counters.
 struct FleetImage {
-  std::map<std::string, std::vector<std::uint64_t>> columns;
-  std::uint64_t digest = 0;
+  fleet_check::FleetImage fleet;
   std::map<std::string, std::uint64_t> counters;
   std::uint64_t pool_tasks = 0;
 };
-
-std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
-std::uint64_t bits(std::int32_t value) {
-  return static_cast<std::uint32_t>(value);
-}
-
-template <typename T>
-void add_column(FleetImage& image, const std::string& name,
-                std::span<const T> column) {
-  auto& out = image.columns[name];
-  for (const T value : column) out.push_back(bits(value));
-}
 
 /// Builds a fleet with telemetry on and records its image.
 FleetImage image_of(const std::function<cluster::Fleet()>& build) {
@@ -214,36 +204,7 @@ FleetImage image_of(const std::function<cluster::Fleet()>& build) {
   telemetry::reset();
 
   FleetImage image;
-  add_column(image, "peak_ops", fleet.peak_ops());
-  add_column(image, "peak_watts", fleet.peak_watts());
-  add_column(image, "idle_watts", fleet.idle_watts());
-  add_column(image, "ep", fleet.ep());
-  add_column(image, "overall_score", fleet.overall_score());
-  add_column(image, "peak_ee_value", fleet.peak_ee_value());
-  add_column(image, "peak_ee_utilization", fleet.peak_ee_utilization());
-  add_column(image, "ee_at_full", fleet.ee_at_full());
-  const auto grid = fleet.grid_view();
-  const std::size_t bins =
-      fleet.size() *
-      static_cast<std::size_t>(metrics::kernels::FleetGridView::kRowBins);
-  add_column(image, "grid_w0", std::span<const double>(grid.w0, bins));
-  add_column(image, "grid_m", std::span<const double>(grid.m, bins));
-  add_column(image, "grid_inv_peak",
-             std::span<const double>(grid.inv_peak, fleet.size()));
-  auto& ids = image.columns["server_id"];
-  auto& sheets = image.columns["curve"];
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    ids.push_back(bits(fleet.server_id(i)));
-    const metrics::PowerCurve curve = fleet.curve(i);
-    sheets.push_back(bits(curve.idle_watts()));
-    for (std::size_t level = 0; level < metrics::kNumLoadLevels; ++level) {
-      sheets.push_back(bits(curve.watts_at_level(level)));
-      sheets.push_back(bits(curve.ops_at_level(level)));
-    }
-  }
-  image.columns["capacity_ops"] = {bits(fleet.capacity_ops())};
-  image.columns["total_idle_watts"] = {bits(fleet.total_idle_watts())};
-  image.digest = fleet.digest();
+  image.fleet = fleet_check::fleet_image(fleet);
   for (const char* name : {"fleet.builds", "fleet.servers",
                            "columnar.builds", "columnar.rows"}) {
     const auto* counter = snap.find_counter(name);
@@ -254,26 +215,14 @@ FleetImage image_of(const std::function<cluster::Fleet()>& build) {
   return image;
 }
 
-void expect_same_fleet(const FleetImage& expected, const FleetImage& actual) {
-  ASSERT_EQ(expected.columns.size(), actual.columns.size());
-  for (const auto& [name, column] : expected.columns) {
-    const auto& other = actual.columns.at(name);
-    ASSERT_EQ(column.size(), other.size()) << name;
-    for (std::size_t i = 0; i < column.size(); ++i) {
-      // Stop at the first difference: a shifted row would flood the log.
-      ASSERT_EQ(column[i], other[i]) << name << "[" << i << "]";
-    }
-  }
-  EXPECT_EQ(expected.digest, actual.digest);
-}
-
 cluster::Fleet ok_fleet(Result<cluster::Fleet> built) {
   EXPECT_TRUE(built.ok());
   return std::move(built).take();
 }
 
-/// One way of building the fleet; `pooled` when some appended chunk
-/// reaches the parallel threshold.
+/// One way of building the fleet; `pooled` when its fill runs on lanes
+/// (an appended chunk reaches the parallel threshold, or generate() is
+/// given more than one lane).
 struct FleetRoute {
   std::string name;
   std::function<cluster::Fleet()> build;
@@ -283,22 +232,20 @@ struct FleetRoute {
 TEST(ParallelDeterminism, FleetBuildIsIdenticalAcrossThreadCounts) {
   dataset::ScaledConfig config;
   config.servers = kFleetServers;
-  config.threads = 1;  // generation stays serial; only the build's lanes vary
+  config.threads = 1;  // the records' generation stays serial
   auto generated = dataset::generate_scaled_population(config);
   ASSERT_TRUE(generated.ok());
   const std::vector<ServerRecord> records = std::move(generated).take();
-  const auto generate = [&config](std::size_t chunk) {
-    return [&config, chunk] {
-      return ok_fleet(cluster::Fleet::generate(config, chunk));
-    };
-  };
+  // generate()'s lanes follow EPSERVE_THREADS here, as the build's do.
+  dataset::ScaledConfig lanes_from_env = config;
+  lanes_from_env.threads = 0;
   const std::vector<FleetRoute> routes = {
       {"build", [&] { return ok_fleet(cluster::Fleet::build(records)); }, true},
       {"from_records", [&] { return cluster::Fleet::from_records(records); },
        true},
-      {"generate/97", generate(97), false},
-      {"generate/65536", generate(65536), true},
-      {"generate/one-chunk", generate(kFleetServers), true},
+      {"generate",
+       [&] { return ok_fleet(cluster::Fleet::generate(lanes_from_env)); },
+       true},
       // A large chunk after a small one fills from a nonzero row offset.
       {"builder/1000+rest",
        [&] {
@@ -321,17 +268,21 @@ TEST(ParallelDeterminism, FleetBuildIsIdenticalAcrossThreadCounts) {
   // The serial build holds the records' own values, row for row, and every
   // route and chunking reproduces it.
   const FleetImage& reference = serial.at("build");
-  const auto& ids = reference.columns.at("server_id");
-  const auto& peak_ops = reference.columns.at("peak_ops");
+  const auto& ids = reference.fleet.columns.at("server_id");
+  const auto& peak_ops = reference.fleet.columns.at("peak_ops");
   ASSERT_EQ(ids.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    ASSERT_EQ(ids[i], bits(static_cast<std::int32_t>(records[i].id))) << i;
-    ASSERT_EQ(peak_ops[i], bits(records[i].curve.peak_ops())) << i;
+    ASSERT_EQ(ids[i], fleet_check::image_bits(
+                          static_cast<std::int32_t>(records[i].id)))
+        << i;
+    ASSERT_EQ(peak_ops[i], fleet_check::image_bits(
+                               records[i].curve.peak_ops()))
+        << i;
   }
   for (const FleetRoute& route : routes) {
     SCOPED_TRACE(::testing::Message() << "threads=1 route=" << route.name);
     const FleetImage& image = serial.at(route.name);
-    expect_same_fleet(reference, image);
+    fleet_check::expect_same_fleet(reference.fleet, image.fleet);
     EXPECT_EQ(image.pool_tasks, 0u);
     // A Fleet builds no analysis snapshot.
     EXPECT_EQ(image.counters.at("columnar.builds"), 0u);
@@ -345,9 +296,10 @@ TEST(ParallelDeterminism, FleetBuildIsIdenticalAcrossThreadCounts) {
                    << "threads=" << threads << " route=" << route.name);
       const FleetImage image = image_of(route.build);
       const FleetImage& expected = serial.at(route.name);
-      expect_same_fleet(expected, image);
+      fleet_check::expect_same_fleet(expected.fleet, image.fleet);
       EXPECT_EQ(image.counters, expected.counters);
-      // The lanes really ran: every large chunk went through the pool.
+      // The lanes really ran: every large chunk, and the generated fill,
+      // went through the pool.
       EXPECT_EQ(image.pool_tasks > 0, route.pooled);
     }
   }

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -125,6 +127,69 @@ TEST(Rng, TruncatedNormalZeroSdClamps) {
   EXPECT_DOUBLE_EQ(rng.truncated_normal(5.0, 0.0, 0.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(rng.truncated_normal(-5.0, 0.0, 0.0, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(rng.truncated_normal(0.5, 0.0, 0.0, 1.0), 0.5);
+}
+
+/// truncated_normal as the plain rejection loop, without the doomed-pair
+/// pre-test, through the public API only: the reference every returned
+/// value and every later draw must match.
+double plain_truncated_normal(Rng& rng, double mean, double sd, double lo,
+                              double hi) {
+  if (sd == 0.0) return mean < lo ? lo : (mean > hi ? hi : mean);
+  for (int i = 0; i < 256; ++i) {
+    const double x = rng.normal(mean, sd);
+    if (x >= lo && x <= hi) return x;
+  }
+  const double x = rng.normal(mean, sd);
+  return x < lo ? lo : (x > hi ? hi : x);
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Rng, TruncatedNormalPreTestKeepsThePlainLoopsDraws) {
+  struct Window {
+    double mean, sd, lo, hi;
+  };
+  std::vector<Window> windows;
+  // Windows above and below the mean at d sd; d = 9 and farther exhaust
+  // all 256 draws and clamp (40 sd underflows the pre-test's threshold).
+  for (const double mean : {0.3, -3.0, 1e6}) {
+    const double sd = mean == 1e6 ? 1e-2 : 0.04;
+    for (const double d : {0.3, 0.5, 1.0, 2.0, 3.5, 6.0, 9.0, 40.0}) {
+      windows.push_back({mean, sd, mean + d * sd, mean + (d + 5.0) * sd});
+      windows.push_back({mean, sd, mean - (d + 5.0) * sd, mean - d * sd});
+    }
+    // Windows that span the mean, or start at it.
+    windows.push_back({mean, sd, mean - sd, mean + 0.5 * sd});
+    windows.push_back({mean, sd, mean - 0.1 * sd, mean + 0.1 * sd});
+    windows.push_back({mean, sd, mean, mean + 3.0 * sd});
+  }
+  // An edge too large for the margin to outweigh its rounding: no pre-test.
+  windows.push_back({1e12, 1e-3, 1e12 + 2e-3, 1e12 + 1.0});
+  for (const Window& w : windows) {
+    // Entered with and without a cached normal: a clamped window's last
+    // draw is then the sine and the cosine of its pair.
+    for (const bool cached : {false, true}) {
+      for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << "mean=" << w.mean << " lo=" << w.lo << " hi=" << w.hi
+                     << " cached=" << cached << " seed=" << seed);
+        Rng rng(seed);
+        Rng plain(seed);
+        if (cached) {
+          ASSERT_EQ(bits_of(rng.normal()), bits_of(plain.normal()));
+        }
+        ASSERT_EQ(bits_of(rng.truncated_normal(w.mean, w.sd, w.lo, w.hi)),
+                  bits_of(plain_truncated_normal(plain, w.mean, w.sd, w.lo,
+                                                 w.hi)));
+        for (int k = 0; k < 8; ++k) {
+          ASSERT_EQ(bits_of(rng.normal()), bits_of(plain.normal())) << k;
+        }
+        for (int k = 0; k < 8; ++k) {
+          ASSERT_EQ(bits_of(rng.uniform()), bits_of(plain.uniform())) << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(Rng, CategoricalFollowsWeights) {
